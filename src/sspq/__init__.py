@@ -8,14 +8,11 @@ evaluate symmetric vs. asymmetric retrieval (exact and PQ-compressed) by mAP.
 
 from .embeddings import (
     EmbeddingMatrix,
-    SubvectorView,
     cosine_sim,
     export_embeddings,
     import_embeddings,
-    l2_normalize,
     neg_euclid_sim,
     split_subvectors,
-    subvector_views,
 )
 from .encoder import (
     QueryEncoder,
@@ -35,9 +32,6 @@ from .evaluation import (
     exact_search,
 )
 from .loss import (
-    AssignmentDistribution,
-    LossValue,
-    StructureSimilarity,
     kl_loss,
     regression_loss_and_grad,
     soften,

@@ -67,63 +67,17 @@ class EmbeddingMatrix:
         return self.data[i]
 
 
-@dataclass(frozen=True)
-class SubvectorView:
-    """View of one contiguous subspace slice of an embedding matrix.
-
-    Subspace ``j`` (0-based) of ``m`` covers columns [j*d*, (j+1)*d*) where
-    d* = dim / m.
-    """
-
-    parent: EmbeddingMatrix
-    subspace_index: int
-    num_subspaces: int
-
-    def __post_init__(self) -> None:
-        if self.parent.dim % self.num_subspaces != 0:
-            raise IndivisibleDimensionError(
-                f"dim {self.parent.dim} is not a multiple of {self.num_subspaces}"
-            )
-        if not 0 <= self.subspace_index < self.num_subspaces:
-            raise ValueError(f"subspace index {self.subspace_index} out of range")
-
-    @property
-    def sub_dim(self) -> int:
-        return self.parent.dim // self.num_subspaces
-
-    @property
-    def values(self) -> np.ndarray:
-        j, ds = self.subspace_index, self.sub_dim
-        return self.parent.data[:, j * ds : (j + 1) * ds]
-
-
-def subvector_views(emb: EmbeddingMatrix, m: int) -> list[SubvectorView]:
-    """Split an embedding matrix into m contiguous column-block views."""
-    return [SubvectorView(emb, j, m) for j in range(m)]
-
-
-def l2_normalize(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Scale a vector to unit L2 norm, preserving direction.
+def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of an (n, d) matrix to unit L2 norm, preserving direction.
 
     Returns:
-        (unit_vector, degenerate). Vectors with norm below 1e-12 are returned
-        unchanged with degenerate=True.
+        (unit_rows, degenerate). Rows with norm below 1e-12 are returned
+        unchanged and flagged in the (n,) boolean mask ``degenerate``.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("l2_normalize expects a non-empty 1-D vector")
-    n = float(np.linalg.norm(v))
-    if n < NORM_EPS:
-        return v.copy(), True
-    return v / n, False
-
-
-def normalize_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise L2 normalization; rows with norm below 1e-12 stay unchanged."""
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1, keepdims=True)
-    safe = np.where(norms < NORM_EPS, 1.0, norms)
-    return x / safe
+    norms = np.linalg.norm(x, axis=1)
+    degenerate = norms < NORM_EPS
+    return x / np.where(degenerate, 1.0, norms)[:, None], degenerate
 
 
 def split_subvectors(v: np.ndarray, m: int) -> list[np.ndarray]:

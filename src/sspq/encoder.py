@@ -1,8 +1,10 @@
 """Trainable query encoder: a small MLP with L2-normalized output.
 
-Forward passes cache every intermediate needed for exact backpropagation;
-gradients flow through the final normalization, the activations, and the
-affine layers. Checkpoints use the ``SSPQ`` container format.
+Forward and backward passes take a batch of rows, (B, d_in); a single
+input is a batch of one. The forward pass caches every intermediate needed
+for exact backpropagation, and gradients flow through the final
+normalization, the activations, and the affine layers, summed over the
+batch. Checkpoints use the ``SSPQ`` container format.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import l2_normalize, normalize_rows
-from .errors import BadDimensionError, FormatError, LengthMismatchError
+from .embeddings import normalize_rows
+from .errors import BadDimensionError, FormatError, LengthMismatchError, ShapeMismatchError
 
 ACT_TANH = "tanh"
 ACT_RELU = "relu"
@@ -32,12 +34,13 @@ def _activate(a: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def _activate_grad(a: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
+    """Activation derivative, from the activation output h = act(a)."""
     if kind == ACT_TANH:
         return 1.0 - h * h
     if kind == ACT_RELU:
-        return (a > 0).astype(np.float64)
-    return np.ones_like(a)
+        return (h > 0).astype(np.float64)
+    return np.ones_like(h)
 
 
 class QueryEncoder:
@@ -118,76 +121,67 @@ def encoder_init(
 
 
 def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Forward pass for one input vector.
+    """Forward pass over a batch of input rows.
+
+    Args:
+        x: (B, d_in) inputs; a single vector is a batch of one.
 
     Returns:
-        (embedding, cache). The embedding is the L2-normalized final affine
-        output; a zero pre-normalization output is returned unchanged with
-        cache["degenerate"] set. The cache holds every intermediate needed
-        by encoder_backward.
+        (embeddings, cache). Each (B, d_out) embedding row is the
+        L2-normalized final affine output; a row whose output norm is below
+        1e-12 is returned unchanged and flagged in the (B,) mask
+        cache["degenerate"]. The cache holds every intermediate needed by
+        encoder_backward.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (enc.input_dim,):
-        raise LengthMismatchError(f"input has shape {x.shape}, expected ({enc.input_dim},)")
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != enc.input_dim:
+        raise LengthMismatchError(f"input has shape {h.shape}, expected (B, {enc.input_dim})")
     inputs = []
-    preacts = []
-    h = x
     last = len(enc.weights) - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         inputs.append(h)
-        a = w @ h + b
-        preacts.append(a)
-        h = a if i == last else _activate(a, enc.activation)
-    y, degenerate = l2_normalize(h)
-    cache = {
-        "inputs": inputs,
-        "preacts": preacts,
-        "z": h,
-        "y": y,
-        "z_norm": float(np.linalg.norm(h)),
-        "degenerate": degenerate,
-    }
-    return y, cache
+        h = h @ w.T + b
+        if i != last:
+            h = _activate(h, enc.activation)
+    y, degenerate = normalize_rows(h)
+    return y, {"inputs": inputs, "z": h, "y": y, "degenerate": degenerate}
 
 
 def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list[np.ndarray]:
-    """Backpropagate dLoss/d(embedding) to parameter gradients.
+    """Backpropagate dLoss/d(embeddings), (B, d_out), to parameter gradients.
 
     Returns:
-        Gradients aligned with ``enc.parameters()`` order (W0, b0, W1, b1...).
+        Gradients summed over the batch, aligned with ``enc.parameters()``
+        order (W0, b0, W1, b1...).
     """
     grad_y = np.asarray(grad_y, dtype=np.float64)
-    y, z_norm = cache["y"], cache["z_norm"]
-    if cache["degenerate"]:
-        delta = grad_y.copy()  # normalization was the identity
-    else:
-        delta = (grad_y - y * float(np.dot(y, grad_y))) / z_norm
+    y, degenerate = cache["y"], cache["degenerate"]
+    if grad_y.shape != y.shape:
+        raise ShapeMismatchError(f"gradient has shape {grad_y.shape}, embeddings {y.shape}")
+    # A degenerate row was returned unchanged with norm < 1e-12, so dividing
+    # by 1 gives grad_y - y (y . grad_y), within |y|^2 < 1e-24 of the identity.
+    z_norm = np.where(degenerate, 1.0, np.linalg.norm(cache["z"], axis=1))
+    radial = np.einsum("bd,bd->b", y, grad_y)
+    delta = (grad_y - y * radial[:, None]) / z_norm[:, None]
 
+    inputs = cache["inputs"]
     grads: list[np.ndarray] = []
     last = len(enc.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            # inputs[i + 1] is act(preacts[i]), cached by the forward pass
-            delta = delta * _activate_grad(cache["preacts"][i], cache["inputs"][i + 1], enc.activation)
-        grads.append(delta)  # db_i
-        grads.append(np.outer(delta, cache["inputs"][i]))  # dW_i
+            # inputs[i + 1] is the activation output of layer i
+            delta = delta * _activate_grad(inputs[i + 1], enc.activation)
+        grads.append(delta.sum(axis=0))  # db_i
+        grads.append(delta.T @ inputs[i])  # dW_i
         if i > 0:
-            delta = enc.weights[i].T @ delta
+            delta = delta @ enc.weights[i]
     grads.reverse()
     return grads
 
 
 def forward_matrix(enc: QueryEncoder, x: np.ndarray) -> np.ndarray:
-    """Vectorized forward pass over matrix rows; rows are L2-normalized."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != enc.input_dim:
-        raise LengthMismatchError(f"matrix has shape {h.shape}, expected (n, {enc.input_dim})")
-    last = len(enc.weights) - 1
-    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
-        h = h @ w.T + b
-        if i != last:
-            h = _activate(h, enc.activation)
-    return normalize_rows(h)
+    """Embeddings of an (n, d_in) input matrix: encoder_forward without its cache."""
+    return encoder_forward(enc, x)[0]
 
 
 def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = None) -> None:
@@ -228,6 +222,8 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         activation = header["activation"]
     except (ValueError, KeyError) as exc:
         raise FormatError(f"{path}: malformed header: {exc}") from exc
+    if activation not in ACTIVATIONS:
+        raise FormatError(f"{path}: unknown activation {activation!r}")
 
     offset = 8 + header_len
     weights, biases = [], []

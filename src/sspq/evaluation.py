@@ -113,8 +113,8 @@ def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> list[Ran
         raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
-    q = normalize_rows(queries.data)
-    g = normalize_rows(gallery.data)
+    q, _ = normalize_rows(queries.data)
+    g, _ = normalize_rows(gallery.data)
     scores = q @ g.T
     out = []
     for i in range(queries.rows):

@@ -1,19 +1,19 @@
 """Structure similarities, temperature softening, and the KL alignment loss.
 
-A feature vector is compared subspace-by-subspace against the codebook
-centroids; the two resulting M x K similarity matrices (frozen gallery side,
-trainable query side) are softened into row distributions and matched with a
-per-subspace KL divergence. Analytic gradients with respect to the query
-embedding are exact through the softmax and the chosen similarity kernel.
+Every function works on a batch. Each row of a (B, d) batch of embeddings
+is split into M subvectors and compared subspace-by-subspace against the
+codebook centroids, giving (B, M, K) structure similarities. The frozen
+gallery side and the trainable query side are softened into distributions
+over K and matched with a per-subspace KL divergence. Analytic gradients with
+respect to the query embeddings are exact through the softmax and the
+chosen similarity kernel. A single embedding is a batch of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .embeddings import COSINE_EPS, NORM_EPS, l2_normalize
+from .embeddings import COSINE_EPS, NORM_EPS, normalize_rows
 from .errors import (
     LengthMismatchError,
     ShapeMismatchError,
@@ -26,123 +26,93 @@ SIM_NEG_EUCLIDEAN = "neg_euclidean"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
 
-@dataclass(frozen=True)
-class StructureSimilarity:
-    """M x K similarities of one feature's subvectors against all centroids."""
-
-    values: np.ndarray
-    similarity_kind: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError(f"similarity values must be 2-D, got {values.shape}")
-        if self.similarity_kind not in SIMILARITY_KINDS:
-            raise ValueError(f"unknown similarity kind {self.similarity_kind!r}")
-        if self.similarity_kind == SIM_COSINE:
-            if np.max(np.abs(values)) > 1.0 + 1e-9:
-                raise ValueError("cosine similarities must lie in [-1, 1]")
-        elif np.max(values) > 1e-9:
-            raise ValueError("negative-Euclidean similarities must be <= 0")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+def _against_centroids(a: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Per-subspace matmul: (B, M, n) x (M, n, p) -> (B, M, p)."""
+    return np.matmul(a.transpose(1, 0, 2), cents).transpose(1, 0, 2)
 
 
-@dataclass(frozen=True)
-class AssignmentDistribution:
-    """Row-stochastic M x K soft assignments with their temperature."""
+def _grad_through_similarity(
+    codebook: ProductCodebook, u: np.ndarray, kind: str, s: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Map dLoss/dS (B, M, K) to dLoss/du (B, M, d*) for the chosen kernel.
 
-    probs: np.ndarray
-    temperature: float
-
-    def __post_init__(self) -> None:
-        probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 2:
-            raise ValueError(f"probabilities must be 2-D, got {probs.shape}")
-        if self.temperature < 0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
-        if np.min(probs) < 0:
-            raise ValueError("probabilities must be non-negative")
-        row_sums = probs.sum(axis=1)
-        if np.max(np.abs(row_sums - 1.0)) > 1e-9:
-            raise ValueError("each probability row must sum to 1")
-        if self.temperature == 0 and not np.all((probs == 0) | (probs == 1)):
-            raise ValueError("temperature 0 requires one-hot rows")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Total loss and its per-subspace decomposition."""
-
-    total: float
-    per_subspace: np.ndarray
-
-    def __post_init__(self) -> None:
-        per = np.asarray(self.per_subspace, dtype=np.float64)
-        if abs(self.total - float(per.sum())) > 1e-9 * max(1.0, abs(self.total)):
-            raise ValueError("total must equal the sum of per-subspace losses")
-        if per.size and float(per.min()) < -1e-9:
-            raise ValueError("per-subspace KL losses must be non-negative")
-        per.setflags(write=False)
-        object.__setattr__(self, "per_subspace", per)
-
-
-def _subvectors(codebook: ProductCodebook, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (codebook.dim,):
-        raise LengthMismatchError(f"vector has shape {v.shape}, codebook dim {codebook.dim}")
-    return v.reshape(codebook.m, codebook.sub_dim)
+    ``s`` is the similarity of ``u``. Dead subspaces (near-zero subvector
+    norm under cosine, or a subvector sitting exactly on a centroid under
+    negative-Euclidean) get zero gradient; the kernels are flat or
+    non-differentiable there.
+    """
+    cents = codebook.stacked()
+    if kind == SIM_COSINE:
+        u_norms = np.linalg.norm(u, axis=2)
+        c_norms = codebook.centroid_norms()
+        denom = c_norms * u_norms[:, :, None] + COSINE_EPS
+        term1 = _against_centroids(w / denom, cents)
+        coef = (w * s * c_norms / denom).sum(axis=2)
+        dead = u_norms < NORM_EPS
+        grad = term1 - (coef / np.where(dead, 1.0, u_norms))[:, :, None] * u
+        grad[dead] = 0.0
+        return grad
+    dists = -s
+    on_centroid = dists < NORM_EPS
+    scaled = np.where(on_centroid, 0.0, w / np.where(on_centroid, 1.0, dists))
+    # sum_k scaled_k * (c_k - u)
+    return _against_centroids(scaled, cents) - scaled.sum(axis=2)[:, :, None] * u
 
 
 def structure_similarity(
-    codebook: ProductCodebook, v: np.ndarray, kind: str = SIM_COSINE
-) -> StructureSimilarity:
-    """Similarities of each subvector of v against its subspace's K centroids."""
+    codebook: ProductCodebook, x: np.ndarray, kind: str = SIM_COSINE
+) -> np.ndarray:
+    """(B, M, K) similarities of each row's subvectors against its subspace's K centroids.
+
+    Raises:
+        LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
+    """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity kind {kind!r}")
-    u = _subvectors(codebook, v)
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != codebook.dim:
+        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
+    u = x.reshape(x.shape[0], codebook.m, codebook.sub_dim)
     cents = codebook.stacked()
     if kind == SIM_COSINE:
-        dots = np.einsum("mkd,md->mk", cents, u)
-        u_norms = np.linalg.norm(u, axis=1)
-        denom = codebook.centroid_norms() * u_norms[:, None] + COSINE_EPS
-        values = dots / denom
-    else:
-        diff = cents - u[:, None, :]
-        values = -np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
-    return StructureSimilarity(values=values, similarity_kind=kind)
+        dots = _against_centroids(u, cents.transpose(0, 2, 1))
+        u_norms = np.linalg.norm(u, axis=2)
+        return dots / (codebook.centroid_norms() * u_norms[:, :, None] + COSINE_EPS)
+    # The explicit difference keeps a subvector on a centroid at distance 0.
+    diff = cents - u[:, :, None, :]
+    return -np.sqrt(np.einsum("bmkd,bmkd->bmk", diff, diff))
 
 
-def soften(sim: StructureSimilarity, temperature: float) -> AssignmentDistribution:
-    """Row-wise temperature softmax; temperature 0 yields hard one-hot argmax.
+def soften(values: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature softmax along the last axis; temperature 0 yields hard one-hot argmax.
 
-    Softmax uses per-row max subtraction for stability. Hard-assignment ties
-    go to the lowest centroid index.
+    Softmax uses max subtraction for stability. Hard-assignment ties go to
+    the lowest centroid index.
     """
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    values = sim.values
+    values = np.asarray(values, dtype=np.float64)
     if temperature == 0:
         probs = np.zeros_like(values)
-        probs[np.arange(values.shape[0]), np.argmax(values, axis=1)] = 1.0
-    else:
-        z = (values - values.max(axis=1, keepdims=True)) / temperature
-        e = np.exp(z)
-        probs = e / e.sum(axis=1, keepdims=True)
-    return AssignmentDistribution(probs=probs, temperature=float(temperature))
+        np.put_along_axis(probs, np.argmax(values, axis=-1)[..., None], 1.0, axis=-1)
+        return probs
+    e = np.exp((values - values.max(axis=-1, keepdims=True)) / temperature)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def kl_loss(p_g: AssignmentDistribution, p_q: AssignmentDistribution) -> LossValue:
-    """Per-subspace KL(p_g || p_q) and its sum, with the 0*ln(0/x) := 0 convention.
+def kl_loss(p_g: np.ndarray, p_q: np.ndarray) -> np.ndarray:
+    """KL(p_g || p_q) along the last axis, with the 0*ln(0/x) := 0 convention.
+
+    Returns:
+        One divergence per distribution: the input shape without its last axis.
 
     Raises:
         ShapeMismatchError: if the two distributions differ in shape.
         ZeroTargetProbabilityError: if p_q has zero mass where p_g does not
             (the divergence would be infinite).
     """
-    g, q = p_g.probs, p_q.probs
+    g = np.asarray(p_g, dtype=np.float64)
+    q = np.asarray(p_q, dtype=np.float64)
     if g.shape != q.shape:
         raise ShapeMismatchError(f"distribution shapes differ: {g.shape} vs {q.shape}")
     support = g > 0
@@ -150,58 +120,10 @@ def kl_loss(p_g: AssignmentDistribution, p_q: AssignmentDistribution) -> LossVal
         raise ZeroTargetProbabilityError(
             "query distribution has zero probability on the gallery support"
         )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(support, g * (np.log(np.where(support, g, 1.0)) - np.log(np.where(q > 0, q, 1.0))), 0.0)
-    per = terms.sum(axis=1)
-    # Round-off can leave KL a hair below zero when the rows are identical.
-    per = np.where((per < 0) & (per > -1e-12), 0.0, per)
-    return LossValue(total=float(per.sum()), per_subspace=per)
-
-
-def _similarity_and_grad_coeffs(
-    codebook: ProductCodebook, u: np.ndarray, kind: str
-) -> tuple[np.ndarray, dict]:
-    """Similarity matrix plus the intermediates its u-gradient needs."""
-    cents = codebook.stacked()
-    if kind == SIM_COSINE:
-        dots = np.einsum("mkd,md->mk", cents, u)
-        u_norms = np.linalg.norm(u, axis=1)
-        denom = codebook.centroid_norms() * u_norms[:, None] + COSINE_EPS
-        values = dots / denom
-        return values, {"dots": dots, "u_norms": u_norms, "denom": denom}
-    diff = cents - u[:, None, :]
-    dists = np.sqrt(np.einsum("mkd,mkd->mk", diff, diff))
-    return -dists, {"diff": diff, "dists": dists}
-
-
-def _grad_through_similarity(
-    codebook: ProductCodebook,
-    u: np.ndarray,
-    kind: str,
-    w: np.ndarray,
-    aux: dict,
-) -> np.ndarray:
-    """Map dLoss/dS (M, K) to dLoss/du (M, d*) for the chosen kernel.
-
-    Dead subspaces (near-zero subvector norm under cosine, or a subvector
-    sitting exactly on a centroid under negative-Euclidean) get zero gradient;
-    the kernels are flat or non-differentiable there.
-    """
-    cents = codebook.stacked()
-    if kind == SIM_COSINE:
-        denom = aux["denom"]
-        u_norms = aux["u_norms"]
-        dots = aux["dots"]
-        term1 = np.einsum("mk,mkd->md", w / denom, cents)
-        coef = (w * dots * codebook.centroid_norms() / denom**2).sum(axis=1)
-        safe = np.where(u_norms < NORM_EPS, 1.0, u_norms)
-        grad = term1 - (coef / safe)[:, None] * u
-        grad[u_norms < NORM_EPS] = 0.0
-        return grad
-    dists = aux["dists"]
-    safe = np.where(dists < NORM_EPS, 1.0, dists)
-    scaled = np.where(dists < NORM_EPS, 0.0, w / safe)
-    return np.einsum("mk,mkd->md", scaled, aux["diff"])
+    terms = np.where(support, g * (np.log(np.where(support, g, 1.0)) - np.log(np.where(q > 0, q, 1.0))), 0.0)
+    per = terms.sum(axis=-1)
+    # Round-off can leave KL a hair below zero when the distributions are identical.
+    return np.where((per < 0) & (per > -1e-12), 0.0, per)
 
 
 def ssp_loss_and_grad(
@@ -211,53 +133,52 @@ def ssp_loss_and_grad(
     tau_g: float,
     tau_q: float,
     kind: str = SIM_COSINE,
-) -> tuple[LossValue, np.ndarray]:
-    """Alignment loss between gallery and query embeddings plus dLoss/dq.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alignment loss between (B, d) gallery and query embeddings plus dLoss/dq.
 
-    The gallery embedding is treated as a constant. ``tau_g`` may be 0 (hard
-    assignment); ``tau_q`` must be positive so the query distribution has
-    full support.
+    The gallery embeddings are treated as constants. ``tau_g`` may be 0
+    (hard assignment); ``tau_q`` must be positive so the query distribution
+    has full support.
 
     Returns:
-        (loss, gradient) with the gradient a length-d float64 vector, the
-        exact derivative through the softmax and the similarity kernel.
+        (losses, gradient): per-sample losses (B,), each the sum of its M
+        per-subspace KL divergences, and the (B, d) exact derivative of
+        each sample's loss through the softmax and the similarity kernel.
     """
     if tau_q <= 0:
         raise ValueError(f"tau_q must be > 0, got {tau_q}")
-    if kind not in SIMILARITY_KINDS:
-        raise ValueError(f"unknown similarity kind {kind!r}")
-    u_g = _subvectors(codebook, g)
-    u_q = _subvectors(codebook, q)
+    q = np.asarray(q, dtype=np.float64)
+    if np.shape(g) != q.shape:
+        raise LengthMismatchError(f"gallery shape {np.shape(g)} differs from query shape {q.shape}")
+    s_q = structure_similarity(codebook, q, kind)
+    p_g = soften(structure_similarity(codebook, g, kind), tau_g)
+    p_q = soften(s_q, tau_q)
+    losses = kl_loss(p_g, p_q).sum(axis=1)
 
-    s_g_values, _ = _similarity_and_grad_coeffs(codebook, u_g, kind)
-    s_q_values, aux = _similarity_and_grad_coeffs(codebook, u_q, kind)
-    p_g = soften(StructureSimilarity(s_g_values, kind), tau_g)
-    p_q = soften(StructureSimilarity(s_q_values, kind), tau_q)
-    loss = kl_loss(p_g, p_q)
-
-    w = (p_q.probs - p_g.probs) / tau_q  # dLoss/dS_q
-    grad = _grad_through_similarity(codebook, u_q, kind, w, aux)
-    return loss, grad.reshape(-1)
+    w = (p_q - p_g) / tau_q  # dLoss/dS_q
+    u_q = q.reshape(s_q.shape[0], codebook.m, codebook.sub_dim)
+    grad = _grad_through_similarity(codebook, u_q, kind, s_q, w)
+    return losses, grad.reshape(q.shape)
 
 
-def regression_loss_and_grad(g: np.ndarray, q: np.ndarray) -> tuple[float, np.ndarray]:
-    """Direct feature-matching baseline: squared L2 between unit-normalized embeddings.
+def regression_loss_and_grad(g: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Direct feature-matching baseline: squared L2 between unit-normalized (B, d) embeddings.
 
     Returns:
-        (loss, gradient) with the gradient analytic through the query-side
-        normalization; the gallery embedding is a constant. A degenerate
-        (zero-norm) query gets zero gradient.
+        (losses, gradient): per-sample losses (B,) and the (B, d) gradient,
+        analytic through the query-side normalization; the gallery
+        embeddings are constants. A degenerate (zero-norm) query row gets
+        zero gradient.
     """
     g = np.asarray(g, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    if g.shape != q.shape:
-        raise LengthMismatchError(f"lengths differ: {g.shape} vs {q.shape}")
-    nq, degenerate = l2_normalize(q)
-    ng, _ = l2_normalize(g)
+    if g.shape != q.shape or q.ndim != 2:
+        raise LengthMismatchError(f"shapes differ or are not (B, d): {g.shape} vs {q.shape}")
+    nq, degenerate = normalize_rows(q)
+    ng, _ = normalize_rows(g)
     r = nq - ng
-    loss = float(np.dot(r, r))
-    if degenerate:
-        return loss, np.zeros_like(q)
-    qn = float(np.linalg.norm(q))
-    grad = (2.0 / qn) * (r - nq * float(np.dot(nq, r)))
-    return loss, grad
+    losses = np.einsum("bd,bd->b", r, r)
+    qn = np.where(degenerate, 1.0, np.linalg.norm(q, axis=1))
+    grad = (2.0 / qn)[:, None] * (r - nq * np.einsum("bd,bd->b", nq, r)[:, None])
+    grad[degenerate] = 0.0
+    return losses, grad

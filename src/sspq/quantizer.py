@@ -280,7 +280,7 @@ def train_product_codebook(
             stacklevel=2,
         )
     if normalize:
-        x = normalize_rows(x)
+        x, _ = normalize_rows(x)
 
     ds = d // m
     subs = []

@@ -123,7 +123,7 @@ def gen_mixture(
         raise BadConfigError("train_per_class must be >= 1")
 
     rng = np.random.default_rng(seed)
-    means = normalize_rows(rng.normal(size=(num_classes, d_in)))
+    means, _ = normalize_rows(rng.normal(size=(num_classes, d_in)))
 
     rows, labels, splits = [], [], []
     for c in range(num_classes):

@@ -1,21 +1,23 @@
 """Query-model training against frozen, cached gallery embeddings.
 
-Each training sample is pushed through the encoder, scored against the
-gallery embedding of the same sample with the configured loss, and the
-parameter gradients (averaged over the mini-batch in index order) feed an
-Adam update under a linear learning-rate decay to zero.
+Each mini-batch is pushed through the encoder in one forward pass, scored
+row by row against the gallery embeddings of the same samples with the
+configured loss in one call, and backpropagated in one backward pass. The
+parameter gradients, averaged over the mini-batch, feed an Adam update under
+a linear learning-rate decay to zero.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, asdict
+from functools import partial
 
 import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .encoder import QueryEncoder, encoder_backward, encoder_forward
-from .errors import EmptyInputError, ShapeMismatchError, StepOutOfRangeError
+from .errors import BadConfigError, EmptyInputError, ShapeMismatchError, StepOutOfRangeError
 from .loss import (
     SIM_COSINE,
     SIMILARITY_KINDS,
@@ -45,19 +47,19 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+            raise BadConfigError("learning_rate must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise BadConfigError("epochs must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise BadConfigError("batch_size must be >= 1")
         if self.tau_q <= 0:
-            raise ValueError("tau_q must be > 0")
+            raise BadConfigError("tau_q must be > 0")
         if self.tau_g < 0:
-            raise ValueError("tau_g must be >= 0")
+            raise BadConfigError("tau_g must be >= 0")
         if self.loss_kind not in LOSS_KINDS:
-            raise ValueError(f"unknown loss kind {self.loss_kind!r}")
+            raise BadConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.similarity_kind not in SIMILARITY_KINDS:
-            raise ValueError(f"unknown similarity kind {self.similarity_kind!r}")
+            raise BadConfigError(f"unknown similarity kind {self.similarity_kind!r}")
 
 
 @dataclass
@@ -149,8 +151,8 @@ def train_query_model(
     """Optimize a copy of the encoder against frozen gallery embeddings.
 
     Each epoch shuffles the sample order with a generator seeded from
-    cfg.seed, walks mini-batches, and averages per-sample parameter
-    gradients in index order before every Adam step; the learning rate
+    cfg.seed, walks mini-batches, and averages the parameter gradients over
+    each mini-batch before its Adam step; the learning rate
     decays linearly to zero over all steps. The input encoder and the
     gallery embeddings are never mutated.
 
@@ -184,6 +186,13 @@ def train_query_model(
     total_steps = cfg.epochs * steps_per_epoch
     gallery = gallery_embeddings.data
 
+    if cfg.loss_kind == LOSS_SSP:
+        loss_and_grad = partial(
+            ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q, kind=cfg.similarity_kind
+        )
+    else:
+        loss_and_grad = regression_loss_and_grad
+
     epoch_means: list[float] = []
     global_step = 0
     for _ in range(cfg.epochs):
@@ -191,24 +200,12 @@ def train_query_model(
         loss_sum = 0.0
         for b in range(steps_per_epoch):
             batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            acc = [np.zeros_like(p) for p in params]
-            for idx in batch:
-                y, cache = encoder_forward(model, raw[idx])
-                if cfg.loss_kind == LOSS_SSP:
-                    loss_val, grad_y = ssp_loss_and_grad(
-                        codebook, gallery[idx], y, cfg.tau_g, cfg.tau_q, cfg.similarity_kind
-                    )
-                    sample_loss = loss_val.total
-                else:
-                    sample_loss, grad_y = regression_loss_and_grad(gallery[idx], y)
-                loss_sum += sample_loss
-                for a, g in zip(acc, encoder_backward(model, cache, grad_y)):
-                    a += g
-            inv = 1.0 / batch.shape[0]
-            for a in acc:
-                a *= inv
+            y, cache = encoder_forward(model, raw[batch])
+            losses, grad_y = loss_and_grad(gallery[batch], y)
+            loss_sum += float(losses.sum())
+            grads = encoder_backward(model, cache, grad_y / batch.shape[0])
             lr_t = linear_lr(global_step, total_steps, cfg.learning_rate)
-            adam_step(adam, params, acc, lr_t, cfg.weight_decay)
+            adam_step(adam, params, grads, lr_t, cfg.weight_decay)
             global_step += 1
         epoch_means.append(loss_sum / n)
 

@@ -173,17 +173,17 @@ def test_criterion_2_gradient_correctness():
 
         # Loss level: dLoss/d(query embedding).
         q = rng.normal(size=d)
-        _, grad = ssp_loss_and_grad(cb, g, q, tau_g, tau_q, kind)
+        _, (grad,) = ssp_loss_and_grad(cb, g[None], q[None], tau_g, tau_q, kind)
         numeric = central_diff_grad(
-            lambda qq: ssp_loss_and_grad(cb, g, qq, tau_g, tau_q, kind)[0].total, q, h=1e-5
+            lambda qq: ssp_loss_and_grad(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q, h=1e-5
         )
         worst_loss_level = max(worst_loss_level, grad_mismatch(grad, numeric))
 
         # Parameter level: through the encoder as well.
         enc = encoder_init(5, [8], d, seed=config)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         y, cache = encoder_forward(enc, x)
-        _, grad_y = ssp_loss_and_grad(cb, g, y, tau_g, tau_q, kind)
+        _, grad_y = ssp_loss_and_grad(cb, g[None], y, tau_g, tau_q, kind)
         analytic = encoder_backward(enc, cache, grad_y)
         for p_idx, p in enumerate(enc.parameters()):
             flat = p.reshape(-1)
@@ -192,7 +192,7 @@ def test_criterion_2_gradient_correctness():
                 old = flat.copy()
                 flat[:] = vec
                 yy, _ = encoder_forward(enc, x)
-                out = ssp_loss_and_grad(cb, g, yy, tau_g, tau_q, kind)[0].total
+                out = ssp_loss_and_grad(cb, g[None], yy, tau_g, tau_q, kind)[0][0]
                 flat[:] = old
                 return out
 
@@ -254,18 +254,18 @@ def test_criterion_5_soft_hard_limit():
     while checked < 25:
         g = rng.normal(size=8)
         q = rng.normal(size=8)
-        rows = structure_similarity(cb, g, SIM_COSINE).values
+        (rows,) = structure_similarity(cb, g[None], SIM_COSINE)
         top = np.sort(rows, axis=1)
         if np.min(top[:, -1] - top[:, -2]) <= 0.01:
             continue
         checked += 1
-        soft = ssp_loss_and_grad(cb, g, q, 1e-6, 1.0)[0].total
-        hard = ssp_loss_and_grad(cb, g, q, 0.0, 1.0)[0].total
+        soft = ssp_loss_and_grad(cb, g[None], q[None], 1e-6, 1.0)[0][0]
+        hard = ssp_loss_and_grad(cb, g[None], q[None], 0.0, 1.0)[0][0]
         worst = max(worst, abs(soft - hard))
     one_hot_exact = True
     for _ in range(20):
-        sim = structure_similarity(cb, rng.normal(size=8), SIM_COSINE)
-        probs = soften(sim, 0.0).probs
+        (sim,) = structure_similarity(cb, rng.normal(size=(1, 8)), SIM_COSINE)
+        probs = soften(sim, 0.0)
         one_hot_exact &= bool(np.all((probs == 0.0) | (probs == 1.0)))
         one_hot_exact &= bool(np.all(probs.sum(axis=1) == 1.0))
     ok = worst < 1e-3 and one_hot_exact
@@ -300,14 +300,9 @@ def test_training_loss_halves_by_final_epoch(bench0, codebooks0, trained0, regre
 
     codebook = codebooks0[DEFAULTS["m"]]
     _, report = trained0[DEFAULTS["m"]]
-    floor = float(
-        np.mean(
-            [
-                ssp_loss_and_grad(codebook, g, g.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])[0].total
-                for g in bench0.train_emb.data
-            ]
-        )
-    )
+    train = bench0.train_emb.data
+    losses, _ = ssp_loss_and_grad(codebook, train, train.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])
+    floor = float(np.mean(losses))
     assert report.epoch_mean_loss[-1] - floor < 0.5 * (report.epoch_mean_loss[0] - floor)
 
 

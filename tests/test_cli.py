@@ -148,6 +148,17 @@ class TestTrainQueryAndEval:
         for p, blob in snapshot.items():
             assert p.read_bytes() == blob, f"{p} changed across identical reruns"
 
+    @pytest.mark.parametrize("flag", ["--lr", "--epochs", "--batch-size", "--tau-q"])
+    def test_bad_training_flag_fails_with_error_json(self, tmp_path, capsys, flag):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train-codebook", "--config", str(config)])
+        capsys.readouterr()
+        assert main(["train-query", "--config", str(config), flag, "0"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+
     def test_pq_bench(self, tmp_path):
         config = tiny_config(tmp_path)
         run_pipeline(config)

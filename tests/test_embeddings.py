@@ -6,11 +6,10 @@ from sspq.embeddings import (
     cosine_sim,
     export_embeddings,
     import_embeddings,
-    l2_normalize,
     neg_euclid_sim,
+    normalize_rows,
     read_labels,
     split_subvectors,
-    subvector_views,
     write_labels,
 )
 from sspq.errors import FormatError, IndivisibleDimensionError, LengthMismatchError
@@ -18,24 +17,24 @@ from sspq.errors import FormatError, IndivisibleDimensionError, LengthMismatchEr
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out, degenerate = l2_normalize(np.array([3.0, 4.0]))
+        (out,), (degenerate,) = normalize_rows(np.array([[3.0, 4.0]]))
         np.testing.assert_allclose(out, [0.6, 0.8])
         assert not degenerate
 
     def test_unit_vector_unchanged(self):
-        out, degenerate = l2_normalize(np.array([1.0, 0.0, 0.0]))
+        (out,), (degenerate,) = normalize_rows(np.array([[1.0, 0.0, 0.0]]))
         np.testing.assert_array_equal(out, [1.0, 0.0, 0.0])
         assert not degenerate
 
     def test_zero_vector_flagged(self):
-        out, degenerate = l2_normalize(np.array([0.0, 0.0]))
+        (out,), (degenerate,) = normalize_rows(np.array([[0.0, 0.0]]))
         np.testing.assert_array_equal(out, [0.0, 0.0])
         assert degenerate
 
     def test_random_norms(self, rng):
         for _ in range(50):
             v = rng.normal(size=rng.integers(1, 20))
-            out, degenerate = l2_normalize(v)
+            (out,), (degenerate,) = normalize_rows(v[None])
             assert not degenerate
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
@@ -131,14 +130,6 @@ class TestEmbeddingMatrix:
         emb = EmbeddingMatrix(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):
             emb.data[0, 0] = 7.0
-
-    def test_subvector_views_cover_columns(self, rng):
-        emb = EmbeddingMatrix(rng.normal(size=(3, 6)))
-        views = subvector_views(emb, 3)
-        assert [v.sub_dim for v in views] == [2, 2, 2]
-        np.testing.assert_array_equal(
-            np.hstack([v.values for v in views]), emb.data
-        )
 
 
 class TestEmb1Format:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grad, grad_mismatch
-from sspq.embeddings import l2_normalize
+from sspq.embeddings import normalize_rows
 from sspq.encoder import (
     QueryEncoder,
     encoder_backward,
@@ -26,8 +26,8 @@ class TestEncoderInit:
         enc = encoder_init(5, [], 5, activation="identity", seed=1)
         assert len(enc.weights) == 1
         x = rng.normal(size=5)
-        y, _ = encoder_forward(enc, x)
-        expected, _ = l2_normalize(enc.weights[0] @ x)
+        (y,), _ = encoder_forward(enc, x[None])
+        (expected,), _ = normalize_rows((enc.weights[0] @ x)[None])
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_parameter_count(self):
@@ -43,28 +43,28 @@ class TestEncoderForward:
     def test_identity_weights_normalize_input(self, rng):
         enc = QueryEncoder([4, 4], "identity", [np.eye(4)], [np.zeros(4)])
         x = rng.normal(size=4)
-        y, cache = encoder_forward(enc, x)
-        expected, _ = l2_normalize(x)
+        (y,), cache = encoder_forward(enc, x[None])
+        (expected,), _ = normalize_rows(x[None])
         np.testing.assert_allclose(y, expected, atol=1e-15)
-        assert not cache["degenerate"]
+        assert not cache["degenerate"][0]
 
     def test_zero_encoder_degenerate(self):
         enc = QueryEncoder([3, 3], "tanh", [np.zeros((3, 3))], [np.zeros(3)])
-        y, cache = encoder_forward(enc, np.ones(3))
+        (y,), cache = encoder_forward(enc, np.ones((1, 3)))
         np.testing.assert_array_equal(y, np.zeros(3))
-        assert cache["degenerate"]
+        assert cache["degenerate"][0]
 
     def test_length_mismatch(self):
         enc = encoder_init(4, [], 4, seed=0)
         with pytest.raises(LengthMismatchError):
-            encoder_forward(enc, np.ones(5))
+            encoder_forward(enc, np.ones((1, 5)))
 
     def test_forward_matrix_agrees_rowwise(self, rng):
         enc = encoder_init(6, [10], 4, seed=2)
         batch = rng.normal(size=(8, 6))
         rows = forward_matrix(enc, batch)
         for i in range(8):
-            y, _ = encoder_forward(enc, batch[i])
+            (y,), _ = encoder_forward(enc, batch[i : i + 1])
             np.testing.assert_allclose(rows[i], y, atol=1e-12)
 
 
@@ -75,8 +75,8 @@ class TestEncoderBackward:
         enc = encoder_init(6, [10], 8, activation=activation, seed=3)
         x = rng.normal(size=6)
         v = rng.normal(size=8)
-        _, cache = encoder_forward(enc, x)
-        analytic = encoder_backward(enc, cache, v)
+        _, cache = encoder_forward(enc, x[None])
+        analytic = encoder_backward(enc, cache, v[None])
 
         params = enc.parameters()
         for p_idx, p in enumerate(params):
@@ -85,7 +85,7 @@ class TestEncoderBackward:
             def probe(vec, flat=flat, p_idx=p_idx):
                 old = flat.copy()
                 flat[:] = vec
-                y, _ = encoder_forward(enc, x)
+                (y,), _ = encoder_forward(enc, x[None])
                 flat[:] = old
                 return float(v @ y)
 
@@ -116,5 +116,13 @@ class TestCheckpointFormat:
         path = tmp_path / "t.sspq"
         save_checkpoint(enc, path)
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_unknown_activation(self, tmp_path):
+        enc = encoder_init(4, [], 4, activation="relu", seed=0)
+        path = tmp_path / "gelu.sspq"
+        save_checkpoint(enc, path)
+        path.write_bytes(path.read_bytes().replace(b'"relu"', b'"gelu"'))
         with pytest.raises(FormatError):
             load_checkpoint(path)

@@ -21,7 +21,7 @@ from sspq.synth import gen_mixture, make_oracle, oracle_encode
 
 
 def unit_rows(rng, n, d):
-    return EmbeddingMatrix(normalize_rows(rng.normal(size=(n, d))), normalized=True)
+    return EmbeddingMatrix(normalize_rows(rng.normal(size=(n, d)))[0], normalized=True)
 
 
 class TestExactSearch:
@@ -140,7 +140,7 @@ class TestEvaluate:
 
     def test_gallery_permutation_invariance(self, rng):
         queries = unit_rows(rng, 5, 6)
-        gallery_data = normalize_rows(rng.normal(size=(30, 6)))
+        gallery_data, _ = normalize_rows(rng.normal(size=(30, 6)))
         g_labels = np.asarray(np.arange(30) % 5)
         base = evaluate(queries, EmbeddingMatrix(gallery_data, normalized=True),
                         np.arange(5), g_labels)

@@ -12,8 +12,6 @@ from sspq.errors import (
 from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
-    AssignmentDistribution,
-    StructureSimilarity,
     kl_loss,
     regression_loss_and_grad,
     soften,
@@ -31,12 +29,12 @@ def axis_codebook():
 
 class TestStructureSimilarity:
     def test_cosine_row(self, axis_codebook):
-        sim = structure_similarity(axis_codebook, np.array([1.0, 0.0]), SIM_COSINE)
-        np.testing.assert_allclose(sim.values, [[1.0, 0.0]], atol=1e-9)
+        (sim,) = structure_similarity(axis_codebook, np.array([[1.0, 0.0]]), SIM_COSINE)
+        np.testing.assert_allclose(sim, [[1.0, 0.0]], atol=1e-9)
 
     def test_neg_euclidean_row(self, axis_codebook):
-        sim = structure_similarity(axis_codebook, np.array([1.0, 0.0]), SIM_NEG_EUCLIDEAN)
-        np.testing.assert_allclose(sim.values, [[0.0, -1.41421356]], atol=1e-8)
+        (sim,) = structure_similarity(axis_codebook, np.array([[1.0, 0.0]]), SIM_NEG_EUCLIDEAN)
+        np.testing.assert_allclose(sim, [[0.0, -1.41421356]], atol=1e-8)
 
     def test_matches_scalar_kernels(self, rng):
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=3, k=4, seed=1)
@@ -44,8 +42,8 @@ class TestStructureSimilarity:
         for _ in range(10):
             v = rng.normal(size=6)
             subs = split_subvectors(v, 3)
-            cos = structure_similarity(cb, v, SIM_COSINE).values
-            neg = structure_similarity(cb, v, SIM_NEG_EUCLIDEAN).values
+            (cos,) = structure_similarity(cb, v[None], SIM_COSINE)
+            (neg,) = structure_similarity(cb, v[None], SIM_NEG_EUCLIDEAN)
             for j in range(3):
                 for i in range(4):
                     assert cos[j, i] == pytest.approx(cosine_sim(subs[j], cents[j, i]), abs=1e-12)
@@ -54,41 +52,41 @@ class TestStructureSimilarity:
     def test_cosine_scale_invariance(self, rng):
         cb = train_product_codebook(rng.normal(size=(15, 4)), m=2, k=3, seed=2)
         v = rng.normal(size=4)
-        base = structure_similarity(cb, v, SIM_COSINE).values
+        (base,) = structure_similarity(cb, v[None], SIM_COSINE)
         for c in (0.25, 3.0, 1e3):
-            scaled = structure_similarity(cb, c * v, SIM_COSINE).values
+            (scaled,) = structure_similarity(cb, c * v[None], SIM_COSINE)
             np.testing.assert_allclose(scaled, base, atol=1e-9)
 
     def test_length_mismatch(self, axis_codebook):
         with pytest.raises(LengthMismatchError):
-            structure_similarity(axis_codebook, np.zeros(3), SIM_COSINE)
+            structure_similarity(axis_codebook, np.zeros((1, 3)), SIM_COSINE)
 
 
 class TestSoften:
     def test_softmax_row(self):
-        sim = StructureSimilarity(np.array([[1.0, 0.0]]), SIM_COSINE)
+        sim = np.array([[1.0, 0.0]])
         dist = soften(sim, 1.0)
-        np.testing.assert_allclose(dist.probs, [[0.73105858, 0.26894142]], atol=1e-8)
+        np.testing.assert_allclose(dist, [[0.73105858, 0.26894142]], atol=1e-8)
 
     def test_hard_argmax(self):
-        sim = StructureSimilarity(np.array([[1.0, 0.0]]), SIM_COSINE)
+        sim = np.array([[1.0, 0.0]])
         dist = soften(sim, 0.0)
-        np.testing.assert_array_equal(dist.probs, [[1.0, 0.0]])
+        np.testing.assert_array_equal(dist, [[1.0, 0.0]])
 
     def test_hard_tie_breaks_low_index(self):
-        sim = StructureSimilarity(np.array([[0.5, 0.5, 0.1]]), SIM_COSINE)
-        np.testing.assert_array_equal(soften(sim, 0.0).probs, [[1.0, 0.0, 0.0]])
+        sim = np.array([[0.5, 0.5, 0.1]])
+        np.testing.assert_array_equal(soften(sim, 0.0), [[1.0, 0.0, 0.0]])
 
     def test_huge_temperature_flattens(self, rng):
         values = rng.uniform(-1.0, 1.0, size=(1, 256))
-        dist = soften(StructureSimilarity(values, SIM_COSINE), 1e9)
-        assert float(dist.probs.max() - dist.probs.min()) < 1e-6
+        dist = soften(values, 1e9)
+        assert float(dist.max() - dist.min()) < 1e-6
 
     def test_rows_sum_to_one_many_k(self, rng):
         for k in (2, 17, 256, 4096):
             values = rng.uniform(-1.0, 1.0, size=(3, k))
             for tau in (1e-3, 0.1, 1.0, 50.0):
-                probs = soften(StructureSimilarity(values, SIM_COSINE), tau).probs
+                probs = soften(values, tau)
                 np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_hard_limit_monotone_in_max_entry(self, rng):
@@ -97,66 +95,66 @@ class TestSoften:
             top = np.sort(values[0])
             if top[-1] - top[-2] <= 0.01:  # need a clear argmax margin
                 values[0, np.argmax(values[0])] += 0.05
-            sim = StructureSimilarity(np.clip(values, -1, 1), SIM_COSINE)
-            maxima = [float(soften(sim, tau).probs.max()) for tau in (1.0, 0.1, 0.01, 0.001)]
+            sim = np.clip(values, -1, 1)
+            maxima = [float(soften(sim, tau).max()) for tau in (1.0, 0.1, 0.01, 0.001)]
             assert all(a <= b + 1e-12 for a, b in zip(maxima, maxima[1:]))
-            one_hot = soften(sim, 0.0).probs
-            np.testing.assert_allclose(soften(sim, 1e-4).probs, one_hot, atol=1e-9)
+            one_hot = soften(sim, 0.0)
+            np.testing.assert_allclose(soften(sim, 1e-4), one_hot, atol=1e-9)
 
 
 class TestKlLoss:
     def test_identity_is_zero(self, rng):
         values = rng.uniform(-1, 1, size=(3, 5))
-        p = soften(StructureSimilarity(values, SIM_COSINE), 0.5)
+        p = soften(values, 0.5)
         loss = kl_loss(p, p)
-        assert loss.total == pytest.approx(0.0, abs=1e-12)
+        assert loss.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_one_hot_reduces_to_neg_log(self):
-        p_g = soften(StructureSimilarity(np.array([[-0.1, -2.0, -3.0]]), SIM_NEG_EUCLIDEAN), 0.0)
-        p_q = soften(StructureSimilarity(np.array([[-0.5, -1.0, -0.2]]), SIM_NEG_EUCLIDEAN), 1.0)
+        p_g = soften(np.array([[-0.1, -2.0, -3.0]]), 0.0)
+        p_q = soften(np.array([[-0.5, -1.0, -0.2]]), 1.0)
         loss = kl_loss(p_g, p_q)
-        assert loss.per_subspace[0] == pytest.approx(-np.log(p_q.probs[0, 0]), abs=1e-12)
+        assert loss[0] == pytest.approx(-np.log(p_q[0, 0]), abs=1e-12)
 
     def test_frozen_two_point_example(self):
-        p_g = AssignmentDistribution(np.array([[0.73105858, 0.26894142]]), 1.0)
-        p_q = AssignmentDistribution(np.array([[0.5, 0.5]]), 1.0)
-        loss = kl_loss(p_g, p_q)
-        assert loss.total == pytest.approx(0.11100, abs=1e-4)
-        assert loss.total == pytest.approx(direct_kl(p_g.probs, p_q.probs), abs=1e-12)
+        p_g = np.array([[0.73105858, 0.26894142]])
+        p_q = np.array([[0.5, 0.5]])
+        loss = kl_loss(p_g, p_q).sum()
+        assert loss == pytest.approx(0.11100, abs=1e-4)
+        assert loss == pytest.approx(direct_kl(p_g, p_q), abs=1e-12)
 
     def test_nonnegative_and_zero_iff_equal(self, rng):
         for _ in range(20):
-            a = soften(StructureSimilarity(rng.uniform(-1, 1, size=(2, 6)), SIM_COSINE), 0.3)
-            b = soften(StructureSimilarity(rng.uniform(-1, 1, size=(2, 6)), SIM_COSINE), 0.7)
-            loss = kl_loss(a, b)
-            assert loss.total >= 0.0
-            if loss.total < 1e-12:
-                np.testing.assert_allclose(a.probs, b.probs, atol=1e-9)
+            a = soften(rng.uniform(-1, 1, size=(2, 6)), 0.3)
+            b = soften(rng.uniform(-1, 1, size=(2, 6)), 0.7)
+            loss = kl_loss(a, b).sum()
+            assert loss >= 0.0
+            if loss < 1e-12:
+                np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_shape_mismatch(self):
-        a = AssignmentDistribution(np.full((1, 2), 0.5), 1.0)
-        b = AssignmentDistribution(np.full((1, 4), 0.25), 1.0)
+        a = np.full((1, 2), 0.5)
+        b = np.full((1, 4), 0.25)
         with pytest.raises(ShapeMismatchError):
             kl_loss(a, b)
 
     def test_zero_target_probability(self):
-        p_g = AssignmentDistribution(np.array([[0.5, 0.5]]), 1.0)
-        p_q = AssignmentDistribution(np.array([[1.0, 0.0]]), 0.0)
+        p_g = np.array([[0.5, 0.5]])
+        p_q = np.array([[1.0, 0.0]])
         with pytest.raises(ZeroTargetProbabilityError):
             kl_loss(p_g, p_q)
 
     def test_matching_zeros_allowed(self):
-        p_g = AssignmentDistribution(np.array([[1.0, 0.0]]), 0.0)
-        p_q = AssignmentDistribution(np.array([[1.0, 0.0]]), 0.0)
-        assert kl_loss(p_g, p_q).total == 0.0
+        p_g = np.array([[1.0, 0.0]])
+        p_q = np.array([[1.0, 0.0]])
+        assert kl_loss(p_g, p_q).sum() == 0.0
 
 
 class TestSspLossAndGrad:
     def test_matched_distributions_zero_grad(self, rng):
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=3)
         g = rng.normal(size=6)
-        loss, grad = ssp_loss_and_grad(cb, g, g.copy(), tau_g=0.7, tau_q=0.7)
-        assert loss.total == pytest.approx(0.0, abs=1e-12)
+        (loss,), (grad,) = ssp_loss_and_grad(cb, g[None], g[None].copy(), tau_g=0.7, tau_q=0.7)
+        assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
@@ -171,9 +169,9 @@ class TestSspLossAndGrad:
             q = rng.normal(size=m * ds)
             tau_g = float(rng.uniform(0.05, 1.0))
             tau_q = float(rng.uniform(0.5, 2.0))
-            _, grad = ssp_loss_and_grad(cb, g, q, tau_g, tau_q, kind)
+            _, (grad,) = ssp_loss_and_grad(cb, g[None], q[None], tau_g, tau_q, kind)
             numeric = central_diff_grad(
-                lambda qq: ssp_loss_and_grad(cb, g, qq, tau_g, tau_q, kind)[0].total, q
+                lambda qq: ssp_loss_and_grad(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q
             )
             assert grad_mismatch(grad, numeric) < 1e-5
 
@@ -183,13 +181,13 @@ class TestSspLossAndGrad:
         for _ in range(40):
             g = rng.normal(size=8)
             q = rng.normal(size=8)
-            rows = structure_similarity(cb, g, SIM_COSINE).values
+            (rows,) = structure_similarity(cb, g[None], SIM_COSINE)
             top = np.sort(rows, axis=1)
             if np.min(top[:, -1] - top[:, -2]) <= 0.01:
                 continue  # needs a clear per-row argmax margin
             checked += 1
-            soft = ssp_loss_and_grad(cb, g, q, 1e-6, 1.0)[0].total
-            hard = ssp_loss_and_grad(cb, g, q, 0.0, 1.0)[0].total
+            soft = ssp_loss_and_grad(cb, g[None], q[None], 1e-6, 1.0)[0][0]
+            hard = ssp_loss_and_grad(cb, g[None], q[None], 0.0, 1.0)[0][0]
             assert abs(soft - hard) < 1e-3
         assert checked >= 5
 
@@ -199,46 +197,46 @@ class TestSspLossAndGrad:
         for _ in range(20):
             g = rng.normal(size=6)
             q = rng.normal(size=6)
-            loss, grad = ssp_loss_and_grad(cb, g, q, 0.1, 1.0)
+            (loss,), (grad,) = ssp_loss_and_grad(cb, g[None], q[None], 0.1, 1.0)
             if np.linalg.norm(grad) <= 1e-6:
                 continue
             moved += 1
-            after = ssp_loss_and_grad(cb, g, q - 1e-3 * grad, 0.1, 1.0)[0]
-            assert after.total < loss.total
+            (after,), _ = ssp_loss_and_grad(cb, g[None], (q - 1e-3 * grad)[None], 0.1, 1.0)
+            assert after < loss
         assert moved >= 10
 
     def test_tau_q_positive_required(self, tiny_codebook):
         with pytest.raises(ValueError):
-            ssp_loss_and_grad(tiny_codebook, np.ones(4), np.ones(4), 0.1, 0.0)
+            ssp_loss_and_grad(tiny_codebook, np.ones((1, 4)), np.ones((1, 4)), 0.1, 0.0)
 
 
 class TestRegressionLoss:
     def test_identical_embeddings(self, rng):
         q = rng.normal(size=5)
-        loss, grad = regression_loss_and_grad(q.copy(), q)
+        (loss,), (grad,) = regression_loss_and_grad(q[None].copy(), q[None])
         assert loss == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.norm(grad) < 1e-9
 
     def test_antipodal_is_four(self, rng):
         q = rng.normal(size=5)
-        loss, _ = regression_loss_and_grad(-q, q)
+        (loss,), _ = regression_loss_and_grad(-q[None], q[None])
         assert loss == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(20):
             g = rng.normal(size=6)
             q = rng.normal(size=6)
-            _, grad = regression_loss_and_grad(g, q)
-            numeric = central_diff_grad(lambda qq: regression_loss_and_grad(g, qq)[0], q)
+            _, (grad,) = regression_loss_and_grad(g[None], q[None])
+            numeric = central_diff_grad(lambda qq: regression_loss_and_grad(g[None], qq[None])[0][0], q)
             assert grad_mismatch(grad, numeric) < 1e-5
 
     def test_gradient_orthogonal_to_query(self, rng):
         # The loss depends on the direction of q only.
         g = rng.normal(size=6)
         q = rng.normal(size=6)
-        _, grad = regression_loss_and_grad(g, q)
+        _, (grad,) = regression_loss_and_grad(g[None], q[None])
         assert abs(float(np.dot(grad, q))) < 1e-9 * max(1.0, float(np.linalg.norm(grad)))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            regression_loss_and_grad(np.ones(3), np.ones(4))
+            regression_loss_and_grad(np.ones((1, 3)), np.ones((1, 4)))

@@ -3,11 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import make_codebook
 from oracles import central_diff_grad, grad_mismatch
 from sspq.embeddings import EmbeddingMatrix
-from sspq.encoder import encoder_backward, encoder_forward, encoder_init, forward_matrix
+from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import ShapeMismatchError, StepOutOfRangeError
-from sspq.loss import ssp_loss_and_grad
+from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
 from sspq.quantizer import train_product_codebook
 from sspq.trainer import (
     AdamState,
@@ -142,8 +143,8 @@ class TestTrainQueryModel:
         raw, gallery, codebook, enc = small_problem(seed=11, n=10)
         assert enc.num_params <= 300
         for sample in range(10):
-            x = raw[sample]
-            g_emb = gallery.data[sample]
+            x = raw[sample : sample + 1]
+            g_emb = gallery.data[sample : sample + 1]
 
             y, cache = encoder_forward(enc, x)
             _, grad_y = ssp_loss_and_grad(codebook, g_emb, y, 0.1, 1.0)
@@ -156,9 +157,93 @@ class TestTrainQueryModel:
                     old = flat.copy()
                     flat[:] = vec
                     yy, _ = encoder_forward(enc, x)
-                    val = ssp_loss_and_grad(codebook, g_emb, yy, 0.1, 1.0)[0].total
+                    val = ssp_loss_and_grad(codebook, g_emb, yy, 0.1, 1.0)[0][0]
                     flat[:] = old
                     return val
 
                 numeric = central_diff_grad(loss_at, flat.copy(), h=1e-6)
                 assert grad_mismatch(analytic[p_idx].reshape(-1), numeric) < 1e-4
+
+
+def batch_and_rows(enc, codebook, raw, gallery, tau_g, kind):
+    """Forward, SSP loss and backward on the whole batch, then on each row alone.
+
+    Returns:
+        ((losses, dLoss/dQ, parameter gradients) of the batch, one such
+        triple per row computed as a batch of one).
+    """
+    y, cache = encoder_forward(enc, raw)
+    losses, grad_y = ssp_loss_and_grad(codebook, gallery, y, tau_g, 1.0, kind)
+    batched = (losses, grad_y, encoder_backward(enc, cache, grad_y))
+    rows = []
+    for i in range(raw.shape[0]):
+        y1, cache1 = encoder_forward(enc, raw[i : i + 1])
+        (loss1,), grad_y1 = ssp_loss_and_grad(codebook, gallery[i : i + 1], y1, tau_g, 1.0, kind)
+        rows.append((loss1, grad_y1[0], encoder_backward(enc, cache1, grad_y1)))
+    return batched, rows
+
+
+def assert_batch_matches_rows(batched, rows):
+    losses, grad_y, grads = batched
+    for i, (loss1, grad_y1, _) in enumerate(rows):
+        assert abs(losses[i] - loss1) <= 1e-12 * abs(loss1)
+        assert grad_mismatch(grad_y[i], grad_y1) <= 1e-12
+    for p_idx, g in enumerate(grads):
+        assert grad_mismatch(g, sum(r[2][p_idx] for r in rows)) <= 1e-12
+
+
+class TestBatchedPath:
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
+    @pytest.mark.parametrize("tau_g", [0.0, 0.1])
+    def test_batch_equals_batch_of_one(self, kind, tau_g):
+        raw, gallery, codebook, enc = small_problem(seed=21, n=32)
+        batched, rows = batch_and_rows(enc, codebook, raw, gallery.data, tau_g, kind)
+        assert_batch_matches_rows(batched, rows)
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
+    def test_mixed_batch_special_rows(self, kind, rng):
+        # y = normalize(x + b). Row 1 maps to a zero output (degenerate), row 2
+        # to a zero first subvector, row 3 to [0.5] * 4, whose first
+        # subvector is centroid 0 of subspace 0; the other rows are random.
+        b = np.array([0.25, -0.5, 0.75, 1.0])
+        enc = QueryEncoder([4, 4], "identity", [np.eye(4)], [b])
+        codebook = make_codebook(
+            [
+                [[0.5, 0.5], [1.0, -0.5], [-1.0, 0.25], [0.0, -1.0]],
+                [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5], [0.75, 0.25]],
+            ]
+        )
+        raw = rng.normal(size=(8, 4))
+        raw[1] = -b
+        raw[2] = [-0.25, 0.5, 1.0, 2.0]
+        raw[3] = 0.5 - b
+        gallery = rng.normal(size=(8, 4))
+
+        y, cache = encoder_forward(enc, raw)
+        assert cache["degenerate"].tolist() == [False, True] + [False] * 6
+        np.testing.assert_array_equal(y[1], 0.0)
+        np.testing.assert_array_equal(y[2, :2], 0.0)
+        np.testing.assert_array_equal(y[3], 0.5)
+
+        batched, rows = batch_and_rows(enc, codebook, raw, gallery, 0.1, kind)
+        assert_batch_matches_rows(batched, rows)
+        _, grad_y, _ = batched
+
+        # The degenerate row backpropagates through an identity normalization.
+        _, grad_y1, (dw, db) = rows[1]
+        np.testing.assert_array_equal(db, grad_y1)
+        np.testing.assert_array_equal(dw, np.outer(grad_y1, raw[1]))
+        if kind == SIM_COSINE:
+            # Zero subvectors are dead subspaces under cosine.
+            np.testing.assert_array_equal(grad_y[1], 0.0)
+            np.testing.assert_array_equal(grad_y[2, :2], 0.0)
+        else:
+            # The centroid under the subvector drops out of its gradient.
+            (s_q,) = structure_similarity(codebook, y[3:4], kind)
+            (s_g,) = structure_similarity(codebook, gallery[3:4], kind)
+            assert s_q[0, 0] == 0.0
+            w = soften(s_q, 1.0) - soften(s_g, 0.1)
+            cents, u = codebook.stacked(), y[3, :2]
+            expected = sum(w[0, k] * (cents[0, k] - u) / -s_q[0, k] for k in range(1, 4))
+            np.testing.assert_allclose(grad_y[3, :2], expected, rtol=0, atol=1e-12)
+
