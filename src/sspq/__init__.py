@@ -25,7 +25,7 @@ from .encoder import (
 )
 from .evaluation import (
     EvalReport,
-    RankedList,
+    adc_search,
     average_precision,
     evaluate,
     evaluate_pq,
@@ -40,13 +40,10 @@ from .loss import (
 )
 from .quantizer import (
     KMeansResult,
-    PQCode,
     ProductCodebook,
     SubCodebook,
-    adc_search,
     codebook_load,
     codebook_save,
-    encode,
     encode_matrix,
     kmeans_fit,
     pq_memory_bytes,

@@ -7,7 +7,6 @@ precedence order. All randomness derives from the single top-level ``seed``
 via fixed offsets: dataset seed+10, oracle seed+20, encoder init seed+40,
 shuffle seed+50, codebook seed+1000 (plus the subspace index).
 
-The env var ``SSP_THREADS`` caps worker threads used during PQ evaluation.
 Every command is idempotent: identical config and seed reproduce
 byte-identical artifacts.
 """
@@ -31,7 +30,7 @@ from .embeddings import (
     read_labels,
     write_labels,
 )
-from .encoder import encoder_init, forward_matrix, load_checkpoint, save_checkpoint
+from .encoder import ACTIVATIONS, encoder_init, forward_matrix, load_checkpoint, save_checkpoint
 from .errors import BadConfigError, SspqError
 from .evaluation import (
     MODE_ASYMMETRIC,
@@ -42,6 +41,7 @@ from .evaluation import (
     evaluate_pq,
 )
 from .quantizer import (
+    check_power_of_two_k,
     codebook_load,
     codebook_save,
     encode_matrix,
@@ -115,7 +115,24 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
             raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    for key, default in DEFAULTS.items():
+        if not _same_type(cfg[key], default):
+            raise BadConfigError(
+                f"config {key}={cfg[key]!r} must be of type {type(default).__name__}"
+            )
+    for key, allowed in (("activation", ACTIVATIONS), ("loss", _LOSS_NAMES), ("sim", _SIM_NAMES)):
+        if cfg[key] not in allowed:
+            raise BadConfigError(f"config {key}={cfg[key]!r} is not one of {sorted(allowed)}")
     return cfg
+
+
+def _same_type(value, default) -> bool:
+    """A float accepts an int, a bool is not an int, and lists hold their default's type."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_type(v, default[0]) for v in value)
+    if isinstance(default, float) and type(value) is int:
+        return True
+    return type(value) is type(default)
 
 
 def _dataset_dir(cfg: dict) -> Path:
@@ -178,6 +195,7 @@ def _load_split_labels(cfg: dict, split: str) -> np.ndarray:
 
 def cmd_train_codebook(cfg: dict) -> dict:
     """Train the per-subspace codebooks on the anchor split's embeddings."""
+    check_power_of_two_k(cfg["k"])
     anchors = _load_split(cfg, "anchor", "emb")
     if cfg["m"] == 1:
         print(
@@ -305,6 +323,7 @@ def cmd_eval(cfg: dict) -> dict:
 
 def cmd_pq_bench(cfg: dict) -> list[dict]:
     """Sweep codebook sizes: asymmetric PQ retrieval quality vs. code memory."""
+    check_power_of_two_k(cfg["k"])
     out = Path(cfg["out_dir"])
     anchors = _load_split(cfg, "anchor", "emb")
     query_labels = _load_split_labels(cfg, "query")

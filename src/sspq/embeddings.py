@@ -63,9 +63,6 @@ class EmbeddingMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row of an (n, d) matrix to unit L2 norm, preserving direction.

@@ -2,14 +2,13 @@
 
 Symmetric runs embed queries and gallery with the same model; asymmetric runs
 pair the trainable query encoder with the frozen gallery side. Relevance is
-label match. Rankings break score ties by ascending gallery id so results are
-independent of storage order.
+label match. Both searches score a batch of queries against the whole gallery
+as one (nq, n) matrix and rank every row with the same stable sort, so score
+ties go to the lower gallery id and results are independent of storage order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,43 +26,6 @@ MODE_SYMMETRIC_GALLERY = "symmetric_gallery"
 MODE_SYMMETRIC_QUERY = "symmetric_query"
 MODE_ASYMMETRIC = "asymmetric"
 MODE_ASYMMETRIC_PQ = "asymmetric_pq"
-
-
-def _worker_count() -> int:
-    """Worker threads for per-query scoring, capped by SSP_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("SSP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-@dataclass(frozen=True)
-class RankedList:
-    """Full gallery ranking for one query."""
-
-    query_id: int
-    gallery_ids: np.ndarray
-    scores: np.ndarray
-    higher_is_better: bool = True
-
-    def __post_init__(self) -> None:
-        ids = np.asarray(self.gallery_ids, dtype=np.int64)
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if ids.shape != scores.shape or ids.ndim != 1:
-            raise ValueError("ids and scores must be matching 1-D arrays")
-        if np.unique(ids).size != ids.size:
-            raise ValueError("a gallery id appears more than once")
-        ordered = scores[:-1] >= scores[1:] if self.higher_is_better else scores[:-1] <= scores[1:]
-        if ids.size > 1:
-            if not np.all(ordered):
-                raise ValueError("scores are not sorted in ranking order")
-            ties = scores[:-1] == scores[1:]
-            if np.any(ties & (ids[:-1] > ids[1:])):
-                raise ValueError("tied scores must be ordered by ascending id")
-        for arr in (ids, scores):
-            arr.setflags(write=False)
-        object.__setattr__(self, "gallery_ids", ids)
-        object.__setattr__(self, "scores", scores)
 
 
 @dataclass(frozen=True)
@@ -101,66 +63,82 @@ class EvalReport:
         return [self.mode, f"{self.map_score:.6f}", int(self.per_query_ap.size), self.codebook_id]
 
 
-def _rank(scores: np.ndarray, higher_is_better: bool) -> np.ndarray:
-    ids = np.arange(scores.shape[0])
-    keys = -scores if higher_is_better else scores
-    return np.lexsort((ids, keys))
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order each row by ascending key, ties to the lower gallery id.
+
+    Returns:
+        (order, sorted_keys), both shaped like ``keys``.
+    """
+    order = np.argsort(keys, axis=-1, kind="stable")
+    return order, np.take_along_axis(keys, order, axis=-1)
 
 
-def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> list[RankedList]:
-    """Rank the full gallery for every query by cosine similarity."""
+def exact_search(
+    queries: EmbeddingMatrix, gallery: EmbeddingMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the full gallery for every query by descending cosine similarity.
+
+    Returns:
+        (order, scores): (nq, n) gallery ids in rank order and their cosines.
+    """
     if queries.dim != gallery.dim:
         raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
     q, _ = normalize_rows(queries.data)
     g, _ = normalize_rows(gallery.data)
-    scores = q @ g.T
-    out = []
-    for i in range(queries.rows):
-        order = _rank(scores[i], higher_is_better=True)
-        out.append(
-            RankedList(
-                query_id=i,
-                gallery_ids=order,
-                scores=scores[i][order],
-                higher_is_better=True,
-            )
-        )
-    return out
+    order, neg_scores = _rank(-(q @ g.T))
+    return order, -neg_scores
 
 
-def average_precision(ranked: RankedList, relevant) -> float:
-    """AP = (1/|relevant|) * sum over relevant hits of precision-at-their-rank."""
-    relevant = set(int(r) for r in relevant)
-    if not relevant:
-        raise EmptyRelevantSetError("relevant set is empty")
-    present = set(int(i) for i in ranked.gallery_ids)
-    if not relevant <= present:
-        raise MissingLabelsError("some relevant ids are missing from the ranking")
-    hits = 0
-    total = 0.0
-    for rank, gid in enumerate(ranked.gallery_ids, start=1):
-        if int(gid) in relevant:
-            hits += 1
-            total += hits / rank
-    return total / len(relevant)
+def adc_search(
+    queries: EmbeddingMatrix, codes: np.ndarray, codebook: ProductCodebook
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank encoded gallery items by ascending ADC distance to raw queries.
+
+    The distance to a code equals the exact squared distance between the
+    query and the code's reconstruction.
+
+    Returns:
+        (order, distances): (nq, n) gallery ids in rank order and their
+        squared distances.
+
+    Raises:
+        EmptyGalleryError: if there are no codes.
+        LengthMismatchError: if the query or code shape does not match.
+    """
+    if len(codes) == 0:
+        raise EmptyGalleryError("ADC search against an empty gallery")
+    return _rank(adc_scores(codebook, codes, queries.data))
 
 
-def _aggregate(
-    rankings: list[RankedList],
+def average_precision(hits: np.ndarray) -> np.ndarray:
+    """Per-query AP from an (nq, n) mask of relevant items in rank order.
+
+    AP = (1/|relevant|) * sum over relevant hits of precision-at-their-rank.
+
+    Raises:
+        EmptyRelevantSetError: if a row has no relevant item.
+    """
+    hits = np.asarray(hits, dtype=bool)
+    n_relevant = hits.sum(axis=-1)
+    if np.any(n_relevant == 0):
+        row = int(np.flatnonzero(n_relevant == 0)[0])
+        raise EmptyRelevantSetError(f"query {row} has no relevant gallery items")
+    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
+    # A running sum adds the hits in rank order; its last entry is the total.
+    return np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1] / n_relevant
+
+
+def _report(
+    order: np.ndarray,
     query_labels: np.ndarray,
     gallery_labels: np.ndarray,
     mode: str,
     encoder_id: str,
     codebook_id: str,
 ) -> EvalReport:
-    aps = np.empty(len(rankings))
-    for i, ranked in enumerate(rankings):
-        relevant = np.flatnonzero(gallery_labels == query_labels[i])
-        if relevant.size == 0:
-            raise EmptyRelevantSetError(f"query {i} has no same-label gallery items")
-        aps[i] = average_precision(ranked, relevant)
+    aps = average_precision(gallery_labels[order] == query_labels[:, None])
     return EvalReport(
         mode=mode,
         per_query_ap=aps,
@@ -192,8 +170,8 @@ def evaluate(
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
     ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
-    rankings = exact_search(queries, gallery)
-    return _aggregate(rankings, ql, gl, mode, encoder_id, codebook_id)
+    order, _ = exact_search(queries, gallery)
+    return _report(order, ql, gl, mode, encoder_id, codebook_id)
 
 
 def evaluate_pq(
@@ -207,25 +185,6 @@ def evaluate_pq(
     codebook_id: str = "",
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
-    codes = np.asarray(gallery_codes, dtype=np.int64)
-    if codes.shape[0] == 0:
-        raise EmptyGalleryError("no gallery codes")
-    ql, gl = _check_labels(queries.rows, codes.shape[0], query_labels, gallery_labels)
-
-    def rank_one(i: int) -> RankedList:
-        scores = adc_scores(codebook, codes, queries.row(i))
-        order = _rank(scores, higher_is_better=False)
-        return RankedList(
-            query_id=i,
-            gallery_ids=order,
-            scores=scores[order],
-            higher_is_better=False,
-        )
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rankings = list(pool.map(rank_one, range(queries.rows)))
-    else:
-        rankings = [rank_one(i) for i in range(queries.rows)]
-    return _aggregate(rankings, ql, gl, mode, encoder_id, codebook_id)
+    ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
+    order, _ = adc_search(queries, gallery_codes, codebook)
+    return _report(order, ql, gl, mode, encoder_id, codebook_id)

@@ -1,4 +1,4 @@
-"""Product-quantizer training, encoding, and ADC-based quantized search.
+"""Product-quantizer training, encoding, and ADC distance tables.
 
 A codebook is trained by running seeded k-means independently on each of M
 contiguous subvector blocks; the Cartesian product of the M sub-codebooks
@@ -18,7 +18,6 @@ import numpy as np
 from .embeddings import EmbeddingMatrix, normalize_rows
 from .errors import (
     BadConfigError,
-    EmptyGalleryError,
     EmptyInputError,
     FormatError,
     IndivisibleDimensionError,
@@ -232,16 +231,6 @@ class ProductCodebook:
         return self._norms  # type: ignore[attr-defined]
 
 
-@dataclass(frozen=True)
-class PQCode:
-    """Per-subspace centroid indices for one encoded vector."""
-
-    codes: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "codes", tuple(int(c) for c in self.codes))
-
-
 def train_product_codebook(
     features: EmbeddingMatrix | np.ndarray,
     m: int,
@@ -290,17 +279,6 @@ def train_product_codebook(
     return ProductCodebook(m=m, k=k, dim=d, sub_codebooks=tuple(subs))
 
 
-def encode(codebook: ProductCodebook, v: np.ndarray) -> PQCode:
-    """Quantize a vector: nearest centroid per subspace, ties to lowest index."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (codebook.dim,):
-        raise LengthMismatchError(f"vector has shape {v.shape}, codebook dim {codebook.dim}")
-    u = v.reshape(codebook.m, codebook.sub_dim)
-    diff = codebook.stacked() - u[:, None, :]
-    d2 = np.einsum("mkd,mkd->mk", diff, diff)
-    return PQCode(tuple(int(i) for i in np.argmin(d2, axis=1)))
-
-
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     """Quantize every row of a matrix; returns (n, M) int32 code indices."""
     data = _as_points(x)
@@ -312,8 +290,8 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
     ds = codebook.sub_dim
     cents = codebook.stacked()
     codes = np.empty((n, codebook.m), dtype=np.int32)
-    # Exact squared distances so ties resolve identically to encode();
-    # chunked to bound the (rows, K, d*) temporary.
+    # Exact squared distances so ties resolve to the lowest index; chunked to
+    # bound the (rows, K, d*) temporary.
     chunk = max(1, (1 << 22) // max(1, codebook.k * ds))
     for j in range(codebook.m):
         sub = data[:, j * ds : (j + 1) * ds]
@@ -325,73 +303,53 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
     return codes
 
 
-def reconstruct(codebook: ProductCodebook, code: PQCode | np.ndarray) -> np.ndarray:
-    """Concatenate the centroids a code points at; length-d float64 vector."""
-    idx = np.asarray(code.codes if isinstance(code, PQCode) else code, dtype=np.int64)
+def reconstruct(codebook: ProductCodebook, code: np.ndarray) -> np.ndarray:
+    """Concatenate the centroids an (M,) code points at; length-d float64 vector."""
+    idx = np.asarray(code, dtype=np.int64)
     if idx.shape != (codebook.m,):
         raise LengthMismatchError(f"code has shape {idx.shape}, expected ({codebook.m},)")
     cents = codebook.stacked()
     return np.concatenate([cents[j, idx[j]] for j in range(codebook.m)])
 
 
-def adc_table(codebook: ProductCodebook, query: np.ndarray) -> np.ndarray:
-    """Squared distances from each query subvector to every centroid, (M, K)."""
+def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
+    """Squared distances from each query subvector to every centroid, (nq, M, K)."""
+    q = np.asarray(queries, dtype=np.float64)
+    if q.ndim != 2 or q.shape[1] != codebook.dim:
+        raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
+    u = q.reshape(q.shape[0], codebook.m, codebook.sub_dim)
+    table = np.empty((q.shape[0], codebook.m, codebook.k))
+    # One subspace at a time bounds the (nq, K, d*) difference temporary.
+    for j, cents in enumerate(codebook.stacked()):
+        diff = cents - u[:, j, None, :]
+        table[:, j] = np.einsum("qkd,qkd->qk", diff, diff)
+    return table
+
+
+def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """Approximate squared distances to every (n, M) code via table lookup.
+
+    Returns (n,) for one (d,) query and (nq, n) for (nq, d) queries.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != codebook.m:
+        raise LengthMismatchError(f"codes have shape {codes.shape}, expected (n, {codebook.m})")
     query = np.asarray(query, dtype=np.float64)
-    if query.shape != (codebook.dim,):
-        raise LengthMismatchError(f"query has shape {query.shape}, codebook dim {codebook.dim}")
-    u = query.reshape(codebook.m, codebook.sub_dim)
-    diff = codebook.stacked() - u[:, None, :]
-    return np.einsum("mkd,mkd->mk", diff, diff)
-
-
-def _codes_array(codebook: ProductCodebook, codes) -> np.ndarray:
-    if isinstance(codes, np.ndarray):
-        arr = codes.astype(np.int64, copy=False)
-    else:
-        arr = np.asarray([c.codes if isinstance(c, PQCode) else c for c in codes], dtype=np.int64)
-    if arr.ndim != 2 or arr.shape[1] != codebook.m:
-        raise LengthMismatchError(f"codes have shape {arr.shape}, expected (n, {codebook.m})")
-    return arr
-
-
-def adc_scores(codebook: ProductCodebook, codes, query: np.ndarray) -> np.ndarray:
-    """Approximate squared distances from a query to every code via table lookup."""
-    arr = _codes_array(codebook, codes)
-    table = adc_table(codebook, query)
-    scores = np.zeros(arr.shape[0], dtype=np.float64)
+    table = adc_table(codebook, np.atleast_2d(query))
+    scores = np.zeros((table.shape[0], codes.shape[0]), dtype=np.float64)
     for j in range(codebook.m):
-        scores += table[j, arr[:, j]]
-    return scores
+        scores += table[:, j, codes[:, j]]
+    return scores[0] if query.ndim == 1 else scores
 
 
-def adc_search(
-    codebook: ProductCodebook,
-    codes,
-    query: np.ndarray,
-    top_k: int,
-) -> list[tuple[int, float]]:
-    """Rank encoded gallery items by ADC distance to a raw query.
-
-    The score of a code equals the exact squared distance between the query
-    and the code's reconstruction. Ascending by distance, ties broken by
-    lower gallery index.
-
-    Returns:
-        top_k (gallery_index, squared_distance) pairs.
+def check_power_of_two_k(k: int) -> None:
+    """Code-size accounting needs log2(k) bits per code.
 
     Raises:
-        EmptyGalleryError: if there are no codes.
-        LengthMismatchError: if the query dimension does not match.
+        NonPowerOfTwoKError: if k is not a power of two.
     """
-    arr = _codes_array(codebook, codes)
-    n = arr.shape[0]
-    if n == 0:
-        raise EmptyGalleryError("adc_search against an empty gallery")
-    if not 1 <= top_k <= n:
-        raise BadConfigError(f"top_k must be in [1, {n}], got {top_k}")
-    scores = adc_scores(codebook, arr, query)
-    order = np.lexsort((np.arange(n), scores))[:top_k]
-    return [(int(i), float(scores[i])) for i in order]
+    if k < 1 or (k & (k - 1)) != 0:
+        raise NonPowerOfTwoKError(f"k must be a power of two, got {k}")
 
 
 def pq_memory_bytes(n: int, m: int, k: int) -> float:
@@ -400,8 +358,7 @@ def pq_memory_bytes(n: int, m: int, k: int) -> float:
     Raises:
         NonPowerOfTwoKError: if k is not a power of two.
     """
-    if k < 1 or (k & (k - 1)) != 0:
-        raise NonPowerOfTwoKError(f"k must be a power of two, got {k}")
+    check_power_of_two_k(k)
     bits_per_code = m * k.bit_length() - m  # m * log2(k)
     return n * bits_per_code / 8
 

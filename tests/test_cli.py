@@ -55,6 +55,34 @@ class TestConfigLoading:
         with pytest.raises(BadConfigError):
             load_config(path, {})
 
+    def test_int_accepted_for_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"lr": 1, "tau_g": 0}))
+        cfg = load_config(path, {})
+        assert (cfg["lr"], cfg["tau_g"]) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("activation", "gelu"),
+            ("loss", "bogus"),
+            ("sim", "cos"),
+            ("batch_size", "8"),
+            ("m", "8"),
+            ("epochs", True),
+            ("lr", None),
+            ("hidden", 64),
+            ("pq_m_list", [2, "8"]),
+        ],
+    )
+    def test_bad_value_fails_with_error_json(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), key: value}))
+        assert main(["train-query", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+
 
 class TestGen:
     def test_manifest_lists_four_splits(self, tmp_path):
@@ -110,6 +138,18 @@ class TestTrainCodebook:
 
     def test_default_k_is_256(self):
         assert DEFAULTS["k"] == 256
+
+    @pytest.mark.parametrize("command, artifact", [("train-codebook", "codebook.pqc"),
+                                                   ("pq-bench", "pq_bench.json")])
+    def test_non_power_of_two_k_fails_before_writing(self, tmp_path, capsys, command, artifact):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        capsys.readouterr()
+        assert main([command, "--config", str(config), "--k", "100"]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonPowerOfTwoKError"
+        assert not (tmp_path / "run" / artifact).exists()
 
 
 class TestTrainQueryAndEval:

@@ -10,7 +10,7 @@ from sspq.errors import (
     ShapeMismatchError,
 )
 from sspq.evaluation import (
-    RankedList,
+    adc_search,
     average_precision,
     evaluate,
     evaluate_pq,
@@ -28,20 +28,21 @@ class TestExactSearch:
     def test_self_match_at_rank_one(self, rng):
         gallery = unit_rows(rng, 10, 6)
         queries = EmbeddingMatrix(gallery.data[3:4], normalized=True)
-        ranked = exact_search(queries, gallery)[0]
-        assert ranked.gallery_ids[0] == 3
-        assert ranked.scores[0] == pytest.approx(1.0, abs=1e-12)
+        order, scores = exact_search(queries, gallery)
+        assert order[0, 0] == 3
+        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_item_gallery(self, rng):
         gallery = unit_rows(rng, 1, 4)
         queries = unit_rows(rng, 5, 4)
-        for ranked in exact_search(queries, gallery):
-            assert ranked.gallery_ids.tolist() == [0]
+        order, _ = exact_search(queries, gallery)
+        for row in order:
+            assert row.tolist() == [0]
 
     def test_matches_double_loop_oracle(self, rng):
         queries = unit_rows(rng, 6, 5)
         gallery = unit_rows(rng, 30, 5)
-        got = [r.gallery_ids.tolist() for r in exact_search(queries, gallery)]
+        got = exact_search(queries, gallery)[0].tolist()
         assert got == double_loop_search(queries.data, gallery.data)
 
     def test_dim_mismatch(self, rng):
@@ -54,30 +55,52 @@ class TestExactSearch:
             exact_search(unit_rows(rng, 1, 4), gallery)
 
 
-class TestAveragePrecision:
-    def ranked(self, ids):
-        n = len(ids)
-        return RankedList(
-            query_id=0,
-            gallery_ids=np.asarray(ids),
-            scores=np.linspace(1.0, 0.0, n),
-            higher_is_better=True,
-        )
+class TestTies:
+    def test_duplicated_gallery_rows_rank_by_ascending_id(self, rng):
+        base = normalize_rows(rng.normal(size=(5, 8)))[0]
+        dup = np.array([3, 0, 3, 1, 4, 0, 2, 3, 1, 4, 2, 0])
+        gallery = EmbeddingMatrix(base[dup], normalized=True)
+        queries = unit_rows(rng, 4, 8)
+        cb = train_product_codebook(base, m=4, k=4, seed=0)
+        codes = encode_matrix(cb, gallery)
+        np.testing.assert_array_equal(codes, encode_matrix(cb, base)[dup])
+        for order, scores, sign in (
+            (*exact_search(queries, gallery), -1.0),
+            (*adc_search(queries, codes, cb), 1.0),
+        ):
+            for q in range(4):
+                by_id = np.empty(12)
+                by_id[order[q]] = scores[q]
+                # Copies of one row tie exactly, so only the id orders them.
+                for copy in range(5):
+                    assert np.unique(by_id[dup == copy]).size == 1
+                expected = sorted(range(12), key=lambda i: (sign * by_id[i], i))
+                assert order[q].tolist() == expected
 
+
+def hit_mask(ids, relevant):
+    """Relevance of each ranked id, as the one-query (1, n) array AP takes."""
+    return np.isin(np.asarray(ids), list(relevant))[None, :]
+
+
+class TestAveragePrecision:
     def test_single_relevant_at_rank_one(self):
-        assert average_precision(self.ranked([4, 1, 2]), {4}) == 1.0
+        assert average_precision(hit_mask([4, 1, 2], {4}))[0] == 1.0
 
     def test_single_relevant_at_rank_two(self):
-        assert average_precision(self.ranked([1, 4]), {4}) == 0.5
+        assert average_precision(hit_mask([1, 4], {4}))[0] == 0.5
 
     def test_relevant_at_ranks_one_and_three(self):
-        got = average_precision(self.ranked([7, 1, 9, 2]), {7, 9})
+        np.testing.assert_array_equal(
+            hit_mask([7, 1, 9, 2], {7, 9}), np.array([[1, 0, 1, 0]], dtype=bool)
+        )
+        got = average_precision(np.array([[1, 0, 1, 0]], dtype=bool))[0]
         assert got == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-9)
         assert got == pytest.approx(0.83333, abs=1e-5)
 
     def test_empty_relevant_set(self):
         with pytest.raises(EmptyRelevantSetError):
-            average_precision(self.ranked([1, 2]), set())
+            average_precision(hit_mask([1, 2], set()))
 
     def test_bounds_and_perfect_prefix(self, rng):
         for _ in range(20):
@@ -85,7 +108,7 @@ class TestAveragePrecision:
             ids = rng.permutation(n)
             n_rel = int(rng.integers(1, n))
             relevant = set(int(i) for i in rng.choice(n, size=n_rel, replace=False))
-            ap = average_precision(self.ranked(ids.tolist()), relevant)
+            ap = average_precision(hit_mask(ids, relevant))[0]
             assert 0.0 <= ap <= 1.0
             top = set(int(i) for i in ids[: len(relevant)])
             if ap == pytest.approx(1.0, abs=1e-12):
@@ -174,17 +197,6 @@ class TestEvaluatePq:
         report = evaluate_pq(unit_rows(rng, 3, 4), codes, cb, [0, 0, 0], [0])
         assert report.map_score == 1.0
 
-    def test_worker_threads_do_not_change_results(self, rng, monkeypatch):
-        gallery = unit_rows(rng, 40, 8)
-        queries = unit_rows(rng, 6, 8)
-        cb = train_product_codebook(gallery, m=4, k=8, seed=1)
-        codes = encode_matrix(cb, gallery)
-        ql, gl = np.arange(6) % 3, np.arange(40) % 3
-        base = evaluate_pq(queries, codes, cb, ql, gl)
-        monkeypatch.setenv("SSP_THREADS", "4")
-        threaded = evaluate_pq(queries, codes, cb, ql, gl)
-        np.testing.assert_array_equal(base.per_query_ap, threaded.per_query_ap)
-
     def test_finer_codebooks_do_not_hurt(self):
         ds = gen_mixture(8, 6, 16, 0.1, seed=8, anchor_count=512)
         oracle = make_oracle(16, 16, seed=9)
@@ -201,15 +213,21 @@ class TestEvaluatePq:
             assert later >= earlier - 0.02
 
 
-class TestRankedListInvariants:
-    def test_rejects_unsorted_scores(self):
-        with pytest.raises(ValueError):
-            RankedList(0, np.array([0, 1]), np.array([0.1, 0.9]), higher_is_better=True)
-
-    def test_rejects_tie_with_descending_ids(self):
-        with pytest.raises(ValueError):
-            RankedList(0, np.array([2, 1]), np.array([0.5, 0.5]), higher_is_better=True)
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(ValueError):
-            RankedList(0, np.array([1, 1]), np.array([0.9, 0.5]), higher_is_better=True)
+class TestBatchEquivalence:
+    def test_batch_equals_one_query_at_a_time(self, rng):
+        gallery = unit_rows(rng, 200, 8)
+        queries = unit_rows(rng, 12, 8)
+        cb = train_product_codebook(gallery, m=4, k=8, seed=1)
+        codes = encode_matrix(cb, gallery)
+        ql, gl = np.arange(12) % 3, np.arange(200) % 3
+        one = [EmbeddingMatrix(queries.data[i : i + 1], normalized=True) for i in range(12)]
+        batch = evaluate(queries, gallery, ql, gl)
+        singles = [evaluate(one[i], gallery, ql[i : i + 1], gl) for i in range(12)]
+        np.testing.assert_array_equal(
+            batch.per_query_ap, np.concatenate([r.per_query_ap for r in singles])
+        )
+        batch = evaluate_pq(queries, codes, cb, ql, gl)
+        singles = [evaluate_pq(one[i], codes, cb, ql[i : i + 1], gl) for i in range(12)]
+        np.testing.assert_array_equal(
+            batch.per_query_ap, np.concatenate([r.per_query_ap for r in singles])
+        )

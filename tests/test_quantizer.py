@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import brute_force_kmeans_objective, reconstruction_sq_dist
+from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
-    BadConfigError,
     EmptyGalleryError,
     EmptyInputError,
     FormatError,
@@ -11,13 +11,11 @@ from sspq.errors import (
     LengthMismatchError,
     NonPowerOfTwoKError,
 )
+from sspq.evaluation import adc_search
 from sspq.quantizer import (
-    PQCode,
     adc_scores,
-    adc_search,
     codebook_load,
     codebook_save,
-    encode,
     encode_matrix,
     kmeans_fit,
     pq_memory_bytes,
@@ -139,12 +137,12 @@ class TestEncode:
         v = np.concatenate(
             [tiny_codebook.stacked()[j, 1] for j in range(tiny_codebook.m)]
         )
-        assert encode(tiny_codebook, v).codes == (1, 1)
+        assert tuple(encode_matrix(tiny_codebook, v[None])[0]) == (1, 1)
 
     def test_tie_breaks_to_lowest_index(self, tiny_codebook):
         # Equidistant from centroids 0 and 1 in both subspaces.
         v = np.array([0.5, 0.5, 0.5, 1.25])
-        assert encode(tiny_codebook, v).codes == (0, 0)
+        assert tuple(encode_matrix(tiny_codebook, v[None])[0]) == (0, 0)
 
     def test_matches_brute_force_scan(self, rng):
         feats = rng.normal(size=(40, 6))
@@ -152,23 +150,24 @@ class TestEncode:
         cents = cb.stacked()
         for _ in range(25):
             v = rng.normal(size=6)
-            code = encode(cb, v)
+            code = encode_matrix(cb, v[None])[0]
             for j in range(3):
                 u = v[j * 2 : (j + 1) * 2]
                 dists = [float(((u - cents[j, i]) ** 2).sum()) for i in range(4)]
-                assert code.codes[j] == int(np.argmin(dists))
+                assert code[j] == int(np.argmin(dists))
 
     def test_encode_matrix_agrees_with_encode(self, rng):
+        # A batch encodes each row as its own batch of one would.
         feats = rng.normal(size=(30, 6))
         cb = train_product_codebook(feats, m=2, k=3, seed=4)
         batch = rng.normal(size=(10, 6))
         codes = encode_matrix(cb, batch)
         for i in range(10):
-            assert tuple(codes[i]) == encode(cb, batch[i]).codes
+            assert tuple(codes[i]) == tuple(encode_matrix(cb, batch[i][None])[0])
 
     def test_length_mismatch(self, tiny_codebook):
         with pytest.raises(LengthMismatchError):
-            encode(tiny_codebook, np.zeros(3))
+            encode_matrix(tiny_codebook, np.zeros(3)[None])
 
 
 class TestAdcSearch:
@@ -176,13 +175,11 @@ class TestAdcSearch:
         feats = rng.normal(size=(50, 8))
         cb = train_product_codebook(feats, m=4, k=4, seed=2)
         codes = encode_matrix(cb, feats)
-        query = reconstruct(cb, PQCode(tuple(codes[7])))
-        ranked = adc_search(cb, codes, query, top_k=3)
-        top_index, top_dist = ranked[0]
+        query = reconstruct(cb, codes[7])
+        order, dists = adc_search(EmbeddingMatrix(query[None]), codes, cb)
+        top_index, top_dist = order[0, 0], dists[0, 0]
         assert top_dist == pytest.approx(0.0, abs=1e-12)
-        np.testing.assert_array_equal(
-            reconstruct(cb, PQCode(tuple(codes[top_index]))), query
-        )
+        np.testing.assert_array_equal(reconstruct(cb, codes[top_index]), query)
 
     def test_scores_equal_reconstruction_distance(self, rng):
         feats = rng.normal(size=(60, 8))
@@ -196,25 +193,33 @@ class TestAdcSearch:
                 reconstruction_sq_dist(cb, codes[i], query), abs=1e-6
             )
 
+    def test_batch_scores_equal_one_query_scores(self, rng):
+        feats = rng.normal(size=(60, 8))
+        cb = train_product_codebook(feats, m=4, k=5, seed=3)
+        codes = encode_matrix(cb, feats)
+        queries = rng.normal(size=(5, 8))
+        batch = adc_scores(cb, codes, queries)
+        assert batch.shape == (5, 60)
+        for i in range(5):
+            one = adc_scores(cb, codes, queries[i])
+            assert one.shape == (60,)
+            np.testing.assert_array_equal(batch[i], one)
+
     def test_full_ordering_matches_reconstruction(self, rng):
         feats = rng.normal(size=(40, 6))
         cb = train_product_codebook(feats, m=3, k=4, seed=6)
         codes = encode_matrix(cb, feats)
         query = rng.normal(size=6)
-        ranked = adc_search(cb, codes, query, top_k=40)
+        order, _ = adc_search(EmbeddingMatrix(query[None]), codes, cb)
         explicit = sorted(
             range(40), key=lambda i: (reconstruction_sq_dist(cb, codes[i], query), i)
         )
-        assert [i for i, _ in ranked] == explicit
+        assert order[0].tolist() == explicit
 
     def test_empty_gallery(self, tiny_codebook):
         with pytest.raises(EmptyGalleryError):
-            adc_search(tiny_codebook, np.empty((0, 2), dtype=np.int64), np.zeros(4), 1)
-
-    def test_top_k_bounds(self, tiny_codebook):
-        codes = np.zeros((3, 2), dtype=np.int64)
-        with pytest.raises(BadConfigError):
-            adc_search(tiny_codebook, codes, np.zeros(4), 4)
+            adc_search(EmbeddingMatrix(np.zeros((1, 4))), np.empty((0, 2), dtype=np.int64),
+                       tiny_codebook)
 
 
 class TestPqMemoryBytes:
