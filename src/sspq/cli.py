@@ -14,7 +14,6 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -40,6 +39,7 @@ from .evaluation import (
     evaluate,
     evaluate_pq,
 )
+from .fileio import write_atomic, write_csv_atomic
 from .quantizer import (
     check_power_of_two_k,
     codebook_load,
@@ -95,7 +95,7 @@ _SIM_NAMES = {"cosine": "cosine", "l2": "neg_euclidean"}
 
 
 def _write_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_atomic(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode())
 
 
 def _sha12(data: bytes) -> str:
@@ -310,14 +310,11 @@ def cmd_eval(cfg: dict) -> dict:
         )
         _write_json(memory_report(gal_emb_g.rows, codebook.m, codebook.k), out / "memory.json")
 
-    rows = []
+    rows = [["mode", "map", "n_queries", "codebook_id"]]
     for report in reports:
         _write_json(report.to_dict(), out / f"eval_{report.mode}.json")
         rows.append(report.to_csv_row())
-    with open(out / "eval_summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "map", "n_queries", "codebook_id"])
-        writer.writerows(rows)
+    write_csv_atomic(out / "eval_summary.csv", rows)
     return {r.mode: r.map_score for r in reports}
 
 
@@ -354,11 +351,11 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
              "code_bytes": mem["code_bytes"], "mib": mem["mib"]}
         )
     _write_json(results, out / "pq_bench.json")
-    with open(out / "pq_bench.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "k", "map", "code_bytes", "mib"])
-        for row in results:
-            writer.writerow([row["m"], row["k"], f"{row['map']:.6f}", row["code_bytes"], row["mib"]])
+    write_csv_atomic(
+        out / "pq_bench.csv",
+        [["m", "k", "map", "code_bytes", "mib"]]
+        + [[r["m"], r["k"], f"{r['map']:.6f}", r["code_bytes"], r["mib"]] for r in results],
+    )
     return results
 
 

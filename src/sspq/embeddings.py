@@ -16,7 +16,9 @@ from .errors import (
     FormatError,
     IndivisibleDimensionError,
     LengthMismatchError,
+    NonFiniteInputError,
 )
+from .fileio import write_atomic, write_csv_atomic
 
 # Norms below this are treated as degenerate (zero) vectors.
 NORM_EPS = 1e-12
@@ -114,10 +116,17 @@ def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
 
     Layout: magic ``EMB1``, u32 LE row count, u32 LE dim, u8 dtype tag
     (0 = float32), then rows*dim little-endian float32 values, row-major.
+
+    Raises:
+        NonFiniteInputError: if a value is, or rounds to, a NaN or an infinity.
     """
-    payload = emb.data.astype("<f4").tobytes()
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values = emb.data.astype("<f4")
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(f"{path}: embeddings hold a NaN or an infinity")
+    payload = values.tobytes()
     header = EMB_MAGIC + struct.pack("<IIB", emb.rows, emb.dim, _EMB_DTYPE_F32)
-    Path(path).write_bytes(header + payload)
+    write_atomic(path, header + payload)
 
 
 def import_embeddings(path: str | Path) -> EmbeddingMatrix:
@@ -127,7 +136,8 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     1e-6 (float32 round-off of unit rows stays well inside that bound).
 
     Raises:
-        FormatError: on bad magic, bad dtype tag, or truncated payload.
+        FormatError: on bad magic, bad dtype tag, truncated payload, or a
+            non-finite value.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 13:
@@ -144,6 +154,8 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
+    if not np.isfinite(data).all():
+        raise FormatError(f"{path}: payload holds a NaN or an infinity")
     normalized = False
     if rows > 0 and dim > 0:
         norms = np.linalg.norm(data, axis=1)
@@ -154,11 +166,7 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
 def write_labels(labels: np.ndarray, path: str | Path) -> None:
     """Write a label sidecar CSV with header ``id,label``; ids are row indices."""
     labels = np.asarray(labels)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"])
-        for i, lab in enumerate(labels):
-            writer.writerow([i, int(lab)])
+    write_csv_atomic(path, [["id", "label"], *([i, int(lab)] for i, lab in enumerate(labels))])
 
 
 def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarray:

@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import normalize_rows
-from .errors import BadDimensionError, FormatError, LengthMismatchError, ShapeMismatchError
+from .errors import (
+    BadDimensionError,
+    FormatError,
+    LengthMismatchError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+)
+from .fileio import write_atomic
 
 ACT_TANH = "tanh"
 ACT_RELU = "relu"
@@ -190,7 +197,13 @@ def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = No
     The header records the architecture and an arbitrary JSON-serializable
     ``extra`` payload (typically the training config echo). Parameter blocks
     follow in parameters() order as little-endian float64.
+
+    Raises:
+        NonFiniteInputError: if a parameter holds a NaN or an infinity, as
+            after a diverged training run.
     """
+    if not all(np.isfinite(p).all() for p in enc.parameters()):
+        raise NonFiniteInputError(f"{path}: a parameter holds a NaN or an infinity")
     header = {
         "layer_sizes": enc.layer_sizes,
         "activation": enc.activation,
@@ -199,14 +212,15 @@ def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = No
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     blob = CHECKPOINT_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
     blob += b"".join(p.astype("<f8").tobytes() for p in enc.parameters())
-    Path(path).write_bytes(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
     """Read an SSPQ checkpoint back into an encoder.
 
     Raises:
-        FormatError: on bad magic, malformed header, or truncated blocks.
+        FormatError: on bad magic, malformed header, truncated blocks, or a
+            non-finite parameter.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 8:
@@ -242,4 +256,6 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         offset += b_bytes
     if offset != len(raw):
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
+    if not all(np.isfinite(p).all() for p in (*weights, *biases)):
+        raise FormatError(f"{path}: a parameter holds a NaN or an infinity")
     return QueryEncoder(sizes, activation, weights, biases), header.get("extra", {})

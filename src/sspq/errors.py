@@ -53,5 +53,9 @@ class BadConfigError(SspqError):
     """Configuration values violate a precondition."""
 
 
+class NonFiniteInputError(SspqError):
+    """Input points, or values about to be written, hold a NaN or an infinity."""
+
+
 class FormatError(SspqError):
     """A binary or CSV artifact is malformed."""

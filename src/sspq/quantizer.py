@@ -22,8 +22,10 @@ from .errors import (
     FormatError,
     IndivisibleDimensionError,
     LengthMismatchError,
+    NonFiniteInputError,
     NonPowerOfTwoKError,
 )
+from .fileio import write_atomic
 
 PQC_MAGIC = b"PQC1"
 
@@ -54,16 +56,43 @@ class KMeansResult:
 
 
 def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++ seeding.
+    """Greedy k-means++ seeding (Arthur & Vassilvitskii 2007).
 
     Each step draws 2 + floor(log2(k)) candidate points with D^2-weighted
-    sampling and keeps the candidate that minimizes the resulting potential.
+    sampling and keeps the candidate that minimizes the resulting potential;
+    ties go to the earliest trial.
+
+    All candidates of a step are scored at once: their squared distances
+    ``|x|^2 + |c|^2 - 2 x.c`` come from one ``(trials, n)`` matmul. Each
+    matmul potential carries a forward-error bound in ``|x|^2``, ``|c|^2``,
+    d* and n. Only the candidates whose potential lies within the bounds of
+    the best one are rescored with the exact ``((x - c)**2).sum(axis=1)``
+    form, in trial order with strict ``<``; usually that is the best one
+    alone. The winner's distance update is its exact rescoring. So the
+    centroids, the ``rng`` draws and the tie rule are bit for bit those of
+    scoring every candidate exactly.
     """
-    n = x.shape[0]
+    n, dim = x.shape
     trials = 2 + int(math.log2(k)) if k > 1 else 1
-    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    centroids = np.empty((k, dim), dtype=np.float64)
     centroids[0] = x[int(rng.integers(n))]
     d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+
+    # Row c of `lhs` times column x of `rhs` is |x|^2 + |c|^2 - 2 x.c.
+    x_sq = np.einsum("nd,nd->n", x, x)
+    ones = np.ones((n, 1))
+    lhs = np.hstack([-2.0 * x, x_sq[:, None], ones])
+    rhs = np.ascontiguousarray(np.hstack([x, ones, x_sq[:, None]]).T)
+    # Twice the worst-case gap between a matmul potential and the exact one.
+    # Per point the two distance forms differ by at most (2.5 d* + 4) eps
+    # (|x|^2 + |c|^2); summing n terms adds up to n eps |potential| over both
+    # sides; underflow adds at most one subnormal per operation.
+    eps = np.finfo(np.float64).eps
+    norm_coef = 6.0 * eps * (dim + 2)
+    sum_coef = 2.0 * eps * n
+    floor = 4.0 * n * (dim + 4) * np.finfo(np.float64).smallest_subnormal
+    x_sq_total = float(x_sq.sum())
+
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -71,13 +100,22 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             centroids[i] = x[int(rng.integers(n))]
             continue
         cumulative = np.cumsum(d2)
+        idx = np.searchsorted(cumulative, rng.random(trials) * total, side="right")
+        np.minimum(idx, n - 1, out=idx)
+        cand = lhs[idx] @ rhs
+        np.minimum(cand, d2, out=cand)
+        potential = cand.sum(axis=1)
+        bound = norm_coef * (x_sq_total + n * x_sq[idx]) + sum_coef * np.abs(potential) + floor
+        w = int(np.argmin(potential))
+        # NaN compares False, so a non-finite potential is always a contender.
+        contenders = np.flatnonzero(~(potential - bound > potential[w] + bound[w]))
         best_idx, best_d2, best_potential = -1, d2, math.inf
-        for threshold in rng.random(trials) * total:
-            idx = min(int(np.searchsorted(cumulative, threshold, side="right")), n - 1)
-            cand_d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
-            potential = float(cand_d2.sum())
-            if potential < best_potential:
-                best_idx, best_d2, best_potential = idx, cand_d2, potential
+        # A repeated index scores like its first trial, which strict < keeps.
+        for j in dict.fromkeys(idx[contenders].tolist()):
+            cand_d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
+            exact = float(cand_d2.sum())
+            if exact < best_potential:
+                best_idx, best_d2, best_potential = j, cand_d2, exact
         centroids[i] = x[best_idx]
         d2 = best_d2
     return centroids
@@ -100,11 +138,14 @@ def kmeans_fit(
 
     Raises:
         EmptyInputError: if there are no points.
+        NonFiniteInputError: if a point holds a NaN or an infinity.
     """
     x = _as_points(points)
     n = x.shape[0]
     if n == 0:
         raise EmptyInputError("kmeans_fit requires at least one point")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
     if k < 1:
         raise BadConfigError(f"k must be >= 1, got {k}")
 
@@ -255,6 +296,7 @@ def train_product_codebook(
     Raises:
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
+        NonFiniteInputError: if a feature holds a NaN or an infinity.
     """
     x = _as_points(features)
     n, d = x.shape
@@ -380,19 +422,25 @@ def codebook_save(codebook: ProductCodebook, path: str | Path) -> None:
 
     Layout: magic ``PQC1``, u32 LE M, u32 LE K, u32 LE d, then M blocks of
     K x d* little-endian float32 centroids.
+
+    Raises:
+        NonFiniteInputError: if a centroid is, or rounds to, a NaN or an
+            infinity.
     """
+    cents = [sub.centroids.astype("<f4") for sub in codebook.sub_codebooks]
+    if not all(np.isfinite(c).all() for c in cents):
+        raise NonFiniteInputError(f"{path}: a centroid holds a NaN or an infinity")
     header = PQC_MAGIC + struct.pack("<III", codebook.m, codebook.k, codebook.dim)
-    blocks = b"".join(
-        sub.centroids.astype("<f4").tobytes() for sub in codebook.sub_codebooks
-    )
-    Path(path).write_bytes(header + blocks)
+    blocks = b"".join(c.tobytes() for c in cents)
+    write_atomic(path, header + blocks)
 
 
 def codebook_load(path: str | Path) -> ProductCodebook:
     """Read a PQC1 file; the round trip through save/load is bit-exact.
 
     Raises:
-        FormatError: on bad magic, indivisible dimensions, or truncation.
+        FormatError: on bad magic, indivisible dimensions, truncation, or a
+            non-finite centroid.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -410,5 +458,7 @@ def codebook_load(path: str | Path) -> ProductCodebook:
             f"{path}: payload is {len(payload)} bytes, header promises {expected}"
         )
     cents = np.frombuffer(payload, dtype="<f4").reshape(m, k, ds)
+    if not np.isfinite(cents).all():
+        raise FormatError(f"{path}: a centroid holds a NaN or an infinity")
     subs = tuple(SubCodebook(j, cents[j]) for j in range(m))
     return ProductCodebook(m=m, k=k, dim=dim, sub_codebooks=subs)

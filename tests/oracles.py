@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
-gradients, and a double-loop scan for retrieval.
+gradients, a double-loop scan for retrieval, and a per-trial loop for greedy
+k-means++ seeding.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -82,3 +84,33 @@ def direct_kl(p: np.ndarray, q: np.ndarray) -> float:
         if pi > 0:
             total += pi * np.log(pi / qi)
     return total
+
+
+def greedy_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Reference greedy k-means++ seeding: one exact distance pass per trial.
+
+    Each step draws 2 + floor(log2(k)) D^2-weighted candidates, scores each
+    with an explicit ``(x - c)**2`` difference, and keeps the first candidate
+    with the smallest potential (strict ``<`` in trial order).
+    """
+    n = x.shape[0]
+    trials = 2 + int(math.log2(k)) if k > 1 else 1
+    centroids = np.empty((k, x.shape[1]), dtype=np.float64)
+    centroids[0] = x[int(rng.integers(n))]
+    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centroids[i] = x[int(rng.integers(n))]
+            continue
+        cumulative = np.cumsum(d2)
+        best_idx, best_d2, best_potential = -1, d2, math.inf
+        for threshold in rng.random(trials) * total:
+            idx = min(int(np.searchsorted(cumulative, threshold, side="right")), n - 1)
+            cand_d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+            potential = float(cand_d2.sum())
+            if potential < best_potential:
+                best_idx, best_d2, best_potential = idx, cand_d2, potential
+        centroids[i] = x[best_idx]
+        d2 = best_d2
+    return centroids

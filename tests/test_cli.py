@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -151,6 +152,20 @@ class TestTrainCodebook:
         assert json.loads(err[0])["error"] == "NonPowerOfTwoKError"
         assert not (tmp_path / "run" / artifact).exists()
 
+    def test_non_finite_anchors_fail_with_error_json(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        anchors = tmp_path / "run" / "dataset" / "anchor_emb.emb"
+        blob = bytearray(anchors.read_bytes())
+        blob[13:17] = struct.pack("<f", float("nan"))
+        anchors.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["train-codebook", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FormatError"
+        assert not (tmp_path / "run" / "codebook.pqc").exists()
+
 
 class TestTrainQueryAndEval:
     def test_full_pipeline_outputs(self, tmp_path):
@@ -208,3 +223,22 @@ class TestTrainQueryAndEval:
         csv_lines = (tmp_path / "run" / "pq_bench.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "m,k,map,code_bytes,mib"
         assert len(csv_lines) == 4
+
+    def test_run_leaves_only_artifacts(self, tmp_path):
+        # Atomic writes go through sibling temporary files; none may remain.
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        assert main(["pq-bench", "--config", str(config)]) == 0
+        run = tmp_path / "run"
+        found = sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file())
+        dataset = [
+            f"dataset/{split}_{kind}"
+            for split in ("anchor", "gallery", "query", "train")
+            for kind in ("emb.emb", "labels.csv", "raw.emb")
+        ]
+        assert found == sorted([
+            "checkpoint.sspq", "codebook.pqc", "codebook_summary.json", *dataset,
+            "dataset/manifest.json", "eval_asymmetric.json", "eval_asymmetric_pq.json",
+            "eval_summary.csv", "eval_symmetric_gallery.json", "eval_symmetric_query.json",
+            "memory.json", "pq_bench.csv", "pq_bench.json", "train_report.json",
+        ])

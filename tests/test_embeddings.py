@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from sspq.embeddings import (
     split_subvectors,
     write_labels,
 )
-from sspq.errors import FormatError, IndivisibleDimensionError, LengthMismatchError
+from sspq.errors import (
+    FormatError,
+    IndivisibleDimensionError,
+    LengthMismatchError,
+    NonFiniteInputError,
+)
 
 
 class TestL2Normalize:
@@ -169,6 +176,26 @@ class TestEmb1Format:
         export_embeddings(EmbeddingMatrix(rng.normal(size=(2, 2))), path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            import_embeddings(path)
+
+    # 1e39 is finite in float64 but overflows the float32 payload.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])
+    def test_export_non_finite_value_raises(self, tmp_path, rng, bad):
+        data = rng.normal(size=(4, 4))
+        data[1, 1] = bad
+        path = tmp_path / "f.emb"
+        with pytest.raises(NonFiniteInputError):
+            export_embeddings(EmbeddingMatrix(data), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_raises(self, tmp_path, rng, bad):
+        path = tmp_path / "f.emb"
+        export_embeddings(EmbeddingMatrix(rng.normal(size=(4, 4))), path)
+        blob = bytearray(path.read_bytes())
+        blob[13 + 4 * 5 : 13 + 4 * 6] = struct.pack("<f", bad)  # row 1, column 1
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             import_embeddings(path)

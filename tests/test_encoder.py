@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,12 @@ from sspq.encoder import (
     load_checkpoint,
     save_checkpoint,
 )
-from sspq.errors import BadDimensionError, FormatError, LengthMismatchError
+from sspq.errors import (
+    BadDimensionError,
+    FormatError,
+    LengthMismatchError,
+    NonFiniteInputError,
+)
 
 
 class TestEncoderInit:
@@ -116,6 +123,26 @@ class TestCheckpointFormat:
         path = tmp_path / "t.sspq"
         save_checkpoint(enc, path)
         path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_save_non_finite_parameter_raises(self, tmp_path, bad):
+        enc = encoder_init(4, [3], 4, seed=0)
+        enc.biases[-1][-1] = bad
+        path = tmp_path / "nan.sspq"
+        with pytest.raises(NonFiniteInputError):
+            save_checkpoint(enc, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_raises(self, tmp_path, bad):
+        enc = encoder_init(4, [3], 4, seed=0)
+        path = tmp_path / "nan.sspq"
+        save_checkpoint(enc, path)
+        blob = bytearray(path.read_bytes())
+        blob[-8:] = struct.pack("<d", bad)  # last bias of the output layer
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from oracles import brute_force_kmeans_objective, reconstruction_sq_dist
+from conftest import make_codebook
+from oracles import brute_force_kmeans_objective, greedy_kmeans_pp_init, reconstruction_sq_dist
 from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
     EmptyGalleryError,
@@ -9,10 +12,12 @@ from sspq.errors import (
     FormatError,
     IndivisibleDimensionError,
     LengthMismatchError,
+    NonFiniteInputError,
     NonPowerOfTwoKError,
 )
 from sspq.evaluation import adc_search
 from sspq.quantizer import (
+    _kmeans_pp_init,
     adc_scores,
     codebook_load,
     codebook_save,
@@ -48,6 +53,15 @@ class TestKMeansFit:
         with pytest.raises(EmptyInputError):
             kmeans_fit(np.empty((0, 2)), 1, seed=0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises(self, rng, bad):
+        pts = rng.normal(size=(10, 4))
+        pts[3, 2] = bad
+        with pytest.raises(NonFiniteInputError):
+            kmeans_fit(pts, 2, seed=0)
+        with pytest.raises(NonFiniteInputError):
+            train_product_codebook(pts, m=2, k=2, seed=0)
+
     def test_objective_history_monotone(self, rng):
         for trial in range(10):
             pts = rng.normal(size=(40, 3))
@@ -79,6 +93,54 @@ class TestKMeansFit:
         pts = rng.normal(size=(20, 2))
         result = kmeans_fit(pts, 6, seed=3)
         assert set(result.assignments.tolist()) == set(range(6))
+
+
+class TestKMeansPPInit:
+    """The matmul-scored seeding equals the per-trial exact loop bit for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(x, k, seed):
+        rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        fast = _kmeans_pp_init(x, k, rng_fast)
+        ref = greedy_kmeans_pp_init(x, k, rng_ref)
+        assert fast.tobytes() == ref.tobytes()
+        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 32])
+    @pytest.mark.parametrize("k", [1, 2, 16, 256])
+    def test_gaussian_anchors(self, dim, k):
+        x = np.random.default_rng(dim * 1000 + k).normal(size=(512, dim))
+        self.assert_matches_oracle(x, k, seed=dim + k)
+
+    def test_duplicates_with_k_above_n(self, rng):
+        # Three distinct points twice each: after three picks the potential is
+        # zero and every further pick takes the total <= 0 branch.
+        x = np.repeat(rng.normal(size=(3, 4)), 2, axis=0)
+        for seed in range(5):
+            self.assert_matches_oracle(x, 16, seed)
+
+    def test_common_offset_forces_exact_recheck(self, rng):
+        # |x|^2 ~ 1e12 against distances ~ 1e-6: the matmul potentials are
+        # all cancellation noise, so every step is decided by the recheck.
+        x = rng.normal(size=(200, 8)) * 1e-3 + 1e6
+        for seed in range(3):
+            self.assert_matches_oracle(x, 32, seed)
+
+    def test_exact_tie_goes_to_first_trial(self):
+        # From the centre, both ends give potential exactly 1; when the three
+        # trials draw both ends, the earlier trial's end must win.
+        x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        ties = 0
+        for seed in range(40):
+            self.assert_matches_oracle(x, 2, seed)
+            draws = np.random.default_rng(seed)
+            first = int(draws.integers(3))
+            ends = (draws.random(3) * 2.0 >= 1.0).astype(int)  # cumulative d2 is [1, 2, 2]
+            if first == 2 and len(set(ends.tolist())) == 2:
+                ties += 1
+                got = _kmeans_pp_init(x, 2, np.random.default_rng(seed))
+                np.testing.assert_array_equal(got[1], x[ends[0]])
+        assert ties > 0
 
 
 class TestTrainProductCodebook:
@@ -256,6 +318,28 @@ class TestCodebookFile:
         path = tmp_path / "cb.pqc"
         codebook_save(cb, path)
         path.write_bytes(path.read_bytes()[:-3])
+        with pytest.raises(FormatError):
+            codebook_load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_save_non_finite_centroid_raises(self, tmp_path, tiny_codebook, bad):
+        path = tmp_path / "cb.pqc"
+        codebook_save(tiny_codebook, path)
+        before = path.read_bytes()
+        blocks = [sub.centroids.copy() for sub in tiny_codebook.sub_codebooks]
+        blocks[1][1, 1] = bad
+        with pytest.raises(NonFiniteInputError):
+            codebook_save(make_codebook(blocks), path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centroid_raises(self, tmp_path, rng, bad):
+        cb = train_product_codebook(rng.normal(size=(10, 4)), m=2, k=2, seed=0)
+        path = tmp_path / "cb.pqc"
+        codebook_save(cb, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = struct.pack("<f", bad)  # last coordinate of the last centroid
+        path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             codebook_load(path)
 
