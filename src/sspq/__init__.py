@@ -41,7 +41,6 @@ from .loss import (
 from .quantizer import (
     KMeansResult,
     ProductCodebook,
-    SubCodebook,
     codebook_load,
     codebook_save,
     encode_matrix,

@@ -30,7 +30,7 @@ from .embeddings import (
     write_labels,
 )
 from .encoder import ACTIVATIONS, encoder_init, forward_matrix, load_checkpoint, save_checkpoint
-from .errors import BadConfigError, SspqError
+from .errors import BadConfigError, FormatError, SspqError
 from .evaluation import (
     MODE_ASYMMETRIC,
     MODE_ASYMMETRIC_PQ,
@@ -41,6 +41,7 @@ from .evaluation import (
 )
 from .fileio import write_atomic, write_csv_atomic
 from .quantizer import (
+    ProductCodebook,
     check_power_of_two_k,
     codebook_load,
     codebook_save,
@@ -123,6 +124,8 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
     for key, allowed in (("activation", ACTIVATIONS), ("loss", _LOSS_NAMES), ("sim", _SIM_NAMES)):
         if cfg[key] not in allowed:
             raise BadConfigError(f"config {key}={cfg[key]!r} is not one of {sorted(allowed)}")
+    if cfg["seed"] < 0:
+        raise BadConfigError(f"config seed={cfg['seed']} must be >= 0")
     return cfg
 
 
@@ -181,56 +184,72 @@ def cmd_gen(cfg: dict) -> dict:
     return manifest
 
 
-def _load_split(cfg: dict, split: str, kind: str) -> EmbeddingMatrix:
-    manifest = json.loads(_manifest_path(cfg).read_text())
-    entry = manifest["splits"][split]
-    return import_embeddings(_dataset_dir(cfg) / entry[kind])
+class _Dataset:
+    """The files ``gen`` wrote, located through one parse of its manifest.
+
+    Raises:
+        FormatError: if the manifest is not JSON or lacks a split's entry.
+    """
+
+    def __init__(self, cfg: dict) -> None:
+        self.root = _dataset_dir(cfg)
+        path = _manifest_path(cfg)
+        try:
+            splits = json.loads(path.read_bytes())["splits"]
+            for split in SPLITS:
+                entry = splits[split]
+                names = [entry[kind] for kind in ("raw", "emb", "labels")]
+                if not all(isinstance(name, str) for name in names) or type(entry["rows"]) is not int:
+                    raise TypeError(f"split {split!r} has a malformed entry")
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: bad manifest: {exc!r}") from exc
+        self.splits = splits
+
+    def embeddings(self, split: str, kind: str) -> EmbeddingMatrix:
+        return import_embeddings(self.root / self.splits[split][kind])
+
+    def labels(self, split: str) -> np.ndarray:
+        entry = self.splits[split]
+        return read_labels(self.root / entry["labels"], expected_rows=entry["rows"])
 
 
-def _load_split_labels(cfg: dict, split: str) -> np.ndarray:
-    manifest = json.loads(_manifest_path(cfg).read_text())
-    entry = manifest["splits"][split]
-    return read_labels(_dataset_dir(cfg) / entry["labels"], expected_rows=entry["rows"])
+def _train_codebook(cfg: dict, anchors: EmbeddingMatrix, m: int) -> ProductCodebook:
+    return train_product_codebook(
+        anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK,
+        normalize=cfg["normalize_anchors"],
+        max_iters=cfg["kmeans_iters"], rel_tol=cfg["kmeans_tol"],
+    )
 
 
 def cmd_train_codebook(cfg: dict) -> dict:
     """Train the per-subspace codebooks on the anchor split's embeddings."""
     check_power_of_two_k(cfg["k"])
-    anchors = _load_split(cfg, "anchor", "emb")
+    anchors = _Dataset(cfg).embeddings("anchor", "emb")
     if cfg["m"] == 1:
         print(
             "warning: m=1 trains a single flat k-means codebook "
             "(no product structure); this is the flat-quantizer baseline regime",
             file=sys.stderr,
         )
-    codebook = train_product_codebook(
-        anchors,
-        m=cfg["m"],
-        k=cfg["k"],
-        seed=cfg["seed"] + SEED_CODEBOOK,
-        normalize=cfg["normalize_anchors"],
-        max_iters=cfg["kmeans_iters"],
-        rel_tol=cfg["kmeans_tol"],
-    )
+    codebook = _train_codebook(cfg, anchors, cfg["m"])
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     cb_path = out / "codebook.pqc"
     codebook_save(codebook, cb_path)
 
-    # Per-subspace quantization error of the anchor set, from the saved
-    # (float32) codebook so the summary matches what a reader can recompute.
-    saved = codebook_load(cb_path)
-    codes = encode_matrix(saved, anchors)
-    ds = saved.sub_dim
+    # Per-subspace quantization error of the anchor set. The centroids are
+    # the file's float32 values, so a reader of the file recomputes it.
+    codes = encode_matrix(codebook, anchors)
+    ds = codebook.sub_dim
     objectives = []
-    cents = saved.stacked()
-    for j in range(saved.m):
+    cents = codebook.stacked()
+    for j in range(codebook.m):
         diff = anchors.data[:, j * ds : (j + 1) * ds] - cents[j, codes[:, j]]
         objectives.append(float(np.einsum("nd,nd->", diff, diff)))
     summary = {
-        "m": saved.m,
-        "k": saved.k,
-        "dim": saved.dim,
+        "m": codebook.m,
+        "k": codebook.k,
+        "dim": codebook.dim,
         "anchor_rows": anchors.rows,
         "per_subspace_objective": objectives,
         "total_objective": float(sum(objectives)),
@@ -244,8 +263,9 @@ def cmd_train_query(cfg: dict) -> dict:
     """Train the query encoder against the cached gallery-side embeddings."""
     out = Path(cfg["out_dir"])
     codebook = codebook_load(out / "codebook.pqc")
-    raw = _load_split(cfg, "train", "raw")
-    gallery_emb = _load_split(cfg, "train", "emb")
+    dataset = _Dataset(cfg)
+    raw = dataset.embeddings("train", "raw")
+    gallery_emb = dataset.embeddings("train", "emb")
     # Geometry comes from the generated dataset, not the current config, so
     # later stages cannot drift from what gen actually wrote.
     enc = encoder_init(
@@ -273,8 +293,9 @@ def cmd_train_query(cfg: dict) -> dict:
     # Timing is printed, not persisted: artifacts must be byte-identical
     # across reruns with the same config and seed.
     print(f"trained {cfg['epochs']} epochs in {report.wall_seconds:.1f}s", file=sys.stderr)
-    _write_json(report.to_dict(include_timing=False), out / "train_report.json")
-    return report.to_dict(include_timing=False)
+    result = report.to_dict()
+    _write_json(result, out / "train_report.json")
+    return result
 
 
 def cmd_eval(cfg: dict) -> dict:
@@ -283,12 +304,13 @@ def cmd_eval(cfg: dict) -> dict:
     model, _ = load_checkpoint(out / "checkpoint.sspq")
     encoder_id = _sha12(b"".join(p.tobytes() for p in model.parameters()))
 
-    query_labels = _load_split_labels(cfg, "query")
-    gallery_labels = _load_split_labels(cfg, "gallery")
-    gal_emb_g = _load_split(cfg, "gallery", "emb")
-    query_emb_g = _load_split(cfg, "query", "emb")
-    query_raw = _load_split(cfg, "query", "raw")
-    gallery_raw = _load_split(cfg, "gallery", "raw")
+    dataset = _Dataset(cfg)
+    query_labels = dataset.labels("query")
+    gallery_labels = dataset.labels("gallery")
+    gal_emb_g = dataset.embeddings("gallery", "emb")
+    query_emb_g = dataset.embeddings("query", "emb")
+    query_raw = dataset.embeddings("query", "raw")
+    gallery_raw = dataset.embeddings("gallery", "raw")
     query_emb_q = EmbeddingMatrix(forward_matrix(model, query_raw.data), normalized=True)
     gal_emb_q = EmbeddingMatrix(forward_matrix(model, gallery_raw.data), normalized=True)
 
@@ -322,27 +344,24 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     """Sweep codebook sizes: asymmetric PQ retrieval quality vs. code memory."""
     check_power_of_two_k(cfg["k"])
     out = Path(cfg["out_dir"])
-    anchors = _load_split(cfg, "anchor", "emb")
-    query_labels = _load_split_labels(cfg, "query")
-    gallery_labels = _load_split_labels(cfg, "gallery")
-    gal_emb_g = _load_split(cfg, "gallery", "emb")
+    dataset = _Dataset(cfg)
+    anchors = dataset.embeddings("anchor", "emb")
+    query_labels = dataset.labels("query")
+    gallery_labels = dataset.labels("gallery")
+    gal_emb_g = dataset.embeddings("gallery", "emb")
 
     checkpoint = out / "checkpoint.sspq"
     if checkpoint.exists():
         model, _ = load_checkpoint(checkpoint)
-        query_raw = _load_split(cfg, "query", "raw")
+        query_raw = dataset.embeddings("query", "raw")
         queries = EmbeddingMatrix(forward_matrix(model, query_raw.data), normalized=True)
     else:
-        queries = _load_split(cfg, "query", "emb")
+        queries = dataset.embeddings("query", "emb")
 
     exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels, mode=MODE_ASYMMETRIC)
     results = [{"m": None, "k": None, "map": exact.map_score, "code_bytes": None, "mib": None}]
     for m in cfg["pq_m_list"]:
-        codebook = train_product_codebook(
-            anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK,
-            normalize=cfg["normalize_anchors"],
-            max_iters=cfg["kmeans_iters"], rel_tol=cfg["kmeans_tol"],
-        )
+        codebook = _train_codebook(cfg, anchors, m)
         codes = encode_matrix(codebook, gal_emb_g)
         report = evaluate_pq(queries, codes, codebook, query_labels, gallery_labels)
         mem = memory_report(gal_emb_g.rows, m, cfg["k"])

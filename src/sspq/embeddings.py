@@ -170,18 +170,27 @@ def write_labels(labels: np.ndarray, path: str | Path) -> None:
 
 
 def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarray:
-    """Read a label sidecar CSV; validates the header and 0-based id sequence."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "label"]:
-            raise FormatError(f"{path}: expected header 'id,label', got {header}")
-        labels = []
-        for i, row in enumerate(reader):
-            if len(row) != 2 or int(row[0]) != i:
-                raise FormatError(f"{path}: bad row {i}: {row}")
-            labels.append(int(row[1]))
-    out = np.asarray(labels, dtype=np.int64)
+    """Read a label sidecar CSV; validates the header and 0-based id sequence.
+
+    Raises:
+        FormatError: on a bad header, a row that is not two integers with
+            the next id, a label outside int64, text that is not UTF-8, or a
+            label count other than ``expected_rows``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header != ["id", "label"]:
+                raise FormatError(f"{path}: expected header 'id,label', got {header}")
+            labels = []
+            for i, row in enumerate(reader):
+                if len(row) != 2 or int(row[0]) != i:
+                    raise FormatError(f"{path}: bad row {i}: {row}")
+                labels.append(int(row[1]))
+        out = np.asarray(labels, dtype=np.int64)
+    except (ValueError, OverflowError, csv.Error) as exc:
+        raise FormatError(f"{path}: malformed label sidecar: {exc}") from exc
     if expected_rows is not None and out.shape[0] != expected_rows:
         raise FormatError(
             f"{path}: {out.shape[0]} labels for {expected_rows} embeddings"

@@ -219,8 +219,9 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
     """Read an SSPQ checkpoint back into an encoder.
 
     Raises:
-        FormatError: on bad magic, malformed header, truncated blocks, or a
-            non-finite parameter.
+        FormatError: on bad magic, a header that is not a JSON object with a
+            known activation and at least two integer layer sizes >= 1,
+            truncated blocks, or a non-finite parameter.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 8:
@@ -232,10 +233,16 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         raise FormatError(f"{path}: truncated header")
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-        sizes = [int(s) for s in header["layer_sizes"]]
+        sizes = header["layer_sizes"]
         activation = header["activation"]
-    except (ValueError, KeyError) as exc:
-        raise FormatError(f"{path}: malformed header: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc!r}") from exc
+    if not (
+        isinstance(sizes, list)
+        and len(sizes) >= 2
+        and all(type(s) is int and s >= 1 for s in sizes)
+    ):
+        raise FormatError(f"{path}: layer_sizes must be two or more integers >= 1, got {sizes!r}")
     if activation not in ACTIVATIONS:
         raise FormatError(f"{path}: unknown activation {activation!r}")
 

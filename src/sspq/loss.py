@@ -19,7 +19,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
-from .quantizer import ProductCodebook
+from .quantizer import ProductCodebook, adc_table
 
 SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "neg_euclidean"
@@ -72,15 +72,13 @@ def structure_similarity(
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != codebook.dim:
         raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
+    if kind == SIM_NEG_EUCLIDEAN:
+        # The ADC table keeps a subvector on a centroid at distance exactly 0.
+        return -np.sqrt(adc_table(codebook, x))
     u = x.reshape(x.shape[0], codebook.m, codebook.sub_dim)
-    cents = codebook.stacked()
-    if kind == SIM_COSINE:
-        dots = _against_centroids(u, cents.transpose(0, 2, 1))
-        u_norms = np.linalg.norm(u, axis=2)
-        return dots / (codebook.centroid_norms() * u_norms[:, :, None] + COSINE_EPS)
-    # The explicit difference keeps a subvector on a centroid at distance 0.
-    diff = cents - u[:, :, None, :]
-    return -np.sqrt(np.einsum("bmkd,bmkd->bmk", diff, diff))
+    dots = _against_centroids(u, codebook.stacked().transpose(0, 2, 1))
+    u_norms = np.linalg.norm(u, axis=2)
+    return dots / (codebook.centroid_norms() * u_norms[:, :, None] + COSINE_EPS)
 
 
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:

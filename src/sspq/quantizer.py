@@ -1,8 +1,10 @@
 """Product-quantizer training, encoding, and ADC distance tables.
 
 A codebook is trained by running seeded k-means independently on each of M
-contiguous subvector blocks; the Cartesian product of the M sub-codebooks
-implicitly defines K^M anchor points that are never materialized.
+contiguous subvector blocks; the Cartesian product of the M sets of K
+centroids implicitly defines K^M anchor points that are never materialized.
+Encoding, the ADC tables and the negative-Euclidean structure similarity all
+read one subvector-to-centroid squared-distance kernel.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ from .errors import (
 from .fileio import write_atomic
 
 PQC_MAGIC = b"PQC1"
+
+# Elements in the difference temporary of one distance-kernel call.
+_CHUNK_ELEMENTS = 1 << 22
 
 
 def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -139,6 +144,7 @@ def kmeans_fit(
     Raises:
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
+        BadConfigError: if ``k`` or ``max_iters`` is below 1.
     """
     x = _as_points(points)
     n = x.shape[0]
@@ -148,6 +154,8 @@ def kmeans_fit(
         raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
     if k < 1:
         raise BadConfigError(f"k must be >= 1, got {k}")
+    if max_iters < 1:
+        raise BadConfigError(f"kmeans_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -200,63 +208,39 @@ def kmeans_fit(
     )
 
 
-@dataclass(frozen=True)
-class SubCodebook:
-    """K centroids of dimension d* for one subspace (0-based index)."""
+class ProductCodebook:
+    """M subspaces of K centroids each; anchors are their Cartesian product.
 
-    subspace_index: int
-    centroids: np.ndarray  # (K, d*) float32, read-only
+    The centroids are one read-only (M, K, d*) array of float32 values held
+    as float64, so a codebook trained in memory equals its ``PQC1`` file.
+    M, K, d* and d come from the array's shape.
+    """
 
-    def __post_init__(self) -> None:
-        cent = np.ascontiguousarray(np.asarray(self.centroids, dtype=np.float32))
-        if cent.ndim != 2 or cent.shape[0] < 1:
-            raise ValueError(f"centroids must be a non-empty 2-D matrix, got {cent.shape}")
-        cent.setflags(write=False)
-        object.__setattr__(self, "centroids", cent)
+    def __init__(self, centroids) -> None:
+        cents = np.asarray(centroids, dtype=np.float32).astype(np.float64)
+        if cents.ndim != 3 or 0 in cents.shape:
+            raise ValueError(f"centroids must be a non-empty (M, K, d*) array, got {cents.shape}")
+        cents.setflags(write=False)
+        norms = np.linalg.norm(cents, axis=2)
+        norms.setflags(write=False)
+        self._centroids = cents
+        self._norms = norms
+
+    @property
+    def m(self) -> int:
+        return self._centroids.shape[0]
 
     @property
     def k(self) -> int:
-        return self.centroids.shape[0]
+        return self._centroids.shape[1]
 
     @property
     def sub_dim(self) -> int:
-        return self.centroids.shape[1]
-
-
-@dataclass(frozen=True)
-class ProductCodebook:
-    """M sub-codebooks of K centroids each; anchors are their Cartesian product."""
-
-    m: int
-    k: int
-    dim: int
-    sub_codebooks: tuple[SubCodebook, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sub_codebooks", tuple(self.sub_codebooks))
-        if len(self.sub_codebooks) != self.m:
-            raise ValueError(f"expected {self.m} sub-codebooks, got {len(self.sub_codebooks)}")
-        if self.dim % self.m != 0:
-            raise IndivisibleDimensionError(f"dim {self.dim} is not a multiple of {self.m}")
-        ds = self.dim // self.m
-        for j, sub in enumerate(self.sub_codebooks):
-            if sub.subspace_index != j:
-                raise ValueError("sub-codebooks must be sorted by subspace index")
-            if sub.k != self.k or sub.sub_dim != ds:
-                raise ValueError(
-                    f"sub-codebook {j} has shape {sub.centroids.shape}, "
-                    f"expected ({self.k}, {ds})"
-                )
-        stacked = np.stack([sub.centroids.astype(np.float64) for sub in self.sub_codebooks])
-        stacked.setflags(write=False)
-        norms = np.linalg.norm(stacked, axis=2)
-        norms.setflags(write=False)
-        object.__setattr__(self, "_stacked", stacked)
-        object.__setattr__(self, "_norms", norms)
+        return self._centroids.shape[2]
 
     @property
-    def sub_dim(self) -> int:
-        return self.dim // self.m
+    def dim(self) -> int:
+        return self.m * self.sub_dim
 
     @property
     def anchor_count(self) -> int:
@@ -265,11 +249,11 @@ class ProductCodebook:
 
     def stacked(self) -> np.ndarray:
         """All centroids as one (M, K, d*) float64 array."""
-        return self._stacked  # type: ignore[attr-defined]
+        return self._centroids
 
     def centroid_norms(self) -> np.ndarray:
         """L2 norms of all centroids, shape (M, K)."""
-        return self._norms  # type: ignore[attr-defined]
+        return self._norms
 
 
 def train_product_codebook(
@@ -297,6 +281,7 @@ def train_product_codebook(
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
         NonFiniteInputError: if a feature holds a NaN or an infinity.
+        BadConfigError: if ``k`` or ``max_iters`` is below 1.
     """
     x = _as_points(features)
     n, d = x.shape
@@ -314,11 +299,20 @@ def train_product_codebook(
         x, _ = normalize_rows(x)
 
     ds = d // m
-    subs = []
-    for j in range(m):
-        result = kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j, max_iters, rel_tol)
-        subs.append(SubCodebook(j, result.centroids.astype(np.float32)))
-    return ProductCodebook(m=m, k=k, dim=d, sub_codebooks=tuple(subs))
+    return ProductCodebook(np.stack([
+        kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j, max_iters, rel_tol).centroids
+        for j in range(m)
+    ]))
+
+
+def _subvector_sq_dists(u: np.ndarray, cents: np.ndarray) -> np.ndarray:
+    """Squared distances from (rows, M, d*) subvectors to (M, K, d*) centroids, (rows, M, K).
+
+    The explicit difference keeps a subvector on a centroid at exactly 0 and
+    equidistant centroids exactly tied.
+    """
+    diff = cents - u[:, :, None, :]
+    return np.einsum("rmkd,rmkd->rmk", diff, diff)
 
 
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -329,19 +323,17 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
             f"matrix dim {data.shape[1]} does not match codebook dim {codebook.dim}"
         )
     n = data.shape[0]
-    ds = codebook.sub_dim
+    u = data.reshape(n, codebook.m, codebook.sub_dim)
     cents = codebook.stacked()
     codes = np.empty((n, codebook.m), dtype=np.int32)
-    # Exact squared distances so ties resolve to the lowest index; chunked to
-    # bound the (rows, K, d*) temporary.
-    chunk = max(1, (1 << 22) // max(1, codebook.k * ds))
+    # Exact squared distances so ties resolve to the lowest index. One
+    # subspace at a time, in row chunks, bounds the (rows, 1, K, d*)
+    # difference temporary; a whole (rows, M, K) table encodes more slowly.
+    chunk = max(1, _CHUNK_ELEMENTS // cents[0].size)
     for j in range(codebook.m):
-        sub = data[:, j * ds : (j + 1) * ds]
         for start in range(0, n, chunk):
-            block = sub[start : start + chunk]
-            diff = block[:, None, :] - cents[j][None, :, :]
-            d2 = np.einsum("nkd,nkd->nk", diff, diff)
-            codes[start : start + chunk, j] = np.argmin(d2, axis=1)
+            d2 = _subvector_sq_dists(u[start : start + chunk, j : j + 1], cents[j : j + 1])
+            codes[start : start + chunk, j] = np.argmin(d2[:, 0], axis=1)
     return codes
 
 
@@ -360,11 +352,12 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != codebook.dim:
         raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
     u = q.reshape(q.shape[0], codebook.m, codebook.sub_dim)
+    cents = codebook.stacked()
     table = np.empty((q.shape[0], codebook.m, codebook.k))
-    # One subspace at a time bounds the (nq, K, d*) difference temporary.
-    for j, cents in enumerate(codebook.stacked()):
-        diff = cents - u[:, j, None, :]
-        table[:, j] = np.einsum("qkd,qkd->qk", diff, diff)
+    # Query chunks bound the (rows, M, K, d*) difference temporary.
+    chunk = max(1, _CHUNK_ELEMENTS // cents.size)
+    for start in range(0, q.shape[0], chunk):
+        table[start : start + chunk] = _subvector_sq_dists(u[start : start + chunk], cents)
     return table
 
 
@@ -427,12 +420,11 @@ def codebook_save(codebook: ProductCodebook, path: str | Path) -> None:
         NonFiniteInputError: if a centroid is, or rounds to, a NaN or an
             infinity.
     """
-    cents = [sub.centroids.astype("<f4") for sub in codebook.sub_codebooks]
-    if not all(np.isfinite(c).all() for c in cents):
+    cents = codebook.stacked()
+    if not np.isfinite(cents).all():
         raise NonFiniteInputError(f"{path}: a centroid holds a NaN or an infinity")
     header = PQC_MAGIC + struct.pack("<III", codebook.m, codebook.k, codebook.dim)
-    blocks = b"".join(c.tobytes() for c in cents)
-    write_atomic(path, header + blocks)
+    write_atomic(path, header + cents.astype("<f4").tobytes())
 
 
 def codebook_load(path: str | Path) -> ProductCodebook:
@@ -460,5 +452,4 @@ def codebook_load(path: str | Path) -> ProductCodebook:
     cents = np.frombuffer(payload, dtype="<f4").reshape(m, k, ds)
     if not np.isfinite(cents).all():
         raise FormatError(f"{path}: a centroid holds a NaN or an infinity")
-    subs = tuple(SubCodebook(j, cents[j]) for j in range(m))
-    return ProductCodebook(m=m, k=k, dim=dim, sub_codebooks=subs)
+    return ProductCodebook(cents)

@@ -130,15 +130,13 @@ class TrainReport:
     wall_seconds: float
     config: dict = field(default_factory=dict)
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The deterministic fields; ``wall_seconds`` is left out."""
+        return {
             "epoch_mean_loss": self.epoch_mean_loss,
             "final_loss": self.final_loss,
             "config": self.config,
         }
-        if include_timing:
-            out["wall_seconds"] = self.wall_seconds
-        return out
 
 
 def train_query_model(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sspq.quantizer import ProductCodebook, SubCodebook
+from sspq.quantizer import ProductCodebook
 
 
 @pytest.fixture
@@ -9,21 +9,10 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_codebook(centroid_blocks) -> ProductCodebook:
-    """Assemble a codebook directly from per-subspace centroid matrices."""
-    subs = tuple(
-        SubCodebook(j, np.asarray(block, dtype=np.float32))
-        for j, block in enumerate(centroid_blocks)
-    )
-    k = subs[0].k
-    dim = sum(s.sub_dim for s in subs)
-    return ProductCodebook(m=len(subs), k=k, dim=dim, sub_codebooks=subs)
-
-
 @pytest.fixture
 def tiny_codebook():
     """Two subspaces of 2-D centroids, two centroids each."""
-    return make_codebook(
+    return ProductCodebook(
         [
             [[1.0, 0.0], [0.0, 1.0]],
             [[2.0, 2.0], [-1.0, 0.5]],

@@ -57,7 +57,7 @@ def brute_force_kmeans_objective(x: np.ndarray, k: int) -> float:
 
 def reconstruction_sq_dist(codebook, code, query: np.ndarray) -> float:
     """Exact squared distance between a query and a code's reconstruction."""
-    idx = np.asarray(code.codes if hasattr(code, "codes") else code, dtype=np.int64)
+    idx = np.asarray(code, dtype=np.int64)
     cents = codebook.stacked()
     recon = np.concatenate([cents[j, idx[j]] for j in range(codebook.m)])
     diff = np.asarray(query, dtype=np.float64) - recon

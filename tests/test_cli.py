@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from sspq.cli import DEFAULTS, load_config, main
+from sspq.cli import DEFAULTS, _Dataset, load_config, main
 from sspq.embeddings import import_embeddings
-from sspq.errors import BadConfigError
+from sspq.errors import BadConfigError, FormatError
 from sspq.quantizer import codebook_load, encode_matrix
 
 
@@ -74,6 +74,7 @@ class TestConfigLoading:
             ("lr", None),
             ("hidden", 64),
             ("pq_m_list", [2, "8"]),
+            ("seed", -100),
         ],
     )
     def test_bad_value_fails_with_error_json(self, tmp_path, capsys, key, value):
@@ -140,16 +141,29 @@ class TestTrainCodebook:
     def test_default_k_is_256(self):
         assert DEFAULTS["k"] == 256
 
-    @pytest.mark.parametrize("command, artifact", [("train-codebook", "codebook.pqc"),
-                                                   ("pq-bench", "pq_bench.json")])
-    def test_non_power_of_two_k_fails_before_writing(self, tmp_path, capsys, command, artifact):
+    @pytest.mark.parametrize(
+        "command, flags, error, artifact",
+        [
+            pytest.param("train-codebook", ["--k", "100"], "NonPowerOfTwoKError", "codebook.pqc",
+                         id="train-codebook-codebook.pqc"),
+            pytest.param("pq-bench", ["--k", "100"], "NonPowerOfTwoKError", "pq_bench.json",
+                         id="pq-bench-pq_bench.json"),
+            pytest.param("train-codebook", ["--kmeans-iters", "0"], "BadConfigError",
+                         "codebook.pqc", id="train-codebook-kmeans-iters-0"),
+            pytest.param("train-codebook", ["--seed", "-100"], "BadConfigError", "codebook.pqc",
+                         id="train-codebook-seed--100"),
+        ],
+    )
+    def test_non_power_of_two_k_fails_before_writing(
+        self, tmp_path, capsys, command, flags, error, artifact
+    ):
         config = tiny_config(tmp_path)
         main(["gen", "--config", str(config)])
         capsys.readouterr()
-        assert main([command, "--config", str(config), "--k", "100"]) == 2
+        assert main([command, "--config", str(config), *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert json.loads(err[0])["error"] == "NonPowerOfTwoKError"
+        assert json.loads(err[0])["error"] == error
         assert not (tmp_path / "run" / artifact).exists()
 
     def test_non_finite_anchors_fail_with_error_json(self, tmp_path, capsys):
@@ -159,6 +173,44 @@ class TestTrainCodebook:
         blob = bytearray(anchors.read_bytes())
         blob[13:17] = struct.pack("<f", float("nan"))
         anchors.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["train-codebook", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FormatError"
+        assert not (tmp_path / "run" / "codebook.pqc").exists()
+
+
+class TestManifest:
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda text: text[: len(text) // 2],  # truncated JSON
+            lambda text: text.replace('"splits"', '"parts"'),
+            lambda text: text.replace('"anchor"', '"anchors"'),
+            lambda text: text.replace('"emb": "anchor_emb.emb"', '"emb": 7'),
+            lambda text: text.replace('"labels": "query_labels.csv"', '"label": "query_labels.csv"'),
+            lambda text: "[]",
+        ],
+        ids=["truncated", "no-splits", "no-anchor", "emb-not-a-name", "no-labels", "list"],
+    )
+    def test_bad_manifest_raises(self, tmp_path, damage):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = tmp_path / "run" / "dataset" / "manifest.json"
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
+        with pytest.raises(FormatError):
+            _Dataset(load_config(config, {}))
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-splits"])
+    def test_broken_manifest_fails_with_error_json(self, tmp_path, capsys, damage):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        path = tmp_path / "run" / "dataset" / "manifest.json"
+        text = path.read_text()
+        path.write_text(text[:-10] if damage == "truncated" else text.replace('"splits"', '"x"'))
         capsys.readouterr()
         assert main(["train-codebook", "--config", str(config)]) == 2
         err = capsys.readouterr().err.strip().splitlines()

@@ -228,3 +228,20 @@ class TestLabelSidecar:
         write_labels(np.array([1, 2]), path)
         with pytest.raises(FormatError):
             read_labels(path, expected_rows=3)
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"id,label\nzero,1\n",
+            b"id,label\n0,x\n",
+            b"id,label\n0,1.5\n",
+            b"id,label\n0,99999999999999999999\n",
+            b"id,label\n0,\xff\n",
+        ],
+        ids=["text-id", "text-label", "float-label", "label-outside-int64", "not-utf8"],
+    )
+    def test_malformed_row_raises(self, tmp_path, blob):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(blob)
+        with pytest.raises(FormatError):
+            read_labels(path)

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -143,6 +144,28 @@ class TestCheckpointFormat:
         blob = bytearray(path.read_bytes())
         blob[-8:] = struct.pack("<d", bad)  # last bias of the output layer
         path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            [4, 4],
+            {"layer_sizes": 4, "activation": "relu"},
+            {"layer_sizes": "44", "activation": "relu"},
+            {"layer_sizes": [4, None], "activation": "relu"},
+            {"layer_sizes": [4, 0], "activation": "relu"},
+            {"layer_sizes": [4, 4.0], "activation": "relu"},
+            {"layer_sizes": [4], "activation": "relu"},
+        ],
+        ids=["list", "int-sizes", "string-sizes", "null-size", "zero-size", "float-size", "one-size"],
+    )
+    def test_malformed_header_raises(self, tmp_path, header):
+        # A zero-size layer has no parameter bytes, so only the header check
+        # can reject [4, 0].
+        header_bytes = json.dumps(header).encode()
+        path = tmp_path / "header.sspq"
+        path.write_bytes(b"SSPQ" + struct.pack("<I", len(header_bytes)) + header_bytes)
         with pytest.raises(FormatError):
             load_checkpoint(path)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import make_codebook
 from oracles import central_diff_grad, direct_kl, grad_mismatch
 from sspq.embeddings import cosine_sim, neg_euclid_sim, split_subvectors
 from sspq.errors import (
@@ -18,13 +17,13 @@ from sspq.loss import (
     ssp_loss_and_grad,
     structure_similarity,
 )
-from sspq.quantizer import train_product_codebook
+from sspq.quantizer import ProductCodebook, train_product_codebook
 
 
 @pytest.fixture
 def axis_codebook():
     """One subspace, two 2-D centroids on the axes."""
-    return make_codebook([[[1.0, 0.0], [0.0, 1.0]]])
+    return ProductCodebook([[[1.0, 0.0], [0.0, 1.0]]])
 
 
 class TestStructureSimilarity:

@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import make_codebook
 from oracles import brute_force_kmeans_objective, greedy_kmeans_pp_init, reconstruction_sq_dist
 from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
@@ -17,6 +16,7 @@ from sspq.errors import (
 )
 from sspq.evaluation import adc_search
 from sspq.quantizer import (
+    ProductCodebook,
     _kmeans_pp_init,
     adc_scores,
     codebook_load,
@@ -143,15 +143,27 @@ class TestKMeansPPInit:
         assert ties > 0
 
 
+class TestProductCodebook:
+    def test_shape_gives_sizes_and_values_round_to_float32(self):
+        cb = ProductCodebook(np.full((3, 4, 2), 0.1))
+        assert (cb.m, cb.k, cb.sub_dim, cb.dim) == (3, 4, 2, 6)
+        assert cb.stacked().dtype == np.float64
+        np.testing.assert_array_equal(cb.stacked(), np.float32(0.1))
+        assert not cb.stacked().flags.writeable
+
+    @pytest.mark.parametrize("shape", [(4, 2), (0, 4, 2), (3, 0, 2), (3, 4, 0)])
+    def test_bad_shape_raises(self, shape):
+        with pytest.raises(ValueError):
+            ProductCodebook(np.zeros(shape))
+
+
 class TestTrainProductCodebook:
     def test_matches_manual_slices(self, rng):
         feats = rng.normal(size=(12, 4))
         cb = train_product_codebook(feats, m=2, k=2, seed=11)
         for j in range(2):
             manual = kmeans_fit(feats[:, j * 2 : (j + 1) * 2], 2, seed=11 + j)
-            np.testing.assert_array_equal(
-                cb.sub_codebooks[j].centroids, manual.centroids.astype(np.float32)
-            )
+            np.testing.assert_array_equal(cb.stacked()[j], manual.centroids.astype(np.float32))
 
     def test_anchor_counts(self, rng):
         cb = train_product_codebook(rng.normal(size=(8, 4)), m=2, k=2, seed=0)
@@ -172,22 +184,18 @@ class TestTrainProductCodebook:
         feats = rng.normal(size=(15, 3))
         cb = train_product_codebook(feats, m=1, k=3, seed=21)
         flat = kmeans_fit(feats, 3, seed=21)
-        np.testing.assert_array_equal(
-            cb.sub_codebooks[0].centroids, flat.centroids.astype(np.float32)
-        )
+        np.testing.assert_array_equal(cb.stacked()[0], flat.centroids.astype(np.float32))
 
     def test_deterministic_bits(self, rng):
         feats = rng.normal(size=(20, 6))
         a = train_product_codebook(feats, m=3, k=4, seed=5)
         b = train_product_codebook(feats, m=3, k=4, seed=5)
-        for sa, sb in zip(a.sub_codebooks, b.sub_codebooks):
-            assert sa.centroids.tobytes() == sb.centroids.tobytes()
+        assert a.stacked().tobytes() == b.stacked().tobytes()
 
     def test_trained_centroids_pairwise_distinct(self, rng):
         feats = rng.normal(size=(50, 6))  # far more distinct subvectors than K
         cb = train_product_codebook(feats, m=2, k=5, seed=12)
-        for sub in cb.sub_codebooks:
-            c = sub.centroids.astype(np.float64)
+        for c in cb.stacked():
             diff = c[:, None, :] - c[None, :, :]
             d2 = (diff * diff).sum(axis=2)
             d2[np.diag_indices_from(d2)] = np.inf
@@ -309,9 +317,8 @@ class TestCodebookFile:
         codebook_save(cb, path)
         back = codebook_load(path)
         assert (back.m, back.k, back.dim) == (cb.m, cb.k, cb.dim)
-        for sa, sb in zip(cb.sub_codebooks, back.sub_codebooks):
-            assert sa.subspace_index == sb.subspace_index
-            assert sa.centroids.tobytes() == sb.centroids.tobytes()
+        assert back.stacked().shape == (3, 4, 2)
+        assert cb.stacked().tobytes() == back.stacked().tobytes()
 
     def test_truncated_raises(self, tmp_path, rng):
         cb = train_product_codebook(rng.normal(size=(10, 4)), m=2, k=2, seed=0)
@@ -326,10 +333,10 @@ class TestCodebookFile:
         path = tmp_path / "cb.pqc"
         codebook_save(tiny_codebook, path)
         before = path.read_bytes()
-        blocks = [sub.centroids.copy() for sub in tiny_codebook.sub_codebooks]
-        blocks[1][1, 1] = bad
+        blocks = tiny_codebook.stacked().copy()
+        blocks[1, 1, 1] = bad
         with pytest.raises(NonFiniteInputError):
-            codebook_save(make_codebook(blocks), path)
+            codebook_save(ProductCodebook(blocks), path)
         assert path.read_bytes() == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

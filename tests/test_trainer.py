@@ -3,13 +3,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from conftest import make_codebook
 from oracles import central_diff_grad, grad_mismatch
 from sspq.embeddings import EmbeddingMatrix
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import ShapeMismatchError, StepOutOfRangeError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
-from sspq.quantizer import train_product_codebook
+from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import (
     AdamState,
     TrainConfig,
@@ -207,7 +206,7 @@ class TestBatchedPath:
         # subvector is centroid 0 of subspace 0; the other rows are random.
         b = np.array([0.25, -0.5, 0.75, 1.0])
         enc = QueryEncoder([4, 4], "identity", [np.eye(4)], [b])
-        codebook = make_codebook(
+        codebook = ProductCodebook(
             [
                 [[0.5, 0.5], [1.0, -0.5], [-1.0, 0.25], [0.0, -1.0]],
                 [[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5], [0.75, 0.25]],
