@@ -6,14 +6,7 @@ softened similarity distributions over the shared codebook centroids, and
 evaluate symmetric vs. asymmetric retrieval (exact and PQ-compressed) by mAP.
 """
 
-from .embeddings import (
-    EmbeddingMatrix,
-    cosine_sim,
-    export_embeddings,
-    import_embeddings,
-    neg_euclid_sim,
-    split_subvectors,
-)
+from .embeddings import EmbeddingMatrix, export_embeddings, import_embeddings
 from .encoder import (
     QueryEncoder,
     encoder_backward,
@@ -46,7 +39,6 @@ from .quantizer import (
     encode_matrix,
     kmeans_fit,
     pq_memory_bytes,
-    reconstruct,
     train_product_codebook,
 )
 from .synth import GalleryOracle, SyntheticDataset, gen_mixture, make_oracle, oracle_encode

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -74,7 +75,6 @@ DEFAULTS: dict = {
     "k": 256,
     "kmeans_iters": 50,
     "kmeans_tol": 1e-4,
-    "normalize_anchors": False,
     # query model
     "hidden": [64],
     "activation": "tanh",
@@ -121,11 +121,16 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
             raise BadConfigError(
                 f"config {key}={cfg[key]!r} must be of type {type(default).__name__}"
             )
+        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+            raise BadConfigError(f"config {key}={cfg[key]!r} must be finite")
     for key, allowed in (("activation", ACTIVATIONS), ("loss", _LOSS_NAMES), ("sim", _SIM_NAMES)):
         if cfg[key] not in allowed:
             raise BadConfigError(f"config {key}={cfg[key]!r} is not one of {sorted(allowed)}")
-    if cfg["seed"] < 0:
-        raise BadConfigError(f"config seed={cfg['seed']} must be >= 0")
+    for key in ("seed", "weight_decay", "kmeans_tol"):
+        if cfg[key] < 0:
+            raise BadConfigError(f"config {key}={cfg[key]!r} must be >= 0")
+    if not cfg["pq_m_list"] or min(cfg["pq_m_list"]) < 1:
+        raise BadConfigError(f"config pq_m_list={cfg['pq_m_list']!r} needs one or more M >= 1")
     return cfg
 
 
@@ -196,13 +201,15 @@ class _Dataset:
         path = _manifest_path(cfg)
         try:
             splits = json.loads(path.read_bytes())["splits"]
-            for split in SPLITS:
-                entry = splits[split]
-                names = [entry[kind] for kind in ("raw", "emb", "labels")]
-                if not all(isinstance(name, str) for name in names) or type(entry["rows"]) is not int:
-                    raise TypeError(f"split {split!r} has a malformed entry")
+            fields = {
+                split: [splits[split][kind] for kind in ("raw", "emb", "labels", "rows")]
+                for split in SPLITS
+            }
         except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"{path}: bad manifest: {exc!r}") from exc
+        for split, (*names, rows) in fields.items():
+            if not all(isinstance(name, str) for name in names) or type(rows) is not int:
+                raise FormatError(f"{path}: bad manifest: split {split!r} has a malformed entry")
         self.splits = splits
 
     def embeddings(self, split: str, kind: str) -> EmbeddingMatrix:
@@ -212,11 +219,14 @@ class _Dataset:
         entry = self.splits[split]
         return read_labels(self.root / entry["labels"], expected_rows=entry["rows"])
 
+    def encode(self, model, split: str) -> EmbeddingMatrix:
+        """A split's raw inputs through the model; unflagged, as a degenerate row is not unit-norm."""
+        return EmbeddingMatrix(forward_matrix(model, self.embeddings(split, "raw").data))
+
 
 def _train_codebook(cfg: dict, anchors: EmbeddingMatrix, m: int) -> ProductCodebook:
     return train_product_codebook(
         anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK,
-        normalize=cfg["normalize_anchors"],
         max_iters=cfg["kmeans_iters"], rel_tol=cfg["kmeans_tol"],
     )
 
@@ -309,10 +319,8 @@ def cmd_eval(cfg: dict) -> dict:
     gallery_labels = dataset.labels("gallery")
     gal_emb_g = dataset.embeddings("gallery", "emb")
     query_emb_g = dataset.embeddings("query", "emb")
-    query_raw = dataset.embeddings("query", "raw")
-    gallery_raw = dataset.embeddings("gallery", "raw")
-    query_emb_q = EmbeddingMatrix(forward_matrix(model, query_raw.data), normalized=True)
-    gal_emb_q = EmbeddingMatrix(forward_matrix(model, gallery_raw.data), normalized=True)
+    query_emb_q = dataset.encode(model, "query")
+    gal_emb_q = dataset.encode(model, "gallery")
 
     reports = [
         evaluate(query_emb_g, gal_emb_g, query_labels, gallery_labels,
@@ -341,22 +349,19 @@ def cmd_eval(cfg: dict) -> dict:
 
 
 def cmd_pq_bench(cfg: dict) -> list[dict]:
-    """Sweep codebook sizes: asymmetric PQ retrieval quality vs. code memory."""
+    """Sweep codebook sizes: asymmetric PQ retrieval quality vs. code memory.
+
+    The queries are the train-query checkpoint's embeddings, as in ``eval``.
+    """
     check_power_of_two_k(cfg["k"])
     out = Path(cfg["out_dir"])
+    model, _ = load_checkpoint(out / "checkpoint.sspq")
     dataset = _Dataset(cfg)
     anchors = dataset.embeddings("anchor", "emb")
     query_labels = dataset.labels("query")
     gallery_labels = dataset.labels("gallery")
     gal_emb_g = dataset.embeddings("gallery", "emb")
-
-    checkpoint = out / "checkpoint.sspq"
-    if checkpoint.exists():
-        model, _ = load_checkpoint(checkpoint)
-        query_raw = dataset.embeddings("query", "raw")
-        queries = EmbeddingMatrix(forward_matrix(model, query_raw.data), normalized=True)
-    else:
-        queries = dataset.embeddings("query", "emb")
+    queries = dataset.encode(model, "query")
 
     exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels, mode=MODE_ASYMMETRIC)
     results = [{"m": None, "k": None, "map": exact.map_score, "code_bytes": None, "mib": None}]

@@ -1,4 +1,4 @@
-"""Embedding containers, normalization, subvector splitting, and similarity kernels.
+"""Embedding containers, row normalization, and the EMB1 and label-sidecar files.
 
 All arithmetic is done in float64; the on-disk ``EMB1`` format stores float32.
 """
@@ -6,18 +6,14 @@ All arithmetic is done in float64; the on-disk ``EMB1`` format stores float32.
 from __future__ import annotations
 
 import csv
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    FormatError,
-    IndivisibleDimensionError,
-    LengthMismatchError,
-    NonFiniteInputError,
-)
+from .errors import FormatError, InvariantError, NonFiniteInputError, ShapeMismatchError
 from .fileio import write_atomic, write_csv_atomic
 
 # Norms below this are treated as degenerate (zero) vectors.
@@ -30,6 +26,10 @@ COSINE_EPS = 1e-12
 EMB_MAGIC = b"EMB1"
 _EMB_DTYPE_F32 = 0
 
+# An integer exactly as ``write_labels`` writes it: no sign on 0 or positive
+# values, no leading zero, space or digit underscore.
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
@@ -37,7 +37,7 @@ class EmbeddingMatrix:
 
     Immutable after construction. ``normalized`` asserts that every row has
     unit L2 norm (within 1e-6); constructing with the flag set and
-    non-unit rows raises.
+    non-unit rows raises ``InvariantError``.
     """
 
     data: np.ndarray
@@ -46,14 +46,14 @@ class EmbeddingMatrix:
     def __post_init__(self) -> None:
         data = np.ascontiguousarray(np.asarray(self.data, dtype=np.float64))
         if data.ndim != 2:
-            raise ValueError(f"embedding data must be 2-D, got shape {data.shape}")
+            raise ShapeMismatchError(f"embedding data must be 2-D, got shape {data.shape}")
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
         if self.normalized and data.shape[0] > 0:
             norms = np.linalg.norm(data, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
             if worst > 1e-6:
-                raise ValueError(
+                raise InvariantError(
                     f"normalized flag set but a row norm deviates from 1.0 by {worst:.3g}"
                 )
 
@@ -77,38 +77,6 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norms = np.linalg.norm(x, axis=1)
     degenerate = norms < NORM_EPS
     return x / np.where(degenerate, 1.0, norms)[:, None], degenerate
-
-
-def split_subvectors(v: np.ndarray, m: int) -> list[np.ndarray]:
-    """Split a length-d vector into m contiguous subvectors of length d/m.
-
-    Raises:
-        IndivisibleDimensionError: if d is not an exact multiple of m.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    d = v.shape[0]
-    if m < 1 or d % m != 0:
-        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
-    return list(np.split(v, m))
-
-
-def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity a.b / (|a||b| + 1e-12); 0 for zero-norm inputs."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b)) + COSINE_EPS
-    return float(np.dot(a, b) / denom)
-
-
-def neg_euclid_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Negative Euclidean distance -|a - b|; 0 iff a == b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
-    return -float(np.linalg.norm(a - b))
 
 
 def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
@@ -173,9 +141,10 @@ def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarra
     """Read a label sidecar CSV; validates the header and 0-based id sequence.
 
     Raises:
-        FormatError: on a bad header, a row that is not two integers with
-            the next id, a label outside int64, text that is not UTF-8, or a
-            label count other than ``expected_rows``.
+        FormatError: on a bad header, a row that is not two canonical
+            integers (``0`` or ``-?[1-9][0-9]*``, as ``write_labels`` writes
+            them) with the next id, a label outside int64, text that is not
+            UTF-8, or a label count other than ``expected_rows``.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -185,7 +154,11 @@ def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarra
                 raise FormatError(f"{path}: expected header 'id,label', got {header}")
             labels = []
             for i, row in enumerate(reader):
-                if len(row) != 2 or int(row[0]) != i:
+                if (
+                    len(row) != 2
+                    or not all(_CANONICAL_INT.fullmatch(field) for field in row)
+                    or int(row[0]) != i
+                ):
                     raise FormatError(f"{path}: bad row {i}: {row}")
                 labels.append(int(row[1]))
         out = np.asarray(labels, dtype=np.int64)

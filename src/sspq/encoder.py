@@ -17,6 +17,7 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
+    BadConfigError,
     BadDimensionError,
     FormatError,
     LengthMismatchError,
@@ -60,7 +61,7 @@ class QueryEncoder:
     def __init__(self, layer_sizes: list[int], activation: str,
                  weights: list[np.ndarray], biases: list[np.ndarray]):
         if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
+            raise BadConfigError(f"unknown activation {activation!r}")
         self.layer_sizes = list(layer_sizes)
         self.activation = activation
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
@@ -68,7 +69,7 @@ class QueryEncoder:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out_d, in_d = layer_sizes[i + 1], layer_sizes[i]
             if w.shape != (out_d, in_d) or b.shape != (out_d,):
-                raise ValueError(f"layer {i} parameter shapes do not match {in_d}->{out_d}")
+                raise ShapeMismatchError(f"layer {i} parameter shapes do not match {in_d}->{out_d}")
 
     @property
     def input_dim(self) -> int:
@@ -105,11 +106,10 @@ def encoder_init(
     d_out: int,
     activation: str = ACT_TANH,
     seed: int = 0,
-    gain: float = 1.0,
 ) -> QueryEncoder:
     """Build an encoder with symmetric uniform fan-in-scaled weights.
 
-    Weights are U(-gain/sqrt(fan_in), +gain/sqrt(fan_in)), biases zero;
+    Weights are U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero;
     deterministic given the seed.
 
     Raises:
@@ -121,7 +121,7 @@ def encoder_init(
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = gain / np.sqrt(fan_in)
+        bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
     return QueryEncoder(sizes, activation, weights, biases)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; the library raises only these."""
 
 
 class SspqError(Exception):
@@ -59,3 +59,7 @@ class NonFiniteInputError(SspqError):
 
 class FormatError(SspqError):
     """A binary or CSV artifact is malformed."""
+
+
+class InvariantError(SspqError):
+    """A value breaks an invariant its container declares, such as unit-norm rows."""

@@ -16,7 +16,9 @@ import numpy as np
 from .embeddings import EmbeddingMatrix, normalize_rows
 from .errors import (
     EmptyGalleryError,
+    EmptyInputError,
     EmptyRelevantSetError,
+    InvariantError,
     MissingLabelsError,
     ShapeMismatchError,
 )
@@ -30,7 +32,13 @@ MODE_ASYMMETRIC_PQ = "asymmetric_pq"
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-query APs and their mean for one retrieval mode."""
+    """Per-query APs and their mean for one retrieval mode.
+
+    Raises:
+        ShapeMismatchError: if the APs are not a 1-D array.
+        EmptyInputError: if there are no queries.
+        InvariantError: if an AP lies outside [0, 1] or the mAP is not their mean.
+    """
 
     mode: str
     per_query_ap: np.ndarray
@@ -40,12 +48,14 @@ class EvalReport:
 
     def __post_init__(self) -> None:
         aps = np.asarray(self.per_query_ap, dtype=np.float64)
-        if aps.ndim != 1 or aps.size == 0:
-            raise ValueError("per-query AP array must be non-empty and 1-D")
+        if aps.ndim != 1:
+            raise ShapeMismatchError(f"per-query APs must be 1-D, got shape {aps.shape}")
+        if aps.size == 0:
+            raise EmptyInputError(f"{self.mode}: no queries to score")
         if np.min(aps) < 0 or np.max(aps) > 1:
-            raise ValueError("APs must lie in [0, 1]")
+            raise InvariantError("APs must lie in [0, 1]")
         if abs(self.map_score - float(aps.mean())) > 1e-12:
-            raise ValueError("mAP must equal the mean of per-query APs")
+            raise InvariantError("mAP must equal the mean of per-query APs")
         aps.setflags(write=False)
         object.__setattr__(self, "per_query_ap", aps)
 
@@ -149,6 +159,8 @@ def _report(
 
 
 def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
+    if n_queries == 0:
+        raise EmptyInputError("no queries to evaluate")
     ql = np.asarray(query_labels, dtype=np.int64)
     gl = np.asarray(gallery_labels, dtype=np.int64)
     if ql.shape != (n_queries,) or gl.shape != (n_gallery,):

@@ -15,6 +15,7 @@ import numpy as np
 
 from .embeddings import COSINE_EPS, NORM_EPS, normalize_rows
 from .errors import (
+    BadConfigError,
     LengthMismatchError,
     ShapeMismatchError,
     ZeroTargetProbabilityError,
@@ -65,10 +66,11 @@ def structure_similarity(
     """(B, M, K) similarities of each row's subvectors against its subspace's K centroids.
 
     Raises:
+        BadConfigError: if ``kind`` is not a known similarity kind.
         LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
     """
     if kind not in SIMILARITY_KINDS:
-        raise ValueError(f"unknown similarity kind {kind!r}")
+        raise BadConfigError(f"unknown similarity kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != codebook.dim:
         raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
@@ -86,9 +88,12 @@ def soften(values: np.ndarray, temperature: float) -> np.ndarray:
 
     Softmax uses max subtraction for stability. Hard-assignment ties go to
     the lowest centroid index.
+
+    Raises:
+        BadConfigError: if ``temperature`` is negative.
     """
     if temperature < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+        raise BadConfigError(f"temperature must be >= 0, got {temperature}")
     values = np.asarray(values, dtype=np.float64)
     if temperature == 0:
         probs = np.zeros_like(values)
@@ -142,9 +147,12 @@ def ssp_loss_and_grad(
         (losses, gradient): per-sample losses (B,), each the sum of its M
         per-subspace KL divergences, and the (B, d) exact derivative of
         each sample's loss through the softmax and the similarity kernel.
+
+    Raises:
+        BadConfigError: if ``tau_q`` is not positive.
     """
     if tau_q <= 0:
-        raise ValueError(f"tau_q must be > 0, got {tau_q}")
+        raise BadConfigError(f"tau_q must be > 0, got {tau_q}")
     q = np.asarray(q, dtype=np.float64)
     if np.shape(g) != q.shape:
         raise LengthMismatchError(f"gallery shape {np.shape(g)} differs from query shape {q.shape}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, normalize_rows
+from .embeddings import EmbeddingMatrix
 from .errors import (
     BadConfigError,
     EmptyInputError,
@@ -26,6 +26,7 @@ from .errors import (
     LengthMismatchError,
     NonFiniteInputError,
     NonPowerOfTwoKError,
+    ShapeMismatchError,
 )
 from .fileio import write_atomic
 
@@ -40,7 +41,7 @@ def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
         return points.data
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
-        raise ValueError(f"points must be 2-D, got shape {x.shape}")
+        raise ShapeMismatchError(f"points must be 2-D, got shape {x.shape}")
     return x
 
 
@@ -219,7 +220,7 @@ class ProductCodebook:
     def __init__(self, centroids) -> None:
         cents = np.asarray(centroids, dtype=np.float32).astype(np.float64)
         if cents.ndim != 3 or 0 in cents.shape:
-            raise ValueError(f"centroids must be a non-empty (M, K, d*) array, got {cents.shape}")
+            raise ShapeMismatchError(f"centroids must be a non-empty (M, K, d*) array, got {cents.shape}")
         cents.setflags(write=False)
         norms = np.linalg.norm(cents, axis=2)
         norms.setflags(write=False)
@@ -261,15 +262,13 @@ def train_product_codebook(
     m: int,
     k: int,
     seed: int,
-    normalize: bool = False,
     max_iters: int = 50,
     rel_tol: float = 1e-4,
 ) -> ProductCodebook:
     """Train one sub-codebook per subspace with seeded k-means.
 
     Subspace j (0-based) uses seed + j, so m=1 reproduces a flat
-    ``kmeans_fit`` run at the same seed. Features are clustered as-is unless
-    ``normalize`` is set, which L2-normalizes rows first.
+    ``kmeans_fit`` run at the same seed. Features are clustered as they are.
 
     Args:
         features: n x d training matrix.
@@ -295,8 +294,6 @@ def train_product_codebook(
             "some clusters will be empty",
             stacklevel=2,
         )
-    if normalize:
-        x, _ = normalize_rows(x)
 
     ds = d // m
     return ProductCodebook(np.stack([
@@ -335,15 +332,6 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
             d2 = _subvector_sq_dists(u[start : start + chunk, j : j + 1], cents[j : j + 1])
             codes[start : start + chunk, j] = np.argmin(d2[:, 0], axis=1)
     return codes
-
-
-def reconstruct(codebook: ProductCodebook, code: np.ndarray) -> np.ndarray:
-    """Concatenate the centroids an (M,) code points at; length-d float64 vector."""
-    idx = np.asarray(code, dtype=np.int64)
-    if idx.shape != (codebook.m,):
-        raise LengthMismatchError(f"code has shape {idx.shape}, expected ({codebook.m},)")
-    cents = codebook.stacked()
-    return np.concatenate([cents[j, idx[j]] for j in range(codebook.m)])
 
 
 def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:

@@ -9,14 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingMatrix,
-    export_embeddings,
-    import_embeddings,
-    normalize_rows,
-)
+from .embeddings import EmbeddingMatrix, normalize_rows
 from .encoder import ACT_TANH, QueryEncoder, encoder_init, forward_matrix
-from .errors import BadConfigError, LengthMismatchError
+from .errors import BadConfigError, EmptyRelevantSetError, LengthMismatchError, ShapeMismatchError
 
 SPLIT_ANCHOR = "anchor"
 SPLIT_TRAIN = "train"
@@ -28,21 +23,6 @@ SPLITS = (SPLIT_ANCHOR, SPLIT_TRAIN, SPLIT_QUERY, SPLIT_GALLERY)
 # near-linear regime (the gallery space is genuinely curved) while class
 # structure survives the map.
 ORACLE_GAIN = 2.5
-
-__all__ = [
-    "SPLIT_ANCHOR",
-    "SPLIT_TRAIN",
-    "SPLIT_QUERY",
-    "SPLIT_GALLERY",
-    "SPLITS",
-    "SyntheticDataset",
-    "GalleryOracle",
-    "gen_mixture",
-    "make_oracle",
-    "oracle_encode",
-    "export_embeddings",
-    "import_embeddings",
-]
 
 
 @dataclass(frozen=True)
@@ -62,14 +42,14 @@ class SyntheticDataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         splits = np.asarray(self.splits)
         if raw.ndim != 2 or labels.shape != (raw.shape[0],) or splits.shape != (raw.shape[0],):
-            raise ValueError("raw inputs, labels, and splits must align row-wise")
+            raise ShapeMismatchError("raw inputs, labels, and splits must align row-wise")
         unknown = set(np.unique(splits)) - set(SPLITS)
         if unknown:
-            raise ValueError(f"unknown split tags: {unknown}")
+            raise BadConfigError(f"unknown split tags: {unknown}")
         qg = np.isin(splits, (SPLIT_QUERY, SPLIT_GALLERY))
         for lab in np.unique(labels[splits == SPLIT_QUERY]):
             if np.count_nonzero(qg & (labels == lab)) < 2:
-                raise ValueError(f"class {lab} has < 2 members across query+gallery")
+                raise EmptyRelevantSetError(f"class {lab} has < 2 members across query+gallery")
         for arr in (raw, labels, splits):
             arr.setflags(write=False)
         object.__setattr__(self, "raw_inputs", raw)
@@ -84,10 +64,6 @@ class SyntheticDataset:
 
     def split_labels(self, split: str) -> np.ndarray:
         return self.labels[self._mask(split)]
-
-    @property
-    def d_in(self) -> int:
-        return self.raw_inputs.shape[1]
 
 
 def gen_mixture(
@@ -167,16 +143,15 @@ class GalleryOracle:
         return h.hexdigest()
 
 
-def make_oracle(d_in: int, emb_dim: int, seed: int, hidden: int | None = None) -> GalleryOracle:
-    """Build the frozen gallery oracle: tanh MLP, hidden width 2*d_in by default.
+def make_oracle(d_in: int, emb_dim: int, seed: int) -> GalleryOracle:
+    """Build the frozen gallery oracle: tanh MLP with one hidden layer of width 2*d_in.
 
     Weight matrices are orthogonalized (scaled by ORACLE_GAIN) so the frozen
     map is well conditioned: the curvature comes from the tanh units and the
     output normalization, not from a lopsided random linear map that would
     wash out the class structure the benchmark is meant to probe.
     """
-    width = 2 * d_in if hidden is None else hidden
-    enc = encoder_init(d_in, [width], emb_dim, activation=ACT_TANH, seed=seed)
+    enc = encoder_init(d_in, [2 * d_in], emb_dim, activation=ACT_TANH, seed=seed)
     rng = np.random.default_rng(seed)
     for i, w in enumerate(enc.weights):
         q, _ = np.linalg.qr(rng.normal(size=(max(w.shape), min(w.shape))))

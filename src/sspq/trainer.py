@@ -30,6 +30,10 @@ LOSS_SSP = "ssp"
 LOSS_REGRESSION = "regression"
 LOSS_KINDS = (LOSS_SSP, LOSS_REGRESSION)
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainConfig:
@@ -69,9 +73,6 @@ class AdamState:
     m: list[np.ndarray]
     v: list[np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init_like(cls, params: list[np.ndarray]) -> "AdamState":
@@ -99,16 +100,16 @@ def adam_step(
         if p.shape != g.shape:
             raise ShapeMismatchError(f"grad shape {g.shape} does not match param {p.shape}")
     state.t += 1
-    bc1 = 1.0 - state.beta1**state.t
-    bc2 = 1.0 - state.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if weight_decay:
             p -= lr_t * weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return params
 
 

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
-gradients, a double-loop scan for retrieval, and a per-trial loop for greedy
-k-means++ seeding.
+gradients, a double-loop scan for retrieval, a per-trial loop for greedy
+k-means++ seeding, and scalar per-subvector similarity kernels for the
+batched structure similarities.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from sspq.errors import IndivisibleDimensionError, LengthMismatchError
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -55,12 +58,50 @@ def brute_force_kmeans_objective(x: np.ndarray, k: int) -> float:
     return best
 
 
+def split_subvectors(v: np.ndarray, m: int) -> list[np.ndarray]:
+    """Split a length-d vector into m contiguous subvectors of length d/m.
+
+    Raises:
+        IndivisibleDimensionError: if d is not an exact multiple of m.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    d = v.shape[0]
+    if m < 1 or d % m != 0:
+        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
+    return list(np.split(v, m))
+
+
+def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity a.b / (|a||b| + 1e-12); 0 for zero-norm inputs."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
+    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b)) + 1e-12
+    return float(np.dot(a, b) / denom)
+
+
+def neg_euclid_sim(a: np.ndarray, b: np.ndarray) -> float:
+    """Negative Euclidean distance -|a - b|; 0 iff a == b."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
+    return -float(np.linalg.norm(a - b))
+
+
+def reconstruct(codebook, code) -> np.ndarray:
+    """Concatenate the centroids an (M,) code points at; length-d float64 vector."""
+    idx = np.asarray(code, dtype=np.int64)
+    if idx.shape != (codebook.m,):
+        raise LengthMismatchError(f"code has shape {idx.shape}, expected ({codebook.m},)")
+    cents = codebook.stacked()
+    return np.concatenate([cents[j, idx[j]] for j in range(codebook.m)])
+
+
 def reconstruction_sq_dist(codebook, code, query: np.ndarray) -> float:
     """Exact squared distance between a query and a code's reconstruction."""
-    idx = np.asarray(code, dtype=np.int64)
-    cents = codebook.stacked()
-    recon = np.concatenate([cents[j, idx[j]] for j in range(codebook.m)])
-    diff = np.asarray(query, dtype=np.float64) - recon
+    diff = np.asarray(query, dtype=np.float64) - reconstruct(codebook, code)
     return float(np.dot(diff, diff))
 
 

@@ -2,10 +2,12 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sspq.cli import DEFAULTS, _Dataset, load_config, main
-from sspq.embeddings import import_embeddings
+from sspq.embeddings import EmbeddingMatrix, export_embeddings, import_embeddings, write_labels
+from sspq.encoder import load_checkpoint, save_checkpoint
 from sspq.errors import BadConfigError, FormatError
 from sspq.quantizer import codebook_load, encode_matrix
 
@@ -75,6 +77,13 @@ class TestConfigLoading:
             ("hidden", 64),
             ("pq_m_list", [2, "8"]),
             ("seed", -100),
+            ("weight_decay", -5),
+            ("kmeans_tol", -1),
+            ("pq_m_list", []),
+            ("pq_m_list", [2, 0]),
+            ("normalize_anchors", True),
+            ("lr", float("nan")),
+            ("tau_g", float("inf")),
         ],
     )
     def test_bad_value_fails_with_error_json(self, tmp_path, capsys, key, value):
@@ -275,6 +284,52 @@ class TestTrainQueryAndEval:
         csv_lines = (tmp_path / "run" / "pq_bench.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "m,k,map,code_bytes,mib"
         assert len(csv_lines) == 4
+
+    def test_pq_bench_without_checkpoint_fails_with_error_json(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        capsys.readouterr()
+        assert main(["pq-bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FileNotFoundError"
+        assert not (tmp_path / "run" / "pq_bench.json").exists()
+
+    def test_zero_final_layer_evaluates(self, tmp_path):
+        # Every query embedding is then a degenerate (zero) row.
+        config = tiny_config(tmp_path)
+        for cmd in ("gen", "train-codebook", "train-query"):
+            assert main([cmd, "--config", str(config)]) == 0
+        run = tmp_path / "run"
+        model, extra = load_checkpoint(run / "checkpoint.sspq")
+        model.weights[-1][:] = 0.0
+        model.biases[-1][:] = 0.0
+        save_checkpoint(model, run / "checkpoint.sspq", extra=extra)
+        assert main(["eval", "--pq", "--config", str(config)]) == 0
+        assert main(["pq-bench", "--config", str(config)]) == 0
+        for name in ("eval_asymmetric.json", "eval_asymmetric_pq.json", "pq_bench.json"):
+            assert (run / name).exists()
+
+    @pytest.mark.filterwarnings("error")  # a warning would be a second stderr line
+    def test_empty_query_split_fails_with_error_json(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        for cmd in ("gen", "train-codebook", "train-query"):
+            assert main([cmd, "--config", str(config)]) == 0
+        dataset = tmp_path / "run" / "dataset"
+        manifest = json.loads((dataset / "manifest.json").read_text())
+        query = manifest["splits"]["query"]
+        for kind in ("raw", "emb"):
+            dim = import_embeddings(dataset / query[kind]).dim
+            export_embeddings(EmbeddingMatrix(np.zeros((0, dim))), dataset / query[kind])
+        write_labels(np.zeros(0, dtype=np.int64), dataset / query["labels"])
+        query["rows"] = 0
+        (dataset / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["eval", "--pq", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "EmptyInputError"
+        assert not list((tmp_path / "run").glob("eval_*.json"))
 
     def test_run_leaves_only_artifacts(self, tmp_path):
         # Atomic writes go through sibling temporary files; none may remain.

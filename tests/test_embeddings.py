@@ -3,20 +3,19 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import cosine_sim, neg_euclid_sim, split_subvectors
 from sspq.embeddings import (
     EmbeddingMatrix,
-    cosine_sim,
     export_embeddings,
     import_embeddings,
-    neg_euclid_sim,
     normalize_rows,
     read_labels,
-    split_subvectors,
     write_labels,
 )
 from sspq.errors import (
     FormatError,
     IndivisibleDimensionError,
+    InvariantError,
     LengthMismatchError,
     NonFiniteInputError,
 )
@@ -127,7 +126,7 @@ class TestNegEuclidSim:
 class TestEmbeddingMatrix:
     def test_normalized_flag_validated(self, rng):
         data = rng.normal(size=(4, 3))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvariantError):
             EmbeddingMatrix(data, normalized=True)
         unit = data / np.linalg.norm(data, axis=1, keepdims=True)
         emb = EmbeddingMatrix(unit, normalized=True)
@@ -237,8 +236,14 @@ class TestLabelSidecar:
             b"id,label\n0,1.5\n",
             b"id,label\n0,99999999999999999999\n",
             b"id,label\n0,\xff\n",
+            b"id,label\n0, 5_0\n",
+            b"id,label\n0,1\n+1,-0\n",
+            b"id,label\n0,01\n",
         ],
-        ids=["text-id", "text-label", "float-label", "label-outside-int64", "not-utf8"],
+        ids=[
+            "text-id", "text-label", "float-label", "label-outside-int64", "not-utf8",
+            "spaced-underscored-label", "signed-id-negative-zero-label", "leading-zero-label",
+        ],
     )
     def test_malformed_row_raises(self, tmp_path, blob):
         path = tmp_path / "bad.csv"

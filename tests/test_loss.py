@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, direct_kl, grad_mismatch
-from sspq.embeddings import cosine_sim, neg_euclid_sim, split_subvectors
+from oracles import (
+    central_diff_grad,
+    cosine_sim,
+    direct_kl,
+    grad_mismatch,
+    neg_euclid_sim,
+    split_subvectors,
+)
 from sspq.errors import (
+    BadConfigError,
     LengthMismatchError,
     ShapeMismatchError,
     ZeroTargetProbabilityError,
@@ -205,7 +212,7 @@ class TestSspLossAndGrad:
         assert moved >= 10
 
     def test_tau_q_positive_required(self, tiny_codebook):
-        with pytest.raises(ValueError):
+        with pytest.raises(BadConfigError):
             ssp_loss_and_grad(tiny_codebook, np.ones((1, 4)), np.ones((1, 4)), 0.1, 0.0)
 
 

@@ -3,7 +3,12 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import brute_force_kmeans_objective, greedy_kmeans_pp_init, reconstruction_sq_dist
+from oracles import (
+    brute_force_kmeans_objective,
+    greedy_kmeans_pp_init,
+    reconstruct,
+    reconstruction_sq_dist,
+)
 from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
     EmptyGalleryError,
@@ -13,6 +18,7 @@ from sspq.errors import (
     LengthMismatchError,
     NonFiniteInputError,
     NonPowerOfTwoKError,
+    ShapeMismatchError,
 )
 from sspq.evaluation import adc_search
 from sspq.quantizer import (
@@ -24,7 +30,6 @@ from sspq.quantizer import (
     encode_matrix,
     kmeans_fit,
     pq_memory_bytes,
-    reconstruct,
     train_product_codebook,
 )
 
@@ -153,7 +158,7 @@ class TestProductCodebook:
 
     @pytest.mark.parametrize("shape", [(4, 2), (0, 4, 2), (3, 0, 2), (3, 4, 0)])
     def test_bad_shape_raises(self, shape):
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeMismatchError):
             ProductCodebook(np.zeros(shape))
 
 
