@@ -44,6 +44,7 @@ from .fileio import write_atomic, write_csv_atomic
 from .quantizer import (
     ProductCodebook,
     check_power_of_two_k,
+    check_subspace_count,
     codebook_load,
     codebook_save,
     encode_matrix,
@@ -354,10 +355,12 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     The queries are the train-query checkpoint's embeddings, as in ``eval``.
     """
     check_power_of_two_k(cfg["k"])
-    out = Path(cfg["out_dir"])
-    model, _ = load_checkpoint(out / "checkpoint.sspq")
     dataset = _Dataset(cfg)
     anchors = dataset.embeddings("anchor", "emb")
+    for m in cfg["pq_m_list"]:
+        check_subspace_count(anchors.dim, m)
+    out = Path(cfg["out_dir"])
+    model, _ = load_checkpoint(out / "checkpoint.sspq")
     query_labels = dataset.labels("query")
     gallery_labels = dataset.labels("gallery")
     gal_emb_g = dataset.embeddings("gallery", "emb")

@@ -73,49 +73,34 @@ class EvalReport:
         return [self.mode, f"{self.map_score:.6f}", int(self.per_query_ap.size), self.codebook_id]
 
 
-def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Order each row by ascending key, ties to the lower gallery id.
-
-    Returns:
-        (order, sorted_keys), both shaped like ``keys``.
-    """
-    order = np.argsort(keys, axis=-1, kind="stable")
-    return order, np.take_along_axis(keys, order, axis=-1)
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Gallery ids of each row by ascending key, ties to the lower id."""
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
-def exact_search(
-    queries: EmbeddingMatrix, gallery: EmbeddingMatrix
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank the full gallery for every query by descending cosine similarity.
-
-    Returns:
-        (order, scores): (nq, n) gallery ids in rank order and their cosines.
-    """
+def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
+    """(nq, n) gallery ids of every query, by descending cosine similarity."""
     if queries.dim != gallery.dim:
         raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
     q, _ = normalize_rows(queries.data)
     g, _ = normalize_rows(gallery.data)
-    order, neg_scores = _rank(-(q @ g.T))
-    return order, -neg_scores
+    return _rank(-(q @ g.T))
 
 
 def adc_search(
     queries: EmbeddingMatrix, codes: np.ndarray, codebook: ProductCodebook
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rank encoded gallery items by ascending ADC distance to raw queries.
+) -> np.ndarray:
+    """(nq, n) encoded gallery ids of every query, by ascending ADC distance.
 
     The distance to a code equals the exact squared distance between the
     query and the code's reconstruction.
 
-    Returns:
-        (order, distances): (nq, n) gallery ids in rank order and their
-        squared distances.
-
     Raises:
         EmptyGalleryError: if there are no codes.
         LengthMismatchError: if the query or code shape does not match.
+        InvariantError: if a code is not an integer in [0, K).
     """
     if len(codes) == 0:
         raise EmptyGalleryError("ADC search against an empty gallery")
@@ -182,8 +167,7 @@ def evaluate(
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
     ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
-    order, _ = exact_search(queries, gallery)
-    return _report(order, ql, gl, mode, encoder_id, codebook_id)
+    return _report(exact_search(queries, gallery), ql, gl, mode, encoder_id, codebook_id)
 
 
 def evaluate_pq(
@@ -198,5 +182,5 @@ def evaluate_pq(
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
     ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
-    order, _ = adc_search(queries, gallery_codes, codebook)
+    order = adc_search(queries, gallery_codes, codebook)
     return _report(order, ql, gl, mode, encoder_id, codebook_id)

@@ -23,6 +23,7 @@ from .errors import (
     EmptyInputError,
     FormatError,
     IndivisibleDimensionError,
+    InvariantError,
     LengthMismatchError,
     NonFiniteInputError,
     NonPowerOfTwoKError,
@@ -32,8 +33,9 @@ from .fileio import write_atomic
 
 PQC_MAGIC = b"PQC1"
 
-# Elements in the difference temporary of one distance-kernel call.
-_CHUNK_ELEMENTS = 1 << 22
+# Elements in one distance-kernel difference temporary: 1 MiB, far below the 32 MiB
+# ceiling of glibc's dynamic mmap threshold, so freed chunks are reused, not unmapped.
+_CHUNK_ELEMENTS = 1 << 17
 
 
 def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -286,8 +288,7 @@ def train_product_codebook(
     n, d = x.shape
     if n == 0:
         raise EmptyInputError("cannot train a codebook on zero feature rows")
-    if m < 1 or d % m != 0:
-        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
+    check_subspace_count(d, m)
     if n < k:
         warnings.warn(
             f"training {k} centroids per subspace from only {n} points; "
@@ -312,6 +313,16 @@ def _subvector_sq_dists(u: np.ndarray, cents: np.ndarray) -> np.ndarray:
     return np.einsum("rmkd,rmkd->rmk", diff, diff)
 
 
+def _row_chunk_sq_dists(codebook: ProductCodebook, x: np.ndarray):
+    """Yield each row chunk's slice of an (n, d) matrix and its (rows, M, K) squared distances."""
+    u = x.reshape(x.shape[0], codebook.m, codebook.sub_dim)
+    cents = codebook.stacked()
+    chunk = max(1, _CHUNK_ELEMENTS // cents.size)
+    for start in range(0, x.shape[0], chunk):
+        rows = slice(start, start + chunk)
+        yield rows, _subvector_sq_dists(u[rows], cents)
+
+
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     """Quantize every row of a matrix; returns (n, M) int32 code indices."""
     data = _as_points(x)
@@ -319,18 +330,9 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
         raise LengthMismatchError(
             f"matrix dim {data.shape[1]} does not match codebook dim {codebook.dim}"
         )
-    n = data.shape[0]
-    u = data.reshape(n, codebook.m, codebook.sub_dim)
-    cents = codebook.stacked()
-    codes = np.empty((n, codebook.m), dtype=np.int32)
-    # Exact squared distances so ties resolve to the lowest index. One
-    # subspace at a time, in row chunks, bounds the (rows, 1, K, d*)
-    # difference temporary; a whole (rows, M, K) table encodes more slowly.
-    chunk = max(1, _CHUNK_ELEMENTS // cents[0].size)
-    for j in range(codebook.m):
-        for start in range(0, n, chunk):
-            d2 = _subvector_sq_dists(u[start : start + chunk, j : j + 1], cents[j : j + 1])
-            codes[start : start + chunk, j] = np.argmin(d2[:, 0], axis=1)
+    codes = np.empty((data.shape[0], codebook.m), dtype=np.int32)
+    for rows, d2 in _row_chunk_sq_dists(codebook, data):
+        codes[rows] = np.argmin(d2, axis=2)  # the row's ADC table; ties to the lowest index
     return codes
 
 
@@ -339,13 +341,9 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != codebook.dim:
         raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
-    u = q.reshape(q.shape[0], codebook.m, codebook.sub_dim)
-    cents = codebook.stacked()
     table = np.empty((q.shape[0], codebook.m, codebook.k))
-    # Query chunks bound the (rows, M, K, d*) difference temporary.
-    chunk = max(1, _CHUNK_ELEMENTS // cents.size)
-    for start in range(0, q.shape[0], chunk):
-        table[start : start + chunk] = _subvector_sq_dists(u[start : start + chunk], cents)
+    for rows, d2 in _row_chunk_sq_dists(codebook, q):
+        table[rows] = d2
     return table
 
 
@@ -353,16 +351,29 @@ def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) 
     """Approximate squared distances to every (n, M) code via table lookup.
 
     Returns (n,) for one (d,) query and (nq, n) for (nq, d) queries.
+
+    Raises:
+        LengthMismatchError: if the codes are not (n, M) or the query is not d long.
+        InvariantError: if a code is not an integer in [0, K).
     """
     codes = np.asarray(codes)
     if codes.ndim != 2 or codes.shape[1] != codebook.m:
         raise LengthMismatchError(f"codes have shape {codes.shape}, expected (n, {codebook.m})")
+    integer = np.issubdtype(codes.dtype, np.integer)
+    if not (integer and (codes.size == 0 or 0 <= codes.min() <= codes.max() < codebook.k)):
+        raise InvariantError(f"codes must be integers in [0, {codebook.k})")
     query = np.asarray(query, dtype=np.float64)
     table = adc_table(codebook, np.atleast_2d(query))
     scores = np.zeros((table.shape[0], codes.shape[0]), dtype=np.float64)
     for j in range(codebook.m):
         scores += table[:, j, codes[:, j]]
     return scores[0] if query.ndim == 1 else scores
+
+
+def check_subspace_count(d: int, m: int) -> None:
+    """Raises IndivisibleDimensionError unless m >= 1 splits d into equal blocks."""
+    if m < 1 or d % m != 0:
+        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
 
 
 def check_power_of_two_k(k: int) -> None:

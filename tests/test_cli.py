@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sspq.cli
 from sspq.cli import DEFAULTS, _Dataset, load_config, main
 from sspq.embeddings import EmbeddingMatrix, export_embeddings, import_embeddings, write_labels
 from sspq.encoder import load_checkpoint, save_checkpoint
@@ -161,19 +162,29 @@ class TestTrainCodebook:
                          "codebook.pqc", id="train-codebook-kmeans-iters-0"),
             pytest.param("train-codebook", ["--seed", "-100"], "BadConfigError", "codebook.pqc",
                          id="train-codebook-seed--100"),
+            pytest.param("pq-bench", ["--m-list", "2", "4", "3"], "IndivisibleDimensionError",
+                         "pq_bench.json", id="pq-bench-m-list-2-4-3"),
         ],
     )
     def test_non_power_of_two_k_fails_before_writing(
-        self, tmp_path, capsys, command, flags, error, artifact
+        self, tmp_path, capsys, monkeypatch, command, flags, error, artifact
     ):
         config = tiny_config(tmp_path)
         main(["gen", "--config", str(config)])
         capsys.readouterr()
+        trained = []
+        train = sspq.cli.train_product_codebook
+        monkeypatch.setattr(
+            sspq.cli, "train_product_codebook", lambda *a, **kw: trained.append(1) or train(*a, **kw)
+        )
         assert main([command, "--config", str(config), *flags]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == error
         assert not (tmp_path / "run" / artifact).exists()
+        if command == "pq-bench":
+            # The sweep checks every M before it trains any codebook.
+            assert len(trained) == 0
 
     def test_non_finite_anchors_fail_with_error_json(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

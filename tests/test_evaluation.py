@@ -16,7 +16,7 @@ from sspq.evaluation import (
     evaluate_pq,
     exact_search,
 )
-from sspq.quantizer import encode_matrix, train_product_codebook
+from sspq.quantizer import adc_scores, encode_matrix, train_product_codebook
 from sspq.synth import gen_mixture, make_oracle, oracle_encode
 
 
@@ -28,21 +28,22 @@ class TestExactSearch:
     def test_self_match_at_rank_one(self, rng):
         gallery = unit_rows(rng, 10, 6)
         queries = EmbeddingMatrix(gallery.data[3:4], normalized=True)
-        order, scores = exact_search(queries, gallery)
+        order = exact_search(queries, gallery)
         assert order[0, 0] == 3
-        assert scores[0, 0] == pytest.approx(1.0, abs=1e-12)
+        cosines = normalize_rows(queries.data)[0] @ normalize_rows(gallery.data)[0].T
+        assert cosines[0, order[0, 0]] == pytest.approx(1.0, abs=1e-12)
 
     def test_single_item_gallery(self, rng):
         gallery = unit_rows(rng, 1, 4)
         queries = unit_rows(rng, 5, 4)
-        order, _ = exact_search(queries, gallery)
+        order = exact_search(queries, gallery)
         for row in order:
             assert row.tolist() == [0]
 
     def test_matches_double_loop_oracle(self, rng):
         queries = unit_rows(rng, 6, 5)
         gallery = unit_rows(rng, 30, 5)
-        got = exact_search(queries, gallery)[0].tolist()
+        got = exact_search(queries, gallery).tolist()
         assert got == double_loop_search(queries.data, gallery.data)
 
     def test_dim_mismatch(self, rng):
@@ -64,17 +65,36 @@ class TestTies:
         cb = train_product_codebook(base, m=4, k=4, seed=0)
         codes = encode_matrix(cb, gallery)
         np.testing.assert_array_equal(codes, encode_matrix(cb, base)[dup])
+        cosines = normalize_rows(queries.data)[0] @ normalize_rows(gallery.data)[0].T
         for order, scores, sign in (
-            (*exact_search(queries, gallery), -1.0),
-            (*adc_search(queries, codes, cb), 1.0),
+            (exact_search(queries, gallery), cosines, -1.0),
+            (adc_search(queries, codes, cb), adc_scores(cb, codes, queries.data), 1.0),
         ):
             for q in range(4):
-                by_id = np.empty(12)
-                by_id[order[q]] = scores[q]
+                by_id = scores[q]
                 # Copies of one row tie exactly, so only the id orders them.
                 for copy in range(5):
                     assert np.unique(by_id[dup == copy]).size == 1
                 expected = sorted(range(12), key=lambda i: (sign * by_id[i], i))
+                assert order[q].tolist() == expected
+
+    def test_row_where_most_items_tie(self, rng):
+        # 200 copies of one row among 6 distinct rows, shuffled: nearly the
+        # whole ranking is one run of equal scores ordered by id alone.
+        base = normalize_rows(rng.normal(size=(7, 8)))[0]
+        dup = rng.permutation(np.r_[np.zeros(200, dtype=int), np.arange(1, 7)])
+        gallery = EmbeddingMatrix(base[dup], normalized=True)
+        queries = unit_rows(rng, 3, 8)
+        cb = train_product_codebook(base, m=4, k=4, seed=1)
+        codes = encode_matrix(cb, gallery)
+        cosines = normalize_rows(queries.data)[0] @ normalize_rows(gallery.data)[0].T
+        for order, scores, sign in (
+            (exact_search(queries, gallery), cosines, -1.0),
+            (adc_search(queries, codes, cb), adc_scores(cb, codes, queries.data), 1.0),
+        ):
+            for q in range(3):
+                assert np.unique(scores[q]).size <= 7
+                expected = sorted(range(206), key=lambda i: (sign * scores[q, i], i))
                 assert order[q].tolist() == expected
 
 

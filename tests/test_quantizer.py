@@ -15,16 +15,19 @@ from sspq.errors import (
     EmptyInputError,
     FormatError,
     IndivisibleDimensionError,
+    InvariantError,
     LengthMismatchError,
     NonFiniteInputError,
     NonPowerOfTwoKError,
     ShapeMismatchError,
 )
-from sspq.evaluation import adc_search
+from sspq.evaluation import adc_search, evaluate_pq
 from sspq.quantizer import (
+    _CHUNK_ELEMENTS,
     ProductCodebook,
     _kmeans_pp_init,
     adc_scores,
+    adc_table,
     codebook_load,
     codebook_save,
     encode_matrix,
@@ -244,6 +247,29 @@ class TestEncode:
         with pytest.raises(LengthMismatchError):
             encode_matrix(tiny_codebook, np.zeros(3)[None])
 
+    def test_encode_and_adc_table_across_row_chunks(self, rng):
+        # K=256 and d=64 at M=8 split rows into several chunks; the row count
+        # leaves a partial last chunk. Each odd centroid repeats the even one
+        # before it, so every code is a tie that must go to the even index.
+        m, k, ds = 8, 256, 8
+        chunk = _CHUNK_ELEMENTS // (m * k * ds)
+        assert chunk > 1
+        n = 3 * chunk + chunk // 2 + 1
+        cents = rng.normal(size=(m, k // 2, ds)).repeat(2, axis=1)
+        cb = ProductCodebook(cents)
+        x = rng.normal(size=(n, m * ds))
+        codes = encode_matrix(cb, x)
+        table = adc_table(cb, x)
+        assert codes.shape == (n, m) and table.shape == (n, m, k)
+        np.testing.assert_array_equal(codes, np.argmin(table, axis=2))
+        assert np.all(codes % 2 == 0)
+        u = x.reshape(n, m, ds)
+        for i in range(n):
+            np.testing.assert_array_equal(codes[i], encode_matrix(cb, x[i : i + 1])[0])
+            np.testing.assert_array_equal(table[i], adc_table(cb, x[i : i + 1])[0])
+            explicit = ((cb.stacked() - u[i][:, None, :]) ** 2).sum(axis=2)
+            np.testing.assert_allclose(table[i], explicit, rtol=1e-12, atol=1e-12)
+
 
 class TestAdcSearch:
     def test_exact_reconstruction_at_rank_one(self, rng):
@@ -251,8 +277,9 @@ class TestAdcSearch:
         cb = train_product_codebook(feats, m=4, k=4, seed=2)
         codes = encode_matrix(cb, feats)
         query = reconstruct(cb, codes[7])
-        order, dists = adc_search(EmbeddingMatrix(query[None]), codes, cb)
-        top_index, top_dist = order[0, 0], dists[0, 0]
+        order = adc_search(EmbeddingMatrix(query[None]), codes, cb)
+        top_index = order[0, 0]
+        top_dist = adc_scores(cb, codes, query)[top_index]
         assert top_dist == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_array_equal(reconstruct(cb, codes[top_index]), query)
 
@@ -285,7 +312,7 @@ class TestAdcSearch:
         cb = train_product_codebook(feats, m=3, k=4, seed=6)
         codes = encode_matrix(cb, feats)
         query = rng.normal(size=6)
-        order, _ = adc_search(EmbeddingMatrix(query[None]), codes, cb)
+        order = adc_search(EmbeddingMatrix(query[None]), codes, cb)
         explicit = sorted(
             range(40), key=lambda i: (reconstruction_sq_dist(cb, codes[i], query), i)
         )
@@ -295,6 +322,16 @@ class TestAdcSearch:
         with pytest.raises(EmptyGalleryError):
             adc_search(EmbeddingMatrix(np.zeros((1, 4))), np.empty((0, 2), dtype=np.int64),
                        tiny_codebook)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 0.5], ids=["negative", "k", "fraction"])
+    def test_codes_outside_zero_to_k_are_rejected(self, tiny_codebook, bad):
+        codes = np.array([[0, 1], [1, 0]])
+        codes = codes.astype(type(bad))
+        codes[1, 1] = bad
+        with pytest.raises(InvariantError):
+            adc_scores(tiny_codebook, codes, np.zeros(4))
+        with pytest.raises(InvariantError):
+            evaluate_pq(EmbeddingMatrix(np.zeros((1, 4))), codes, tiny_codebook, [0], [0, 0])
 
 
 class TestPqMemoryBytes:
