@@ -3,8 +3,11 @@
 Symmetric runs embed queries and gallery with the same model; asymmetric runs
 pair the trainable query encoder with the frozen gallery side. Relevance is
 label match. Both searches score a batch of queries against the whole gallery
-as one (nq, n) matrix and rank every row with the same stable sort, so score
-ties go to the lower gallery id and results are independent of storage order.
+as one (nq, n) matrix and rank every row the same way: NumPy's default sort,
+then one re-sort by gallery id of only the positions whose scores tie. The
+order equals a stable sort's, so score ties go to the lower gallery id and
+results are independent of storage order. A NaN or an infinity in a score
+raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import (
     EmptyRelevantSetError,
     InvariantError,
     MissingLabelsError,
+    NonFiniteInputError,
     ShapeMismatchError,
 )
 from .quantizer import ProductCodebook, adc_scores
@@ -74,8 +78,32 @@ class EvalReport:
 
 
 def _rank(keys: np.ndarray) -> np.ndarray:
-    """Gallery ids of each row by ascending key, ties to the lower id."""
-    return np.argsort(keys, axis=-1, kind="stable")
+    """Gallery ids of each (nq, n) row by ascending key, ties to the lower id.
+
+    The default argsort orders a run of equal keys arbitrarily, so the ids
+    of every run are re-sorted in place, all runs with one ``lexsort`` by
+    (run, id). The result equals ``np.argsort(keys, axis=-1, kind="stable")``.
+
+    Raises:
+        NonFiniteInputError: if a key is a NaN or an infinity.
+    """
+    if not np.isfinite(keys).all():
+        raise NonFiniteInputError("a search score is a NaN or an infinity")
+    order = np.argsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    tied = ranked[:, 1:] == ranked[:, :-1]  # rank p holds the key of rank p + 1
+    if tied.any():
+        # A run is a maximal stretch of equal keys; a rank not tied to the
+        # one before it starts a new run.
+        in_run = np.zeros(order.shape, dtype=bool)
+        in_run[:, 1:] = tied
+        starts = ~in_run
+        in_run[:, :-1] |= tied
+        pos = np.flatnonzero(in_run)
+        run = np.cumsum(starts.ravel()[pos])
+        ids = np.take(order, pos)
+        np.put(order, pos, ids[np.lexsort((ids, run))])
+    return order
 
 
 def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
@@ -84,8 +112,10 @@ def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarr
         raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
-    q, _ = normalize_rows(queries.data)
-    g, _ = normalize_rows(gallery.data)
+    # A row holding an infinity normalizes to NaN, which `_rank` rejects.
+    with np.errstate(invalid="ignore"):
+        q, _ = normalize_rows(queries.data)
+        g, _ = normalize_rows(gallery.data)
     return _rank(-(q @ g.T))
 
 
@@ -112,6 +142,11 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
 
     AP = (1/|relevant|) * sum over relevant hits of precision-at-their-rank.
 
+    Precision is taken only at the hits: the i-th hit (0-based) at rank r
+    contributes (i+1)/(r+1). A running sum adds them in rank order, so the
+    result has the bits of a running sum over every rank, whose non-hit
+    terms are exact zeros.
+
     Raises:
         EmptyRelevantSetError: if a row has no relevant item.
     """
@@ -120,9 +155,13 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     if np.any(n_relevant == 0):
         row = int(np.flatnonzero(n_relevant == 0)[0])
         raise EmptyRelevantSetError(f"query {row} has no relevant gallery items")
-    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
-    # A running sum adds the hits in rank order; its last entry is the total.
-    return np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1] / n_relevant
+    rows, ranks = np.nonzero(hits)
+    first = np.cumsum(n_relevant) - n_relevant
+    nth = np.arange(ranks.size) - np.repeat(first, n_relevant)
+    # Each row's precisions, padded with trailing zeros to the longest row.
+    precision = np.zeros((hits.shape[0], n_relevant.max(initial=1)))
+    precision[rows, nth] = (nth + 1) / (ranks + 1)
+    return np.cumsum(precision, axis=-1)[:, -1] / n_relevant
 
 
 def _report(

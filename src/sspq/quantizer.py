@@ -324,13 +324,26 @@ def _row_chunk_sq_dists(codebook: ProductCodebook, x: np.ndarray):
 
 
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """Quantize every row of a matrix; returns (n, M) int32 code indices."""
+    """Quantize every row of a matrix into (n, M) code indices.
+
+    The codes are uint8 when K <= 256, one byte per subspace, and int32
+    otherwise.
+
+    Raises:
+        LengthMismatchError: if the row length is not the codebook's d.
+        NonFiniteInputError: if a row holds a NaN or an infinity.
+    """
     data = _as_points(x)
     if data.shape[1] != codebook.dim:
         raise LengthMismatchError(
             f"matrix dim {data.shape[1]} does not match codebook dim {codebook.dim}"
         )
-    codes = np.empty((data.shape[0], codebook.m), dtype=np.int32)
+    # A NaN or an infinity makes the sum non-finite. Summing needs no (n, d)
+    # temporary, so the elementwise test runs only when the sum is not finite.
+    if not np.isfinite(data.sum()) and not np.isfinite(data).all():
+        raise NonFiniteInputError("a row to encode holds a NaN or an infinity")
+    dtype = np.uint8 if codebook.k <= 256 else np.int32
+    codes = np.empty((data.shape[0], codebook.m), dtype=dtype)
     for rows, d2 in _row_chunk_sq_dists(codebook, data):
         codes[rows] = np.argmin(d2, axis=2)  # the row's ADC table; ties to the lowest index
     return codes
@@ -366,7 +379,7 @@ def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) 
     table = adc_table(codebook, np.atleast_2d(query))
     scores = np.zeros((table.shape[0], codes.shape[0]), dtype=np.float64)
     for j in range(codebook.m):
-        scores += table[:, j, codes[:, j]]
+        scores += np.take(table[:, j], codes[:, j], axis=1)
     return scores[0] if query.ndim == 1 else scores
 
 

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
 gradients, a double-loop scan for retrieval, a per-trial loop for greedy
-k-means++ seeding, and scalar per-subvector similarity kernels for the
-batched structure similarities.
+k-means++ seeding, scalar per-subvector similarity kernels for the
+batched structure similarities, and a running sum over every rank for
+average precision.
 """
 
 from __future__ import annotations
@@ -116,6 +117,16 @@ def double_loop_search(queries: np.ndarray, gallery: np.ndarray) -> list[list[in
         scores.sort()
         out.append([gid for _, gid in scores])
     return out
+
+
+def full_width_average_precision(hits: np.ndarray) -> np.ndarray:
+    """Per-query AP as a running sum of precision over every rank of the (nq, n) mask.
+
+    Non-hit ranks add an exact 0.0; the last entry of the sum is the total.
+    """
+    hits = np.asarray(hits, dtype=bool)
+    precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
+    return np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1] / hits.sum(axis=-1)
 
 
 def direct_kl(p: np.ndarray, q: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import double_loop_search
+from oracles import double_loop_search, full_width_average_precision
 from sspq.embeddings import EmbeddingMatrix, normalize_rows
 from sspq.errors import (
     EmptyGalleryError,
     EmptyRelevantSetError,
     MissingLabelsError,
+    NonFiniteInputError,
     ShapeMismatchError,
 )
 from sspq.evaluation import (
@@ -98,6 +99,43 @@ class TestTies:
                 assert order[q].tolist() == expected
 
 
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+class TestNonFiniteScores:
+    @NON_FINITE
+    def test_query(self, rng, bad):
+        gallery = unit_rows(rng, 20, 8)
+        cb = train_product_codebook(gallery, m=4, k=4, seed=0)
+        codes = encode_matrix(cb, gallery)
+        data = unit_rows(rng, 3, 8).data.copy()
+        data[1, 5] = bad
+        queries = EmbeddingMatrix(data)
+        ql, gl = np.zeros(3), np.arange(20) % 2
+        with pytest.raises(NonFiniteInputError):
+            exact_search(queries, gallery)
+        with pytest.raises(NonFiniteInputError):
+            evaluate(queries, gallery, ql, gl)
+        with pytest.raises(NonFiniteInputError):
+            adc_search(queries, codes, cb)
+        with pytest.raises(NonFiniteInputError):
+            evaluate_pq(queries, codes, cb, ql, gl)
+
+    @NON_FINITE
+    def test_gallery_row(self, rng, bad):
+        data = unit_rows(rng, 20, 8).data.copy()
+        cb = train_product_codebook(data, m=4, k=4, seed=0)
+        data[7, 2] = bad
+        gallery = EmbeddingMatrix(data)
+        queries = unit_rows(rng, 3, 8)
+        with pytest.raises(NonFiniteInputError):
+            exact_search(queries, gallery)
+        with pytest.raises(NonFiniteInputError):
+            evaluate(queries, gallery, np.zeros(3), np.arange(20) % 2)
+        with pytest.raises(NonFiniteInputError):
+            encode_matrix(cb, gallery)
+
+
 def hit_mask(ids, relevant):
     """Relevance of each ranked id, as the one-query (1, n) array AP takes."""
     return np.isin(np.asarray(ids), list(relevant))[None, :]
@@ -135,6 +173,17 @@ class TestAveragePrecision:
                 assert top == relevant
             if top == relevant:
                 assert ap == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_full_width_running_sum_bit_for_bit(self, rng):
+        # Rows of one batch hold from one relevant item to nearly all of them,
+        # so the per-row precisions are padded to different lengths.
+        for _ in range(50):
+            nq, n = int(rng.integers(1, 9)), int(rng.integers(1, 400))
+            hits = rng.random((nq, n)) < rng.random((nq, 1))
+            hits[np.arange(nq), rng.integers(n, size=nq)] = True
+            got = average_precision(hits)
+            assert got.shape == (nq,)
+            assert (got == full_width_average_precision(hits)).all()
 
 
 class TestEvaluate:

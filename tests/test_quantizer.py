@@ -247,6 +247,32 @@ class TestEncode:
         with pytest.raises(LengthMismatchError):
             encode_matrix(tiny_codebook, np.zeros(3)[None])
 
+    @pytest.mark.parametrize("k, dtype", [(2, np.uint8), (16, np.uint8), (256, np.uint8),
+                                          (512, np.int32)])
+    def test_code_dtype_follows_k(self, rng, k, dtype):
+        m, ds = 2, 3
+        cb = ProductCodebook(rng.normal(size=(m, k, ds)))
+        x = rng.normal(size=(40, m * ds))
+        codes = encode_matrix(cb, x)
+        assert codes.dtype == dtype
+        d2 = ((x.reshape(40, m, 1, ds) - cb.stacked()) ** 2).sum(axis=3)
+        expected = np.argmin(d2, axis=2).astype(np.int64)
+        np.testing.assert_array_equal(codes.astype(np.int64), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_row_raises(self, tiny_codebook, bad):
+        x = np.zeros((3, 4))
+        x[2, 1] = bad
+        with pytest.raises(NonFiniteInputError):
+            encode_matrix(tiny_codebook, x)
+
+    def test_finite_rows_whose_sum_overflows_encode(self, tiny_codebook):
+        # The sum of these rows is inf, but every value is finite.
+        x = np.full((3, 4), 1e308)
+        with np.errstate(over="ignore"):
+            codes = encode_matrix(tiny_codebook, x)
+        assert codes.shape == (3, 2)
+
     def test_encode_and_adc_table_across_row_chunks(self, rng):
         # K=256 and d=64 at M=8 split rows into several chunks; the row count
         # leaves a partial last chunk. Each odd centroid repeats the even one
@@ -306,6 +332,15 @@ class TestAdcSearch:
             one = adc_scores(cb, codes, queries[i])
             assert one.shape == (60,)
             np.testing.assert_array_equal(batch[i], one)
+
+    def test_scores_identical_across_code_dtypes(self, rng):
+        cb = ProductCodebook(rng.normal(size=(4, 256, 2)))
+        codes = encode_matrix(cb, rng.normal(size=(70, 8)))
+        assert codes.dtype == np.uint8
+        queries = rng.normal(size=(3, 8))
+        base = adc_scores(cb, codes, queries)
+        for dtype in (np.int32, np.int64):
+            np.testing.assert_array_equal(adc_scores(cb, codes.astype(dtype), queries), base)
 
     def test_full_ordering_matches_reconstruction(self, rng):
         feats = rng.normal(size=(40, 6))
