@@ -38,14 +38,13 @@ from .quantizer import (
     codebook_save,
     encode_matrix,
     kmeans_fit,
-    pq_memory_bytes,
+    memory_report,
     train_product_codebook,
 )
-from .synth import GalleryOracle, SyntheticDataset, gen_mixture, make_oracle, oracle_encode
+from .synth import gen_mixture, make_oracle, oracle_encode
 from .trainer import (
     AdamState,
     TrainConfig,
-    TrainReport,
     adam_step,
     linear_lr,
     train_query_model,

@@ -18,6 +18,8 @@ import hashlib
 import json
 import math
 import sys
+import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +106,11 @@ def _sha12(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
+def _params_sha256(enc) -> str:
+    """Hex SHA-256 of an encoder's parameter bytes, in parameters() order."""
+    return hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
+
+
 def load_config(path: str | Path | None, overrides: dict) -> dict:
     """Merge defaults, an optional JSON config file, and CLI overrides."""
     cfg = dict(DEFAULTS)
@@ -112,6 +119,8 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
             loaded = json.loads(Path(path).read_text())
         except (OSError, ValueError) as exc:
             raise BadConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise BadConfigError(f"config {path} must hold a JSON object, not {type(loaded).__name__}")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise BadConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -156,7 +165,7 @@ def cmd_gen(cfg: dict) -> dict:
     """Generate the benchmark: raw splits, cached oracle embeddings, manifest."""
     out = _dataset_dir(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    dataset = gen_mixture(
+    splits = gen_mixture(
         num_classes=cfg["num_classes"],
         per_class=cfg["per_class"],
         d_in=cfg["d_in"],
@@ -167,10 +176,9 @@ def cmd_gen(cfg: dict) -> dict:
     )
     oracle = make_oracle(cfg["d_in"], cfg["emb_dim"], seed=cfg["seed"] + SEED_ORACLE)
 
-    manifest = {"seed": cfg["seed"], "config": cfg, "oracle_checksum": oracle.checksum(), "splits": {}}
+    manifest = {"seed": cfg["seed"], "config": cfg, "oracle_checksum": _params_sha256(oracle), "splits": {}}
     for split in SPLITS:
-        raw = dataset.inputs(split)
-        labels = dataset.split_labels(split)
+        raw, labels = splits[split]
         emb = oracle_encode(oracle, raw)
         raw_file = out / f"{split}_raw.emb"
         emb_file = out / f"{split}_emb.emb"
@@ -299,12 +307,14 @@ def cmd_train_query(cfg: dict) -> dict:
     )
     if train_cfg.tau_g == 0:
         print("note: tau_g=0 selects hard (one-hot) anchor assignments", file=sys.stderr)
-    model, report = train_query_model(enc, gallery_emb, raw.data, codebook, train_cfg)
+    start = time.perf_counter()
+    model, epoch_means = train_query_model(enc, gallery_emb, raw.data, codebook, train_cfg)
+    wall_seconds = time.perf_counter() - start
     save_checkpoint(model, out / "checkpoint.sspq", extra={"config": cfg})
     # Timing is printed, not persisted: artifacts must be byte-identical
     # across reruns with the same config and seed.
-    print(f"trained {cfg['epochs']} epochs in {report.wall_seconds:.1f}s", file=sys.stderr)
-    result = report.to_dict()
+    print(f"trained {cfg['epochs']} epochs in {wall_seconds:.1f}s", file=sys.stderr)
+    result = {"epoch_mean_loss": epoch_means, "final_loss": epoch_means[-1], "config": asdict(train_cfg)}
     _write_json(result, out / "train_report.json")
     return result
 
@@ -313,7 +323,7 @@ def cmd_eval(cfg: dict) -> dict:
     """Emit symmetric-gallery, symmetric-query, and asymmetric mAP reports."""
     out = Path(cfg["out_dir"])
     model, _ = load_checkpoint(out / "checkpoint.sspq")
-    encoder_id = _sha12(b"".join(p.tobytes() for p in model.parameters()))
+    encoder_id = _params_sha256(model)[:12]
 
     dataset = _Dataset(cfg)
     query_labels = dataset.labels("query")

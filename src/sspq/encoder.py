@@ -79,10 +79,6 @@ class QueryEncoder:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    @property
-    def num_params(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
-
     def parameters(self) -> list[np.ndarray]:
         """Flat parameter list in update order: W0, b0, W1, b1, ..."""
         out = []

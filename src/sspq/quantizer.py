@@ -245,11 +245,6 @@ class ProductCodebook:
     def dim(self) -> int:
         return self.m * self.sub_dim
 
-    @property
-    def anchor_count(self) -> int:
-        """Number of implicit anchor points, K^M (exact integer)."""
-        return self.k**self.m
-
     def stacked(self) -> np.ndarray:
         """All centroids as one (M, K, d*) float64 array."""
         return self._centroids
@@ -399,20 +394,16 @@ def check_power_of_two_k(k: int) -> None:
         raise NonPowerOfTwoKError(f"k must be a power of two, got {k}")
 
 
-def pq_memory_bytes(n: int, m: int, k: int) -> float:
-    """Storage for n PQ codes: n * m * log2(k) / 8 bytes (codes only).
+def memory_report(n: int, m: int, k: int) -> dict:
+    """Storage for n PQ codes as a JSON-ready dict: ``code_bytes`` is
+    n * m * log2(k) / 8 (codes only), ``mib`` the same in MiB.
 
     Raises:
         NonPowerOfTwoKError: if k is not a power of two.
     """
     check_power_of_two_k(k)
     bits_per_code = m * k.bit_length() - m  # m * log2(k)
-    return n * bits_per_code / 8
-
-
-def memory_report(n: int, m: int, k: int) -> dict:
-    """Code-storage accounting as a JSON-ready dict."""
-    code_bytes = pq_memory_bytes(n, m, k)
+    code_bytes = n * bits_per_code / 8
     return {
         "n": n,
         "m": m,

@@ -9,8 +9,7 @@ a linear learning-rate decay to zero.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -122,31 +121,13 @@ def linear_lr(step: int, total_steps: int, lr0: float) -> float:
     return lr0 * (1.0 - step / total_steps)
 
 
-@dataclass
-class TrainReport:
-    """Per-epoch mean losses plus run metadata."""
-
-    epoch_mean_loss: list[float]
-    final_loss: float
-    wall_seconds: float
-    config: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        """The deterministic fields; ``wall_seconds`` is left out."""
-        return {
-            "epoch_mean_loss": self.epoch_mean_loss,
-            "final_loss": self.final_loss,
-            "config": self.config,
-        }
-
-
 def train_query_model(
     enc: QueryEncoder,
     gallery_embeddings: EmbeddingMatrix,
     raw_inputs: np.ndarray,
     codebook: ProductCodebook,
     cfg: TrainConfig,
-) -> tuple[QueryEncoder, TrainReport]:
+) -> tuple[QueryEncoder, list[float]]:
     """Optimize a copy of the encoder against frozen gallery embeddings.
 
     Each epoch shuffles the sample order with a generator seeded from
@@ -156,7 +137,7 @@ def train_query_model(
     gallery embeddings are never mutated.
 
     Returns:
-        (trained encoder, report with one mean loss per epoch).
+        (trained encoder, mean loss of each epoch).
     """
     raw = np.asarray(raw_inputs, dtype=np.float64)
     if raw.ndim != 2:
@@ -176,7 +157,6 @@ def train_query_model(
     if raw.shape[1] != enc.input_dim:
         raise ShapeMismatchError(f"raw input dim {raw.shape[1]} != encoder input {enc.input_dim}")
 
-    start = time.perf_counter()
     model = enc.copy()
     params = model.parameters()
     adam = AdamState.init_like(params)
@@ -207,11 +187,4 @@ def train_query_model(
             adam_step(adam, params, grads, lr_t, cfg.weight_decay)
             global_step += 1
         epoch_means.append(loss_sum / n)
-
-    report = TrainReport(
-        epoch_mean_loss=epoch_means,
-        final_loss=epoch_means[-1],
-        wall_seconds=time.perf_counter() - start,
-        config=asdict(cfg),
-    )
-    return model, report
+    return model, epoch_means

@@ -36,11 +36,11 @@ from sspq.quantizer import (
     adc_scores,
     encode_matrix,
     kmeans_fit,
-    pq_memory_bytes,
+    memory_report,
     train_product_codebook,
 )
 from sspq.synth import gen_mixture, make_oracle, oracle_encode
-from sspq.trainer import TrainConfig, TrainReport, train_query_model
+from sspq.trainer import TrainConfig, train_query_model
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:
@@ -56,7 +56,7 @@ def criterion(num: int, ok: bool, detail: str) -> None:
 @dataclass
 class Bench:
     seed: int
-    dataset: object
+    dataset: dict
     anchors: EmbeddingMatrix
     train_emb: EmbeddingMatrix
     query_emb_g: EmbeddingMatrix
@@ -67,7 +67,7 @@ class Bench:
 
     def encode_with(self, model: QueryEncoder, split: str) -> EmbeddingMatrix:
         return EmbeddingMatrix(
-            forward_matrix(model, self.dataset.inputs(split)), normalized=True
+            forward_matrix(model, self.dataset[split][0]), normalized=True
         )
 
 
@@ -85,12 +85,12 @@ def build_bench(seed: int) -> Bench:
     return Bench(
         seed=seed,
         dataset=ds,
-        anchors=oracle_encode(oracle, ds.inputs("anchor")),
-        train_emb=oracle_encode(oracle, ds.inputs("train")),
-        query_emb_g=oracle_encode(oracle, ds.inputs("query")),
-        gallery_emb_g=oracle_encode(oracle, ds.inputs("gallery")),
-        query_labels=ds.split_labels("query"),
-        gallery_labels=ds.split_labels("gallery"),
+        anchors=oracle_encode(oracle, ds["anchor"][0]),
+        train_emb=oracle_encode(oracle, ds["train"][0]),
+        query_emb_g=oracle_encode(oracle, ds["query"][0]),
+        gallery_emb_g=oracle_encode(oracle, ds["gallery"][0]),
+        query_labels=ds["query"][1],
+        gallery_labels=ds["gallery"][1],
         encoder_seed=seed + 40,
     )
 
@@ -105,10 +105,10 @@ def fresh_encoder(bench: Bench) -> QueryEncoder:
     )
 
 
-def train_on(bench: Bench, codebook, loss_kind: str = "ssp") -> tuple[QueryEncoder, TrainReport]:
+def train_on(bench: Bench, codebook, loss_kind: str = "ssp") -> tuple[QueryEncoder, list[float]]:
     cfg = TrainConfig(seed=bench.seed + 50, loss_kind=loss_kind)
     return train_query_model(
-        fresh_encoder(bench), bench.train_emb, bench.dataset.inputs("train"), codebook, cfg
+        fresh_encoder(bench), bench.train_emb, bench.dataset["train"][0], codebook, cfg
     )
 
 
@@ -148,8 +148,8 @@ def regression0(bench0, codebooks0):
 
 
 def test_criterion_1_pq_memory_arithmetic():
-    got32 = pq_memory_bytes(1_005_994, 32, 256)
-    got64 = pq_memory_bytes(1_005_994, 64, 256)
+    got32 = memory_report(1_005_994, 32, 256)["code_bytes"]
+    got64 = memory_report(1_005_994, 64, 256)["code_bytes"]
     mib32 = round(got32 / (1024 * 1024), 2)
     mib64 = round(got64 / (1024 * 1024), 2)
     ok = got32 == 32_191_808 and mib32 == 30.70 and mib64 == 61.40
@@ -295,15 +295,15 @@ def test_training_loss_halves_by_final_epoch(bench0, codebooks0, trained0, regre
     # divergence, ~14.4 nats here, because cosine similarities are bounded),
     # so the halving is asserted on the excess above that floor; the
     # regression objective can reach zero and is asserted literally.
-    _, reg_report = regression0
-    assert reg_report.epoch_mean_loss[-1] < 0.5 * reg_report.epoch_mean_loss[0]
+    _, reg_losses = regression0
+    assert reg_losses[-1] < 0.5 * reg_losses[0]
 
     codebook = codebooks0[DEFAULTS["m"]]
-    _, report = trained0[DEFAULTS["m"]]
+    _, epoch_means = trained0[DEFAULTS["m"]]
     train = bench0.train_emb.data
     losses, _ = ssp_loss_and_grad(codebook, train, train.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])
     floor = float(np.mean(losses))
-    assert report.epoch_mean_loss[-1] - floor < 0.5 * (report.epoch_mean_loss[0] - floor)
+    assert epoch_means[-1] - floor < 0.5 * (epoch_means[0] - floor)
 
 
 def test_criterion_7_subspace_ablation_trend(bench0, codebooks0, trained0):

@@ -95,6 +95,20 @@ class TestConfigLoading:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "BadConfigError"
 
+    @pytest.mark.parametrize(
+        "text", ["5", "null", "true", '[["lr", 1]]', '["lr"]', '"abc"'],
+        ids=["int", "null", "bool", "pairs", "list", "string"],
+    )
+    def test_non_object_top_level_fails_with_error_json(self, tmp_path, monkeypatch, capsys, text):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["gen", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestGen:
     def test_manifest_lists_four_splits(self, tmp_path):

@@ -190,9 +190,9 @@ class TestEvaluate:
     def test_zero_std_symmetric_map_is_one(self):
         ds = gen_mixture(6, 5, 8, 0.0, seed=1, anchor_count=8)
         oracle = make_oracle(8, 12, seed=2)
-        q = oracle_encode(oracle, ds.inputs("query"))
-        g = oracle_encode(oracle, ds.inputs("gallery"))
-        report = evaluate(q, g, ds.split_labels("query"), ds.split_labels("gallery"),
+        q = oracle_encode(oracle, ds["query"][0])
+        g = oracle_encode(oracle, ds["gallery"][0])
+        report = evaluate(q, g, ds["query"][1], ds["gallery"][1],
                           mode="symmetric_gallery")
         assert report.map_score == pytest.approx(1.0)
         assert report.mode == "symmetric_gallery"
@@ -212,9 +212,9 @@ class TestEvaluate:
     def test_asymmetric_equals_symmetric_when_encoders_match(self):
         ds = gen_mixture(5, 6, 8, 0.1, seed=3, anchor_count=8)
         oracle = make_oracle(8, 12, seed=4)
-        q = oracle_encode(oracle, ds.inputs("query"))
-        g = oracle_encode(oracle, ds.inputs("gallery"))
-        ql, gl = ds.split_labels("query"), ds.split_labels("gallery")
+        q = oracle_encode(oracle, ds["query"][0])
+        g = oracle_encode(oracle, ds["gallery"][0])
+        ql, gl = ds["query"][1], ds["gallery"][1]
         sym = evaluate(q, g, ql, gl, mode="symmetric_gallery")
         asym = evaluate(q, g, ql, gl, mode="asymmetric")
         np.testing.assert_array_equal(sym.per_query_ap, asym.per_query_ap)
@@ -248,9 +248,9 @@ class TestEvaluatePq:
         # own centroid, so ADC ranking equals the exact ranking.
         ds = gen_mixture(4, 4, 6, 0.1, seed=5, anchor_count=8)
         oracle = make_oracle(6, 8, seed=6)
-        g = oracle_encode(oracle, ds.inputs("gallery"))
-        q = oracle_encode(oracle, ds.inputs("query"))
-        ql, gl = ds.split_labels("query"), ds.split_labels("gallery")
+        g = oracle_encode(oracle, ds["gallery"][0])
+        q = oracle_encode(oracle, ds["query"][0])
+        ql, gl = ds["query"][1], ds["gallery"][1]
         with pytest.warns(UserWarning):  # K > gallery rows, deliberately
             cb = train_product_codebook(g, m=8, k=16, seed=7)
         codes = encode_matrix(cb, g)
@@ -269,10 +269,10 @@ class TestEvaluatePq:
     def test_finer_codebooks_do_not_hurt(self):
         ds = gen_mixture(8, 6, 16, 0.1, seed=8, anchor_count=512)
         oracle = make_oracle(16, 16, seed=9)
-        anchors = oracle_encode(oracle, ds.inputs("anchor"))
-        g = oracle_encode(oracle, ds.inputs("gallery"))
-        q = oracle_encode(oracle, ds.inputs("query"))
-        ql, gl = ds.split_labels("query"), ds.split_labels("gallery")
+        anchors = oracle_encode(oracle, ds["anchor"][0])
+        g = oracle_encode(oracle, ds["gallery"][0])
+        q = oracle_encode(oracle, ds["query"][0])
+        ql, gl = ds["query"][1], ds["gallery"][1]
         maps = []
         for m in (2, 8, 16):
             cb = train_product_codebook(anchors, m=m, k=32, seed=10)

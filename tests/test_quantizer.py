@@ -32,7 +32,7 @@ from sspq.quantizer import (
     codebook_save,
     encode_matrix,
     kmeans_fit,
-    pq_memory_bytes,
+    memory_report,
     train_product_codebook,
 )
 
@@ -175,14 +175,14 @@ class TestTrainProductCodebook:
 
     def test_anchor_counts(self, rng):
         cb = train_product_codebook(rng.normal(size=(8, 4)), m=2, k=2, seed=0)
-        assert cb.anchor_count == 4
+        assert cb.k**cb.m == 4
 
     def test_large_anchor_count_exact(self):
         # K^M stays an exact integer even when it far exceeds float range.
         rng = np.random.default_rng(0)
         with pytest.warns(UserWarning):
             cb = train_product_codebook(rng.normal(size=(4, 32)), m=32, k=256, seed=0)
-        assert cb.anchor_count == 256**32
+        assert cb.k**cb.m == 256**32
 
     def test_indivisible_dimension(self, rng):
         with pytest.raises(IndivisibleDimensionError):
@@ -371,19 +371,19 @@ class TestAdcSearch:
 
 class TestPqMemoryBytes:
     def test_one_million_gallery_32_subspaces(self):
-        got = pq_memory_bytes(1_005_994, 32, 256)
+        got = memory_report(1_005_994, 32, 256)["code_bytes"]
         assert got == 32_191_808
         assert round(got / (1024 * 1024), 2) == 30.70
 
     def test_one_million_gallery_64_subspaces(self):
-        assert round(pq_memory_bytes(1_005_994, 64, 256) / (1024 * 1024), 2) == 61.40
+        assert round(memory_report(1_005_994, 64, 256)["code_bytes"] / (1024 * 1024), 2) == 61.40
 
     def test_single_vector(self):
-        assert pq_memory_bytes(1, 8, 256) == 8
+        assert memory_report(1, 8, 256)["code_bytes"] == 8
 
     def test_non_power_of_two_raises(self):
         with pytest.raises(NonPowerOfTwoKError):
-            pq_memory_bytes(10, 4, 100)
+            memory_report(10, 4, 100)
 
 
 class TestCodebookFile:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sspq.cli import _params_sha256
 from sspq.errors import BadConfigError, LengthMismatchError
 from sspq.evaluation import evaluate
 from sspq.synth import (
@@ -14,32 +15,37 @@ from sspq.synth import (
 class TestGenMixture:
     def test_counts(self):
         ds = gen_mixture(10, 20, 8, 0.1, seed=0, anchor_count=50, train_per_class=5)
-        assert ds.inputs("query").shape == (10, 8)
-        assert ds.inputs("gallery").shape == (190, 8)
-        assert ds.inputs("query").shape[0] + ds.inputs("gallery").shape[0] == 200
-        assert ds.inputs("train").shape == (50, 8)
-        assert ds.inputs("anchor").shape == (50, 8)
+        assert ds["query"][0].shape == (10, 8)
+        assert ds["gallery"][0].shape == (190, 8)
+        assert ds["query"][0].shape[0] + ds["gallery"][0].shape[0] == 200
+        assert ds["train"][0].shape == (50, 8)
+        assert ds["anchor"][0].shape == (50, 8)
 
     def test_zero_std_gives_perfect_symmetric_map(self):
         ds = gen_mixture(5, 4, 6, 0.0, seed=1, anchor_count=10)
         oracle = make_oracle(6, 8, seed=2)
-        q = oracle_encode(oracle, ds.inputs("query"))
-        g = oracle_encode(oracle, ds.inputs("gallery"))
-        report = evaluate(q, g, ds.split_labels("query"), ds.split_labels("gallery"))
+        q = oracle_encode(oracle, ds["query"][0])
+        g = oracle_encode(oracle, ds["gallery"][0])
+        report = evaluate(q, g, ds["query"][1], ds["gallery"][1])
         assert report.map_score == pytest.approx(1.0)
 
     def test_deterministic(self):
         a = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16)
         b = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16)
-        assert a.raw_inputs.tobytes() == b.raw_inputs.tobytes()
-        assert a.labels.tobytes() == b.labels.tobytes()
-        assert (a.splits == b.splits).all()
+        assert list(a) == list(b) == list(SPLITS)
+        for split in SPLITS:
+            assert a[split][0].tobytes() == b[split][0].tobytes()
+            assert a[split][1].tobytes() == b[split][1].tobytes()
 
     def test_splits_disjoint_and_exhaustive(self):
         ds = gen_mixture(4, 6, 5, 0.1, seed=4, anchor_count=20, train_per_class=3)
-        total = sum(ds.inputs(s).shape[0] for s in SPLITS)
-        assert total == ds.raw_inputs.shape[0]
-        counts = {s: np.count_nonzero(ds.splits == s) for s in SPLITS}
+        assert sorted(ds) == sorted(SPLITS)
+        for raw, labels in ds.values():
+            assert raw.shape == (labels.shape[0], 5)
+            assert labels.dtype == np.int64
+        total = sum(raw.shape[0] for raw, _ in ds.values())
+        assert total == 4 * 6 + 12 + 20
+        counts = {s: ds[s][0].shape[0] for s in SPLITS}
         assert counts["query"] == 4
         assert counts["gallery"] == 4 * 5
         assert counts["train"] == 12
@@ -47,7 +53,7 @@ class TestGenMixture:
 
     def test_one_query_per_class(self):
         ds = gen_mixture(6, 4, 5, 0.1, seed=5, anchor_count=8)
-        labels = ds.split_labels("query")
+        labels = ds["query"][1]
         assert sorted(labels.tolist()) == list(range(6))
 
     def test_bad_config(self):
@@ -59,7 +65,7 @@ class TestGenMixture:
     def test_class_means_on_unit_sphere(self):
         ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8)
         for c in range(8):
-            member = ds.inputs("gallery")[ds.split_labels("gallery") == c][0]
+            member = ds["gallery"][0][ds["gallery"][1] == c][0]
             assert np.linalg.norm(member) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -78,17 +84,20 @@ class TestGalleryOracle:
 
     def test_checksum_stable_and_frozen(self):
         oracle = make_oracle(4, 6, seed=9)
-        before = oracle.checksum()
+        before = _params_sha256(oracle)
         oracle_encode(oracle, np.random.default_rng(0).normal(size=(10, 4)))
-        assert oracle.checksum() == before
+        assert _params_sha256(oracle) == before
         with pytest.raises(ValueError):
-            oracle.encoder.weights[0][0, 0] = 1.0
+            oracle.weights[0][0, 0] = 1.0
+        for p in oracle.parameters():
+            with pytest.raises(ValueError):
+                p.flat[0] = 1.0
 
     def test_same_class_more_similar_than_cross_class(self):
         ds = gen_mixture(12, 6, 16, 0.05, seed=10, anchor_count=8)
         oracle = make_oracle(16, 24, seed=11)
-        emb = oracle_encode(oracle, ds.inputs("gallery")).data
-        labels = ds.split_labels("gallery")
+        emb = oracle_encode(oracle, ds["gallery"][0]).data
+        labels = ds["gallery"][1]
         rng = np.random.default_rng(12)
         wins = 0
         trials = 400

@@ -89,8 +89,8 @@ class TestTrainQueryModel:
     def test_loss_descends_across_epochs(self):
         raw, gallery, codebook, enc = small_problem(seed=1, n=64)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=5)
-        _, report = train_query_model(enc, gallery, raw, codebook, cfg)
-        assert report.epoch_mean_loss[1] < report.epoch_mean_loss[0]
+        _, epoch_means = train_query_model(enc, gallery, raw, codebook, cfg)
+        assert epoch_means[1] < epoch_means[0]
 
     def test_regression_realizable_target_converges(self):
         rng = np.random.default_rng(7)
@@ -107,15 +107,15 @@ class TestTrainQueryModel:
             weight_decay=0.0,
             seed=5,
         )
-        _, report = train_query_model(enc, gallery, raw, codebook, cfg)
-        assert report.final_loss < 1e-3
+        _, epoch_means = train_query_model(enc, gallery, raw, codebook, cfg)
+        assert epoch_means[-1] < 1e-3
 
     def test_bit_identical_reports(self):
         raw, gallery, codebook, enc = small_problem(seed=2)
         cfg = TrainConfig(epochs=2, batch_size=8, seed=9)
-        model_a, rep_a = train_query_model(enc, gallery, raw, codebook, cfg)
-        model_b, rep_b = train_query_model(enc, gallery, raw, codebook, cfg)
-        assert rep_a.epoch_mean_loss == rep_b.epoch_mean_loss
+        model_a, losses_a = train_query_model(enc, gallery, raw, codebook, cfg)
+        model_b, losses_b = train_query_model(enc, gallery, raw, codebook, cfg)
+        assert losses_a == losses_b
         for pa, pb in zip(model_a.parameters(), model_b.parameters()):
             assert pa.tobytes() == pb.tobytes()
 
@@ -140,7 +140,7 @@ class TestTrainQueryModel:
         # dLoss/d(params) through encoder forward + SSP loss vs. finite differences.
         rng = np.random.default_rng(11)
         raw, gallery, codebook, enc = small_problem(seed=11, n=10)
-        assert enc.num_params <= 300
+        assert sum(p.size for p in enc.parameters()) <= 300
         for sample in range(10):
             x = raw[sample : sample + 1]
             g_emb = gallery.data[sample : sample + 1]
