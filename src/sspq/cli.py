@@ -32,17 +32,11 @@ from .embeddings import (
     read_labels,
     write_labels,
 )
-from .encoder import ACTIVATIONS, encoder_init, forward_matrix, load_checkpoint, save_checkpoint
+from .encoder import encoder_init, forward_matrix, load_checkpoint, save_checkpoint
 from .errors import BadConfigError, FormatError, SspqError
-from .evaluation import (
-    MODE_ASYMMETRIC,
-    MODE_ASYMMETRIC_PQ,
-    MODE_SYMMETRIC_GALLERY,
-    MODE_SYMMETRIC_QUERY,
-    evaluate,
-    evaluate_pq,
-)
+from .evaluation import evaluate, evaluate_pq
 from .fileio import write_atomic, write_csv_atomic
+from .loss import SIMILARITY_KINDS
 from .quantizer import (
     ProductCodebook,
     check_power_of_two_k,
@@ -54,7 +48,7 @@ from .quantizer import (
     train_product_codebook,
 )
 from .synth import SPLITS, gen_mixture, make_oracle, oracle_encode
-from .trainer import TrainConfig, train_query_model
+from .trainer import LOSS_KINDS, TrainConfig, train_query_model
 
 SEED_DATASET = 10
 SEED_ORACLE = 20
@@ -76,11 +70,8 @@ DEFAULTS: dict = {
     # codebook
     "m": 8,
     "k": 256,
-    "kmeans_iters": 50,
-    "kmeans_tol": 1e-4,
     # query model
     "hidden": [64],
-    "activation": "tanh",
     "tau_g": 0.1,
     "tau_q": 1.0,
     "lr": 1e-3,
@@ -93,9 +84,6 @@ DEFAULTS: dict = {
     "eval_pq": False,
     "pq_m_list": [2, 8, 32],
 }
-
-_LOSS_NAMES = {"ssp": "ssp", "reg": "regression"}
-_SIM_NAMES = {"cosine": "cosine", "l2": "neg_euclidean"}
 
 
 def _write_json(obj, path: Path) -> None:
@@ -133,10 +121,10 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
             )
         if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
             raise BadConfigError(f"config {key}={cfg[key]!r} must be finite")
-    for key, allowed in (("activation", ACTIVATIONS), ("loss", _LOSS_NAMES), ("sim", _SIM_NAMES)):
+    for key, allowed in (("loss", LOSS_KINDS), ("sim", SIMILARITY_KINDS)):
         if cfg[key] not in allowed:
             raise BadConfigError(f"config {key}={cfg[key]!r} is not one of {sorted(allowed)}")
-    for key in ("seed", "weight_decay", "kmeans_tol"):
+    for key in ("seed", "weight_decay"):
         if cfg[key] < 0:
             raise BadConfigError(f"config {key}={cfg[key]!r} must be >= 0")
     if not cfg["pq_m_list"] or min(cfg["pq_m_list"]) < 1:
@@ -234,10 +222,7 @@ class _Dataset:
 
 
 def _train_codebook(cfg: dict, anchors: EmbeddingMatrix, m: int) -> ProductCodebook:
-    return train_product_codebook(
-        anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK,
-        max_iters=cfg["kmeans_iters"], rel_tol=cfg["kmeans_tol"],
-    )
+    return train_product_codebook(anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK)
 
 
 def cmd_train_codebook(cfg: dict) -> dict:
@@ -287,13 +272,7 @@ def cmd_train_query(cfg: dict) -> dict:
     gallery_emb = dataset.embeddings("train", "emb")
     # Geometry comes from the generated dataset, not the current config, so
     # later stages cannot drift from what gen actually wrote.
-    enc = encoder_init(
-        raw.dim,
-        list(cfg["hidden"]),
-        gallery_emb.dim,
-        activation=cfg["activation"],
-        seed=cfg["seed"] + SEED_ENCODER,
-    )
+    enc = encoder_init(raw.dim, list(cfg["hidden"]), gallery_emb.dim, seed=cfg["seed"] + SEED_ENCODER)
     train_cfg = TrainConfig(
         tau_g=cfg["tau_g"],
         tau_q=cfg["tau_q"],
@@ -301,8 +280,8 @@ def cmd_train_query(cfg: dict) -> dict:
         epochs=cfg["epochs"],
         batch_size=cfg["batch_size"],
         seed=cfg["seed"] + SEED_SHUFFLE,
-        loss_kind=_LOSS_NAMES[cfg["loss"]],
-        similarity_kind=_SIM_NAMES[cfg["sim"]],
+        loss_kind=cfg["loss"],
+        similarity_kind=cfg["sim"],
         weight_decay=cfg["weight_decay"],
     )
     if train_cfg.tau_g == 0:
@@ -333,30 +312,34 @@ def cmd_eval(cfg: dict) -> dict:
     query_emb_q = dataset.encode(model, "query")
     gal_emb_q = dataset.encode(model, "gallery")
 
+    # (mode, encoder id, codebook id, report); the oracle is the gallery side.
     reports = [
-        evaluate(query_emb_g, gal_emb_g, query_labels, gallery_labels,
-                 mode=MODE_SYMMETRIC_GALLERY, encoder_id="oracle"),
-        evaluate(query_emb_q, gal_emb_q, query_labels, gallery_labels,
-                 mode=MODE_SYMMETRIC_QUERY, encoder_id=encoder_id),
-        evaluate(query_emb_q, gal_emb_g, query_labels, gallery_labels,
-                 mode=MODE_ASYMMETRIC, encoder_id=encoder_id),
+        ("symmetric_gallery", "oracle", "",
+         evaluate(query_emb_g, gal_emb_g, query_labels, gallery_labels)),
+        ("symmetric_query", encoder_id, "",
+         evaluate(query_emb_q, gal_emb_q, query_labels, gallery_labels)),
+        ("asymmetric", encoder_id, "",
+         evaluate(query_emb_q, gal_emb_g, query_labels, gallery_labels)),
     ]
     if cfg["eval_pq"]:
         codebook = codebook_load(out / "codebook.pqc")
         codebook_id = _sha12((out / "codebook.pqc").read_bytes())
         codes = encode_matrix(codebook, gal_emb_g)
-        reports.append(
-            evaluate_pq(query_emb_q, codes, codebook, query_labels, gallery_labels,
-                        mode=MODE_ASYMMETRIC_PQ, encoder_id=encoder_id, codebook_id=codebook_id)
-        )
+        reports.append(("asymmetric_pq", encoder_id, codebook_id,
+                        evaluate_pq(query_emb_q, codes, codebook, query_labels, gallery_labels)))
         _write_json(memory_report(gal_emb_g.rows, codebook.m, codebook.k), out / "memory.json")
 
     rows = [["mode", "map", "n_queries", "codebook_id"]]
-    for report in reports:
-        _write_json(report.to_dict(), out / f"eval_{report.mode}.json")
-        rows.append(report.to_csv_row())
+    for mode, enc_id, cb_id, report in reports:
+        aps = report.per_query_ap
+        _write_json(
+            {"mode": mode, "map": report.map_score, "n_queries": aps.size,
+             "per_query_ap": aps.tolist(), "encoder_id": enc_id, "codebook_id": cb_id},
+            out / f"eval_{mode}.json",
+        )
+        rows.append([mode, f"{report.map_score:.6f}", aps.size, cb_id])
     write_csv_atomic(out / "eval_summary.csv", rows)
-    return {r.mode: r.map_score for r in reports}
+    return {mode: report.map_score for mode, *_, report in reports}
 
 
 def cmd_pq_bench(cfg: dict) -> list[dict]:
@@ -376,7 +359,7 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     gal_emb_g = dataset.embeddings("gallery", "emb")
     queries = dataset.encode(model, "query")
 
-    exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels, mode=MODE_ASYMMETRIC)
+    exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels)
     results = [{"m": None, "k": None, "map": exact.map_score, "code_bytes": None, "mib": None}]
     for m in cfg["pq_m_list"]:
         codebook = _train_codebook(cfg, anchors, m)
@@ -420,12 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_cb)
     p_cb.add_argument("--m", type=int, help="number of subspaces")
     p_cb.add_argument("--k", type=int, help="centroids per subspace")
-    p_cb.add_argument("--kmeans-iters", dest="kmeans_iters", type=int)
 
     p_tq = sub.add_parser("train-query", help="train the query encoder")
     add_common(p_tq)
-    p_tq.add_argument("--loss", choices=sorted(_LOSS_NAMES))
-    p_tq.add_argument("--sim", choices=sorted(_SIM_NAMES))
+    p_tq.add_argument("--loss", choices=sorted(LOSS_KINDS))
+    p_tq.add_argument("--sim", choices=sorted(SIMILARITY_KINDS))
     p_tq.add_argument("--tau-g", dest="tau_g", type=float)
     p_tq.add_argument("--tau-q", dest="tau_q", type=float)
     p_tq.add_argument("--lr", type=float)

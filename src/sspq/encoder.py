@@ -1,9 +1,9 @@
-"""Trainable query encoder: a small MLP with L2-normalized output.
+"""Trainable query encoder: a small tanh MLP with L2-normalized output.
 
 Forward and backward passes take a batch of rows, (B, d_in); a single
 input is a batch of one. The forward pass caches every intermediate needed
 for exact backpropagation, and gradients flow through the final
-normalization, the activations, and the affine layers, summed over the
+normalization, the tanh units, and the affine layers, summed over the
 batch. Checkpoints use the ``SSPQ`` container format.
 """
 
@@ -17,7 +17,6 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
-    BadConfigError,
     BadDimensionError,
     FormatError,
     LengthMismatchError,
@@ -26,46 +25,31 @@ from .errors import (
 )
 from .fileio import write_atomic
 
-ACT_TANH = "tanh"
-ACT_RELU = "relu"
-ACT_IDENTITY = "identity"
-ACTIVATIONS = (ACT_TANH, ACT_RELU, ACT_IDENTITY)
+ACT_TANH = "tanh"  # the hidden activation, as checkpoint headers name it
 
 CHECKPOINT_MAGIC = b"SSPQ"
-
-
-def _activate(a: np.ndarray, kind: str) -> np.ndarray:
-    if kind == ACT_TANH:
-        return np.tanh(a)
-    if kind == ACT_RELU:
-        return np.maximum(a, 0.0)
-    return a
-
-
-def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    """Activation derivative, from the activation output h = act(a)."""
-    if kind == ACT_TANH:
-        return 1.0 - h * h
-    if kind == ACT_RELU:
-        return (h > 0).astype(np.float64)
-    return np.ones_like(h)
 
 
 class QueryEncoder:
     """MLP mapping raw input vectors to unit-norm embeddings.
 
-    Hidden layers apply the chosen activation; the final layer is affine and
-    its output is L2-normalized.
+    Hidden layers apply tanh; the final layer is affine and its output is
+    L2-normalized.
+
+    Raises:
+        ShapeMismatchError: unless each pair of adjacent layer sizes has one
+            weight matrix and one bias of its shape.
     """
 
-    def __init__(self, layer_sizes: list[int], activation: str,
-                 weights: list[np.ndarray], biases: list[np.ndarray]):
-        if activation not in ACTIVATIONS:
-            raise BadConfigError(f"unknown activation {activation!r}")
+    def __init__(self, layer_sizes: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
         self.layer_sizes = list(layer_sizes)
-        self.activation = activation
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        if not len(self.weights) == len(self.biases) == len(self.layer_sizes) - 1:
+            raise ShapeMismatchError(
+                f"{len(self.weights)} weights and {len(self.biases)} biases "
+                f"for {len(self.layer_sizes)} layer sizes"
+            )
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             out_d, in_d = layer_sizes[i + 1], layer_sizes[i]
             if w.shape != (out_d, in_d) or b.shape != (out_d,):
@@ -90,7 +74,6 @@ class QueryEncoder:
     def copy(self) -> "QueryEncoder":
         return QueryEncoder(
             self.layer_sizes,
-            self.activation,
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
         )
@@ -100,7 +83,6 @@ def encoder_init(
     d_in: int,
     hidden: list[int],
     d_out: int,
-    activation: str = ACT_TANH,
     seed: int = 0,
 ) -> QueryEncoder:
     """Build an encoder with symmetric uniform fan-in-scaled weights.
@@ -120,7 +102,7 @@ def encoder_init(
         bound = 1.0 / np.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return QueryEncoder(sizes, activation, weights, biases)
+    return QueryEncoder(sizes, weights, biases)
 
 
 def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -145,7 +127,7 @@ def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]
         inputs.append(h)
         h = h @ w.T + b
         if i != last:
-            h = _activate(h, enc.activation)
+            h = np.tanh(h)
     y, degenerate = normalize_rows(h)
     return y, {"inputs": inputs, "z": h, "y": y, "degenerate": degenerate}
 
@@ -172,8 +154,9 @@ def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list
     last = len(enc.weights) - 1
     for i in range(last, -1, -1):
         if i != last:
-            # inputs[i + 1] is the activation output of layer i
-            delta = delta * _activate_grad(inputs[i + 1], enc.activation)
+            # inputs[i + 1] is the tanh output h of layer i, and tanh' = 1 - h^2
+            h = inputs[i + 1]
+            delta = delta * (1.0 - h * h)
         grads.append(delta.sum(axis=0))  # db_i
         grads.append(delta.T @ inputs[i])  # dW_i
         if i > 0:
@@ -202,7 +185,7 @@ def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = No
         raise NonFiniteInputError(f"{path}: a parameter holds a NaN or an infinity")
     header = {
         "layer_sizes": enc.layer_sizes,
-        "activation": enc.activation,
+        "activation": ACT_TANH,
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -216,7 +199,7 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
 
     Raises:
         FormatError: on bad magic, a header that is not a JSON object with a
-            known activation and at least two integer layer sizes >= 1,
+            tanh activation and at least two integer layer sizes >= 1,
             truncated blocks, or a non-finite parameter.
     """
     raw = Path(path).read_bytes()
@@ -239,8 +222,8 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         and all(type(s) is int and s >= 1 for s in sizes)
     ):
         raise FormatError(f"{path}: layer_sizes must be two or more integers >= 1, got {sizes!r}")
-    if activation not in ACTIVATIONS:
-        raise FormatError(f"{path}: unknown activation {activation!r}")
+    if activation != ACT_TANH:
+        raise FormatError(f"{path}: activation {activation!r} is not {ACT_TANH!r}")
 
     offset = 8 + header_len
     weights, biases = [], []
@@ -261,4 +244,4 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
     if not all(np.isfinite(p).all() for p in (*weights, *biases)):
         raise FormatError(f"{path}: a parameter holds a NaN or an infinity")
-    return QueryEncoder(sizes, activation, weights, biases), header.get("extra", {})
+    return QueryEncoder(sizes, weights, biases), header.get("extra", {})

@@ -12,7 +12,7 @@ raises ``NonFiniteInputError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,53 +28,31 @@ from .errors import (
 )
 from .quantizer import ProductCodebook, adc_scores
 
-MODE_SYMMETRIC_GALLERY = "symmetric_gallery"
-MODE_SYMMETRIC_QUERY = "symmetric_query"
-MODE_ASYMMETRIC = "asymmetric"
-MODE_ASYMMETRIC_PQ = "asymmetric_pq"
-
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-query APs and their mean for one retrieval mode.
+    """Per-query APs, read-only, and their mean, the mAP.
 
     Raises:
         ShapeMismatchError: if the APs are not a 1-D array.
         EmptyInputError: if there are no queries.
-        InvariantError: if an AP lies outside [0, 1] or the mAP is not their mean.
+        InvariantError: if an AP lies outside [0, 1].
     """
 
-    mode: str
     per_query_ap: np.ndarray
-    map_score: float
-    encoder_id: str = ""
-    codebook_id: str = ""
+    map_score: float = field(init=False)
 
     def __post_init__(self) -> None:
         aps = np.asarray(self.per_query_ap, dtype=np.float64)
         if aps.ndim != 1:
             raise ShapeMismatchError(f"per-query APs must be 1-D, got shape {aps.shape}")
         if aps.size == 0:
-            raise EmptyInputError(f"{self.mode}: no queries to score")
+            raise EmptyInputError("no queries to score")
         if np.min(aps) < 0 or np.max(aps) > 1:
             raise InvariantError("APs must lie in [0, 1]")
-        if abs(self.map_score - float(aps.mean())) > 1e-12:
-            raise InvariantError("mAP must equal the mean of per-query APs")
         aps.setflags(write=False)
         object.__setattr__(self, "per_query_ap", aps)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "map": self.map_score,
-            "n_queries": int(self.per_query_ap.size),
-            "per_query_ap": [float(a) for a in self.per_query_ap],
-            "encoder_id": self.encoder_id,
-            "codebook_id": self.codebook_id,
-        }
-
-    def to_csv_row(self) -> list:
-        return [self.mode, f"{self.map_score:.6f}", int(self.per_query_ap.size), self.codebook_id]
+        object.__setattr__(self, "map_score", float(aps.mean()))
 
 
 def _rank(keys: np.ndarray) -> np.ndarray:
@@ -164,22 +142,8 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     return np.cumsum(precision, axis=-1)[:, -1] / n_relevant
 
 
-def _report(
-    order: np.ndarray,
-    query_labels: np.ndarray,
-    gallery_labels: np.ndarray,
-    mode: str,
-    encoder_id: str,
-    codebook_id: str,
-) -> EvalReport:
-    aps = average_precision(gallery_labels[order] == query_labels[:, None])
-    return EvalReport(
-        mode=mode,
-        per_query_ap=aps,
-        map_score=float(aps.mean()),
-        encoder_id=encoder_id,
-        codebook_id=codebook_id,
-    )
+def _report(order: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray) -> EvalReport:
+    return EvalReport(average_precision(gallery_labels[order] == query_labels[:, None]))
 
 
 def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
@@ -200,13 +164,10 @@ def evaluate(
     gallery: EmbeddingMatrix,
     query_labels,
     gallery_labels,
-    mode: str = MODE_ASYMMETRIC,
-    encoder_id: str = "",
-    codebook_id: str = "",
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
     ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
-    return _report(exact_search(queries, gallery), ql, gl, mode, encoder_id, codebook_id)
+    return _report(exact_search(queries, gallery), ql, gl)
 
 
 def evaluate_pq(
@@ -215,11 +176,7 @@ def evaluate_pq(
     codebook: ProductCodebook,
     query_labels,
     gallery_labels,
-    mode: str = MODE_ASYMMETRIC_PQ,
-    encoder_id: str = "",
-    codebook_id: str = "",
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
     ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
-    order = adc_search(queries, gallery_codes, codebook)
-    return _report(order, ql, gl, mode, encoder_id, codebook_id)
+    return _report(adc_search(queries, gallery_codes, codebook), ql, gl)

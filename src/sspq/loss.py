@@ -23,7 +23,7 @@ from .errors import (
 from .quantizer import ProductCodebook, adc_table
 
 SIM_COSINE = "cosine"
-SIM_NEG_EUCLIDEAN = "neg_euclidean"
+SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
 

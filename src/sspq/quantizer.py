@@ -33,6 +33,9 @@ from .fileio import write_atomic
 
 PQC_MAGIC = b"PQC1"
 
+# Lloyd stops once an iteration lowers the objective by less than this share.
+KMEANS_REL_TOL = 1e-4
+
 # Elements in one distance-kernel difference temporary: 1 MiB, far below the 32 MiB
 # ceiling of glibc's dynamic mmap threshold, so freed chunks are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
@@ -134,7 +137,6 @@ def kmeans_fit(
     k: int,
     seed: int,
     max_iters: int = 50,
-    rel_tol: float = 1e-4,
 ) -> KMeansResult:
     """Lloyd's algorithm from a k-means++ start, deterministic given seed.
 
@@ -142,7 +144,7 @@ def kmeans_fit(
     from its centroid (ties to the lowest point index); with the objective
     measured after each centroid update this keeps the objective sequence
     non-increasing. Stops at ``max_iters`` or when the relative objective
-    decrease falls below ``rel_tol``.
+    decrease falls below ``KMEANS_REL_TOL``.
 
     Raises:
         EmptyInputError: if there are no points.
@@ -158,7 +160,7 @@ def kmeans_fit(
     if k < 1:
         raise BadConfigError(f"k must be >= 1, got {k}")
     if max_iters < 1:
-        raise BadConfigError(f"kmeans_iters must be >= 1, got {max_iters}")
+        raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
 
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(x, k, rng)
@@ -196,7 +198,7 @@ def kmeans_fit(
         objective = float(np.einsum("nd,nd->", diff, diff))
         history.append(objective)
 
-        if math.isfinite(prev) and (prev - objective) <= rel_tol * max(prev, 1e-300):
+        if math.isfinite(prev) and (prev - objective) <= KMEANS_REL_TOL * max(prev, 1e-300):
             break
         if objective == 0.0:
             break
@@ -259,8 +261,6 @@ def train_product_codebook(
     m: int,
     k: int,
     seed: int,
-    max_iters: int = 50,
-    rel_tol: float = 1e-4,
 ) -> ProductCodebook:
     """Train one sub-codebook per subspace with seeded k-means.
 
@@ -277,7 +277,7 @@ def train_product_codebook(
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
         NonFiniteInputError: if a feature holds a NaN or an infinity.
-        BadConfigError: if ``k`` or ``max_iters`` is below 1.
+        BadConfigError: if ``k`` is below 1.
     """
     x = _as_points(features)
     n, d = x.shape
@@ -293,7 +293,7 @@ def train_product_codebook(
 
     ds = d // m
     return ProductCodebook(np.stack([
-        kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j, max_iters, rel_tol).centroids
+        kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j).centroids
         for j in range(m)
     ]))
 

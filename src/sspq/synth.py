@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import EmbeddingMatrix, normalize_rows
-from .encoder import ACT_TANH, QueryEncoder, encoder_init, forward_matrix
+from .encoder import QueryEncoder, encoder_init, forward_matrix
 from .errors import BadConfigError
 
 SPLIT_ANCHOR = "anchor"
@@ -86,7 +86,7 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     wash out the class structure the benchmark is meant to probe. The
     parameters are read-only, so no caller can alter the oracle.
     """
-    enc = encoder_init(d_in, [2 * d_in], emb_dim, activation=ACT_TANH, seed=seed)
+    enc = encoder_init(d_in, [2 * d_in], emb_dim, seed=seed)
     rng = np.random.default_rng(seed)
     for i, w in enumerate(enc.weights):
         q, _ = np.linalg.qr(rng.normal(size=(max(w.shape), min(w.shape))))

@@ -26,7 +26,7 @@ from .loss import (
 from .quantizer import ProductCodebook
 
 LOSS_SSP = "ssp"
-LOSS_REGRESSION = "regression"
+LOSS_REGRESSION = "reg"
 LOSS_KINDS = (LOSS_SSP, LOSS_REGRESSION)
 
 ADAM_BETA1 = 0.9

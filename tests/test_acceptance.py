@@ -40,7 +40,7 @@ from sspq.quantizer import (
     train_product_codebook,
 )
 from sspq.synth import gen_mixture, make_oracle, oracle_encode
-from sspq.trainer import TrainConfig, train_query_model
+from sspq.trainer import LOSS_REGRESSION, TrainConfig, train_query_model
 
 
 def criterion(num: int, ok: bool, detail: str) -> None:
@@ -100,7 +100,6 @@ def fresh_encoder(bench: Bench) -> QueryEncoder:
         DEFAULTS["d_in"],
         list(DEFAULTS["hidden"]),
         DEFAULTS["emb_dim"],
-        activation=DEFAULTS["activation"],
         seed=bench.encoder_seed,
     )
 
@@ -139,7 +138,7 @@ def trained0(bench0, codebooks0) -> dict:
 
 @pytest.fixture(scope="module")
 def regression0(bench0, codebooks0):
-    return train_on(bench0, codebooks0[DEFAULTS["m"]], loss_kind="regression")
+    return train_on(bench0, codebooks0[DEFAULTS["m"]], loss_kind=LOSS_REGRESSION)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +342,7 @@ def test_criterion_8_ssp_vs_regression_baseline(bench0, codebooks0, trained0, re
                 bench.anchors, m=DEFAULTS["m"], k=DEFAULTS["k"], seed=bench.seed + 1000
             )
             ssp_model, _ = train_on(bench, codebook, loss_kind="ssp")
-            reg_model, _ = train_on(bench, codebook, loss_kind="regression")
+            reg_model, _ = train_on(bench, codebook, loss_kind=LOSS_REGRESSION)
         ssp = asym_map(bench, ssp_model)
         reg = asym_map(bench, reg_model)
         ok &= ssp >= reg - 0.02

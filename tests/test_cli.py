@@ -1,3 +1,5 @@
+import csv
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -85,6 +87,10 @@ class TestConfigLoading:
             ("normalize_anchors", True),
             ("lr", float("nan")),
             ("tau_g", float("inf")),
+            # Settings that were removed, even at their old fixed values.
+            ("kmeans_tol", 1e-4),
+            ("kmeans_iters", 50),
+            ("activation", "tanh"),
         ],
     )
     def test_bad_value_fails_with_error_json(self, tmp_path, capsys, key, value):
@@ -172,8 +178,6 @@ class TestTrainCodebook:
                          id="train-codebook-codebook.pqc"),
             pytest.param("pq-bench", ["--k", "100"], "NonPowerOfTwoKError", "pq_bench.json",
                          id="pq-bench-pq_bench.json"),
-            pytest.param("train-codebook", ["--kmeans-iters", "0"], "BadConfigError",
-                         "codebook.pqc", id="train-codebook-kmeans-iters-0"),
             pytest.param("train-codebook", ["--seed", "-100"], "BadConfigError", "codebook.pqc",
                          id="train-codebook-seed--100"),
             pytest.param("pq-bench", ["--m-list", "2", "4", "3"], "IndivisibleDimensionError",
@@ -269,6 +273,50 @@ class TestTrainQueryAndEval:
         assert len(summary) == 5
         memory = json.loads((run / "memory.json").read_text())
         assert memory["code_bytes"] == memory["n"] * memory["m"] * 4 / 8  # log2(16) = 4
+
+    def test_eval_report_format(self, tmp_path):
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        run = tmp_path / "run"
+        blob = (run / "checkpoint.sspq").read_bytes()
+        (header_len,) = struct.unpack("<I", blob[4:8])
+        encoder_id = hashlib.sha256(blob[8 + header_len :]).hexdigest()[:12]
+        codebook_id = hashlib.sha256((run / "codebook.pqc").read_bytes()).hexdigest()[:12]
+        expected_ids = {
+            "symmetric_gallery": ("oracle", ""),
+            "symmetric_query": (encoder_id, ""),
+            "asymmetric": (encoder_id, ""),
+            "asymmetric_pq": (encoder_id, codebook_id),
+        }
+        rows = list(csv.reader((run / "eval_summary.csv").read_text().splitlines()))
+        assert rows[0] == ["mode", "map", "n_queries", "codebook_id"]
+        assert [row[0] for row in rows[1:]] == list(expected_ids)
+        for mode, map_text, n_queries, row_codebook_id in rows[1:]:
+            report = json.loads((run / f"eval_{mode}.json").read_text())
+            assert sorted(report) == sorted(
+                ["mode", "map", "n_queries", "per_query_ap", "encoder_id", "codebook_id"]
+            )
+            assert report["mode"] == mode
+            assert (report["encoder_id"], report["codebook_id"]) == expected_ids[mode]
+            assert report["n_queries"] == len(report["per_query_ap"]) == int(n_queries) == 6
+            assert report["map"] == pytest.approx(np.mean(report["per_query_ap"]), abs=1e-15)
+            assert map_text == f"{report['map']:.6f}"
+            assert row_codebook_id == report["codebook_id"]
+
+    def test_eval_rejects_relu_checkpoint(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        for cmd in ("gen", "train-codebook", "train-query"):
+            assert main([cmd, "--config", str(config)]) == 0
+        path = tmp_path / "run" / "checkpoint.sspq"
+        blob = path.read_bytes()
+        assert blob.count(b'"activation": "tanh"') == 1
+        path.write_bytes(blob.replace(b'"activation": "tanh"', b'"activation": "relu"'))
+        capsys.readouterr()
+        assert main(["eval", "--pq", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FormatError"
+        assert not list((tmp_path / "run").glob("eval_*.json"))
 
     def test_hard_assignment_flag(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

@@ -192,10 +192,8 @@ class TestEvaluate:
         oracle = make_oracle(8, 12, seed=2)
         q = oracle_encode(oracle, ds["query"][0])
         g = oracle_encode(oracle, ds["gallery"][0])
-        report = evaluate(q, g, ds["query"][1], ds["gallery"][1],
-                          mode="symmetric_gallery")
+        report = evaluate(q, g, ds["query"][1], ds["gallery"][1])
         assert report.map_score == pytest.approx(1.0)
-        assert report.mode == "symmetric_gallery"
 
     def test_random_embeddings_near_class_prior(self):
         # Balanced 10-class gallery; random rankings give mAP around 0.1.
@@ -215,8 +213,8 @@ class TestEvaluate:
         q = oracle_encode(oracle, ds["query"][0])
         g = oracle_encode(oracle, ds["gallery"][0])
         ql, gl = ds["query"][1], ds["gallery"][1]
-        sym = evaluate(q, g, ql, gl, mode="symmetric_gallery")
-        asym = evaluate(q, g, ql, gl, mode="asymmetric")
+        sym = evaluate(q, g, ql, gl)
+        asym = evaluate(q, g, ql, gl)
         np.testing.assert_array_equal(sym.per_query_ap, asym.per_query_ap)
         assert sym.map_score == asym.map_score
 

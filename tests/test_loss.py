@@ -163,7 +163,7 @@ class TestSspLossAndGrad:
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
     def test_gradient_matches_finite_differences(self, kind):
         for trial in range(12):
             rng = np.random.default_rng(200 + trial)

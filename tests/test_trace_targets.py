@@ -1,0 +1,47 @@
+"""The benchmark's tracer still finds every sspq function it times.
+
+``perfbench/tracing.py`` wraps functions by ``module:attribute`` name and
+records a name that no longer resolves as absent instead of failing. Its
+k-means seeding probe re-runs ``kmeans_fit`` with ``max_iters=1`` and reports
+nothing when that parameter is gone. Either way a per-layer metric silently
+reads zero, so a refactor that renames a traced function fails here instead.
+The module imports only the standard library, so it is loaded by file path.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_target_resolves(tracing):
+    missing = []
+    for span, (locations, _) in tracing.TARGETS.items():
+        for location in locations:
+            module_name, attr = location.split(":")
+            if not callable(getattr(importlib.import_module(module_name), attr, None)):
+                missing.append(f"{span}: {location}")
+    assert missing == []
+
+
+def test_kmeans_fit_keeps_max_iters_for_the_seeding_probe():
+    from sspq.quantizer import kmeans_fit
+
+    assert "max_iters" in inspect.signature(kmeans_fit).parameters

@@ -10,12 +10,16 @@ from sspq.errors import ShapeMismatchError, StepOutOfRangeError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
 from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import (
+    LOSS_REGRESSION,
     AdamState,
     TrainConfig,
     adam_step,
     linear_lr,
     train_query_model,
 )
+
+# Test ids name each kernel by its constant.
+KIND_IDS = ["cosine", "neg_euclidean"]
 
 
 def small_problem(seed=0, n=48, d_in=6, d=8):
@@ -100,7 +104,7 @@ class TestTrainQueryModel:
         codebook = train_product_codebook(gallery, m=2, k=4, seed=3)
         enc = encoder_init(8, [32], 8, seed=1)
         cfg = TrainConfig(
-            loss_kind="regression",
+            loss_kind=LOSS_REGRESSION,
             epochs=50,
             batch_size=1,
             learning_rate=3e-2,
@@ -192,20 +196,20 @@ def assert_batch_matches_rows(batched, rows):
 
 
 class TestBatchedPath:
-    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=KIND_IDS)
     @pytest.mark.parametrize("tau_g", [0.0, 0.1])
     def test_batch_equals_batch_of_one(self, kind, tau_g):
         raw, gallery, codebook, enc = small_problem(seed=21, n=32)
         batched, rows = batch_and_rows(enc, codebook, raw, gallery.data, tau_g, kind)
         assert_batch_matches_rows(batched, rows)
 
-    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN])
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=KIND_IDS)
     def test_mixed_batch_special_rows(self, kind, rng):
         # y = normalize(x + b). Row 1 maps to a zero output (degenerate), row 2
         # to a zero first subvector, row 3 to [0.5] * 4, whose first
         # subvector is centroid 0 of subspace 0; the other rows are random.
         b = np.array([0.25, -0.5, 0.75, 1.0])
-        enc = QueryEncoder([4, 4], "identity", [np.eye(4)], [b])
+        enc = QueryEncoder([4, 4], [np.eye(4)], [b])
         codebook = ProductCodebook(
             [
                 [[0.5, 0.5], [1.0, -0.5], [-1.0, 0.25], [0.0, -1.0]],
