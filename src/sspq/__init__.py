@@ -25,7 +25,6 @@ from .evaluation import (
     exact_search,
 )
 from .loss import (
-    kl_loss,
     regression_loss_and_grad,
     soften,
     ssp_loss_and_grad,

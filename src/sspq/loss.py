@@ -2,11 +2,13 @@
 
 Every function works on a batch. Each row of a (B, d) batch of embeddings
 is split into M subvectors and compared subspace-by-subspace against the
-codebook centroids, giving (B, M, K) structure similarities. The frozen
-gallery side and the trainable query side are softened into distributions
-over K and matched with a per-subspace KL divergence. Analytic gradients with
-respect to the query embeddings are exact through the softmax and the
-chosen similarity kernel. A single embedding is a batch of one.
+codebook centroids, giving (B, M, K) structure similarities; internally
+they are computed subspace-major, (M, B, K), the layout of the per-subspace
+matmul. The frozen gallery side and the trainable query side are softened
+in log space into distributions over K and matched with a per-subspace KL
+divergence. Analytic gradients with respect to the query embeddings are
+exact through the softmax and the chosen similarity kernel. A single
+embedding is a batch of one.
 """
 
 from __future__ import annotations
@@ -20,44 +22,143 @@ from .errors import (
     ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
-from .quantizer import ProductCodebook, adc_table
+from .quantizer import ProductCodebook
 
 SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
 
-def _against_centroids(a: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Per-subspace matmul: (B, M, n) x (M, n, p) -> (B, M, p)."""
-    return np.matmul(a.transpose(1, 0, 2), cents).transpose(1, 0, 2)
+class SspWorkspace:
+    """Reusable (M, B, K) float64 work arrays for ``ssp_loss_and_grad``.
+
+    A training run allocates one workspace for its largest batch and passes
+    it to every step, so a step allocates nothing of (M, B, K) size. A
+    smaller batch uses the leading part of each buffer, which keeps its
+    (M, B, K) views contiguous.
+    """
+
+    _BUFFERS = 6
+
+    def __init__(self, m: int, k: int, rows: int) -> None:
+        self._flat = np.empty((self._BUFFERS, m * k * rows))
+
+    def arrays(self, m: int, k: int, rows: int) -> list[np.ndarray]:
+        """The buffers as (m, rows, k) views.
+
+        Raises:
+            ShapeMismatchError: if the workspace holds fewer than m * rows * k values.
+        """
+        size = m * rows * k
+        if size > self._flat.shape[1]:
+            raise ShapeMismatchError(
+                f"workspace holds {self._flat.shape[1]} values per buffer, a ({m}, {rows}, {k}) step needs {size}"
+            )
+        return [buf[:size].reshape(m, rows, k) for buf in self._flat]
+
+
+def _subspace_major(codebook: ProductCodebook, x: np.ndarray) -> np.ndarray:
+    """(B, d) rows as an (M, B, d*) view of their subvectors."""
+    return x.reshape(x.shape[0], codebook.m, codebook.sub_dim).transpose(1, 0, 2)
+
+
+def _similarity(
+    codebook: ProductCodebook, u: np.ndarray, kind: str, out: np.ndarray, aux: np.ndarray
+) -> np.ndarray | None:
+    """Write the (M, B, K) similarities of (M, B, d*) subvectors ``u`` into ``out``.
+
+    Under cosine, ``aux`` is left holding the (M, B, K) denominators and the
+    (M, B) subvector norms are returned; under negative-Euclidean ``aux`` is
+    scratch and None is returned. The Euclidean distance sums explicit
+    per-dimension differences, so a subvector on a centroid sits at exactly
+    0 and equidistant centroids tie exactly.
+    """
+    cents = codebook.stacked()
+    if kind == SIM_COSINE:
+        np.matmul(u, cents.transpose(0, 2, 1), out=out)
+        u_norms = np.linalg.norm(u, axis=2)
+        np.multiply(codebook.centroid_norms()[:, None, :], u_norms[:, :, None], out=aux)
+        aux += COSINE_EPS
+        out /= aux
+        return u_norms
+    out.fill(0.0)
+    for j in range(codebook.sub_dim):
+        np.subtract(cents[:, None, :, j], u[:, :, j, None], out=aux)
+        aux *= aux
+        out += aux
+    np.sqrt(out, out=out)
+    np.negative(out, out=out)
+    return None
+
+
+def _soften_into(
+    values: np.ndarray, temperature: float, logits: np.ndarray, probs: np.ndarray
+) -> np.ndarray:
+    """Temperature softmax of ``values`` along the last axis, in log space.
+
+    Writes the shifted logits t = (values - max) / temperature into
+    ``logits`` (which may be ``values`` itself) and exp(t) / sum exp(t) into
+    ``probs``, and returns log sum exp(t), so log probs = t - lse. At
+    temperature 0, ``probs`` is the one-hot argmax (ties to the lowest
+    index), and the logits and lse are 0, so sum probs * log probs is 0.
+    """
+    if temperature == 0:
+        hard = np.argmax(values, axis=-1)[..., None]
+        probs.fill(0.0)
+        np.put_along_axis(probs, hard, 1.0, axis=-1)
+        logits.fill(0.0)
+        return np.zeros(values.shape[:-1])
+    np.subtract(values, values.max(axis=-1, keepdims=True), out=logits)
+    if temperature != 1.0:
+        logits /= temperature
+    np.exp(logits, out=probs)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    return np.log(total[..., 0])
 
 
 def _grad_through_similarity(
-    codebook: ProductCodebook, u: np.ndarray, kind: str, s: np.ndarray, w: np.ndarray
+    codebook: ProductCodebook,
+    u: np.ndarray,
+    kind: str,
+    s: np.ndarray,
+    w: np.ndarray,
+    aux: np.ndarray,
+    u_norms: np.ndarray | None,
 ) -> np.ndarray:
-    """Map dLoss/dS (B, M, K) to dLoss/du (B, M, d*) for the chosen kernel.
+    """Map dLoss/dS ``w`` (M, B, K) to dLoss/du (M, B, d*) for the chosen kernel.
 
-    ``s`` is the similarity of ``u``. Dead subspaces (near-zero subvector
-    norm under cosine, or a subvector sitting exactly on a centroid under
+    ``s`` is the similarity of ``u``; under cosine ``aux`` holds its
+    denominators and ``u_norms`` its subvector norms, as ``_similarity``
+    left them. ``w`` is overwritten, and so is ``aux`` under
+    negative-Euclidean. Dead subspaces (near-zero subvector norm under
+    cosine, or a subvector sitting exactly on a centroid under
     negative-Euclidean) get zero gradient; the kernels are flat or
     non-differentiable there.
     """
     cents = codebook.stacked()
     if kind == SIM_COSINE:
-        u_norms = np.linalg.norm(u, axis=2)
-        c_norms = codebook.centroid_norms()
-        denom = c_norms * u_norms[:, :, None] + COSINE_EPS
-        term1 = _against_centroids(w / denom, cents)
-        coef = (w * s * c_norms / denom).sum(axis=2)
+        w /= aux
+        term1 = np.matmul(w, cents)
+        w *= s
+        coef = np.matmul(w, codebook.centroid_norms()[:, :, None])[:, :, 0]
         dead = u_norms < NORM_EPS
         grad = term1 - (coef / np.where(dead, 1.0, u_norms))[:, :, None] * u
         grad[dead] = 0.0
         return grad
-    dists = -s
-    on_centroid = dists < NORM_EPS
-    scaled = np.where(on_centroid, 0.0, w / np.where(on_centroid, 1.0, dists))
-    # sum_k scaled_k * (c_k - u)
-    return _against_centroids(scaled, cents) - scaled.sum(axis=2)[:, :, None] * u
+    np.negative(s, out=aux)
+    # An infinite distance gives the centroid under the subvector zero weight.
+    np.copyto(aux, np.inf, where=aux < NORM_EPS)
+    w /= aux
+    # sum_k w_k * (c_k - u)
+    return np.matmul(w, cents) - w.sum(axis=2)[:, :, None] * u
+
+
+def _check_rows(codebook: ProductCodebook, x: np.ndarray, kind: str) -> None:
+    if kind not in SIMILARITY_KINDS:
+        raise BadConfigError(f"unknown similarity kind {kind!r}")
+    if x.ndim != 2 or x.shape[1] != codebook.dim:
+        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
 
 
 def structure_similarity(
@@ -69,18 +170,11 @@ def structure_similarity(
         BadConfigError: if ``kind`` is not a known similarity kind.
         LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
     """
-    if kind not in SIMILARITY_KINDS:
-        raise BadConfigError(f"unknown similarity kind {kind!r}")
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != codebook.dim:
-        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
-    if kind == SIM_NEG_EUCLIDEAN:
-        # The ADC table keeps a subvector on a centroid at distance exactly 0.
-        return -np.sqrt(adc_table(codebook, x))
-    u = x.reshape(x.shape[0], codebook.m, codebook.sub_dim)
-    dots = _against_centroids(u, codebook.stacked().transpose(0, 2, 1))
-    u_norms = np.linalg.norm(u, axis=2)
-    return dots / (codebook.centroid_norms() * u_norms[:, :, None] + COSINE_EPS)
+    _check_rows(codebook, x, kind)
+    out = np.empty((codebook.m, x.shape[0], codebook.k))
+    _similarity(codebook, _subspace_major(codebook, x), kind, out, np.empty_like(out))
+    return out.transpose(1, 0, 2)
 
 
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:
@@ -95,38 +189,9 @@ def soften(values: np.ndarray, temperature: float) -> np.ndarray:
     if temperature < 0:
         raise BadConfigError(f"temperature must be >= 0, got {temperature}")
     values = np.asarray(values, dtype=np.float64)
-    if temperature == 0:
-        probs = np.zeros_like(values)
-        np.put_along_axis(probs, np.argmax(values, axis=-1)[..., None], 1.0, axis=-1)
-        return probs
-    e = np.exp((values - values.max(axis=-1, keepdims=True)) / temperature)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def kl_loss(p_g: np.ndarray, p_q: np.ndarray) -> np.ndarray:
-    """KL(p_g || p_q) along the last axis, with the 0*ln(0/x) := 0 convention.
-
-    Returns:
-        One divergence per distribution: the input shape without its last axis.
-
-    Raises:
-        ShapeMismatchError: if the two distributions differ in shape.
-        ZeroTargetProbabilityError: if p_q has zero mass where p_g does not
-            (the divergence would be infinite).
-    """
-    g = np.asarray(p_g, dtype=np.float64)
-    q = np.asarray(p_q, dtype=np.float64)
-    if g.shape != q.shape:
-        raise ShapeMismatchError(f"distribution shapes differ: {g.shape} vs {q.shape}")
-    support = g > 0
-    if np.any(support & (q == 0)):
-        raise ZeroTargetProbabilityError(
-            "query distribution has zero probability on the gallery support"
-        )
-    terms = np.where(support, g * (np.log(np.where(support, g, 1.0)) - np.log(np.where(q > 0, q, 1.0))), 0.0)
-    per = terms.sum(axis=-1)
-    # Round-off can leave KL a hair below zero when the distributions are identical.
-    return np.where((per < 0) & (per > -1e-12), 0.0, per)
+    probs = np.empty_like(values)
+    _soften_into(values, temperature, np.empty_like(values), probs)
+    return probs
 
 
 def ssp_loss_and_grad(
@@ -136,12 +201,17 @@ def ssp_loss_and_grad(
     tau_g: float,
     tau_q: float,
     kind: str = SIM_COSINE,
+    workspace: SspWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alignment loss between (B, d) gallery and query embeddings plus dLoss/dq.
 
     The gallery embeddings are treated as constants. ``tau_g`` may be 0
     (hard assignment); ``tau_q`` must be positive so the query distribution
-    has full support.
+    has full support. Both sides are softened in log space in (M, B, K)
+    layout: KL = sum p_g * log p_g - sum p_g * log p_q, and dLoss/dS_q =
+    (p_q - p_g) / tau_q. ``workspace`` holds the (M, B, K) work arrays; a
+    training run passes one for all its steps, and a call without one
+    allocates its own.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -149,22 +219,52 @@ def ssp_loss_and_grad(
         each sample's loss through the softmax and the similarity kernel.
 
     Raises:
-        BadConfigError: if ``tau_q`` is not positive.
+        BadConfigError: if ``tau_q`` is not positive, ``tau_g`` is negative
+            or ``kind`` is unknown.
+        LengthMismatchError: if the two batches differ in shape or are not
+            (B, codebook.dim) matrices.
+        ZeroTargetProbabilityError: if the query distribution underflows to
+            zero probability where the gallery distribution is positive (the
+            divergence would be infinite).
     """
     if tau_q <= 0:
         raise BadConfigError(f"tau_q must be > 0, got {tau_q}")
+    if tau_g < 0:
+        raise BadConfigError(f"tau_g must be >= 0, got {tau_g}")
     q = np.asarray(q, dtype=np.float64)
-    if np.shape(g) != q.shape:
-        raise LengthMismatchError(f"gallery shape {np.shape(g)} differs from query shape {q.shape}")
-    s_q = structure_similarity(codebook, q, kind)
-    p_g = soften(structure_similarity(codebook, g, kind), tau_g)
-    p_q = soften(s_q, tau_q)
-    losses = kl_loss(p_g, p_q).sum(axis=1)
-
-    w = (p_q - p_g) / tau_q  # dLoss/dS_q
-    u_q = q.reshape(s_q.shape[0], codebook.m, codebook.sub_dim)
-    grad = _grad_through_similarity(codebook, u_q, kind, s_q, w)
-    return losses, grad.reshape(q.shape)
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != q.shape:
+        raise LengthMismatchError(f"gallery shape {g.shape} differs from query shape {q.shape}")
+    _check_rows(codebook, q, kind)
+    m, b, k = codebook.m, q.shape[0], codebook.k
+    if workspace is None:
+        workspace = SspWorkspace(m, k, b)
+    s_q, aux, t_q, p_q, t_g, p_g = workspace.arrays(m, k, b)
+    u_q = _subspace_major(codebook, q)
+    # A tiny temperature may overflow the logits to -inf, and -inf - -inf is
+    # NaN; both happen only where a probability is 0 and are handled below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _similarity(codebook, _subspace_major(codebook, g), kind, t_g, aux)
+        lse_g = _soften_into(t_g, tau_g, t_g, p_g)
+        u_norms = _similarity(codebook, u_q, kind, s_q, aux)
+        lse_q = _soften_into(s_q, tau_q, t_q, p_q)
+        if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
+            raise ZeroTargetProbabilityError(
+                "query distribution has zero probability on the gallery support"
+            )
+        # sum_k p_g (log p_g - log p_q), with sum_k p_g = 1
+        np.subtract(t_g, t_q, out=t_g)
+        kl = np.einsum("mbk,mbk->mb", p_g, t_g)
+        if not np.isfinite(kl).all():
+            # 0 * ln(0/x) := 0 where a logit overflowed.
+            np.copyto(t_g, 0.0, where=p_g == 0.0)
+            kl = np.einsum("mbk,mbk->mb", p_g, t_g)
+        kl += lse_q - lse_g
+        np.subtract(p_q, p_g, out=p_q)
+        if tau_q != 1.0:
+            p_q /= tau_q  # dLoss/dS_q
+        grad = _grad_through_similarity(codebook, u_q, kind, s_q, p_q, aux, u_norms)
+    return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
 
 
 def regression_loss_and_grad(g: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,7 @@
 Each mini-batch is pushed through the encoder in one forward pass, scored
 row by row against the gallery embeddings of the same samples with the
 configured loss in one call, and backpropagated in one backward pass. The
+SSP loss reuses one workspace of (M, B, K) arrays for the whole run. The
 parameter gradients, averaged over the mini-batch, feed an Adam update under
 a linear learning-rate decay to zero.
 """
@@ -20,6 +21,7 @@ from .errors import BadConfigError, EmptyInputError, ShapeMismatchError, StepOut
 from .loss import (
     SIM_COSINE,
     SIMILARITY_KINDS,
+    SspWorkspace,
     regression_loss_and_grad,
     ssp_loss_and_grad,
 )
@@ -167,7 +169,12 @@ def train_query_model(
 
     if cfg.loss_kind == LOSS_SSP:
         loss_and_grad = partial(
-            ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q, kind=cfg.similarity_kind
+            ssp_loss_and_grad,
+            codebook,
+            tau_g=cfg.tau_g,
+            tau_q=cfg.tau_q,
+            kind=cfg.similarity_kind,
+            workspace=SspWorkspace(codebook.m, codebook.k, min(cfg.batch_size, n)),
         )
     else:
         loss_and_grad = regression_loss_and_grad

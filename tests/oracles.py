@@ -4,8 +4,9 @@ These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
 gradients, a double-loop scan for retrieval, a per-trial loop for greedy
 k-means++ seeding, scalar per-subvector similarity kernels for the
-batched structure similarities, and a running sum over every rank for
-average precision.
+batched structure similarities, a running sum over every rank for
+average precision, and a probability-space KL divergence for the
+log-space SSP loss.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ import math
 
 import numpy as np
 
-from sspq.errors import IndivisibleDimensionError, LengthMismatchError
+from sspq.errors import (
+    IndivisibleDimensionError,
+    LengthMismatchError,
+    ShapeMismatchError,
+    ZeroTargetProbabilityError,
+)
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -136,6 +142,35 @@ def direct_kl(p: np.ndarray, q: np.ndarray) -> float:
         if pi > 0:
             total += pi * np.log(pi / qi)
     return total
+
+
+def kl_loss(p_g: np.ndarray, p_q: np.ndarray) -> np.ndarray:
+    """KL(p_g || p_q) along the last axis, with the 0*ln(0/x) := 0 convention.
+
+    Works on probabilities, where the library's SSP step works on log-softmax
+    logits.
+
+    Returns:
+        One divergence per distribution: the input shape without its last axis.
+
+    Raises:
+        ShapeMismatchError: if the two distributions differ in shape.
+        ZeroTargetProbabilityError: if p_q has zero mass where p_g does not
+            (the divergence would be infinite).
+    """
+    g = np.asarray(p_g, dtype=np.float64)
+    q = np.asarray(p_q, dtype=np.float64)
+    if g.shape != q.shape:
+        raise ShapeMismatchError(f"distribution shapes differ: {g.shape} vs {q.shape}")
+    support = g > 0
+    if np.any(support & (q == 0)):
+        raise ZeroTargetProbabilityError(
+            "query distribution has zero probability on the gallery support"
+        )
+    terms = np.where(support, g * (np.log(np.where(support, g, 1.0)) - np.log(np.where(q > 0, q, 1.0))), 0.0)
+    per = terms.sum(axis=-1)
+    # Round-off can leave KL a hair below zero when the distributions are identical.
+    return np.where((per < 0) & (per > -1e-12), 0.0, per)
 
 
 def greedy_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -348,6 +348,20 @@ class TestTrainQueryAndEval:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "BadConfigError"
 
+    @pytest.mark.parametrize("tau_q", ["1e-300", "1e-310"])
+    def test_tiny_tau_q_fails_with_error_json(self, tmp_path, capsys, tau_q):
+        # The query distribution underflows to 0 where the gallery's is
+        # positive; at 1e-310 its logits also overflow, which must not warn.
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train-codebook", "--config", str(config)])
+        capsys.readouterr()
+        assert main(["train-query", "--config", str(config), "--tau-q", tau_q]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "ZeroTargetProbabilityError"
+        assert not (tmp_path / "run" / "checkpoint.sspq").exists()
+
     def test_pq_bench(self, tmp_path):
         config = tiny_config(tmp_path)
         run_pipeline(config)

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import double_loop_search, full_width_average_precision
+from sspq.cli import SEED_ORACLE, cmd_eval, cmd_gen, load_config
 from sspq.embeddings import EmbeddingMatrix, normalize_rows
+from sspq.encoder import save_checkpoint
 from sspq.errors import (
     EmptyGalleryError,
     EmptyRelevantSetError,
@@ -207,16 +211,25 @@ class TestEvaluate:
             maps.append(evaluate(queries, gallery, q_labels, g_labels).map_score)
         assert abs(float(np.mean(maps)) - 0.1) < 0.05
 
-    def test_asymmetric_equals_symmetric_when_encoders_match(self):
-        ds = gen_mixture(5, 6, 8, 0.1, seed=3, anchor_count=8)
-        oracle = make_oracle(8, 12, seed=4)
-        q = oracle_encode(oracle, ds["query"][0])
-        g = oracle_encode(oracle, ds["gallery"][0])
-        ql, gl = ds["query"][1], ds["gallery"][1]
-        sym = evaluate(q, g, ql, gl)
-        asym = evaluate(q, g, ql, gl)
-        np.testing.assert_array_equal(sym.per_query_ap, asym.per_query_ap)
-        assert sym.map_score == asym.map_score
+    def test_asymmetric_equals_symmetric_when_encoders_match(self, tmp_path):
+        # A query model that is the gallery oracle itself: the asymmetric
+        # report encodes the stored raw queries afresh, the symmetric one
+        # reads the stored oracle embeddings, and both must rank alike.
+        cfg = load_config(None, {
+            "out_dir": str(tmp_path / "run"), "num_classes": 5, "per_class": 6, "d_in": 8,
+            "cluster_std": 0.1, "anchor_count": 8, "train_per_class": 2, "emb_dim": 12,
+        })
+        cmd_gen(cfg)
+        oracle = make_oracle(cfg["d_in"], cfg["emb_dim"], seed=cfg["seed"] + SEED_ORACLE)
+        save_checkpoint(oracle, tmp_path / "run" / "checkpoint.sspq")
+        cmd_eval(cfg)
+        sym, asym = (
+            json.loads((tmp_path / "run" / f"eval_{mode}.json").read_text())
+            for mode in ("symmetric_gallery", "asymmetric")
+        )
+        assert len(sym["per_query_ap"]) == 5
+        assert asym["per_query_ap"] == sym["per_query_ap"]
+        assert asym["map"] == sym["map"]
 
     def test_missing_labels(self, rng):
         with pytest.raises(MissingLabelsError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from oracles import (
     cosine_sim,
     direct_kl,
     grad_mismatch,
+    kl_loss,
     neg_euclid_sim,
     split_subvectors,
 )
@@ -18,7 +21,7 @@ from sspq.errors import (
 from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
-    kl_loss,
+    SspWorkspace,
     regression_loss_and_grad,
     soften,
     ssp_loss_and_grad,
@@ -211,9 +214,93 @@ class TestSspLossAndGrad:
             assert after < loss
         assert moved >= 10
 
+    def test_tiny_tau_q_is_a_zero_target_probability(self, rng):
+        # p_q underflows to 0 off its argmax while p_g = soften(., 0.1) is
+        # positive everywhere; at 1e-310 the logits also overflow to -inf.
+        cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=7)
+        g, q = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
+        for tau_q in (1e-300, 1e-310):
+            with pytest.raises(ZeroTargetProbabilityError):
+                ssp_loss_and_grad(cb, g, q, 0.1, tau_q)
+
+    def test_tiny_taus_with_matching_supports_stay_finite(self, rng):
+        # Both sides one-hot on the same centroid: 0 * ln(0/0) terms are 0.
+        cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
+        q = rng.normal(size=(3, 6))
+        for tau in (1e-300, 1e-310):
+            losses, grad = ssp_loss_and_grad(cb, q, q.copy(), tau, tau)
+            np.testing.assert_array_equal(losses, 0.0)
+            np.testing.assert_array_equal(grad, 0.0)
+
     def test_tau_q_positive_required(self, tiny_codebook):
         with pytest.raises(BadConfigError):
             ssp_loss_and_grad(tiny_codebook, np.ones((1, 4)), np.ones((1, 4)), 0.1, 0.0)
+
+
+def reference_step(cb, g, q, tau_g, tau_q, kind):
+    """Losses from soften and the probability-space KL oracle; dLoss/dq from explicit kernel derivatives."""
+    s_g = structure_similarity(cb, g, kind)
+    s_q = structure_similarity(cb, q, kind)
+    p_g, p_q = soften(s_g, tau_g), soften(s_q, tau_q)
+    losses = kl_loss(p_g, p_q).sum(axis=1)
+    w = (p_q - p_g) / tau_q
+    u = q.reshape(q.shape[0], cb.m, cb.sub_dim)
+    cents = cb.stacked()
+    if kind == SIM_COSINE:
+        c_norms = np.linalg.norm(cents, axis=2)
+        u_norms = np.linalg.norm(u, axis=2)
+        denom = c_norms[None] * u_norms[:, :, None] + 1e-12
+        # ds_k/du = c_k / denom_k - s_k |c_k| u / (|u| denom_k)
+        ds = cents[None] / denom[..., None] - (s_q * c_norms / denom)[..., None] * (
+            u / u_norms[..., None]
+        )[:, :, None, :]
+    else:
+        diff = cents[None] - u[:, :, None, :]  # (B, M, K, d*): c_k - u
+        ds = diff / np.linalg.norm(diff, axis=3, keepdims=True)  # d(-|u - c_k|)/du
+    grad = np.einsum("bmk,bmkd->bmd", w, ds)
+    return losses, grad.reshape(q.shape)
+
+
+class TestLogSpaceStep:
+    """The log-space (M, B, K) step against soften + the probability-space KL oracle."""
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    @pytest.mark.parametrize("tau_g", [0.0, 0.1, 1.0])
+    def test_matches_probability_space_reference(self, kind, tau_g):
+        rng = np.random.default_rng(31)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        workspace = SspWorkspace(cb.m, cb.k, 16)
+        for rows in (16, 16, 5):  # the partial last batch reuses the full-size workspace
+            g = rng.normal(size=(rows, cb.dim))
+            q = rng.normal(size=(rows, cb.dim))
+            losses, grad = ssp_loss_and_grad(cb, g, q, tau_g, 1.0, kind, workspace=workspace)
+            ref_losses, ref_grad = reference_step(cb, g, q, tau_g, 1.0, kind)
+            np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+            fresh = ssp_loss_and_grad(cb, g, q, tau_g, 1.0, kind)
+            np.testing.assert_array_equal(losses, fresh[0])
+            np.testing.assert_array_equal(grad, fresh[1])
+
+    def test_workspace_too_small(self, tiny_codebook):
+        workspace = SspWorkspace(tiny_codebook.m, tiny_codebook.k, 2)
+        with pytest.raises(ShapeMismatchError):
+            ssp_loss_and_grad(tiny_codebook, np.ones((3, 4)), np.ones((3, 4)), 0.1, 1.0, workspace=workspace)
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    def test_step_allocates_less_than_one_batch_array(self, kind):
+        b, m, k = 32, 8, 256
+        rng = np.random.default_rng(5)
+        cb = ProductCodebook(rng.normal(size=(m, k, 8)))
+        g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
+        workspace = SspWorkspace(m, k, b)
+        ssp_loss_and_grad(cb, g, q, 0.1, 1.0, kind, workspace=workspace)  # warm-up
+        tracemalloc.start()
+        try:
+            ssp_loss_and_grad(cb, g, q, 0.1, 1.0, kind, workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * m * k * 8
 
 
 class TestRegressionLoss:

@@ -45,3 +45,31 @@ def test_kmeans_fit_keeps_max_iters_for_the_seeding_probe():
     from sspq.quantizer import kmeans_fit
 
     assert "max_iters" in inspect.signature(kmeans_fit).parameters
+
+
+def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
+    # perfbench's loss.ssp span wraps sspq.trainer.ssp_loss_and_grad; a loop
+    # that bound the loss elsewhere would leave loss.ssp_calls at 0.
+    import numpy as np
+
+    import sspq.trainer
+    from sspq.embeddings import EmbeddingMatrix
+    from sspq.encoder import encoder_init, forward_matrix
+    from sspq.quantizer import train_product_codebook
+
+    calls = []
+    traced = sspq.trainer.ssp_loss_and_grad
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(sspq.trainer, "ssp_loss_and_grad", counting)
+    raw = np.random.default_rng(0).normal(size=(20, 6))
+    gallery = forward_matrix(encoder_init(6, [12], 8, seed=1), raw)
+    codebook = train_product_codebook(gallery, m=2, k=4, seed=2)
+    cfg = sspq.trainer.TrainConfig(epochs=2, batch_size=8, seed=3)
+    sspq.trainer.train_query_model(
+        encoder_init(6, [10], 8, seed=4), EmbeddingMatrix(gallery), raw, codebook, cfg
+    )
+    assert calls == [8, 8, 4] * 2
