@@ -24,12 +24,7 @@ from .evaluation import (
     evaluate_pq,
     exact_search,
 )
-from .loss import (
-    regression_loss_and_grad,
-    soften,
-    ssp_loss_and_grad,
-    structure_similarity,
-)
+from .loss import regression_loss_and_grad, ssp_loss_and_grad
 from .quantizer import (
     KMeansResult,
     ProductCodebook,

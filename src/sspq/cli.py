@@ -26,6 +26,7 @@ import numpy as np
 
 from . import __version__
 from .embeddings import (
+    EMB_MAX_SIZE,
     EmbeddingMatrix,
     export_embeddings,
     import_embeddings,
@@ -45,6 +46,7 @@ from .quantizer import (
     codebook_save,
     encode_matrix,
     memory_report,
+    subvectors,
     train_product_codebook,
 )
 from .synth import SPLITS, gen_mixture, make_oracle, oracle_encode
@@ -151,8 +153,10 @@ def _manifest_path(cfg: dict) -> Path:
 
 def cmd_gen(cfg: dict) -> dict:
     """Generate the benchmark: raw splits, cached oracle embeddings, manifest."""
-    out = _dataset_dir(cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    sizes = (cfg["anchor_count"], cfg["num_classes"] * max(cfg["train_per_class"], cfg["per_class"] - 1),
+             cfg["d_in"], cfg["emb_dim"])
+    if max(sizes) > EMB_MAX_SIZE:
+        raise BadConfigError(f"split rows or dims {sizes} exceed EMB1's u32 header limit {EMB_MAX_SIZE}")
     splits = gen_mixture(
         num_classes=cfg["num_classes"],
         per_class=cfg["per_class"],
@@ -163,6 +167,8 @@ def cmd_gen(cfg: dict) -> dict:
         train_per_class=cfg["train_per_class"],
     )
     oracle = make_oracle(cfg["d_in"], cfg["emb_dim"], seed=cfg["seed"] + SEED_ORACLE)
+    out = _dataset_dir(cfg)
+    out.mkdir(parents=True, exist_ok=True)
 
     manifest = {"seed": cfg["seed"], "config": cfg, "oracle_checksum": _params_sha256(oracle), "splits": {}}
     for split in SPLITS:
@@ -244,12 +250,9 @@ def cmd_train_codebook(cfg: dict) -> dict:
     # Per-subspace quantization error of the anchor set. The centroids are
     # the file's float32 values, so a reader of the file recomputes it.
     codes = encode_matrix(codebook, anchors)
-    ds = codebook.sub_dim
-    objectives = []
-    cents = codebook.stacked()
-    for j in range(codebook.m):
-        diff = anchors.data[:, j * ds : (j + 1) * ds] - cents[j, codes[:, j]]
-        objectives.append(float(np.einsum("nd,nd->", diff, diff)))
+    subspaces = zip(subvectors(anchors.data, codebook.m), codebook.stacked(), codes.T)
+    diffs = (u - cents[c] for u, cents, c in subspaces)
+    objectives = [float(np.einsum("nd,nd->", diff, diff)) for diff in diffs]
     summary = {
         "m": codebook.m,
         "k": codebook.k,
@@ -442,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, overrides)
         result = _COMMANDS[args.command](cfg)
-    except (SspqError, OSError) as exc:
+    except (SspqError, OSError, MemoryError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     if args.command == "eval":

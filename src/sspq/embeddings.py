@@ -24,6 +24,8 @@ NORM_EPS = 1e-12
 COSINE_EPS = 1e-12
 
 EMB_MAGIC = b"EMB1"
+# The largest row count or dim that EMB1's u32 header fields hold.
+EMB_MAX_SIZE = 2**32 - 1
 _EMB_DTYPE_F32 = 0
 
 # An integer exactly as ``write_labels`` writes it: no sign on 0 or positive

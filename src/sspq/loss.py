@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
-from .quantizer import ProductCodebook
+from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 
 SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "l2"
@@ -57,11 +57,6 @@ class SspWorkspace:
         return [buf[:size].reshape(m, rows, k) for buf in self._flat]
 
 
-def _subspace_major(codebook: ProductCodebook, x: np.ndarray) -> np.ndarray:
-    """(B, d) rows as an (M, B, d*) view of their subvectors."""
-    return x.reshape(x.shape[0], codebook.m, codebook.sub_dim).transpose(1, 0, 2)
-
-
 def _similarity(
     codebook: ProductCodebook, u: np.ndarray, kind: str, out: np.ndarray, aux: np.ndarray
 ) -> np.ndarray | None:
@@ -69,23 +64,18 @@ def _similarity(
 
     Under cosine, ``aux`` is left holding the (M, B, K) denominators and the
     (M, B) subvector norms are returned; under negative-Euclidean ``aux`` is
-    scratch and None is returned. The Euclidean distance sums explicit
-    per-dimension differences, so a subvector on a centroid sits at exactly
-    0 and equidistant centroids tie exactly.
+    scratch and None is returned. The Euclidean distance is the root of the
+    quantizer's squared-distance kernel, so it equals the root of the ADC
+    table bit for bit.
     """
-    cents = codebook.stacked()
     if kind == SIM_COSINE:
-        np.matmul(u, cents.transpose(0, 2, 1), out=out)
+        np.matmul(u, codebook.stacked().transpose(0, 2, 1), out=out)
         u_norms = np.linalg.norm(u, axis=2)
         np.multiply(codebook.centroid_norms()[:, None, :], u_norms[:, :, None], out=aux)
         aux += COSINE_EPS
         out /= aux
         return u_norms
-    out.fill(0.0)
-    for j in range(codebook.sub_dim):
-        np.subtract(cents[:, None, :, j], u[:, :, j, None], out=aux)
-        aux *= aux
-        out += aux
+    subvector_sq_dists(codebook, u, out, aux)
     np.sqrt(out, out=out)
     np.negative(out, out=out)
     return None
@@ -173,7 +163,7 @@ def structure_similarity(
     x = np.asarray(x, dtype=np.float64)
     _check_rows(codebook, x, kind)
     out = np.empty((codebook.m, x.shape[0], codebook.k))
-    _similarity(codebook, _subspace_major(codebook, x), kind, out, np.empty_like(out))
+    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
     return out.transpose(1, 0, 2)
 
 
@@ -240,11 +230,11 @@ def ssp_loss_and_grad(
     if workspace is None:
         workspace = SspWorkspace(m, k, b)
     s_q, aux, t_q, p_q, t_g, p_g = workspace.arrays(m, k, b)
-    u_q = _subspace_major(codebook, q)
+    u_q = subvectors(q, codebook.m)
     # A tiny temperature may overflow the logits to -inf, and -inf - -inf is
     # NaN; both happen only where a probability is 0 and are handled below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _similarity(codebook, _subspace_major(codebook, g), kind, t_g, aux)
+        _similarity(codebook, subvectors(g, codebook.m), kind, t_g, aux)
         lse_g = _soften_into(t_g, tau_g, t_g, p_g)
         u_norms = _similarity(codebook, u_q, kind, s_q, aux)
         lse_q = _soften_into(s_q, tau_q, t_q, p_q)

@@ -3,8 +3,9 @@
 A codebook is trained by running seeded k-means independently on each of M
 contiguous subvector blocks; the Cartesian product of the M sets of K
 centroids implicitly defines K^M anchor points that are never materialized.
-Encoding, the ADC tables and the negative-Euclidean structure similarity all
-read one subvector-to-centroid squared-distance kernel.
+K-means training, encoding, the ADC tables and the negative-Euclidean
+structure similarity split rows with ``subvectors`` and read one
+subvector-to-centroid squared-distance kernel, ``subvector_sq_dists``.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ PQC_MAGIC = b"PQC1"
 # Lloyd stops once an iteration lowers the objective by less than this share.
 KMEANS_REL_TOL = 1e-4
 
-# Elements in one distance-kernel difference temporary: 1 MiB, far below the 32 MiB
-# ceiling of glibc's dynamic mmap threshold, so freed chunks are reused, not unmapped.
+# Elements in each of encoding's two (M, rows, K) distance buffers: 1 MiB, far below the
+# 32 MiB ceiling of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -291,31 +292,28 @@ def train_product_codebook(
             stacklevel=2,
         )
 
-    ds = d // m
-    return ProductCodebook(np.stack([
-        kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j).centroids
-        for j in range(m)
-    ]))
+    cents = [kmeans_fit(u, k, seed + j).centroids for j, u in enumerate(subvectors(x, m))]
+    return ProductCodebook(np.stack(cents))
 
 
-def _subvector_sq_dists(u: np.ndarray, cents: np.ndarray) -> np.ndarray:
-    """Squared distances from (rows, M, d*) subvectors to (M, K, d*) centroids, (rows, M, K).
+def subvectors(x: np.ndarray, m: int) -> np.ndarray:
+    """The (M, n, d*) view of an (n, d) matrix's subvectors; ``u[j]`` is ``x[:, j*d*:(j+1)*d*]``."""
+    return x.reshape(x.shape[0], m, x.shape[1] // m).transpose(1, 0, 2)
 
-    The explicit difference keeps a subvector on a centroid at exactly 0 and
-    equidistant centroids exactly tied.
+
+def subvector_sq_dists(codebook: ProductCodebook, u: np.ndarray, out: np.ndarray, aux: np.ndarray) -> None:
+    """Write the squared distances from (M, rows, d*) subvectors ``u`` to every centroid into ``out``.
+
+    ``out`` and ``aux`` are (M, rows, K); ``aux`` is scratch. The sum of
+    explicit per-dimension differences keeps a subvector on a centroid at
+    exactly 0 and equidistant centroids exactly tied.
     """
-    diff = cents - u[:, :, None, :]
-    return np.einsum("rmkd,rmkd->rmk", diff, diff)
-
-
-def _row_chunk_sq_dists(codebook: ProductCodebook, x: np.ndarray):
-    """Yield each row chunk's slice of an (n, d) matrix and its (rows, M, K) squared distances."""
-    u = x.reshape(x.shape[0], codebook.m, codebook.sub_dim)
     cents = codebook.stacked()
-    chunk = max(1, _CHUNK_ELEMENTS // cents.size)
-    for start in range(0, x.shape[0], chunk):
-        rows = slice(start, start + chunk)
-        yield rows, _subvector_sq_dists(u[rows], cents)
+    out.fill(0.0)
+    for j in range(codebook.sub_dim):
+        np.subtract(cents[:, None, :, j], u[:, :, j, None], out=aux)
+        aux *= aux
+        out += aux
 
 
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
@@ -337,10 +335,14 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
     # temporary, so the elementwise test runs only when the sum is not finite.
     if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteInputError("a row to encode holds a NaN or an infinity")
-    dtype = np.uint8 if codebook.k <= 256 else np.int32
-    codes = np.empty((data.shape[0], codebook.m), dtype=dtype)
-    for rows, d2 in _row_chunk_sq_dists(codebook, data):
-        codes[rows] = np.argmin(d2, axis=2)  # the row's ADC table; ties to the lowest index
+    m, k, n = codebook.m, codebook.k, data.shape[0]
+    codes = np.empty((n, m), dtype=np.uint8 if k <= 256 else np.int32)
+    chunk = max(1, _CHUNK_ELEMENTS // (m * k))
+    d2, aux = np.empty((2, m, min(chunk, n), k))
+    for start in range(0, n, chunk):
+        r = min(chunk, n - start)
+        subvector_sq_dists(codebook, subvectors(data[start : start + r], m), d2[:, :r], aux[:, :r])
+        codes[start : start + r] = np.argmin(d2[:, :r], axis=2).T  # ADC tables; ties to the lowest index
     return codes
 
 
@@ -349,10 +351,9 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
     q = np.asarray(queries, dtype=np.float64)
     if q.ndim != 2 or q.shape[1] != codebook.dim:
         raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
-    table = np.empty((q.shape[0], codebook.m, codebook.k))
-    for rows, d2 in _row_chunk_sq_dists(codebook, q):
-        table[rows] = d2
-    return table
+    table = np.empty((codebook.m, q.shape[0], codebook.k))
+    subvector_sq_dists(codebook, subvectors(q, codebook.m), table, np.empty_like(table))
+    return table.transpose(1, 0, 2)
 
 
 def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:

@@ -17,7 +17,13 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix
 from .encoder import QueryEncoder, encoder_backward, encoder_forward
-from .errors import BadConfigError, EmptyInputError, ShapeMismatchError, StepOutOfRangeError
+from .errors import (
+    BadConfigError,
+    EmptyInputError,
+    NonFiniteInputError,
+    ShapeMismatchError,
+    StepOutOfRangeError,
+)
 from .loss import (
     SIM_COSINE,
     SIMILARITY_KINDS,
@@ -140,6 +146,9 @@ def train_query_model(
 
     Returns:
         (trained encoder, mean loss of each epoch).
+
+    Raises:
+        NonFiniteInputError: at the first epoch whose mean loss is not finite.
     """
     raw = np.asarray(raw_inputs, dtype=np.float64)
     if raw.ndim != 2:
@@ -168,30 +177,29 @@ def train_query_model(
     gallery = gallery_embeddings.data
 
     if cfg.loss_kind == LOSS_SSP:
-        loss_and_grad = partial(
-            ssp_loss_and_grad,
-            codebook,
-            tau_g=cfg.tau_g,
-            tau_q=cfg.tau_q,
-            kind=cfg.similarity_kind,
-            workspace=SspWorkspace(codebook.m, codebook.k, min(cfg.batch_size, n)),
-        )
+        workspace = SspWorkspace(codebook.m, codebook.k, min(cfg.batch_size, n))
+        loss_and_grad = partial(ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q,
+                                kind=cfg.similarity_kind, workspace=workspace)
     else:
         loss_and_grad = regression_loss_and_grad
 
     epoch_means: list[float] = []
     global_step = 0
-    for _ in range(cfg.epochs):
+    for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
-        for b in range(steps_per_epoch):
-            batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            y, cache = encoder_forward(model, raw[batch])
-            losses, grad_y = loss_and_grad(gallery[batch], y)
-            loss_sum += float(losses.sum())
-            grads = encoder_backward(model, cache, grad_y / batch.shape[0])
-            lr_t = linear_lr(global_step, total_steps, cfg.learning_rate)
-            adam_step(adam, params, grads, lr_t, cfg.weight_decay)
-            global_step += 1
+        # A diverging run overflows; its non-finite epoch mean stops it below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b in range(steps_per_epoch):
+                batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+                y, cache = encoder_forward(model, raw[batch])
+                losses, grad_y = loss_and_grad(gallery[batch], y)
+                loss_sum += float(losses.sum())
+                grads = encoder_backward(model, cache, grad_y / batch.shape[0])
+                lr_t = linear_lr(global_step, total_steps, cfg.learning_rate)
+                adam_step(adam, params, grads, lr_t, cfg.weight_decay)
+                global_step += 1
+        if not np.isfinite(loss_sum):
+            raise NonFiniteInputError(f"training diverged: epoch {epoch + 1} has mean loss {loss_sum / n}")
         epoch_means.append(loss_sum / n)
     return model, epoch_means

@@ -144,6 +144,26 @@ class TestGen:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert err["error"] == "BadConfigError"
 
+    @pytest.mark.parametrize("per_class", ["1000000000000", "1000000000000000000"])
+    def test_split_too_large_for_emb1_fails_before_writing(self, tmp_path, capsys, per_class):
+        config = tiny_config(tmp_path)
+        assert main(["gen", "--config", str(config), "--per-class", per_class]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+        assert not (tmp_path / "run").exists()
+
+    def test_out_of_memory_fails_with_error_json(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(**_):
+            raise MemoryError("cannot allocate the splits")
+
+        monkeypatch.setattr(sspq.cli, "gen_mixture", out_of_memory)
+        assert main(["gen", "--config", str(tiny_config(tmp_path))]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "MemoryError", "message": "cannot allocate the splits"}
+        assert not (tmp_path / "run").exists()
+
 
 class TestTrainCodebook:
     def test_summary_objective_matches_recomputation(self, tmp_path):
@@ -360,6 +380,20 @@ class TestTrainQueryAndEval:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "ZeroTargetProbabilityError"
+        assert not (tmp_path / "run" / "checkpoint.sspq").exists()
+
+    @pytest.mark.parametrize("loss", ["ssp", "reg"])
+    def test_diverging_training_fails_with_error_json(self, tmp_path, capsys, loss):
+        # The parameters overflow; training stops at the first epoch whose
+        # mean loss is not finite, without a NumPy warning.
+        config = tiny_config(tmp_path)
+        main(["gen", "--config", str(config)])
+        main(["train-codebook", "--config", str(config)])
+        capsys.readouterr()
+        assert main(["train-query", "--config", str(config), "--lr", "1e308", "--loss", loss]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "NonFiniteInputError"
         assert not (tmp_path / "run" / "checkpoint.sspq").exists()
 
     def test_pq_bench(self, tmp_path):

@@ -22,6 +22,7 @@ from sspq.errors import (
     ShapeMismatchError,
 )
 from sspq.evaluation import adc_search, evaluate_pq
+from sspq.loss import structure_similarity
 from sspq.quantizer import (
     _CHUNK_ELEMENTS,
     ProductCodebook,
@@ -35,6 +36,9 @@ from sspq.quantizer import (
     memory_report,
     train_product_codebook,
 )
+
+# (M, d*) pairs with many short subvectors, the default split, and few long ones.
+KERNEL_SHAPES = [(8, 8), (32, 2), (2, 32)]
 
 
 class TestKMeansFit:
@@ -273,12 +277,13 @@ class TestEncode:
             codes = encode_matrix(tiny_codebook, x)
         assert codes.shape == (3, 2)
 
-    def test_encode_and_adc_table_across_row_chunks(self, rng):
-        # K=256 and d=64 at M=8 split rows into several chunks; the row count
-        # leaves a partial last chunk. Each odd centroid repeats the even one
-        # before it, so every code is a tie that must go to the even index.
-        m, k, ds = 8, 256, 8
-        chunk = _CHUNK_ELEMENTS // (m * k * ds)
+    @pytest.mark.parametrize("m, ds", KERNEL_SHAPES)
+    def test_encode_and_adc_table_across_row_chunks(self, rng, m, ds):
+        # K=256 splits rows into several chunks; the row count leaves a
+        # partial last chunk. Each odd centroid repeats the even one before
+        # it, so every code is a tie that must go to the even index.
+        k = 256
+        chunk = _CHUNK_ELEMENTS // (m * k)
         assert chunk > 1
         n = 3 * chunk + chunk // 2 + 1
         cents = rng.normal(size=(m, k // 2, ds)).repeat(2, axis=1)
@@ -295,6 +300,16 @@ class TestEncode:
             np.testing.assert_array_equal(table[i], adc_table(cb, x[i : i + 1])[0])
             explicit = ((cb.stacked() - u[i][:, None, :]) ** 2).sum(axis=2)
             np.testing.assert_allclose(table[i], explicit, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("m, ds", KERNEL_SHAPES)
+    def test_one_kernel_for_encoding_adc_and_l2_similarity(self, rng, m, ds):
+        # Encoding, the ADC table and the negative-Euclidean similarity read
+        # the same squared distances, so they agree bit for bit.
+        cb = ProductCodebook(rng.normal(size=(m, 256, ds)))
+        x = rng.normal(size=(40, m * ds))
+        sim = structure_similarity(cb, x, "l2")
+        np.testing.assert_array_equal(sim, -np.sqrt(adc_table(cb, x)))
+        np.testing.assert_array_equal(encode_matrix(cb, x), np.argmax(sim, axis=2))
 
 
 class TestAdcSearch:

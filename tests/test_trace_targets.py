@@ -6,6 +6,8 @@ k-means seeding probe re-runs ``kmeans_fit`` with ``max_iters=1`` and reports
 nothing when that parameter is gone. Either way a per-layer metric silently
 reads zero, so a refactor that renames a traced function fails here instead.
 The module imports only the standard library, so it is loaded by file path.
+The benchmark's library calls are also made here once each, with the
+argument types the benchmark passes.
 """
 
 import importlib
@@ -73,3 +75,28 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
         encoder_init(6, [10], 8, seed=4), EmbeddingMatrix(gallery), raw, codebook, cfg
     )
     assert calls == [8, 8, 4] * 2
+
+
+def test_library_calls_keep_the_benchmark_signatures():
+    # perfbench calls these by the names and with the argument types below;
+    # a break here would otherwise show only as failed benchmark operations.
+    import numpy as np
+
+    import sspq
+    import sspq.quantizer
+
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(24, 8))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    labels = np.arange(24) % 3
+    gallery = sspq.EmbeddingMatrix(x, normalized=True)
+    queries = sspq.EmbeddingMatrix(x[:4], normalized=True)
+    assert gallery.rows == 24
+    codebook = sspq.quantizer.train_product_codebook(x, m=2, k=4, seed=1)
+    codes = sspq.encode_matrix(codebook, gallery)
+    assert codes.shape == (24, 2)
+    assert sspq.evaluate(queries, gallery, labels[:4], labels).per_query_ap.shape == (4,)
+    report = sspq.evaluate_pq(queries, codes, codebook, labels[:4], labels)
+    assert report.per_query_ap.shape == (4,)
+    assert sspq.quantizer.adc_scores(codebook, codes[:10], x[0]).shape == (10,)
+    assert sspq.quantizer.memory_report(24, 2, 4)["code_bytes"] == 12
