@@ -349,6 +349,9 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     """Sweep codebook sizes: asymmetric PQ retrieval quality vs. code memory.
 
     The queries are the train-query checkpoint's embeddings, as in ``eval``.
+    The row for the config's own M uses ``codebook.pqc``, the codebook
+    ``eval --pq`` reads, when that file's M, K and d match the config and
+    the anchors; every other M is trained on the anchors.
     """
     check_power_of_two_k(cfg["k"])
     dataset = _Dataset(cfg)
@@ -356,6 +359,11 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     for m in cfg["pq_m_list"]:
         check_subspace_count(anchors.dim, m)
     out = Path(cfg["out_dir"])
+    saved = {}
+    if (out / "codebook.pqc").exists():
+        codebook = codebook_load(out / "codebook.pqc")
+        if (codebook.m, codebook.k, codebook.dim) == (cfg["m"], cfg["k"], anchors.dim):
+            saved[codebook.m] = codebook
     model, _ = load_checkpoint(out / "checkpoint.sspq")
     query_labels = dataset.labels("query")
     gallery_labels = dataset.labels("gallery")
@@ -365,7 +373,7 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels)
     results = [{"m": None, "k": None, "map": exact.map_score, "code_bytes": None, "mib": None}]
     for m in cfg["pq_m_list"]:
-        codebook = _train_codebook(cfg, anchors, m)
+        codebook = saved.get(m) or _train_codebook(cfg, anchors, m)
         codes = encode_matrix(codebook, gal_emb_g)
         report = evaluate_pq(queries, codes, codebook, query_labels, gallery_labels)
         mem = memory_report(gal_emb_g.rows, m, cfg["k"])

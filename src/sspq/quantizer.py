@@ -53,48 +53,64 @@ def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
 
 @dataclass
 class KMeansResult:
-    """Outcome of one Lloyd run.
+    """Outcome of k-means on one (n, d) matrix or on an (M, n, d*) stack.
 
-    ``assignments`` pair with the returned centroids (the last update step).
-    ``objective_history`` records the post-update objective per iteration and
-    is non-increasing.
+    For a matrix, ``centroids`` is (K, d), ``assignments`` (n,), ``objective``
+    the final objective and ``objective_history`` the post-update objective
+    per iteration, which is non-increasing. For a stack, ``centroids`` is
+    (M, K, d*), ``assignments`` (M, n), and ``objective`` and
+    ``objective_history`` hold one such entry per subspace. ``assignments``
+    pair with the returned centroids (the last update step).
+    ``iterations_run`` is the number of Lloyd iterations, summed over a stack.
     """
 
     centroids: np.ndarray
     assignments: np.ndarray
-    objective: float
+    objective: float | list[float]
     iterations_run: int
-    objective_history: list[float] = field(default_factory=list)
+    objective_history: list = field(default_factory=list)
 
 
-def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Greedy k-means++ seeding (Arthur & Vassilvitskii 2007).
+def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Greedy k-means++ seeding (Arthur & Vassilvitskii 2007) of every subspace of an (M, n, d*) stack.
 
-    Each step draws 2 + floor(log2(k)) candidate points with D^2-weighted
-    sampling and keeps the candidate that minimizes the resulting potential;
-    ties go to the earliest trial.
+    Subspace j draws from its own ``rngs[j]``. Each step draws 2 + floor(log2(k))
+    candidate points per subspace with D^2-weighted sampling and keeps the
+    candidate that minimizes the resulting potential; ties go to the earliest
+    trial. A subspace whose potential is 0 picks a point with ``integers(n)``.
 
-    All candidates of a step are scored at once: their squared distances
-    ``|x|^2 + |c|^2 - 2 x.c`` come from one ``(trials, n)`` matmul. Each
-    matmul potential carries a forward-error bound in ``|x|^2``, ``|c|^2``,
-    d* and n. Only the candidates whose potential lies within the bounds of
-    the best one are rescored with the exact ``((x - c)**2).sum(axis=1)``
-    form, in trial order with strict ``<``; usually that is the best one
-    alone. The winner's distance update is its exact rescoring. So the
-    centroids, the ``rng`` draws and the tie rule are bit for bit those of
-    scoring every candidate exactly.
+    All candidates of a step, in every subspace, are scored at once: their
+    squared distances ``|x|^2 + |c|^2 - 2 x.c`` come from one
+    ``(M, trials, d*+2) x (M, d*+2, n)`` matmul. Each matmul potential carries
+    a forward-error bound in ``|x|^2``, ``|c|^2``, d* and n. Only the
+    candidates whose potential lies within the bounds of the best one contend;
+    usually that is the best one alone. They are rescored exactly in trial
+    order with strict ``<``: the potential of candidate c sums
+    ``min(d2, ((x - c)**2).sum(axis=1))``, with the exact distance computed
+    only for the points whose matmul distance is not above their ``d2`` by
+    more than its bound; every other point keeps ``d2``. Each row's reduction
+    is independent, so a subset gives the bits of the full array, and the
+    winner's rescored distances are the new ``d2``. So the centroids, the
+    ``rng`` draws and the tie rule are bit for bit those of scoring every
+    candidate exactly, one subspace at a time.
     """
-    n, dim = x.shape
+    m, n, dim = xs.shape
     trials = 2 + int(math.log2(k)) if k > 1 else 1
-    centroids = np.empty((k, dim), dtype=np.float64)
-    centroids[0] = x[int(rng.integers(n))]
-    d2 = ((x - centroids[0]) ** 2).sum(axis=1)
+    rows = np.arange(m)
+    centroids = np.empty((m, k, dim), dtype=np.float64)
+    centroids[:, 0] = xs[rows, [int(rng.integers(n)) for rng in rngs]]
+    d2 = ((xs - centroids[:, :1]) ** 2).sum(axis=2)
 
-    # Row c of `lhs` times column x of `rhs` is |x|^2 + |c|^2 - 2 x.c.
-    x_sq = np.einsum("nd,nd->n", x, x)
-    ones = np.ones((n, 1))
-    lhs = np.hstack([-2.0 * x, x_sq[:, None], ones])
-    rhs = np.ascontiguousarray(np.hstack([x, ones, x_sq[:, None]]).T)
+    # Row c of `lhs[j]` times column x of `rhs[j]` is |x|^2 + |c|^2 - 2 x.c;
+    # `lhs` holds the rows of each step's candidates.
+    rhs = np.empty((m, dim + 2, n))
+    rhs[:, :dim] = xs.transpose(0, 2, 1)
+    rhs[:, dim] = 1.0
+    x_sq = rhs[:, dim + 1]
+    for j, x in enumerate(xs):
+        np.einsum("nd,nd->n", x, x, out=x_sq[j])
+    lhs = np.empty((m, trials, dim + 2))
+    lhs[:, :, dim + 1] = 1.0
     # Twice the worst-case gap between a matmul potential and the exact one.
     # Per point the two distance forms differ by at most (2.5 d* + 4) eps
     # (|x|^2 + |c|^2); summing n terms adds up to n eps |potential| over both
@@ -102,96 +118,111 @@ def _kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     eps = np.finfo(np.float64).eps
     norm_coef = 6.0 * eps * (dim + 2)
     sum_coef = 2.0 * eps * n
-    floor = 4.0 * n * (dim + 4) * np.finfo(np.float64).smallest_subnormal
-    x_sq_total = float(x_sq.sum())
+    point_floor = 4.0 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
+    x_sq_total = x_sq.sum(axis=1)
+
+    # Buffers of every step. `trial` also holds the cumulative potentials and
+    # the distance bounds before it holds a contender's distances; `d2` and
+    # `nxt` swap after each step.
+    idx = np.zeros((m, trials), dtype=np.intp)
+    cand = np.empty((m, trials, n))
+    potential = np.empty((m, trials))
+    near, trial, nxt = np.empty((3, m, n))
 
     for i in range(1, k):
-        total = float(d2.sum())
-        if total <= 0.0:
-            # Every point coincides with a chosen centroid; any pick works.
-            centroids[i] = x[int(rng.integers(n))]
+        totals = d2.sum(axis=1)
+        live = ~(totals <= 0.0)
+        cumulative = np.cumsum(d2, axis=1, out=trial)
+        for j, rng in enumerate(rngs):
+            if live[j]:
+                idx[j] = np.searchsorted(cumulative[j], rng.random(trials) * totals[j], side="right")
+            else:
+                # Every point coincides with a chosen centroid; any pick works.
+                centroids[j, i] = xs[j, int(rng.integers(n))]
+        if not live.any():
             continue
-        cumulative = np.cumsum(d2)
-        idx = np.searchsorted(cumulative, rng.random(trials) * total, side="right")
         np.minimum(idx, n - 1, out=idx)
-        cand = lhs[idx] @ rhs
-        np.minimum(cand, d2, out=cand)
-        potential = cand.sum(axis=1)
-        bound = norm_coef * (x_sq_total + n * x_sq[idx]) + sum_coef * np.abs(potential) + floor
-        w = int(np.argmin(potential))
+        np.multiply(xs[rows[:, None], idx], -2.0, out=lhs[:, :, :dim])
+        lhs[:, :, dim] = x_sq[rows[:, None], idx]
+        np.matmul(lhs, rhs, out=cand)
+        np.minimum(cand, d2[:, None, :], out=cand)
+        np.add.reduce(cand, axis=2, out=potential)
+        bound = norm_coef * (x_sq_total[:, None] + n * lhs[:, :, dim])
+        bound += sum_coef * np.abs(potential) + n * point_floor
+        w = np.argmin(potential, axis=1)
         # NaN compares False, so a non-finite potential is always a contender.
-        contenders = np.flatnonzero(~(potential - bound > potential[w] + bound[w]))
-        best_idx, best_d2, best_potential = -1, d2, math.inf
+        contends = ~(potential - bound > (potential[rows, w] + bound[rows, w])[:, None])
+        contends &= live[:, None]
+        rank = np.cumsum(contends, axis=1)
+
+        best, best_idx = np.full(m, np.inf), np.full(m, -1)
+        np.copyto(nxt, d2)
+        # Round r rescores the r-th contender of every subspace that has one.
         # A repeated index scores like its first trial, which strict < keeps.
-        for j in dict.fromkeys(idx[contenders].tolist()):
-            cand_d2 = np.minimum(d2, ((x - x[j]) ** 2).sum(axis=1))
-            exact = float(cand_d2.sum())
-            if exact < best_potential:
-                best_idx, best_d2, best_potential = j, cand_d2, exact
-        centroids[i] = x[best_idx]
-        d2 = best_d2
+        for r in range(1, int(rank[:, -1].max()) + 1):
+            at = contends & (rank == r)
+            has = at.any(axis=1)
+            t = np.argmax(at, axis=1)
+            c = idx[rows, t]
+            # A point keeps d2 when its matmul distance to c exceeds d2 by more
+            # than the distance's bound; NaN compares False and is rescored.
+            np.matmul(lhs[rows, t, None], rhs, out=near[:, None])
+            np.multiply(x_sq, norm_coef, out=trial)
+            trial += norm_coef * x_sq[rows, c, None] + point_floor
+            near -= trial
+            rescore = ~(near >= d2)
+            rescore[~has] = False
+            js, ps = np.divmod(np.flatnonzero(rescore), n)
+            diff = xs[js, ps]
+            diff -= xs[js, c[js]]
+            diff *= diff
+            np.copyto(trial, d2)
+            trial[js, ps] = np.minimum(d2[js, ps], diff.sum(axis=1))
+            exact = trial.sum(axis=1)
+            better = has & (exact < best)
+            best[better] = exact[better]
+            best_idx[better] = c[better]
+            np.copyto(nxt, trial, where=better[:, None])
+        centroids[live, i] = xs[live, best_idx[live]]
+        d2, nxt = nxt, d2
     return centroids
 
 
-def kmeans_fit(
-    points: EmbeddingMatrix | np.ndarray,
-    k: int,
-    seed: int,
-    max_iters: int = 50,
-) -> KMeansResult:
-    """Lloyd's algorithm from a k-means++ start, deterministic given seed.
+def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int, dist: np.ndarray, prod: np.ndarray):
+    """Lloyd's iterations on one (n, d*) subspace, updating ``centroids`` in place.
 
-    Empty clusters are repaired by reassigning the point currently farthest
-    from its centroid (ties to the lowest point index); with the objective
-    measured after each centroid update this keeps the objective sequence
-    non-increasing. Stops at ``max_iters`` or when the relative objective
-    decrease falls below ``KMEANS_REL_TOL``.
-
-    Raises:
-        EmptyInputError: if there are no points.
-        NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: if ``k`` or ``max_iters`` is below 1.
+    ``dist`` and ``prod`` are (n, K) buffers for the expanded distances.
+    Returns the assignments and the objective history.
     """
-    x = _as_points(points)
-    n = x.shape[0]
-    if n == 0:
-        raise EmptyInputError("kmeans_fit requires at least one point")
-    if not np.isfinite(x).all():
-        raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
-    if k < 1:
-        raise BadConfigError(f"k must be >= 1, got {k}")
-    if max_iters < 1:
-        raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
-
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(x, k, rng)
-    assignments = np.zeros(n, dtype=np.int64)
+    n, dim = x.shape
+    k = centroids.shape[0]
+    x_sq = np.einsum("nd,nd->n", x, x)
+    weights = x.ravel()  # point-major, as the bins below are
+    offsets = np.arange(dim)
     history: list[float] = []
     prev = math.inf
-    iterations = 0
-    x_sq = np.einsum("nd,nd->n", x, x)
-
     for _ in range(max_iters):
-        iterations += 1
         # Expanded form for the argmin only; the repair bookkeeping and the
         # objective use exact per-point distances.
         c_sq = np.einsum("kd,kd->k", centroids, centroids)
-        d2 = x_sq[:, None] + c_sq[None, :] - 2.0 * (x @ centroids.T)
-        assignments = np.argmin(d2, axis=1)
-        diff = x - centroids[assignments]
-        point_d2 = np.einsum("nd,nd->n", diff, diff)
-
-        if k <= n:
-            counts = np.bincount(assignments, minlength=k)
-            for empty in np.flatnonzero(counts == 0):
-                j = int(np.argmax(point_d2))
-                assignments[j] = empty
-                point_d2[j] = 0.0  # do not pick the same point twice
-
+        np.add(x_sq[:, None], c_sq, out=dist)
+        np.matmul(x, centroids.T, out=prod)
+        prod *= 2.0
+        dist -= prod
+        assignments = np.argmin(dist, axis=1)
         counts = np.bincount(assignments, minlength=k)
-        sums = np.empty((k, x.shape[1]))
-        for dim in range(x.shape[1]):
-            sums[:, dim] = np.bincount(assignments, weights=x[:, dim], minlength=k)
+        empty = np.flatnonzero(counts == 0) if k <= n else []
+        if len(empty):
+            diff = x - centroids[assignments]
+            point_d2 = np.einsum("nd,nd->n", diff, diff)
+            for e in empty:
+                j = int(np.argmax(point_d2))
+                assignments[j] = e
+                point_d2[j] = 0.0  # do not pick the same point twice
+            counts = np.bincount(assignments, minlength=k)
+        # One bincount sums every (centroid, dimension) bin in point order.
+        ids = (assignments[:, None] * dim + offsets).ravel()
+        sums = np.bincount(ids, weights=weights, minlength=k * dim).reshape(k, dim)
         occupied = counts > 0
         centroids[occupied] = sums[occupied] / counts[occupied, None]
 
@@ -204,13 +235,63 @@ def kmeans_fit(
         if objective == 0.0:
             break
         prev = objective
+    return assignments, history
 
+
+def kmeans_fit(
+    points: EmbeddingMatrix | np.ndarray,
+    k: int,
+    seed: int,
+    max_iters: int = 50,
+) -> KMeansResult:
+    """Lloyd's algorithm from a k-means++ start, deterministic given seed.
+
+    ``points`` is one (n, d) matrix or an (M, n, d*) stack of subspaces; a
+    matrix is a stack of one. Subspace j draws from ``default_rng(seed + j)``
+    and ends bit for bit as a run on it alone at ``seed + j`` would. The
+    k-means++ seeding of all subspaces runs in one batched greedy step; Lloyd
+    then runs one subspace at a time in two (n, K) buffers allocated once per
+    call.
+
+    Empty clusters are repaired by reassigning the point currently farthest
+    from its centroid (ties to the lowest point index); with the objective
+    measured after each centroid update this keeps the objective sequence
+    non-increasing. Stops at ``max_iters`` or when the relative objective
+    decrease falls below ``KMEANS_REL_TOL``.
+
+    Raises:
+        ShapeMismatchError: if the points are neither 2-D nor 3-D.
+        EmptyInputError: if there are no points.
+        NonFiniteInputError: if a point holds a NaN or an infinity.
+        BadConfigError: if ``k`` or ``max_iters`` is below 1.
+    """
+    x = points.data if isinstance(points, EmbeddingMatrix) else np.asarray(points, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ShapeMismatchError(f"points must be (n, d) or (M, n, d*), got shape {x.shape}")
+    stack = x if x.ndim == 3 else x[None]
+    m, n = stack.shape[:2]
+    if m == 0 or n == 0:
+        raise EmptyInputError("kmeans_fit requires at least one point")
+    if not np.isfinite(stack).all():
+        raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
+    if k < 1:
+        raise BadConfigError(f"k must be >= 1, got {k}")
+    if max_iters < 1:
+        raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
+
+    centroids = _kmeans_pp_init(stack, k, [np.random.default_rng(seed + j) for j in range(m)])
+    dist, prod = np.empty((2, n, k))
+    runs = [_lloyd(u, c, max_iters, dist, prod) for u, c in zip(stack, centroids)]
+    assignments = np.stack([a for a, _ in runs])
+    histories = [h for _, h in runs]
+    if x.ndim == 2:
+        return KMeansResult(centroids[0], assignments[0], histories[0][-1], len(histories[0]), histories[0])
     return KMeansResult(
         centroids=centroids,
         assignments=assignments,
-        objective=history[-1],
-        iterations_run=iterations,
-        objective_history=history,
+        objective=[h[-1] for h in histories],
+        iterations_run=sum(len(h) for h in histories),
+        objective_history=histories,
     )
 
 
@@ -292,8 +373,7 @@ def train_product_codebook(
             stacklevel=2,
         )
 
-    cents = [kmeans_fit(u, k, seed + j).centroids for j, u in enumerate(subvectors(x, m))]
-    return ProductCodebook(np.stack(cents))
+    return ProductCodebook(kmeans_fit(subvectors(x, m), k, seed).centroids)
 
 
 def subvectors(x: np.ndarray, m: int) -> np.ndarray:

@@ -12,7 +12,7 @@ from sspq.cli import DEFAULTS, _Dataset, load_config, main
 from sspq.embeddings import EmbeddingMatrix, export_embeddings, import_embeddings, write_labels
 from sspq.encoder import load_checkpoint, save_checkpoint
 from sspq.errors import BadConfigError, FormatError
-from sspq.quantizer import codebook_load, encode_matrix
+from sspq.quantizer import ProductCodebook, codebook_load, codebook_save, encode_matrix
 
 
 def tiny_config(tmp_path: Path) -> Path:
@@ -405,6 +405,67 @@ class TestTrainQueryAndEval:
         csv_lines = (tmp_path / "run" / "pq_bench.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "m,k,map,code_bytes,mib"
         assert len(csv_lines) == 4
+
+    @staticmethod
+    def count_training(monkeypatch) -> list[int]:
+        trained = []
+        train = sspq.cli.train_product_codebook
+        monkeypatch.setattr(sspq.cli, "train_product_codebook",
+                            lambda *a, **kw: trained.append(kw["m"]) or train(*a, **kw))
+        return trained
+
+    def test_pq_bench_reuses_the_pipeline_codebook(self, tmp_path, monkeypatch):
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        trained = self.count_training(monkeypatch)
+        assert main(["pq-bench", "--config", str(config)]) == 0
+        run = tmp_path / "run"
+        rows = {r["m"]: r for r in json.loads((run / "pq_bench.json").read_text())}
+        pq_eval = json.loads((run / "eval_asymmetric_pq.json").read_text())
+        assert rows[4]["map"] == pq_eval["map"]  # the config's m is 4
+        assert trained == [2]
+
+    @pytest.mark.parametrize(
+        "damage, flags",
+        [
+            ("absent", []),
+            ("other-m", []),
+            ("other-k", ["--k", "8"]),
+            ("other-d", []),
+        ],
+    )
+    def test_pq_bench_trains_every_m_without_a_matching_codebook(
+        self, tmp_path, monkeypatch, damage, flags
+    ):
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        run = tmp_path / "run"
+        reference = json.loads((run / "eval_asymmetric_pq.json").read_text())["map"]
+        if damage == "absent":
+            (run / "codebook.pqc").unlink()
+        elif damage == "other-m":
+            assert main(["train-codebook", "--config", str(config), "--m", "2"]) == 0
+        elif damage == "other-d":
+            codebook_save(ProductCodebook(np.ones((4, 16, 3))), run / "codebook.pqc")
+        trained = self.count_training(monkeypatch)
+        assert main(["pq-bench", "--config", str(config), *flags]) == 0
+        assert trained == [2, 4]
+        rows = {r["m"]: r for r in json.loads((run / "pq_bench.json").read_text())}
+        if damage != "other-k":
+            # Training M=4 afresh gives the codebook train-codebook wrote.
+            assert rows[4]["map"] == reference
+
+    def test_pq_bench_with_truncated_codebook_fails_with_error_json(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        assert run_pipeline(config) == 0
+        path = tmp_path / "run" / "codebook.pqc"
+        path.write_bytes(path.read_bytes()[:-3])
+        capsys.readouterr()
+        assert main(["pq-bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "FormatError"
+        assert not (tmp_path / "run" / "pq_bench.json").exists()
 
     def test_pq_bench_without_checkpoint_fails_with_error_json(self, tmp_path, capsys):
         config = tiny_config(tmp_path)

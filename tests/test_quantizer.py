@@ -34,6 +34,7 @@ from sspq.quantizer import (
     encode_matrix,
     kmeans_fit,
     memory_report,
+    subvectors,
     train_product_codebook,
 )
 
@@ -101,6 +102,16 @@ class TestKMeansFit:
         np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
+    def test_empty_cluster_takes_the_farthest_point(self, rng):
+        # Three distinct points, each twice, and four centroids: seeding's
+        # fourth pick repeats a chosen point, its cluster starts empty, and
+        # the repair moves a point into it.
+        pts = np.repeat(rng.normal(size=(3, 2)), 2, axis=0)
+        for seed in range(3):
+            result = kmeans_fit(pts, 4, seed=seed)
+            assert set(result.assignments.tolist()) == {0, 1, 2, 3}
+            assert result.objective == 0.0
+
     def test_all_clusters_used_when_k_le_n(self, rng):
         pts = rng.normal(size=(20, 2))
         result = kmeans_fit(pts, 6, seed=3)
@@ -108,35 +119,53 @@ class TestKMeansFit:
 
 
 class TestKMeansPPInit:
-    """The matmul-scored seeding equals the per-trial exact loop bit for bit."""
+    """The batched matmul-scored seeding equals the per-trial exact loop bit
+    for bit on every subspace of a stack, each drawing from its own rng."""
 
     @staticmethod
-    def assert_matches_oracle(x, k, seed):
-        rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        fast = _kmeans_pp_init(x, k, rng_fast)
-        ref = greedy_kmeans_pp_init(x, k, rng_ref)
-        assert fast.tobytes() == ref.tobytes()
-        assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+    def assert_matches_oracle(xs, k, seed):
+        rngs_fast = [np.random.default_rng(seed + j) for j in range(len(xs))]
+        rngs_ref = [np.random.default_rng(seed + j) for j in range(len(xs))]
+        fast = _kmeans_pp_init(xs, k, rngs_fast)
+        for x, got, rng_fast, rng_ref in zip(xs, fast, rngs_fast, rngs_ref):
+            ref = greedy_kmeans_pp_init(x, k, rng_ref)
+            assert got.tobytes() == ref.tobytes()
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
+
+    @staticmethod
+    def stack(x):
+        # The case's points, their mirror image and a scaled copy in reverse
+        # order: three subspaces that draw and pick differently.
+        return np.stack([x, -x, 3.0 * x[::-1]])
 
     @pytest.mark.parametrize("dim", [1, 2, 8, 32])
     @pytest.mark.parametrize("k", [1, 2, 16, 256])
     def test_gaussian_anchors(self, dim, k):
         x = np.random.default_rng(dim * 1000 + k).normal(size=(512, dim))
-        self.assert_matches_oracle(x, k, seed=dim + k)
+        self.assert_matches_oracle(self.stack(x), k, seed=dim + k)
 
     def test_duplicates_with_k_above_n(self, rng):
         # Three distinct points twice each: after three picks the potential is
         # zero and every further pick takes the total <= 0 branch.
         x = np.repeat(rng.normal(size=(3, 4)), 2, axis=0)
         for seed in range(5):
-            self.assert_matches_oracle(x, 16, seed)
+            self.assert_matches_oracle(self.stack(x), 16, seed)
+
+    def test_zero_potential_subspace_next_to_live_ones(self, rng):
+        # Subspace 1 is one point repeated, so its potential is 0 from the
+        # first pick on while the others draw D^2-weighted candidates.
+        x = rng.normal(size=(64, 4))
+        xs = np.stack([x, np.broadcast_to(x[5], x.shape), x[::-1]])
+        for seed in range(3):
+            self.assert_matches_oracle(xs, 16, seed)
 
     def test_common_offset_forces_exact_recheck(self, rng):
         # |x|^2 ~ 1e12 against distances ~ 1e-6: the matmul potentials are
-        # all cancellation noise, so every step is decided by the recheck.
+        # all cancellation noise, so every step is decided by the recheck and
+        # every distance update is rescored exactly.
         x = rng.normal(size=(200, 8)) * 1e-3 + 1e6
         for seed in range(3):
-            self.assert_matches_oracle(x, 32, seed)
+            self.assert_matches_oracle(np.stack([x, x[::-1], 2.0 * x]), 32, seed)
 
     def test_exact_tie_goes_to_first_trial(self):
         # From the centre, both ends give potential exactly 1; when the three
@@ -144,15 +173,71 @@ class TestKMeansPPInit:
         x = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         ties = 0
         for seed in range(40):
-            self.assert_matches_oracle(x, 2, seed)
+            self.assert_matches_oracle(self.stack(x), 2, seed)
             draws = np.random.default_rng(seed)
             first = int(draws.integers(3))
             ends = (draws.random(3) * 2.0 >= 1.0).astype(int)  # cumulative d2 is [1, 2, 2]
             if first == 2 and len(set(ends.tolist())) == 2:
                 ties += 1
-                got = _kmeans_pp_init(x, 2, np.random.default_rng(seed))
+                got = _kmeans_pp_init(x[None], 2, [np.random.default_rng(seed)])[0]
                 np.testing.assert_array_equal(got[1], x[ends[0]])
         assert ties > 0
+
+
+class TestStackedKMeans:
+    """A stacked ``kmeans_fit`` equals one flat run per subspace at seed + j."""
+
+    @staticmethod
+    def assert_equals_flat_runs(x, m, k, seed, max_iters=50):
+        ds = x.shape[1] // m
+        stacked = kmeans_fit(subvectors(x, m), k, seed, max_iters=max_iters)
+        assert stacked.centroids.shape == (m, k, ds)
+        assert stacked.assignments.shape == (m, x.shape[0])
+        flats = [kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j, max_iters=max_iters)
+                 for j in range(m)]
+        for j, flat in enumerate(flats):
+            assert stacked.centroids[j].tobytes() == flat.centroids.tobytes()
+            np.testing.assert_array_equal(stacked.assignments[j], flat.assignments)
+            assert stacked.objective_history[j] == flat.objective_history
+            assert stacked.objective[j] == flat.objective
+            assert len(stacked.objective_history[j]) == flat.iterations_run
+        assert type(stacked.iterations_run) is int
+        assert stacked.iterations_run == sum(flat.iterations_run for flat in flats)
+        return [flat.iterations_run for flat in flats]
+
+    @pytest.mark.parametrize("m, ds", KERNEL_SHAPES)
+    def test_stack_equals_flat_runs(self, rng, m, ds):
+        centres = rng.normal(size=(12, m * ds))
+        x = centres[rng.integers(12, size=400)] + 0.3 * rng.normal(size=(400, m * ds))
+        for seed in (0, 7):
+            self.assert_equals_flat_runs(x, m, 32, seed)
+
+    def test_subspaces_stop_at_different_iterations(self, rng):
+        # Subspace 0 holds four tight clusters and converges at once; the
+        # others are Gaussian noise and need many iterations.
+        x = rng.normal(size=(300, 8))
+        x[:, :2] = 10.0 * rng.normal(size=(4, 2))[np.arange(300) % 4] + 1e-3 * x[:, :2]
+        iterations = self.assert_equals_flat_runs(x, 4, 4, seed=3)
+        assert len(set(iterations)) > 1
+        assert iterations[0] < max(iterations)
+
+    def test_all_duplicate_subspace_next_to_live_ones(self, rng):
+        # Subspace 1 is one point repeated: its seeding takes the potential-0
+        # branch from the second pick on, and every centroid is that point.
+        x = rng.normal(size=(120, 6))
+        x[:, 2:4] = rng.normal(size=2)
+        self.assert_equals_flat_runs(x, 3, 8, seed=11)
+        self.assert_equals_flat_runs(x, 3, 8, seed=11, max_iters=1)
+
+    def test_max_iters_one_runs_one_lloyd_pass_per_subspace(self, rng):
+        result = kmeans_fit(subvectors(rng.normal(size=(50, 8)), 4), 4, seed=0, max_iters=1)
+        assert [len(h) for h in result.objective_history] == [1, 1, 1, 1]
+        assert result.iterations_run == 4
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4)])
+    def test_points_must_be_a_matrix_or_a_stack(self, shape):
+        with pytest.raises(ShapeMismatchError):
+            kmeans_fit(np.zeros(shape), 1, seed=0)
 
 
 class TestProductCodebook:

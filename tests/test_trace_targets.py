@@ -49,6 +49,25 @@ def test_kmeans_fit_keeps_max_iters_for_the_seeding_probe():
     assert "max_iters" in inspect.signature(kmeans_fit).parameters
 
 
+def test_kmeans_attrs_of_a_stacked_call(tracing):
+    # train_product_codebook makes one kmeans_fit call on an (M, n, d*)
+    # stack; the span's iteration count must stay an int that sums the
+    # subspaces, and max_iters=1 must stay one Lloyd pass per subspace.
+    import numpy as np
+
+    from sspq.quantizer import kmeans_fit, subvectors
+
+    stack = subvectors(np.random.default_rng(0).normal(size=(60, 8)), 4)
+    result = kmeans_fit(stack, 4, seed=3)
+    attrs = tracing._kmeans_attrs(kmeans_fit, (stack, 4), {"seed": 3}, result)
+    assert type(attrs["iterations"]) is int
+    assert attrs["iterations"] == sum(len(h) for h in result.objective_history)
+    assert attrs["shape"] == (4, 60, 2, 4)
+    probe = kmeans_fit(stack, 4, seed=3, max_iters=1)
+    assert [len(h) for h in probe.objective_history] == [1, 1, 1, 1]
+    assert tracing._kmeans_attrs(kmeans_fit, (stack, 4, 3, 1), {}, probe)["iterations"] == 4
+
+
 def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     # perfbench's loss.ssp span wraps sspq.trainer.ssp_loss_and_grad; a loop
     # that bound the loss elsewhere would leave loss.ssp_calls at 0.
