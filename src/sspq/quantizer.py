@@ -4,8 +4,10 @@ A codebook is trained by running seeded k-means independently on each of M
 contiguous subvector blocks; the Cartesian product of the M sets of K
 centroids implicitly defines K^M anchor points that are never materialized.
 K-means training, encoding, the ADC tables and the negative-Euclidean
-structure similarity split rows with ``subvectors`` and read one
-subvector-to-centroid squared-distance kernel, ``subvector_sq_dists``.
+structure similarity split rows with ``subvectors``. The ADC tables and the
+similarity read one subvector-to-centroid squared-distance kernel,
+``subvector_sq_dists``; encoding scores candidates by a matmul and leaves
+only the near ties to that kernel, so every code is still its argmin.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ PQC_MAGIC = b"PQC1"
 # Lloyd stops once an iteration lowers the objective by less than this share.
 KMEANS_REL_TOL = 1e-4
 
-# Elements in each of encoding's two (M, rows, K) distance buffers: 1 MiB, far below the
-# 32 MiB ceiling of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
+# Elements in encoding's (M, rows, K) score buffer: 1 MiB, far below the 32 MiB ceiling
+# of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -216,10 +218,12 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int, dist: np.ndarra
             diff = x - centroids[assignments]
             point_d2 = np.einsum("nd,nd->n", diff, diff)
             for e in empty:
-                j = int(np.argmax(point_d2))
+                # Only a point whose cluster keeps another member may move, so
+                # no cluster empties; a moved point is alone and stays put.
+                j = int(np.argmax(np.where(counts[assignments] > 1, point_d2, -1.0)))
+                counts[assignments[j]] -= 1
+                counts[e] = 1
                 assignments[j] = e
-                point_d2[j] = 0.0  # do not pick the same point twice
-            counts = np.bincount(assignments, minlength=k)
         # One bincount sums every (centroid, dimension) bin in point order.
         ids = (assignments[:, None] * dim + offsets).ravel()
         sums = np.bincount(ids, weights=weights, minlength=k * dim).reshape(k, dim)
@@ -253,8 +257,10 @@ def kmeans_fit(
     then runs one subspace at a time in two (n, K) buffers allocated once per
     call.
 
-    Empty clusters are repaired by reassigning the point currently farthest
-    from its centroid (ties to the lowest point index); with the objective
+    Empty clusters are repaired in turn, each by reassigning the point
+    farthest from its centroid among those whose cluster keeps another
+    member (ties to the lowest point index), so k <= n leaves no cluster
+    empty and no point moves twice; with the objective
     measured after each centroid update this keeps the objective sequence
     non-increasing. Stops at ``max_iters`` or when the relative objective
     decrease falls below ``KMEANS_REL_TOL``.
@@ -399,8 +405,13 @@ def subvector_sq_dists(codebook: ProductCodebook, u: np.ndarray, out: np.ndarray
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     """Quantize every row of a matrix into (n, M) code indices.
 
-    The codes are uint8 when K <= 256, one byte per subspace, and int32
-    otherwise.
+    Each code is the argmin of the row's ADC table, ties to the lowest
+    index. Rows are scored in chunks by one ``(M, rows, d*+1) x (M, d*+1, K)``
+    matmul giving ``|c|^2 - 2 u.c``; a subspace is settled there when its best
+    candidate leads the runner-up by more than the expansion's forward-error
+    bound, and the rows with any other subspace are rescored with
+    ``subvector_sq_dists``. The codes are uint8 when K <= 256, one byte per
+    subspace, and int32 otherwise.
 
     Raises:
         LengthMismatchError: if the row length is not the codebook's d.
@@ -415,14 +426,59 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
     # temporary, so the elementwise test runs only when the sum is not finite.
     if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteInputError("a row to encode holds a NaN or an infinity")
-    m, k, n = codebook.m, codebook.k, data.shape[0]
+    m, k, dim, n = codebook.m, codebook.k, codebook.sub_dim, data.shape[0]
     codes = np.empty((n, m), dtype=np.uint8 if k <= 256 else np.int32)
     chunk = max(1, _CHUNK_ELEMENTS // (m * k))
-    d2, aux = np.empty((2, m, min(chunk, n), k))
+    # Row i of `lhs[j]` times column c of `rhs[j]` is |c|^2 - 2 u.c, the
+    # squared distance from subvector u less |u|^2, which no argmin needs.
+    cents = codebook.stacked()
+    rhs = np.empty((m, dim + 1, k))
+    np.multiply(cents.transpose(0, 2, 1), -2.0, out=rhs[:, :dim])
+    np.einsum("mkd,mkd->mk", cents, cents, out=rhs[:, dim])
+    lhs = np.empty((m, min(chunk, n), dim + 1))
+    lhs[:, :, dim] = 1.0
+    scores = np.empty((m, min(chunk, n), k))
+    sub, row = np.arange(m)[:, None], np.arange(min(chunk, n))
+    # With U = |u|^2, C = max |c|^2 over the subspace, eps = 2^-52 and
+    # gamma_j = j eps / 2: the kernel's sum of d* rounded squared differences
+    # is within gamma_{d*+2} |u - c|^2 <= 2 gamma_{d*+2} (U + C) of the true
+    # distance; the matmul's d*+1 products (|c|^2 itself within gamma_{d*} C)
+    # are within gamma_{d*+1} (2 |u||c| + |c|^2) + gamma_{d*} C
+    # <= gamma_{d*+2} (U + 3C) of the true |c|^2 - 2 u.c. The U cancels in a
+    # comparison, so a matmul lead over the runner-up above twice the sum of
+    # the two gaps, (d*+2) eps (3U + 5C) <= 5 (d*+2) eps (U + C), makes the
+    # kernel's distances strictly ordered the same way. The 6 below covers
+    # the second-order terms and the rounding of U, the bound and the test.
+    # Underflow adds at most half a subnormal per product or square, at most
+    # 3 d* of them over both forms and both candidates.
+    coef = 6.0 * (dim + 2) * np.finfo(np.float64).eps
+    bound_c = coef * rhs[:, dim].max(axis=1, keepdims=True)  # (M, 1), with the underflow terms
+    bound_c += 4.0 * (dim + 1) * np.finfo(np.float64).smallest_subnormal
     for start in range(0, n, chunk):
         r = min(chunk, n - start)
-        subvector_sq_dists(codebook, subvectors(data[start : start + r], m), d2[:, :r], aux[:, :r])
-        codes[start : start + r] = np.argmin(d2[:, :r], axis=2).T  # ADC tables; ties to the lowest index
+        u, s = lhs[:, :r], scores[:, :r]
+        u[:, :, :dim] = subvectors(data[start : start + r], m)
+        # Squares that overflow give an infinite bound or a NaN lead; NaN
+        # compares False, so either leaves the row to the exact kernel.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(u, rhs, out=s)
+            # The runner-up is the argmin once the best is set to inf; an
+            # argmin and a gather take half the time of a min over K.
+            best = np.argmin(s, axis=2)
+            lead = -s[sub, row[:r], best]
+            s[sub, row[:r], best] = np.inf
+            lead += s[sub, row[:r], np.argmin(s, axis=2)]
+            bound = np.einsum("mrd,mrd->mr", u[:, :, :dim], u[:, :, :dim])
+            bound *= coef
+            bound += bound_c
+            near = ~(lead > bound)
+        codes[start : start + r] = best.T
+        # Near ties take the argmin of their ADC table; ties to the lowest index.
+        rows = np.flatnonzero(near.any(axis=0))
+        if rows.size:
+            exact, aux = np.empty((2, m, rows.size, k))
+            subvector_sq_dists(codebook, subvectors(data[start + rows], m), exact, aux)
+            codes[start + rows] = np.argmin(exact, axis=2).T
     return codes
 
 

@@ -2,7 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import sspq.quantizer
 from oracles import (
     brute_force_kmeans_objective,
     greedy_kmeans_pp_init,
@@ -34,12 +38,15 @@ from sspq.quantizer import (
     encode_matrix,
     kmeans_fit,
     memory_report,
+    subvector_sq_dists,
     subvectors,
     train_product_codebook,
 )
 
 # (M, d*) pairs with many short subvectors, the default split, and few long ones.
 KERNEL_SHAPES = [(8, 8), (32, 2), (2, 32)]
+# KERNEL_SHAPES and the unsplit M=1, all at d=64.
+ENCODE_SHAPES = KERNEL_SHAPES + [(1, 64)]
 
 
 class TestKMeansFit:
@@ -111,6 +118,17 @@ class TestKMeansFit:
             result = kmeans_fit(pts, 4, seed=seed)
             assert set(result.assignments.tolist()) == {0, 1, 2, 3}
             assert result.objective == 0.0
+
+    @pytest.mark.parametrize("max_iters", [1, 50])
+    def test_repair_fills_every_empty_cluster_when_points_lie_on_centroids(self, max_iters):
+        # Three distinct points four times each and eight centroids: five
+        # clusters start empty and every point lies on its centroid, so each
+        # repair must take a point that has not moved yet from a cluster that
+        # keeps another member.
+        pts = np.repeat(np.random.default_rng(0).normal(size=(3, 2)), 4, axis=0)
+        result = kmeans_fit(pts, 8, seed=0, max_iters=max_iters)
+        assert np.bincount(result.assignments, minlength=8).min() > 0
+        assert result.objective_history == [0.0]
 
     def test_all_clusters_used_when_k_le_n(self, rng):
         pts = rng.normal(size=(20, 2))
@@ -362,7 +380,22 @@ class TestEncode:
             codes = encode_matrix(tiny_codebook, x)
         assert codes.shape == (3, 2)
 
-    @pytest.mark.parametrize("m, ds", KERNEL_SHAPES)
+    def test_finite_rows_whose_squares_overflow_encode_as_the_exact_kernel(self, tiny_codebook):
+        # |u|^2 overflows in every subspace that holds a 1e155; all its
+        # distances are inf and tie at code 0. Other subspaces encode as usual.
+        x = np.array([
+            [1e155, 1e155, 1e155, 1e155],
+            [1e155, -1e155, -1.0, 0.5],
+            [0.0, 1.0, 1e155, 0.0],
+            [-1e155, 3e154, 2.0, 2.0],
+        ])
+        with np.errstate(over="ignore"):
+            codes = encode_matrix(tiny_codebook, x)
+            expected = np.argmin(adc_table(tiny_codebook, x), axis=2)
+        np.testing.assert_array_equal(codes, expected)
+        assert codes.tolist() == [[0, 0], [0, 1], [1, 0], [0, 0]]
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
     def test_encode_and_adc_table_across_row_chunks(self, rng, m, ds):
         # K=256 splits rows into several chunks; the row count leaves a
         # partial last chunk. Each odd centroid repeats the even one before
@@ -395,6 +428,145 @@ class TestEncode:
         sim = structure_similarity(cb, x, "l2")
         np.testing.assert_array_equal(sim, -np.sqrt(adc_table(cb, x)))
         np.testing.assert_array_equal(encode_matrix(cb, x), np.argmax(sim, axis=2))
+
+
+def rows_on_centroids(rng, m, ds, k, n):
+    cb = ProductCodebook(rng.normal(size=(m, k, ds)))
+    picks = rng.integers(k, size=(n, m))
+    return cb, cb.stacked()[np.arange(m), picks].reshape(n, m * ds)
+
+
+def midpoints(rng, m, ds, k, n):
+    # Float32 centroids add and halve exactly in float64, so each row lies
+    # exactly as far from two centroids in the kernel.
+    cb = ProductCodebook(rng.normal(size=(m, k, ds)))
+    a, b = rng.integers(k, size=(2, n, m))
+    cents, sub = cb.stacked(), np.arange(m)
+    return cb, ((cents[sub, a] + cents[sub, b]) / 2.0).reshape(n, m * ds)
+
+
+def scattered_midpoints(rng, m, ds, k, n):
+    # Generic rows with a midpoint row at every third position, so each chunk
+    # rescores a scattered subset of its rows.
+    cb, x = midpoints(rng, m, ds, k, n)
+    generic = np.arange(n) % 3 != 0
+    x[generic] = rng.normal(size=(int(generic.sum()), m * ds))
+    return cb, x
+
+
+def duplicated_centroids(rng, m, ds, k, n):
+    # Each odd centroid repeats the even one before it.
+    cb = ProductCodebook(rng.normal(size=(m, k // 2, ds)).repeat(2, axis=1))
+    return cb, rng.normal(size=(n, m * ds))
+
+
+def common_offset(rng, m, ds, k, n):
+    # At 1e7, |u|^2 and |c|^2 dwarf every distance: the expansion's
+    # cancellation error exceeds many leads, so the rows must be rescored.
+    cb = ProductCodebook(rng.normal(size=(m, k, ds)) + 1e7)
+    return cb, rng.normal(size=(n, m * ds)) + 1e7
+
+
+def gaussian(rng, m, ds, k, n):
+    return ProductCodebook(rng.normal(size=(m, k, ds))), rng.normal(size=(n, m * ds))
+
+
+def expansion_argmin(cb, x):
+    """The codes |c|^2 - 2 u.c alone would give, with no rescoring."""
+    cents = cb.stacked()
+    u = subvectors(x, cb.m)
+    scores = np.einsum("mkd,mkd->mk", cents, cents)[:, None] - 2.0 * u @ cents.transpose(0, 2, 1)
+    return np.argmin(scores, axis=2).T
+
+
+class TestEncodeOracle:
+    """Every code is the argmin of its row's ADC table, the exact kernel,
+    with ties to the lowest index, whatever the matmul scores say."""
+
+    @staticmethod
+    def assert_exact_argmin(cb, x):
+        codes = encode_matrix(cb, x)
+        assert codes.dtype == (np.uint8 if cb.k <= 256 else np.int32)
+        np.testing.assert_array_equal(codes, np.argmin(adc_table(cb, x), axis=2))
+        return codes
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
+    @pytest.mark.parametrize("case, k", [
+        (rows_on_centroids, 256),
+        (midpoints, 256),
+        (scattered_midpoints, 256),
+        (duplicated_centroids, 256),
+        (common_offset, 256),
+        (gaussian, 512),
+    ], ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_codes_equal_the_exact_kernel_argmin_across_row_chunks(self, rng, m, ds, case, k):
+        # Two full chunks and a partial third.
+        chunk = _CHUNK_ELEMENTS // (m * k)
+        self.assert_exact_argmin(*case(rng, m, ds, k, 2 * chunk + chunk // 2 + 1))
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
+    def test_rows_on_centroids_take_their_centroid(self, rng, m, ds):
+        cb, x = rows_on_centroids(rng, m, ds, 256, 200)
+        picks = np.argmax((x.reshape(200, m, 1, ds) == cb.stacked()).all(axis=3), axis=2)
+        np.testing.assert_array_equal(self.assert_exact_argmin(cb, x), picks)
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
+    def test_common_offset_defeats_the_expansion_alone(self, rng, m, ds):
+        cb, x = common_offset(rng, m, ds, 256, 300)
+        codes = self.assert_exact_argmin(cb, x)
+        assert (expansion_argmin(cb, x) != codes).any()
+
+
+VALUES = st.one_of(
+    st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+    st.floats(-1e6, 1e6, width=32),
+)
+
+
+@st.composite
+def small_codebooks(draw):
+    """A codebook of up to 3 x 9 x 4 values and up to 12 rows, on a grid that ties often."""
+    m, k, ds, n = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 4)), draw(st.integers(0, 12))
+    cents = draw(hnp.arrays(np.float64, (m, k, ds), elements=VALUES))
+    return ProductCodebook(cents), draw(hnp.arrays(np.float64, (n, m * ds), elements=VALUES))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_codebooks())
+def test_encoding_small_codebooks_equals_the_exact_kernel_argmin(case):
+    TestEncodeOracle.assert_exact_argmin(*case)
+
+
+class TestEncodeFilter:
+    """The matmul settles generic rows alone and hands every near tie to the
+    exact kernel, so neither a bound that settles nothing nor a missing
+    rescoring step goes unseen."""
+
+    @pytest.fixture
+    def rescored(self, monkeypatch):
+        rows: list[int] = []
+
+        def counting(codebook, u, out, aux):
+            rows.append(u.shape[1])
+            subvector_sq_dists(codebook, u, out, aux)
+
+        monkeypatch.setattr(sspq.quantizer, "subvector_sq_dists", counting)
+        return rows
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
+    def test_generic_rows_need_no_rescoring(self, rng, rescored, m, ds):
+        cb = ProductCodebook(rng.normal(size=(m, 256, ds)) * 0.2)
+        x = rng.normal(size=(2000, m * ds))
+        encode_matrix(cb, x / np.linalg.norm(x, axis=1, keepdims=True))
+        assert rescored == []
+
+    @pytest.mark.parametrize("m, ds", ENCODE_SHAPES)
+    def test_midpoint_ties_are_rescored(self, rng, rescored, m, ds):
+        cb, x = scattered_midpoints(rng, m, ds, 256, 300)
+        codes = encode_matrix(cb, x)
+        # Only the 100 midpoint rows may need the exact kernel.
+        assert 0 < sum(rescored) <= 100
+        np.testing.assert_array_equal(codes, np.argmin(adc_table(cb, x), axis=2))
 
 
 class TestAdcSearch:
