@@ -17,6 +17,7 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
+    BadConfigError,
     BadDimensionError,
     FormatError,
     LengthMismatchError,
@@ -92,10 +93,13 @@ def encoder_init(
 
     Raises:
         BadDimensionError: if any layer size is < 1.
+        BadConfigError: if the seed is negative.
     """
     sizes = [d_in, *hidden, d_out]
     if any(int(s) < 1 for s in sizes):
         raise BadDimensionError(f"all layer sizes must be >= 1, got {sizes}")
+    if seed < 0:
+        raise BadConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

@@ -75,7 +75,7 @@ def _similarity(
         aux += COSINE_EPS
         out /= aux
         return u_norms
-    subvector_sq_dists(codebook, u, out, aux)
+    subvector_sq_dists(codebook.stacked(), u, out, aux)
     np.sqrt(out, out=out)
     np.negative(out, out=out)
     return None

@@ -6,8 +6,8 @@ centroids implicitly defines K^M anchor points that are never materialized.
 K-means training, encoding, the ADC tables and the negative-Euclidean
 structure similarity split rows with ``subvectors``. The ADC tables and the
 similarity read one subvector-to-centroid squared-distance kernel,
-``subvector_sq_dists``; encoding scores candidates by a matmul and leaves
-only the near ties to that kernel, so every code is still its argmin.
+``subvector_sq_dists``; Lloyd's assignments and encoding score candidates by
+a matmul and leave only the near ties to that kernel, so each is its argmin.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ PQC_MAGIC = b"PQC1"
 # Lloyd stops once an iteration lowers the objective by less than this share.
 KMEANS_REL_TOL = 1e-4
 
-# Elements in encoding's (M, rows, K) score buffer: 1 MiB, far below the 32 MiB ceiling
-# of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
+# Elements in the (M, rows, K) score buffer of `_nearest_centroids`: 1 MiB, far below the
+# 32 MiB ceiling of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
 
 
@@ -61,8 +61,9 @@ class KMeansResult:
     the final objective and ``objective_history`` the post-update objective
     per iteration, which is non-increasing. For a stack, ``centroids`` is
     (M, K, d*), ``assignments`` (M, n), and ``objective`` and
-    ``objective_history`` hold one such entry per subspace. ``assignments``
-    pair with the returned centroids (the last update step).
+    ``objective_history`` hold one such entry per subspace. ``assignments``,
+    exact-kernel argmins as ``encode_matrix``'s codes are, pair with the
+    returned centroids (the last update step).
     ``iterations_run`` is the number of Lloyd iterations, summed over a stack.
     """
 
@@ -109,18 +110,13 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     rhs[:, :dim] = xs.transpose(0, 2, 1)
     rhs[:, dim] = 1.0
     x_sq = rhs[:, dim + 1]
-    for j, x in enumerate(xs):
-        np.einsum("nd,nd->n", x, x, out=x_sq[j])
+    np.einsum("mnd,mnd->mn", xs, xs, out=x_sq)
     lhs = np.empty((m, trials, dim + 2))
     lhs[:, :, dim + 1] = 1.0
-    # Twice the worst-case gap between a matmul potential and the exact one.
-    # Per point the two distance forms differ by at most (2.5 d* + 4) eps
-    # (|x|^2 + |c|^2); summing n terms adds up to n eps |potential| over both
-    # sides; underflow adds at most one subnormal per operation.
-    eps = np.finfo(np.float64).eps
-    norm_coef = 6.0 * eps * (dim + 2)
-    sum_coef = 2.0 * eps * n
-    point_floor = 4.0 * (dim + 4) * np.finfo(np.float64).smallest_subnormal
+    # Twice the worst-case gap between a matmul potential and the exact one:
+    # twice each point's, plus n eps |potential| over both sides for summing.
+    norm_coef, point_floor = _form_gap_bound(dim)
+    sum_coef = 2.0 * np.finfo(np.float64).eps * n
     x_sq_total = x_sq.sum(axis=1)
 
     # Buffers of every step. `trial` also holds the cumulative potentials and
@@ -190,28 +186,19 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     return centroids
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int, dist: np.ndarray, prod: np.ndarray):
+def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
     """Lloyd's iterations on one (n, d*) subspace, updating ``centroids`` in place.
 
-    ``dist`` and ``prod`` are (n, K) buffers for the expanded distances.
-    Returns the assignments and the objective history.
+    Returns the assignments, exact-kernel argmins as in ``encode_matrix``, and the objective history.
     """
     n, dim = x.shape
     k = centroids.shape[0]
-    x_sq = np.einsum("nd,nd->n", x, x)
     weights = x.ravel()  # point-major, as the bins below are
     offsets = np.arange(dim)
     history: list[float] = []
     prev = math.inf
     for _ in range(max_iters):
-        # Expanded form for the argmin only; the repair bookkeeping and the
-        # objective use exact per-point distances.
-        c_sq = np.einsum("kd,kd->k", centroids, centroids)
-        np.add(x_sq[:, None], c_sq, out=dist)
-        np.matmul(x, centroids.T, out=prod)
-        prod *= 2.0
-        dist -= prod
-        assignments = np.argmin(dist, axis=1)
+        assignments = _nearest_centroids(centroids[None], x[None], np.intp)[:, 0]
         counts = np.bincount(assignments, minlength=k)
         empty = np.flatnonzero(counts == 0) if k <= n else []
         if len(empty):
@@ -233,10 +220,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int, dist: np.ndarra
         diff = x - centroids[assignments]
         objective = float(np.einsum("nd,nd->", diff, diff))
         history.append(objective)
-
-        if math.isfinite(prev) and (prev - objective) <= KMEANS_REL_TOL * max(prev, 1e-300):
-            break
-        if objective == 0.0:
+        stalled = math.isfinite(prev) and prev - objective <= KMEANS_REL_TOL * max(prev, 1e-300)
+        if stalled or objective == 0.0:
             break
         prev = objective
     return assignments, history
@@ -254,8 +239,8 @@ def kmeans_fit(
     matrix is a stack of one. Subspace j draws from ``default_rng(seed + j)``
     and ends bit for bit as a run on it alone at ``seed + j`` would. The
     k-means++ seeding of all subspaces runs in one batched greedy step; Lloyd
-    then runs one subspace at a time in two (n, K) buffers allocated once per
-    call.
+    then runs one subspace at a time, assigning each point its nearest centroid
+    as ``encode_matrix`` does: the exact kernel's argmin, ties to the lowest.
 
     Empty clusters are repaired in turn, each by reassigning the point
     farthest from its centroid among those whose cluster keeps another
@@ -269,7 +254,7 @@ def kmeans_fit(
         ShapeMismatchError: if the points are neither 2-D nor 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: if ``k`` or ``max_iters`` is below 1.
+        BadConfigError: if ``k`` or ``max_iters`` is below 1 or ``seed`` below 0.
     """
     x = points.data if isinstance(points, EmbeddingMatrix) else np.asarray(points, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -284,21 +269,17 @@ def kmeans_fit(
         raise BadConfigError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
+    if seed < 0:
+        raise BadConfigError(f"seed must be >= 0, got {seed}")
 
     centroids = _kmeans_pp_init(stack, k, [np.random.default_rng(seed + j) for j in range(m)])
-    dist, prod = np.empty((2, n, k))
-    runs = [_lloyd(u, c, max_iters, dist, prod) for u, c in zip(stack, centroids)]
+    runs = [_lloyd(u, c, max_iters) for u, c in zip(stack, centroids)]
     assignments = np.stack([a for a, _ in runs])
     histories = [h for _, h in runs]
     if x.ndim == 2:
         return KMeansResult(centroids[0], assignments[0], histories[0][-1], len(histories[0]), histories[0])
-    return KMeansResult(
-        centroids=centroids,
-        assignments=assignments,
-        objective=[h[-1] for h in histories],
-        iterations_run=sum(len(h) for h in histories),
-        objective_history=histories,
-    )
+    objectives = [h[-1] for h in histories]
+    return KMeansResult(centroids, assignments, objectives, sum(len(h) for h in histories), histories)
 
 
 class ProductCodebook:
@@ -365,7 +346,7 @@ def train_product_codebook(
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
         NonFiniteInputError: if a feature holds a NaN or an infinity.
-        BadConfigError: if ``k`` is below 1.
+        BadConfigError: if ``k`` is below 1 or ``seed`` below 0.
     """
     x = _as_points(features)
     n, d = x.shape
@@ -387,31 +368,92 @@ def subvectors(x: np.ndarray, m: int) -> np.ndarray:
     return x.reshape(x.shape[0], m, x.shape[1] // m).transpose(1, 0, 2)
 
 
-def subvector_sq_dists(codebook: ProductCodebook, u: np.ndarray, out: np.ndarray, aux: np.ndarray) -> None:
-    """Write the squared distances from (M, rows, d*) subvectors ``u`` to every centroid into ``out``.
+def subvector_sq_dists(centroids: np.ndarray, u: np.ndarray, out: np.ndarray, aux: np.ndarray) -> None:
+    """Write the squared distances from subvectors ``u`` to ``centroids`` into ``out``.
 
-    ``out`` and ``aux`` are (M, rows, K); ``aux`` is scratch. The sum of
-    explicit per-dimension differences keeps a subvector on a centroid at
-    exactly 0 and equidistant centroids exactly tied.
+    ``u`` is (M, rows, d*), ``centroids`` (M, K, d*), and ``out`` and ``aux``
+    are (M, rows, K); ``aux`` is scratch. The sum of explicit per-dimension
+    differences keeps a subvector on a centroid at exactly 0 and equidistant
+    centroids exactly tied.
     """
-    cents = codebook.stacked()
     out.fill(0.0)
-    for j in range(codebook.sub_dim):
-        np.subtract(cents[:, None, :, j], u[:, :, j, None], out=aux)
+    for j in range(centroids.shape[2]):
+        np.subtract(centroids[:, None, :, j], u[:, :, j, None], out=aux)
         aux *= aux
         out += aux
+
+
+def _form_gap_bound(dim: int) -> tuple[float, float]:
+    """``(coef, floor)``: twice the gap between ``subvector_sq_dists``'s sum and a
+    matmul's |u|^2 + |c|^2 - 2 u.c for d*-long u, c is below coef (|u|^2 + |c|^2) + floor.
+
+    With eps = 2^-52 and gamma_j = j eps / 2, the sum is within gamma_{d*+2}
+    |u - c|^2 <= (d*+2) eps (|u|^2 + |c|^2) of the true distance, and the
+    matmul within as much plus gamma_{d*} (|u|^2 + |c|^2) from the norms it
+    reads. Twice both is (5 d* + 8) eps; 6 (d*+2) eps covers second-order terms
+    and the rounding of the norms, bound and test. Underflow adds at most half
+    a subnormal per product or square, 4 d* + 2 of them: twice is below 4 (d*+4).
+    """
+    info = np.finfo(np.float64)
+    return 6.0 * (dim + 2) * info.eps, 4.0 * (dim + 4) * info.smallest_subnormal
+
+
+def _nearest_centroids(cents: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
+    """(n, M) ``dtype`` index of each (M, n, d*) subvector's nearest of the (M, K, d*) ``cents``.
+
+    A code is the argmin of ``subvector_sq_dists``, ties to the lowest index.
+    Row chunks are scored by one ``(M, rows, d*+1) x (M, d*+1, K)`` matmul of
+    ``|c|^2 - 2 u.c``, whose missing |u|^2 cancels in a comparison. A subspace
+    whose best candidate leads the runner-up by more than ``_form_gap_bound``
+    at |u|^2 + max |c|^2 is settled; rows with any other are rescored exactly.
+    """
+    (m, k, dim), n = cents.shape, u.shape[1]
+    codes = np.empty((n, m), dtype=dtype)
+    chunk = max(1, _CHUNK_ELEMENTS // (m * k))
+    # Row i of `lhs[j]` times column c of `rhs[j]` is |c|^2 - 2 u.c, the
+    # squared distance from subvector u less |u|^2, which no argmin needs.
+    rhs = np.empty((m, dim + 1, k))
+    np.multiply(cents.transpose(0, 2, 1), -2.0, out=rhs[:, :dim])
+    np.einsum("mkd,mkd->mk", cents, cents, out=rhs[:, dim])
+    lhs = np.empty((m, min(chunk, n), dim + 1))
+    lhs[:, :, dim] = 1.0
+    scores = np.empty((m, min(chunk, n), k))
+    sub, row = np.arange(m)[:, None], np.arange(min(chunk, n))
+    coef, floor = _form_gap_bound(dim)
+    bound_c = coef * rhs[:, dim].max(axis=1, keepdims=True) + floor  # (M, 1)
+    for start in range(0, n, chunk):
+        r = min(chunk, n - start)
+        ur, s = lhs[:, :r], scores[:, :r]
+        ur[:, :, :dim] = u[:, start : start + r]
+        # Squares that overflow give an infinite bound or a NaN lead; NaN
+        # compares False, so either leaves the row to the exact kernel.
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(ur, rhs, out=s)
+            # The runner-up is the argmin once the best is set to inf; an
+            # argmin and a gather take half the time of a min over K.
+            best = np.argmin(s, axis=2)
+            lead = -s[sub, row[:r], best]
+            s[sub, row[:r], best] = np.inf
+            lead += s[sub, row[:r], np.argmin(s, axis=2)]
+            bound = np.einsum("mrd,mrd->mr", ur[:, :, :dim], ur[:, :, :dim])
+            bound *= coef
+            bound += bound_c
+            near = ~(lead > bound)
+        codes[start : start + r] = best.T
+        rows = np.flatnonzero(near.any(axis=0))
+        if rows.size:
+            exact, aux = np.empty((2, m, rows.size, k))
+            subvector_sq_dists(cents, u[:, start + rows], exact, aux)
+            codes[start + rows] = np.argmin(exact, axis=2).T
+    return codes
 
 
 def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     """Quantize every row of a matrix into (n, M) code indices.
 
-    Each code is the argmin of the row's ADC table, ties to the lowest
-    index. Rows are scored in chunks by one ``(M, rows, d*+1) x (M, d*+1, K)``
-    matmul giving ``|c|^2 - 2 u.c``; a subspace is settled there when its best
-    candidate leads the runner-up by more than the expansion's forward-error
-    bound, and the rows with any other subspace are rescored with
-    ``subvector_sq_dists``. The codes are uint8 when K <= 256, one byte per
-    subspace, and int32 otherwise.
+    Each code is the argmin of the row's ADC table, ties to the lowest index,
+    found by ``_nearest_centroids``. The codes are uint8 when K <= 256, one
+    byte per subspace, and int32 otherwise.
 
     Raises:
         LengthMismatchError: if the row length is not the codebook's d.
@@ -426,60 +468,8 @@ def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) ->
     # temporary, so the elementwise test runs only when the sum is not finite.
     if not np.isfinite(data.sum()) and not np.isfinite(data).all():
         raise NonFiniteInputError("a row to encode holds a NaN or an infinity")
-    m, k, dim, n = codebook.m, codebook.k, codebook.sub_dim, data.shape[0]
-    codes = np.empty((n, m), dtype=np.uint8 if k <= 256 else np.int32)
-    chunk = max(1, _CHUNK_ELEMENTS // (m * k))
-    # Row i of `lhs[j]` times column c of `rhs[j]` is |c|^2 - 2 u.c, the
-    # squared distance from subvector u less |u|^2, which no argmin needs.
-    cents = codebook.stacked()
-    rhs = np.empty((m, dim + 1, k))
-    np.multiply(cents.transpose(0, 2, 1), -2.0, out=rhs[:, :dim])
-    np.einsum("mkd,mkd->mk", cents, cents, out=rhs[:, dim])
-    lhs = np.empty((m, min(chunk, n), dim + 1))
-    lhs[:, :, dim] = 1.0
-    scores = np.empty((m, min(chunk, n), k))
-    sub, row = np.arange(m)[:, None], np.arange(min(chunk, n))
-    # With U = |u|^2, C = max |c|^2 over the subspace, eps = 2^-52 and
-    # gamma_j = j eps / 2: the kernel's sum of d* rounded squared differences
-    # is within gamma_{d*+2} |u - c|^2 <= 2 gamma_{d*+2} (U + C) of the true
-    # distance; the matmul's d*+1 products (|c|^2 itself within gamma_{d*} C)
-    # are within gamma_{d*+1} (2 |u||c| + |c|^2) + gamma_{d*} C
-    # <= gamma_{d*+2} (U + 3C) of the true |c|^2 - 2 u.c. The U cancels in a
-    # comparison, so a matmul lead over the runner-up above twice the sum of
-    # the two gaps, (d*+2) eps (3U + 5C) <= 5 (d*+2) eps (U + C), makes the
-    # kernel's distances strictly ordered the same way. The 6 below covers
-    # the second-order terms and the rounding of U, the bound and the test.
-    # Underflow adds at most half a subnormal per product or square, at most
-    # 3 d* of them over both forms and both candidates.
-    coef = 6.0 * (dim + 2) * np.finfo(np.float64).eps
-    bound_c = coef * rhs[:, dim].max(axis=1, keepdims=True)  # (M, 1), with the underflow terms
-    bound_c += 4.0 * (dim + 1) * np.finfo(np.float64).smallest_subnormal
-    for start in range(0, n, chunk):
-        r = min(chunk, n - start)
-        u, s = lhs[:, :r], scores[:, :r]
-        u[:, :, :dim] = subvectors(data[start : start + r], m)
-        # Squares that overflow give an infinite bound or a NaN lead; NaN
-        # compares False, so either leaves the row to the exact kernel.
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(u, rhs, out=s)
-            # The runner-up is the argmin once the best is set to inf; an
-            # argmin and a gather take half the time of a min over K.
-            best = np.argmin(s, axis=2)
-            lead = -s[sub, row[:r], best]
-            s[sub, row[:r], best] = np.inf
-            lead += s[sub, row[:r], np.argmin(s, axis=2)]
-            bound = np.einsum("mrd,mrd->mr", u[:, :, :dim], u[:, :, :dim])
-            bound *= coef
-            bound += bound_c
-            near = ~(lead > bound)
-        codes[start : start + r] = best.T
-        # Near ties take the argmin of their ADC table; ties to the lowest index.
-        rows = np.flatnonzero(near.any(axis=0))
-        if rows.size:
-            exact, aux = np.empty((2, m, rows.size, k))
-            subvector_sq_dists(codebook, subvectors(data[start + rows], m), exact, aux)
-            codes[start + rows] = np.argmin(exact, axis=2).T
-    return codes
+    dtype = np.uint8 if codebook.k <= 256 else np.int32
+    return _nearest_centroids(codebook.stacked(), subvectors(data, codebook.m), dtype)
 
 
 def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
@@ -488,7 +478,7 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != codebook.dim:
         raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
     table = np.empty((codebook.m, q.shape[0], codebook.k))
-    subvector_sq_dists(codebook, subvectors(q, codebook.m), table, np.empty_like(table))
+    subvector_sq_dists(codebook.stacked(), subvectors(q, codebook.m), table, np.empty_like(table))
     return table.transpose(1, 0, 2)
 
 

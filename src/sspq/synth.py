@@ -44,7 +44,8 @@ def gen_mixture(
         class except for the anchors.
 
     Raises:
-        BadConfigError: num_classes < 2, per_class < 4, or non-positive sizes.
+        BadConfigError: num_classes < 2, per_class < 4, non-positive sizes,
+            or a negative seed.
     """
     if num_classes < 2:
         raise BadConfigError(f"num_classes must be >= 2, got {num_classes}")
@@ -52,8 +53,8 @@ def gen_mixture(
         raise BadConfigError(f"per_class must be >= 4, got {per_class}")
     if d_in < 1 or anchor_count < 1:
         raise BadConfigError("d_in and anchor_count must be >= 1")
-    if cluster_std < 0:
-        raise BadConfigError("cluster_std must be >= 0")
+    if cluster_std < 0 or seed < 0:
+        raise BadConfigError("cluster_std and seed must be >= 0")
     if train_per_class is None:
         train_per_class = per_class
     if train_per_class < 1:
@@ -84,7 +85,8 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     map is well conditioned: the curvature comes from the tanh units and the
     output normalization, not from a lopsided random linear map that would
     wash out the class structure the benchmark is meant to probe. The
-    parameters are read-only, so no caller can alter the oracle.
+    parameters are read-only, so no caller can alter the oracle. A negative
+    seed raises ``BadConfigError``.
     """
     enc = encoder_init(d_in, [2 * d_in], emb_dim, seed=seed)
     rng = np.random.default_rng(seed)

@@ -3,10 +3,10 @@
 These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
 gradients, a double-loop scan for retrieval, a per-trial loop for greedy
-k-means++ seeding, scalar per-subvector similarity kernels for the
-batched structure similarities, a running sum over every rank for
-average precision, and a probability-space KL divergence for the
-log-space SSP loss.
+k-means++ seeding, a per-dimension loop for nearest centroids, scalar
+per-subvector similarity kernels for the batched structure similarities, a
+running sum over every rank for average precision, and a probability-space
+KL divergence for the log-space SSP loss.
 """
 
 from __future__ import annotations
@@ -201,3 +201,15 @@ def greedy_kmeans_pp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np
         centroids[i] = x[best_idx]
         d2 = best_d2
     return centroids
+
+
+def per_dimension_argmin(u: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(M, n) index of each (M, n, d*) subvector's nearest (M, K, d*) centroid.
+
+    The squared distance adds one dimension's squared difference at a time,
+    and ties go to the lowest centroid index.
+    """
+    dist = np.zeros((u.shape[0], u.shape[1], centroids.shape[1]))
+    for j in range(u.shape[2]):
+        dist += (u[:, :, None, j] - centroids[:, None, :, j]) ** 2
+    return np.argmin(dist, axis=2)

@@ -16,6 +16,7 @@ from sspq.encoder import (
     save_checkpoint,
 )
 from sspq.errors import (
+    BadConfigError,
     BadDimensionError,
     FormatError,
     LengthMismatchError,
@@ -46,6 +47,10 @@ class TestEncoderInit:
     def test_bad_dimension(self):
         with pytest.raises(BadDimensionError):
             encoder_init(0, [4], 2, seed=0)
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(BadConfigError):
+            encoder_init(8, [16], 8, seed=-1)
 
 
 class TestEncoderForward:

@@ -10,11 +10,13 @@ import sspq.quantizer
 from oracles import (
     brute_force_kmeans_objective,
     greedy_kmeans_pp_init,
+    per_dimension_argmin,
     reconstruct,
     reconstruction_sq_dist,
 )
 from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
+    BadConfigError,
     EmptyGalleryError,
     EmptyInputError,
     FormatError,
@@ -134,6 +136,24 @@ class TestKMeansFit:
         pts = rng.normal(size=(20, 2))
         result = kmeans_fit(pts, 6, seed=3)
         assert set(result.assignments.tolist()) == set(range(6))
+
+    @pytest.mark.parametrize("offset", [1e7, 1e8])
+    def test_common_offset_reaches_the_objective_at_the_origin(self, offset):
+        # Two tight 4-D clusters. At these offsets |x|^2 dwarfs every
+        # distance, so an argmin of |x|^2 + |c|^2 - 2 x.c alone mis-assigns
+        # most points and Lloyd settles on a worse objective.
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.normal(scale=0.1, size=(200, 4)), rng.normal(scale=0.1, size=(200, 4)) + 1.0])
+        at_origin = kmeans_fit(x, 8, seed=0).objective
+        assert kmeans_fit(x + offset, 8, seed=0).objective == pytest.approx(at_origin, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "fn", [kmeans_fit, lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
+        ids=["kmeans_fit", "train_product_codebook"],
+    )
+    def test_negative_seed_raises(self, rng, fn):
+        with pytest.raises(BadConfigError):
+            fn(rng.normal(size=(10, 4)), 2, seed=-1)
 
 
 class TestKMeansPPInit:
@@ -537,6 +557,28 @@ def test_encoding_small_codebooks_equals_the_exact_kernel_argmin(case):
     TestEncodeOracle.assert_exact_argmin(*case)
 
 
+@st.composite
+def small_stacks(draw):
+    """Up to 3 subspaces of up to 12 rows of up to 4 values, on a grid that
+    ties often, with rows repeated and at 0 or a common offset of 1e8, and a
+    k no larger than the distinct rows of any subspace, so seeding picks
+    distinct points and no cluster starts empty."""
+    m, ds, n = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    rows = draw(hnp.arrays(np.float64, (m, n, ds), elements=VALUES)) + draw(st.sampled_from([0.0, 1e8]))
+    stack = rows[:, draw(hnp.arrays(np.intp, n, elements=st.integers(0, n - 1)))]
+    distinct = min(len(np.unique(u, axis=0)) for u in stack)
+    return stack, draw(st.integers(1, distinct)), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_stacks())
+def test_lloyd_assigns_each_point_its_exact_nearest_seed(case):
+    stack, k, seed = case
+    seeds = _kmeans_pp_init(stack, k, [np.random.default_rng(seed + j) for j in range(len(stack))])
+    result = kmeans_fit(stack, k, seed, max_iters=1)
+    np.testing.assert_array_equal(result.assignments, per_dimension_argmin(stack, seeds))
+
+
 class TestEncodeFilter:
     """The matmul settles generic rows alone and hands every near tie to the
     exact kernel, so neither a bound that settles nothing nor a missing
@@ -546,9 +588,9 @@ class TestEncodeFilter:
     def rescored(self, monkeypatch):
         rows: list[int] = []
 
-        def counting(codebook, u, out, aux):
+        def counting(centroids, u, out, aux):
             rows.append(u.shape[1])
-            subvector_sq_dists(codebook, u, out, aux)
+            subvector_sq_dists(centroids, u, out, aux)
 
         monkeypatch.setattr(sspq.quantizer, "subvector_sq_dists", counting)
         return rows

@@ -62,6 +62,10 @@ class TestGenMixture:
         with pytest.raises(BadConfigError):
             gen_mixture(4, 1, 4, 0.1, seed=0)
 
+    def test_negative_seed_raises(self):
+        with pytest.raises(BadConfigError):
+            gen_mixture(4, 5, 4, 0.1, seed=-1)
+
     def test_class_means_on_unit_sphere(self):
         ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8)
         for c in range(8):
@@ -114,3 +118,7 @@ class TestGalleryOracle:
         oracle = make_oracle(6, 8, seed=13)
         with pytest.raises(LengthMismatchError):
             oracle_encode(oracle, np.zeros((3, 5)))
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(BadConfigError):
+            make_oracle(4, 8, seed=-1)

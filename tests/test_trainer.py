@@ -6,7 +6,7 @@ import pytest
 from oracles import central_diff_grad, grad_mismatch
 from sspq.embeddings import EmbeddingMatrix
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
-from sspq.errors import ShapeMismatchError, StepOutOfRangeError
+from sspq.errors import BadConfigError, ShapeMismatchError, StepOutOfRangeError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
 from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import (
@@ -139,6 +139,17 @@ class TestTrainQueryModel:
         raw, gallery, codebook, enc = small_problem(seed=4)
         with pytest.raises(ShapeMismatchError):
             train_query_model(enc, gallery, raw[:, :-1], codebook, TrainConfig(epochs=1))
+
+    def test_negative_seed_in_config_raises(self):
+        with pytest.raises(BadConfigError):
+            TrainConfig(seed=-1)
+
+    def test_negative_seed_set_after_construction_raises(self):
+        raw, gallery, codebook, enc = small_problem(seed=4)
+        cfg = TrainConfig(epochs=1)
+        cfg.seed = -1
+        with pytest.raises(BadConfigError):
+            train_query_model(enc, gallery, raw, codebook, cfg)
 
     def test_full_pipeline_parameter_gradients(self):
         # dLoss/d(params) through encoder forward + SSP loss vs. finite differences.
