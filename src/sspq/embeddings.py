@@ -9,6 +9,7 @@ import csv
 import re
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,10 @@ _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 class EmbeddingMatrix:
     """N x d matrix of embedding vectors, one row per item.
 
-    Immutable after construction. ``normalized`` asserts that every row has
-    unit L2 norm (within 1e-6); constructing with the flag set and
-    non-unit rows raises ``InvariantError``.
+    Immutable: a float64 C-contiguous input is kept, not copied, and made
+    read-only for its caller too; other input is copied. ``unit_rows``
+    assumes ``data`` never changes. ``normalized=True`` raises
+    ``InvariantError`` unless every row norm is within 1e-6 of 1.
     """
 
     data: np.ndarray
@@ -66,6 +68,14 @@ class EmbeddingMatrix:
     @property
     def dim(self) -> int:
         return self.data.shape[1]
+
+    @cached_property
+    @np.errstate(invalid="ignore")  # an infinity gives a NaN row, which the searches reject
+    def unit_rows(self) -> np.ndarray:
+        """Read-only ``normalize_rows(data)``, computed on first use."""
+        unit, _ = normalize_rows(self.data)
+        unit.setflags(write=False)
+        return unit
 
 
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

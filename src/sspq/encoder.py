@@ -17,12 +17,12 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
-    BadConfigError,
     BadDimensionError,
     FormatError,
     LengthMismatchError,
     NonFiniteInputError,
     ShapeMismatchError,
+    check_seed,
 )
 from .fileio import write_atomic
 
@@ -93,13 +93,12 @@ def encoder_init(
 
     Raises:
         BadDimensionError: if any layer size is < 1.
-        BadConfigError: if the seed is negative.
+        BadConfigError: if the seed is not an int >= 0.
     """
     sizes = [d_in, *hidden, d_out]
     if any(int(s) < 1 for s in sizes):
         raise BadDimensionError(f"all layer sizes must be >= 1, got {sizes}")
-    if seed < 0:
-        raise BadConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):

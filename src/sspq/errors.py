@@ -1,4 +1,6 @@
-"""Exception types shared across the package; the library raises only these."""
+"""Exception types shared across the package, which raises only these, and its one seed check."""
+
+import numpy as np
 
 
 class SspqError(Exception):
@@ -63,3 +65,9 @@ class FormatError(SspqError):
 
 class InvariantError(SspqError):
     """A value breaks an invariant its container declares, such as unit-norm rows."""
+
+
+def check_seed(seed) -> None:
+    """Raise ``BadConfigError`` unless ``seed`` is an int or NumPy integer >= 0, not a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise BadConfigError(f"seed must be an int >= 0, got {seed!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, normalize_rows
+from .embeddings import EmbeddingMatrix
 from .errors import (
     EmptyGalleryError,
     EmptyInputError,
@@ -85,16 +85,12 @@ def _rank(keys: np.ndarray) -> np.ndarray:
 
 
 def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
-    """(nq, n) gallery ids of every query, by descending cosine similarity."""
+    """(nq, n) gallery ids of every query, by descending cosine similarity of ``unit_rows``."""
     if queries.dim != gallery.dim:
         raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
-    # A row holding an infinity normalizes to NaN, which `_rank` rejects.
-    with np.errstate(invalid="ignore"):
-        q, _ = normalize_rows(queries.data)
-        g, _ = normalize_rows(gallery.data)
-    return _rank(-(q @ g.T))
+    return _rank(-(queries.unit_rows @ gallery.unit_rows.T))
 
 
 def adc_search(

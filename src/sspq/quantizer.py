@@ -31,6 +31,7 @@ from .errors import (
     NonFiniteInputError,
     NonPowerOfTwoKError,
     ShapeMismatchError,
+    check_seed,
 )
 from .fileio import write_atomic
 
@@ -254,7 +255,7 @@ def kmeans_fit(
         ShapeMismatchError: if the points are neither 2-D nor 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: if ``k`` or ``max_iters`` is below 1 or ``seed`` below 0.
+        BadConfigError: if ``k`` or ``max_iters`` is below 1 or ``seed`` is not an int >= 0.
     """
     x = points.data if isinstance(points, EmbeddingMatrix) else np.asarray(points, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -269,8 +270,7 @@ def kmeans_fit(
         raise BadConfigError(f"k must be >= 1, got {k}")
     if max_iters < 1:
         raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
-    if seed < 0:
-        raise BadConfigError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
 
     centroids = _kmeans_pp_init(stack, k, [np.random.default_rng(seed + j) for j in range(m)])
     runs = [_lloyd(u, c, max_iters) for u, c in zip(stack, centroids)]
@@ -346,7 +346,7 @@ def train_product_codebook(
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
         NonFiniteInputError: if a feature holds a NaN or an infinity.
-        BadConfigError: if ``k`` is below 1 or ``seed`` below 0.
+        BadConfigError: if ``k`` is below 1 or ``seed`` is not an int >= 0.
     """
     x = _as_points(features)
     n, d = x.shape

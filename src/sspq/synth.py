@@ -8,7 +8,7 @@ import numpy as np
 
 from .embeddings import EmbeddingMatrix, normalize_rows
 from .encoder import QueryEncoder, encoder_init, forward_matrix
-from .errors import BadConfigError
+from .errors import BadConfigError, check_seed
 
 SPLIT_ANCHOR = "anchor"
 SPLIT_TRAIN = "train"
@@ -45,7 +45,7 @@ def gen_mixture(
 
     Raises:
         BadConfigError: num_classes < 2, per_class < 4, non-positive sizes,
-            or a negative seed.
+            or a seed that is not an int >= 0.
     """
     if num_classes < 2:
         raise BadConfigError(f"num_classes must be >= 2, got {num_classes}")
@@ -53,8 +53,9 @@ def gen_mixture(
         raise BadConfigError(f"per_class must be >= 4, got {per_class}")
     if d_in < 1 or anchor_count < 1:
         raise BadConfigError("d_in and anchor_count must be >= 1")
-    if cluster_std < 0 or seed < 0:
-        raise BadConfigError("cluster_std and seed must be >= 0")
+    if cluster_std < 0:
+        raise BadConfigError(f"cluster_std must be >= 0, got {cluster_std}")
+    check_seed(seed)
     if train_per_class is None:
         train_per_class = per_class
     if train_per_class < 1:
@@ -85,8 +86,8 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     map is well conditioned: the curvature comes from the tanh units and the
     output normalization, not from a lopsided random linear map that would
     wash out the class structure the benchmark is meant to probe. The
-    parameters are read-only, so no caller can alter the oracle. A negative
-    seed raises ``BadConfigError``.
+    parameters are read-only, so no caller can alter the oracle. A seed that
+    is not an int >= 0 raises ``BadConfigError``.
     """
     enc = encoder_init(d_in, [2 * d_in], emb_dim, seed=seed)
     rng = np.random.default_rng(seed)

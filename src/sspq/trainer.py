@@ -23,6 +23,7 @@ from .errors import (
     NonFiniteInputError,
     ShapeMismatchError,
     StepOutOfRangeError,
+    check_seed,
 )
 from .loss import (
     SIM_COSINE,
@@ -42,9 +43,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run."""
+    """Hyperparameters for one training run, checked once and then frozen."""
 
     tau_g: float = 0.1
     tau_q: float = 1.0
@@ -65,8 +66,9 @@ class TrainConfig:
             raise BadConfigError("batch_size must be >= 1")
         if self.tau_q <= 0:
             raise BadConfigError("tau_q must be > 0")
-        if self.tau_g < 0 or self.seed < 0:
-            raise BadConfigError("tau_g and seed must be >= 0")
+        if self.tau_g < 0:
+            raise BadConfigError("tau_g must be >= 0")
+        check_seed(self.seed)
         if self.loss_kind not in LOSS_KINDS:
             raise BadConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.similarity_kind not in SIMILARITY_KINDS:
@@ -148,11 +150,8 @@ def train_query_model(
         (trained encoder, mean loss of each epoch).
 
     Raises:
-        BadConfigError: if ``cfg.seed`` is negative.
         NonFiniteInputError: at the first epoch whose mean loss is not finite.
     """
-    if cfg.seed < 0:
-        raise BadConfigError(f"seed must be >= 0, got {cfg.seed}")
     raw = np.asarray(raw_inputs, dtype=np.float64)
     if raw.ndim != 2:
         raise ShapeMismatchError(f"raw inputs must be 2-D, got {raw.shape}")

@@ -137,6 +137,27 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             emb.data[0, 0] = 7.0
 
+    def test_float64_c_contiguous_input_is_shared_and_made_read_only(self, rng):
+        # The cached unit rows stay sound only because no one can write to
+        # the kept array, the caller's own reference included.
+        x = rng.normal(size=(5, 4))
+        emb = EmbeddingMatrix(x)
+        assert emb.data is x
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0] = 7.0
+
+    @pytest.mark.parametrize(
+        "make", [lambda x: x.astype(np.float32), lambda x: x[:, ::2], lambda x: np.asfortranarray(x)],
+        ids=["float32", "strided", "fortran"],
+    )
+    def test_other_input_is_copied_and_left_writable(self, rng, make):
+        x = make(rng.normal(size=(5, 4)))
+        emb = EmbeddingMatrix(x)
+        assert not np.shares_memory(emb.data, x)
+        assert x.flags.writeable and not emb.data.flags.writeable
+        np.testing.assert_array_equal(emb.data, x.astype(np.float64))
+
 
 class TestEmb1Format:
     def test_round_trip_and_f32_rounding(self, tmp_path, rng):

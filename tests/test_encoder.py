@@ -52,6 +52,11 @@ class TestEncoderInit:
         with pytest.raises(BadConfigError):
             encoder_init(8, [16], 8, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_int_seed_raises(self, seed):
+        with pytest.raises(BadConfigError):
+            encoder_init(8, [16], 8, seed=seed)
+
 
 class TestEncoderForward:
     def test_identity_weights_normalize_input(self, rng):

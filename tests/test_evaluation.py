@@ -15,6 +15,7 @@ from sspq.errors import (
     ShapeMismatchError,
 )
 from sspq.evaluation import (
+    _rank,
     adc_search,
     average_precision,
     evaluate,
@@ -138,6 +139,57 @@ class TestNonFiniteScores:
             evaluate(queries, gallery, np.zeros(3), np.arange(20) % 2)
         with pytest.raises(NonFiniteInputError):
             encode_matrix(cb, gallery)
+
+
+class TestUnitRowsCache:
+    """Each matrix is normalized on its first search and never again."""
+
+    def test_two_evaluates_normalize_each_matrix_once(self, rng, monkeypatch):
+        calls = []
+
+        def counting(x):
+            calls.append(x.shape)
+            return normalize_rows(x)
+
+        monkeypatch.setattr("sspq.embeddings.normalize_rows", counting)
+        gallery, queries = unit_rows(rng, 30, 6), unit_rows(rng, 4, 6)
+        labels = np.arange(30) % 3
+        first = evaluate(queries, gallery, labels[:4], labels)
+        second = evaluate(queries, gallery, labels[:4], labels)
+        assert sorted(calls) == [(4, 6), (30, 6)]
+        assert first.per_query_ap.tobytes() == second.per_query_ap.tobytes()
+
+    def test_orders_equal_the_per_call_normalization(self, rng):
+        # Stored rows are float32, so they are not unit in float64; exact
+        # copies tie, and a zero row is degenerate.
+        base = normalize_rows(rng.normal(size=(12, 8)))[0].astype(np.float32).astype(np.float64)
+        g = np.concatenate([base[[3, 0, 3, 7, 0, 11, 3]], np.zeros((1, 8)), base])
+        q = np.concatenate([base[[3, 5]], rng.normal(size=(3, 8)).astype(np.float32)]).astype(np.float64)
+        scores = normalize_rows(q)[0] @ normalize_rows(g)[0].T
+        assert (scores[:, 0] == scores[:, 2]).all() and (scores[:, 7] == 0).all()
+        expected = _rank(-scores)
+        queries, gallery = EmbeddingMatrix(q), EmbeddingMatrix(g)
+        for _ in range(2):  # the second search reads the cached rows
+            np.testing.assert_array_equal(exact_search(queries, gallery), expected)
+        assert (normalize_rows(g)[0] != g).any()
+
+    @NON_FINITE
+    def test_non_finite_gallery_row_raises_on_every_search(self, rng, bad):
+        data = unit_rows(rng, 10, 4).data.copy()
+        data[6, 1] = bad
+        gallery, queries = EmbeddingMatrix(data), unit_rows(rng, 2, 4)
+        with pytest.raises(NonFiniteInputError):
+            exact_search(queries, gallery)
+        assert np.isnan(gallery.unit_rows[6]).any()
+        with pytest.raises(NonFiniteInputError):
+            exact_search(queries, gallery)
+
+    def test_unit_rows_are_read_only_and_computed_once(self, rng):
+        emb = EmbeddingMatrix(rng.normal(size=(3, 4)))
+        assert emb.unit_rows is emb.unit_rows
+        np.testing.assert_array_equal(emb.unit_rows, normalize_rows(emb.data)[0])
+        with pytest.raises(ValueError):
+            emb.unit_rows[0, 0] = 1.0
 
 
 def hit_mask(ids, relevant):

@@ -155,6 +155,15 @@ class TestKMeansFit:
         with pytest.raises(BadConfigError):
             fn(rng.normal(size=(10, 4)), 2, seed=-1)
 
+    @pytest.mark.parametrize(
+        "fn", [kmeans_fit, lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
+        ids=["kmeans_fit", "train_product_codebook"],
+    )
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_int_seed_raises(self, rng, fn, seed):
+        with pytest.raises(BadConfigError):
+            fn(rng.normal(size=(10, 4)), 2, seed=seed)
+
 
 class TestKMeansPPInit:
     """The batched matmul-scored seeding equals the per-trial exact loop bit

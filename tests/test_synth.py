@@ -66,6 +66,11 @@ class TestGenMixture:
         with pytest.raises(BadConfigError):
             gen_mixture(4, 5, 4, 0.1, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_int_seed_raises(self, seed):
+        with pytest.raises(BadConfigError):
+            gen_mixture(4, 5, 4, 0.1, seed=seed)
+
     def test_class_means_on_unit_sphere(self):
         ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8)
         for c in range(8):
@@ -122,3 +127,8 @@ class TestGalleryOracle:
     def test_negative_seed_raises(self):
         with pytest.raises(BadConfigError):
             make_oracle(4, 8, seed=-1)
+
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_int_seed_raises(self, seed):
+        with pytest.raises(BadConfigError):
+            make_oracle(4, 8, seed=seed)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -144,12 +145,20 @@ class TestTrainQueryModel:
         with pytest.raises(BadConfigError):
             TrainConfig(seed=-1)
 
-    def test_negative_seed_set_after_construction_raises(self):
-        raw, gallery, codebook, enc = small_problem(seed=4)
-        cfg = TrainConfig(epochs=1)
-        cfg.seed = -1
+    @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
+    def test_non_int_seed_in_config_raises(self, seed):
         with pytest.raises(BadConfigError):
-            train_query_model(enc, gallery, raw, codebook, cfg)
+            TrainConfig(seed=seed)
+
+    def test_negative_seed_set_after_construction_raises(self):
+        # The config is frozen, so its construction-time checks hold for
+        # every field; a zero batch size would end in ZeroDivisionError.
+        cfg = TrainConfig(epochs=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = -1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.batch_size = 0
+        assert (cfg.seed, cfg.batch_size) == (0, 32)
 
     def test_full_pipeline_parameter_gradients(self):
         # dLoss/d(params) through encoder forward + SSP loss vs. finite differences.
