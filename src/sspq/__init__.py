@@ -7,15 +7,7 @@ evaluate symmetric vs. asymmetric retrieval (exact and PQ-compressed) by mAP.
 """
 
 from .embeddings import EmbeddingMatrix, export_embeddings, import_embeddings
-from .encoder import (
-    QueryEncoder,
-    encoder_backward,
-    encoder_forward,
-    encoder_init,
-    forward_matrix,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .encoder import QueryEncoder, encoder_init, forward_matrix, load_checkpoint, save_checkpoint
 from .evaluation import (
     EvalReport,
     adc_search,
@@ -24,7 +16,6 @@ from .evaluation import (
     evaluate_pq,
     exact_search,
 )
-from .loss import regression_loss_and_grad, ssp_loss_and_grad
 from .quantizer import (
     KMeansResult,
     ProductCodebook,
@@ -36,12 +27,6 @@ from .quantizer import (
     train_product_codebook,
 )
 from .synth import gen_mixture, make_oracle, oracle_encode
-from .trainer import (
-    AdamState,
-    TrainConfig,
-    adam_step,
-    linear_lr,
-    train_query_model,
-)
+from .trainer import TrainConfig, train_query_model
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__
 from .embeddings import (
     EMB_MAX_SIZE,
-    EmbeddingMatrix,
     export_embeddings,
     import_embeddings,
     read_labels,
@@ -177,7 +176,7 @@ def cmd_gen(cfg: dict) -> dict:
         raw_file = out / f"{split}_raw.emb"
         emb_file = out / f"{split}_emb.emb"
         label_file = out / f"{split}_labels.csv"
-        export_embeddings(EmbeddingMatrix(raw), raw_file)
+        export_embeddings(raw, raw_file)
         export_embeddings(emb, emb_file)
         write_labels(labels, label_file)
         manifest["splits"][split] = {
@@ -186,7 +185,7 @@ def cmd_gen(cfg: dict) -> dict:
             "labels": label_file.name,
             "rows": int(raw.shape[0]),
             "d_in": int(raw.shape[1]),
-            "emb_dim": int(emb.dim),
+            "emb_dim": int(emb.shape[1]),
         }
     _write_json(manifest, _manifest_path(cfg))
     return manifest
@@ -215,19 +214,15 @@ class _Dataset:
                 raise FormatError(f"{path}: bad manifest: split {split!r} has a malformed entry")
         self.splits = splits
 
-    def embeddings(self, split: str, kind: str) -> EmbeddingMatrix:
+    def embeddings(self, split: str, kind: str) -> np.ndarray:
         return import_embeddings(self.root / self.splits[split][kind])
 
     def labels(self, split: str) -> np.ndarray:
         entry = self.splits[split]
         return read_labels(self.root / entry["labels"], expected_rows=entry["rows"])
 
-    def encode(self, model, split: str) -> EmbeddingMatrix:
-        """A split's raw inputs through the model; unflagged, as a degenerate row is not unit-norm."""
-        return EmbeddingMatrix(forward_matrix(model, self.embeddings(split, "raw").data))
 
-
-def _train_codebook(cfg: dict, anchors: EmbeddingMatrix, m: int) -> ProductCodebook:
+def _train_codebook(cfg: dict, anchors: np.ndarray, m: int) -> ProductCodebook:
     return train_product_codebook(anchors, m=m, k=cfg["k"], seed=cfg["seed"] + SEED_CODEBOOK)
 
 
@@ -250,14 +245,14 @@ def cmd_train_codebook(cfg: dict) -> dict:
     # Per-subspace quantization error of the anchor set. The centroids are
     # the file's float32 values, so a reader of the file recomputes it.
     codes = encode_matrix(codebook, anchors)
-    subspaces = zip(subvectors(anchors.data, codebook.m), codebook.stacked(), codes.T)
+    subspaces = zip(subvectors(anchors, codebook.m), codebook.stacked(), codes.T)
     diffs = (u - cents[c] for u, cents, c in subspaces)
     objectives = [float(np.einsum("nd,nd->", diff, diff)) for diff in diffs]
     summary = {
         "m": codebook.m,
         "k": codebook.k,
         "dim": codebook.dim,
-        "anchor_rows": anchors.rows,
+        "anchor_rows": anchors.shape[0],
         "per_subspace_objective": objectives,
         "total_objective": float(sum(objectives)),
         "codebook_file": cb_path.name,
@@ -275,7 +270,8 @@ def cmd_train_query(cfg: dict) -> dict:
     gallery_emb = dataset.embeddings("train", "emb")
     # Geometry comes from the generated dataset, not the current config, so
     # later stages cannot drift from what gen actually wrote.
-    enc = encoder_init(raw.dim, list(cfg["hidden"]), gallery_emb.dim, seed=cfg["seed"] + SEED_ENCODER)
+    enc = encoder_init(raw.shape[1], list(cfg["hidden"]), gallery_emb.shape[1],
+                       seed=cfg["seed"] + SEED_ENCODER)
     train_cfg = TrainConfig(
         tau_g=cfg["tau_g"],
         tau_q=cfg["tau_q"],
@@ -290,7 +286,7 @@ def cmd_train_query(cfg: dict) -> dict:
     if train_cfg.tau_g == 0:
         print("note: tau_g=0 selects hard (one-hot) anchor assignments", file=sys.stderr)
     start = time.perf_counter()
-    model, epoch_means = train_query_model(enc, gallery_emb, raw.data, codebook, train_cfg)
+    model, epoch_means = train_query_model(enc, gallery_emb, raw, codebook, train_cfg)
     wall_seconds = time.perf_counter() - start
     save_checkpoint(model, out / "checkpoint.sspq", extra={"config": cfg})
     # Timing is printed, not persisted: artifacts must be byte-identical
@@ -312,8 +308,8 @@ def cmd_eval(cfg: dict) -> dict:
     gallery_labels = dataset.labels("gallery")
     gal_emb_g = dataset.embeddings("gallery", "emb")
     query_emb_g = dataset.embeddings("query", "emb")
-    query_emb_q = dataset.encode(model, "query")
-    gal_emb_q = dataset.encode(model, "gallery")
+    query_emb_q = forward_matrix(model, dataset.embeddings("query", "raw"))
+    gal_emb_q = forward_matrix(model, dataset.embeddings("gallery", "raw"))
 
     # (mode, encoder id, codebook id, report); the oracle is the gallery side.
     reports = [
@@ -330,7 +326,7 @@ def cmd_eval(cfg: dict) -> dict:
         codes = encode_matrix(codebook, gal_emb_g)
         reports.append(("asymmetric_pq", encoder_id, codebook_id,
                         evaluate_pq(query_emb_q, codes, codebook, query_labels, gallery_labels)))
-        _write_json(memory_report(gal_emb_g.rows, codebook.m, codebook.k), out / "memory.json")
+        _write_json(memory_report(gal_emb_g.shape[0], codebook.m, codebook.k), out / "memory.json")
 
     rows = [["mode", "map", "n_queries", "codebook_id"]]
     for mode, enc_id, cb_id, report in reports:
@@ -357,18 +353,18 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
     dataset = _Dataset(cfg)
     anchors = dataset.embeddings("anchor", "emb")
     for m in cfg["pq_m_list"]:
-        check_subspace_count(anchors.dim, m)
+        check_subspace_count(anchors.shape[1], m)
     out = Path(cfg["out_dir"])
     saved = {}
     if (out / "codebook.pqc").exists():
         codebook = codebook_load(out / "codebook.pqc")
-        if (codebook.m, codebook.k, codebook.dim) == (cfg["m"], cfg["k"], anchors.dim):
+        if (codebook.m, codebook.k, codebook.dim) == (cfg["m"], cfg["k"], anchors.shape[1]):
             saved[codebook.m] = codebook
     model, _ = load_checkpoint(out / "checkpoint.sspq")
     query_labels = dataset.labels("query")
     gallery_labels = dataset.labels("gallery")
     gal_emb_g = dataset.embeddings("gallery", "emb")
-    queries = dataset.encode(model, "query")
+    queries = forward_matrix(model, dataset.embeddings("query", "raw"))
 
     exact = evaluate(queries, gal_emb_g, query_labels, gallery_labels)
     results = [{"m": None, "k": None, "map": exact.map_score, "code_bytes": None, "mib": None}]
@@ -376,7 +372,7 @@ def cmd_pq_bench(cfg: dict) -> list[dict]:
         codebook = saved.get(m) or _train_codebook(cfg, anchors, m)
         codes = encode_matrix(codebook, gal_emb_g)
         report = evaluate_pq(queries, codes, codebook, query_labels, gallery_labels)
-        mem = memory_report(gal_emb_g.rows, m, cfg["k"])
+        mem = memory_report(gal_emb_g.shape[0], m, cfg["k"])
         results.append(
             {"m": m, "k": cfg["k"], "map": report.map_score,
              "code_bytes": mem["code_bytes"], "mib": mem["mib"]}

@@ -1,6 +1,6 @@
-"""Embedding containers, row normalization, and the EMB1 and label-sidecar files.
+"""The exact-search handle, row normalization, and the EMB1 and label-sidecar files.
 
-All arithmetic is done in float64; the on-disk ``EMB1`` format stores float32.
+Embeddings are (n, d) float64 arrays; the on-disk ``EMB1`` format stores float32.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """N x d matrix of embedding vectors, one row per item.
+    """Exact-search handle of an (n, d) embedding matrix that keeps its unit rows.
 
     Immutable: a float64 C-contiguous input is kept, not copied, and made
     read-only for its caller too; other input is copied. ``unit_rows``
@@ -65,10 +65,6 @@ class EmbeddingMatrix:
     def rows(self) -> int:
         return self.data.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
     @cached_property
     @np.errstate(invalid="ignore")  # an infinity gives a NaN row, which the searches reject
     def unit_rows(self) -> np.ndarray:
@@ -91,29 +87,29 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / np.where(degenerate, 1.0, norms)[:, None], degenerate
 
 
-def export_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """Write an embedding matrix in the EMB1 binary format.
+def export_embeddings(x: np.ndarray, path: str | Path) -> None:
+    """Write an (n, d) embedding array in the EMB1 binary format.
 
     Layout: magic ``EMB1``, u32 LE row count, u32 LE dim, u8 dtype tag
     (0 = float32), then rows*dim little-endian float32 values, row-major.
 
     Raises:
+        ShapeMismatchError: if the array is not 2-D.
         NonFiniteInputError: if a value is, or rounds to, a NaN or an infinity.
     """
+    data = np.asarray(x, dtype=np.float64)
+    if data.ndim != 2:
+        raise ShapeMismatchError(f"embeddings must be 2-D, got shape {data.shape}")
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        values = emb.data.astype("<f4")
+        values = data.astype("<f4")
     if not np.isfinite(values).all():
         raise NonFiniteInputError(f"{path}: embeddings hold a NaN or an infinity")
-    payload = values.tobytes()
-    header = EMB_MAGIC + struct.pack("<IIB", emb.rows, emb.dim, _EMB_DTYPE_F32)
-    write_atomic(path, header + payload)
+    header = EMB_MAGIC + struct.pack("<IIB", *values.shape, _EMB_DTYPE_F32)
+    write_atomic(path, header + values.tobytes())
 
 
-def import_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Read an EMB1 file back into an EmbeddingMatrix.
-
-    The normalized flag is set when every stored row has unit norm within
-    1e-6 (float32 round-off of unit rows stays well inside that bound).
+def import_embeddings(path: str | Path) -> np.ndarray:
+    """Read an EMB1 file back into a read-only (rows, dim) float64 array.
 
     Raises:
         FormatError: on bad magic, bad dtype tag, truncated payload, or a
@@ -136,11 +132,8 @@ def import_embeddings(path: str | Path) -> EmbeddingMatrix:
     data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
     if not np.isfinite(data).all():
         raise FormatError(f"{path}: payload holds a NaN or an infinity")
-    normalized = False
-    if rows > 0 and dim > 0:
-        norms = np.linalg.norm(data, axis=1)
-        normalized = bool(np.max(np.abs(norms - 1.0)) <= 1e-6)
-    return EmbeddingMatrix(data, normalized=normalized)
+    data.setflags(write=False)
+    return data
 
 
 def write_labels(labels: np.ndarray, path: str | Path) -> None:

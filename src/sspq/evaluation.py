@@ -84,17 +84,26 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def exact_search(queries: EmbeddingMatrix, gallery: EmbeddingMatrix) -> np.ndarray:
-    """(nq, n) gallery ids of every query, by descending cosine similarity of ``unit_rows``."""
-    if queries.dim != gallery.dim:
-        raise ShapeMismatchError(f"dims differ: {queries.dim} vs {gallery.dim}")
+def _search_matrix(x: EmbeddingMatrix | np.ndarray) -> EmbeddingMatrix:
+    """``x``, or a handle over a view of the (n, d) array ``x``, so the array keeps its flags."""
+    return x if isinstance(x, EmbeddingMatrix) else EmbeddingMatrix(np.asarray(x, dtype=np.float64).view())
+
+
+def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix | np.ndarray) -> np.ndarray:
+    """(nq, n) gallery ids of every query, by descending cosine similarity of ``unit_rows``.
+
+    An ``EmbeddingMatrix`` keeps its unit rows; an array's are computed per call.
+    """
+    queries, gallery = _search_matrix(queries), _search_matrix(gallery)
+    if queries.data.shape[1] != gallery.data.shape[1]:
+        raise ShapeMismatchError(f"dims differ: {queries.data.shape[1]} vs {gallery.data.shape[1]}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
     return _rank(-(queries.unit_rows @ gallery.unit_rows.T))
 
 
 def adc_search(
-    queries: EmbeddingMatrix, codes: np.ndarray, codebook: ProductCodebook
+    queries: EmbeddingMatrix | np.ndarray, codes: np.ndarray, codebook: ProductCodebook
 ) -> np.ndarray:
     """(nq, n) encoded gallery ids of every query, by ascending ADC distance.
 
@@ -103,12 +112,13 @@ def adc_search(
 
     Raises:
         EmptyGalleryError: if there are no codes.
+        ShapeMismatchError: if the queries are not 2-D.
         LengthMismatchError: if the query or code shape does not match.
         InvariantError: if a code is not an integer in [0, K).
     """
     if len(codes) == 0:
         raise EmptyGalleryError("ADC search against an empty gallery")
-    return _rank(adc_scores(codebook, codes, queries.data))
+    return _rank(adc_scores(codebook, codes, _search_matrix(queries).data))
 
 
 def average_precision(hits: np.ndarray) -> np.ndarray:
@@ -122,9 +132,12 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     terms are exact zeros.
 
     Raises:
+        ShapeMismatchError: if the mask is not 2-D.
         EmptyRelevantSetError: if a row has no relevant item.
     """
     hits = np.asarray(hits, dtype=bool)
+    if hits.ndim != 2:
+        raise ShapeMismatchError(f"hits must be an (nq, n) mask, got shape {hits.shape}")
     n_relevant = hits.sum(axis=-1)
     if np.any(n_relevant == 0):
         row = int(np.flatnonzero(n_relevant == 0)[0])
@@ -156,23 +169,25 @@ def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
 
 
 def evaluate(
-    queries: EmbeddingMatrix,
-    gallery: EmbeddingMatrix,
+    queries: EmbeddingMatrix | np.ndarray,
+    gallery: EmbeddingMatrix | np.ndarray,
     query_labels,
     gallery_labels,
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
+    queries, gallery = _search_matrix(queries), _search_matrix(gallery)
     ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
     return _report(exact_search(queries, gallery), ql, gl)
 
 
 def evaluate_pq(
-    queries: EmbeddingMatrix,
+    queries: EmbeddingMatrix | np.ndarray,
     gallery_codes: np.ndarray,
     codebook: ProductCodebook,
     query_labels,
     gallery_labels,
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
+    queries = _search_matrix(queries)
     ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
     return _report(adc_search(queries, gallery_codes, codebook), ql, gl)

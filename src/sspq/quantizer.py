@@ -46,7 +46,7 @@ _CHUNK_ELEMENTS = 1 << 17
 
 
 def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(points, EmbeddingMatrix):
+    if isinstance(points, EmbeddingMatrix):  # the search handle, as encode_matrix callers pass it
         return points.data
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2:
@@ -229,7 +229,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iters: int):
 
 
 def kmeans_fit(
-    points: EmbeddingMatrix | np.ndarray,
+    points: np.ndarray,
     k: int,
     seed: int,
     max_iters: int = 50,
@@ -255,9 +255,9 @@ def kmeans_fit(
         ShapeMismatchError: if the points are neither 2-D nor 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: if ``k`` or ``max_iters`` is below 1 or ``seed`` is not an int >= 0.
+        BadConfigError: if ``k`` is not an int >= 1, ``max_iters`` < 1 or ``seed`` not an int >= 0.
     """
-    x = points.data if isinstance(points, EmbeddingMatrix) else np.asarray(points, dtype=np.float64)
+    x = np.asarray(points, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ShapeMismatchError(f"points must be (n, d) or (M, n, d*), got shape {x.shape}")
     stack = x if x.ndim == 3 else x[None]
@@ -266,8 +266,8 @@ def kmeans_fit(
         raise EmptyInputError("kmeans_fit requires at least one point")
     if not np.isfinite(stack).all():
         raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
-    if k < 1:
-        raise BadConfigError(f"k must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise BadConfigError(f"k must be an int >= 1, got {k!r}")
     if max_iters < 1:
         raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
     check_seed(seed)
@@ -326,7 +326,7 @@ class ProductCodebook:
 
 
 def train_product_codebook(
-    features: EmbeddingMatrix | np.ndarray,
+    features: np.ndarray,
     m: int,
     k: int,
     seed: int,

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix, normalize_rows
+from .embeddings import normalize_rows
 from .encoder import QueryEncoder, encoder_init, forward_matrix
 from .errors import BadConfigError, check_seed
 
@@ -100,6 +100,6 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     return enc
 
 
-def oracle_encode(oracle: QueryEncoder, raw: np.ndarray) -> EmbeddingMatrix:
+def oracle_encode(oracle: QueryEncoder, raw: np.ndarray) -> np.ndarray:
     """Embed raw rows with the frozen oracle; rows come back unit-normalized."""
-    return EmbeddingMatrix(forward_matrix(oracle, raw), normalized=True)
+    return forward_matrix(oracle, raw)

@@ -15,7 +15,6 @@ from functools import partial
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
 from .encoder import QueryEncoder, encoder_backward, encoder_forward
 from .errors import (
     BadConfigError,
@@ -133,7 +132,7 @@ def linear_lr(step: int, total_steps: int, lr0: float) -> float:
 
 def train_query_model(
     enc: QueryEncoder,
-    gallery_embeddings: EmbeddingMatrix,
+    gallery_embeddings: np.ndarray,
     raw_inputs: np.ndarray,
     codebook: ProductCodebook,
     cfg: TrainConfig,
@@ -153,18 +152,17 @@ def train_query_model(
         NonFiniteInputError: at the first epoch whose mean loss is not finite.
     """
     raw = np.asarray(raw_inputs, dtype=np.float64)
-    if raw.ndim != 2:
-        raise ShapeMismatchError(f"raw inputs must be 2-D, got {raw.shape}")
+    gallery = np.asarray(gallery_embeddings, dtype=np.float64)
+    if raw.ndim != 2 or gallery.ndim != 2:
+        raise ShapeMismatchError(f"raw inputs {raw.shape} and gallery embeddings {gallery.shape} must be 2-D")
     n = raw.shape[0]
     if n == 0:
         raise EmptyInputError("training set is empty")
-    if gallery_embeddings.rows != n:
+    if gallery.shape[0] != n:
+        raise ShapeMismatchError(f"{gallery.shape[0]} gallery embeddings for {n} raw inputs")
+    if gallery.shape[1] != enc.output_dim or codebook.dim != enc.output_dim:
         raise ShapeMismatchError(
-            f"{gallery_embeddings.rows} gallery embeddings for {n} raw inputs"
-        )
-    if gallery_embeddings.dim != enc.output_dim or codebook.dim != enc.output_dim:
-        raise ShapeMismatchError(
-            f"dims disagree: gallery {gallery_embeddings.dim}, "
+            f"dims disagree: gallery {gallery.shape[1]}, "
             f"codebook {codebook.dim}, encoder output {enc.output_dim}"
         )
     if raw.shape[1] != enc.input_dim:
@@ -176,7 +174,6 @@ def train_query_model(
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
-    gallery = gallery_embeddings.data
 
     if cfg.loss_kind == LOSS_SSP:
         workspace = SspWorkspace(codebook.m, codebook.k, min(cfg.batch_size, n))

@@ -22,7 +22,6 @@ from oracles import (
     reconstruction_sq_dist,
 )
 from sspq.cli import DEFAULTS, main
-from sspq.embeddings import EmbeddingMatrix
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.evaluation import evaluate, evaluate_pq
 from sspq.loss import (
@@ -57,18 +56,22 @@ def criterion(num: int, ok: bool, detail: str) -> None:
 class Bench:
     seed: int
     dataset: dict
-    anchors: EmbeddingMatrix
-    train_emb: EmbeddingMatrix
-    query_emb_g: EmbeddingMatrix
-    gallery_emb_g: EmbeddingMatrix
+    anchors: np.ndarray
+    train_emb: np.ndarray
+    query_emb_g: np.ndarray
+    gallery_emb_g: np.ndarray
     query_labels: np.ndarray
     gallery_labels: np.ndarray
     encoder_seed: int
 
-    def encode_with(self, model: QueryEncoder, split: str) -> EmbeddingMatrix:
-        return EmbeddingMatrix(
-            forward_matrix(model, self.dataset[split][0]), normalized=True
-        )
+    def encode_with(self, model: QueryEncoder, split: str) -> np.ndarray:
+        return unit_norm(forward_matrix(model, self.dataset[split][0]))
+
+
+def unit_norm(x: np.ndarray) -> np.ndarray:
+    """``x``, after checking that every row norm is within 1e-6 of 1."""
+    assert np.max(np.abs(np.linalg.norm(x, axis=1) - 1.0)) <= 1e-6
+    return x
 
 
 def build_bench(seed: int) -> Bench:
@@ -85,10 +88,10 @@ def build_bench(seed: int) -> Bench:
     return Bench(
         seed=seed,
         dataset=ds,
-        anchors=oracle_encode(oracle, ds["anchor"][0]),
-        train_emb=oracle_encode(oracle, ds["train"][0]),
-        query_emb_g=oracle_encode(oracle, ds["query"][0]),
-        gallery_emb_g=oracle_encode(oracle, ds["gallery"][0]),
+        anchors=unit_norm(oracle_encode(oracle, ds["anchor"][0])),
+        train_emb=unit_norm(oracle_encode(oracle, ds["train"][0])),
+        query_emb_g=unit_norm(oracle_encode(oracle, ds["query"][0])),
+        gallery_emb_g=unit_norm(oracle_encode(oracle, ds["gallery"][0])),
         query_labels=ds["query"][1],
         gallery_labels=ds["gallery"][1],
         encoder_seed=seed + 40,
@@ -299,7 +302,7 @@ def test_training_loss_halves_by_final_epoch(bench0, codebooks0, trained0, regre
 
     codebook = codebooks0[DEFAULTS["m"]]
     _, epoch_means = trained0[DEFAULTS["m"]]
-    train = bench0.train_emb.data
+    train = bench0.train_emb
     losses, _ = ssp_loss_and_grad(codebook, train, train.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])
     floor = float(np.mean(losses))
     assert epoch_means[-1] - floor < 0.5 * (epoch_means[0] - floor)

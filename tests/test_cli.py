@@ -9,7 +9,7 @@ import pytest
 
 import sspq.cli
 from sspq.cli import DEFAULTS, _Dataset, load_config, main
-from sspq.embeddings import EmbeddingMatrix, export_embeddings, import_embeddings, write_labels
+from sspq.embeddings import export_embeddings, import_embeddings, write_labels
 from sspq.encoder import load_checkpoint, save_checkpoint
 from sspq.errors import BadConfigError, FormatError
 from sspq.quantizer import ProductCodebook, codebook_load, codebook_save, encode_matrix
@@ -178,7 +178,7 @@ class TestTrainCodebook:
         ds = cb.sub_dim
         cents = cb.stacked()
         for j in range(cb.m):
-            diff = anchors.data[:, j * ds : (j + 1) * ds] - cents[j, codes[:, j]]
+            diff = anchors[:, j * ds : (j + 1) * ds] - cents[j, codes[:, j]]
             recomputed = float((diff * diff).sum())
             assert abs(recomputed - summary["per_subspace_objective"][j]) < 1e-6
 
@@ -501,8 +501,8 @@ class TestTrainQueryAndEval:
         manifest = json.loads((dataset / "manifest.json").read_text())
         query = manifest["splits"]["query"]
         for kind in ("raw", "emb"):
-            dim = import_embeddings(dataset / query[kind]).dim
-            export_embeddings(EmbeddingMatrix(np.zeros((0, dim))), dataset / query[kind])
+            dim = import_embeddings(dataset / query[kind]).shape[1]
+            export_embeddings(np.zeros((0, dim)), dataset / query[kind])
         write_labels(np.zeros(0, dtype=np.int64), dataset / query["labels"])
         query["rows"] = 0
         (dataset / "manifest.json").write_text(json.dumps(manifest))

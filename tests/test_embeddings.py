@@ -130,7 +130,7 @@ class TestEmbeddingMatrix:
             EmbeddingMatrix(data, normalized=True)
         unit = data / np.linalg.norm(data, axis=1, keepdims=True)
         emb = EmbeddingMatrix(unit, normalized=True)
-        assert emb.rows == 4 and emb.dim == 3
+        assert emb.rows == 4 and emb.data.shape == (4, 3)
 
     def test_data_is_read_only(self, rng):
         emb = EmbeddingMatrix(rng.normal(size=(2, 2)))
@@ -161,31 +161,25 @@ class TestEmbeddingMatrix:
 
 class TestEmb1Format:
     def test_round_trip_and_f32_rounding(self, tmp_path, rng):
-        emb = EmbeddingMatrix(rng.normal(size=(5, 4)))
+        x = rng.normal(size=(5, 4))
         path = tmp_path / "x.emb"
-        export_embeddings(emb, path)
+        export_embeddings(x, path)
         back = import_embeddings(path)
-        assert back.rows == 5 and back.dim == 4
-        f32 = emb.data.astype(np.float32).astype(np.float64)
-        np.testing.assert_array_equal(back.data, f32)
-
-    def test_normalized_flag_survives(self, tmp_path, rng):
-        data = rng.normal(size=(3, 8))
-        unit = data / np.linalg.norm(data, axis=1, keepdims=True)
-        path = tmp_path / "n.emb"
-        export_embeddings(EmbeddingMatrix(unit, normalized=True), path)
-        assert import_embeddings(path).normalized
+        assert back.shape == (5, 4)
+        assert back.dtype == np.float64 and not back.flags.writeable
+        f32 = x.astype(np.float32).astype(np.float64)
+        np.testing.assert_array_equal(back, f32)
 
     def test_import_export_byte_identical(self, tmp_path, rng):
         path = tmp_path / "a.emb"
         path2 = tmp_path / "b.emb"
-        export_embeddings(EmbeddingMatrix(rng.normal(size=(6, 3))), path)
+        export_embeddings(rng.normal(size=(6, 3)), path)
         export_embeddings(import_embeddings(path), path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_truncated_payload_raises(self, tmp_path, rng):
         path = tmp_path / "t.emb"
-        export_embeddings(EmbeddingMatrix(rng.normal(size=(4, 4))), path)
+        export_embeddings(rng.normal(size=(4, 4)), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-5])
         with pytest.raises(FormatError):
@@ -193,7 +187,7 @@ class TestEmb1Format:
 
     def test_wrong_magic_raises(self, tmp_path, rng):
         path = tmp_path / "m.emb"
-        export_embeddings(EmbeddingMatrix(rng.normal(size=(2, 2))), path)
+        export_embeddings(rng.normal(size=(2, 2)), path)
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
@@ -207,13 +201,13 @@ class TestEmb1Format:
         data[1, 1] = bad
         path = tmp_path / "f.emb"
         with pytest.raises(NonFiniteInputError):
-            export_embeddings(EmbeddingMatrix(data), path)
+            export_embeddings(data, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_raises(self, tmp_path, rng, bad):
         path = tmp_path / "f.emb"
-        export_embeddings(EmbeddingMatrix(rng.normal(size=(4, 4))), path)
+        export_embeddings(rng.normal(size=(4, 4)), path)
         blob = bytearray(path.read_bytes())
         blob[13 + 4 * 5 : 13 + 4 * 6] = struct.pack("<f", bad)  # row 1, column 1
         path.write_bytes(bytes(blob))
@@ -222,7 +216,7 @@ class TestEmb1Format:
 
     def test_header_row_count_mismatch_raises(self, tmp_path, rng):
         path = tmp_path / "h.emb"
-        export_embeddings(EmbeddingMatrix(rng.normal(size=(4, 4))), path)
+        export_embeddings(rng.normal(size=(4, 4)), path)
         blob = bytearray(path.read_bytes())
         blob[4] = 9  # claim more rows than the payload holds
         path.write_bytes(bytes(blob))

@@ -192,6 +192,34 @@ class TestUnitRowsCache:
             emb.unit_rows[0, 0] = 1.0
 
 
+# search -> its orders or APs, given queries, gallery, codebook, codes and labels
+SEARCHES = {
+    "exact_search": lambda q, g, cb, codes, ql, gl: exact_search(q, g),
+    "adc_search": lambda q, g, cb, codes, ql, gl: adc_search(q, codes, cb),
+    "evaluate": lambda q, g, cb, codes, ql, gl: evaluate(q, g, ql, gl).per_query_ap,
+    "evaluate_pq": lambda q, g, cb, codes, ql, gl: evaluate_pq(q, codes, cb, ql, gl).per_query_ap,
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+def test_an_array_ranks_as_its_embedding_matrix_and_keeps_its_flags_and_bytes(rng, search):
+    # float32-stored rows with exact copies, so the orders hold ties; the
+    # queries are a view of a larger writable array.
+    base = normalize_rows(rng.normal(size=(12, 8)))[0].astype(np.float32).astype(np.float64)
+    g = np.concatenate([base[[3, 0, 3, 7, 0, 11, 3]], base])
+    big = np.concatenate([base[[3, 5, 9]], rng.normal(size=(2, 8))])
+    q = big[:3]
+    gl, ql = np.arange(g.shape[0]) % 3, np.array([0, 1, 2])
+    cb = train_product_codebook(g, m=2, k=4, seed=0)
+    args = (cb, encode_matrix(cb, g), ql, gl)
+    before = (big.tobytes(), g.tobytes())
+    from_arrays = SEARCHES[search](q, g, *args)
+    assert q.flags.writeable and big.flags.writeable and g.flags.writeable
+    assert (big.tobytes(), g.tobytes()) == before
+    from_handles = SEARCHES[search](EmbeddingMatrix(q), EmbeddingMatrix(g), *args)
+    assert from_arrays.tobytes() == from_handles.tobytes()
+
+
 def hit_mask(ids, relevant):
     """Relevance of each ranked id, as the one-query (1, n) array AP takes."""
     return np.isin(np.asarray(ids), list(relevant))[None, :]

@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sspq.embeddings import (
-    EmbeddingMatrix,
-    export_embeddings,
-    import_embeddings,
-    read_labels,
-    write_labels,
-)
+from sspq.embeddings import export_embeddings, import_embeddings, read_labels, write_labels
 from sspq.encoder import CHECKPOINT_MAGIC, encoder_init, load_checkpoint, save_checkpoint
 from sspq.errors import FormatError
 from sspq.quantizer import ProductCodebook, codebook_load, codebook_save
@@ -83,7 +77,7 @@ def valid(tmp_path_factory):
     rng = np.random.default_rng(0)
     base = tmp_path_factory.mktemp("fuzz")
     writers = {
-        "emb": lambda p: export_embeddings(EmbeddingMatrix(rng.normal(size=(3, 4))), p),
+        "emb": lambda p: export_embeddings(rng.normal(size=(3, 4)), p),
         "pqc": lambda p: codebook_save(ProductCodebook(rng.normal(size=(2, 4, 2))), p),
         "sspq": lambda p: save_checkpoint(encoder_init(4, [3], 2, seed=0), p, extra={"a": 1}),
         "labels": lambda p: write_labels(np.array([3, 1, 4, 1]), p),

@@ -82,14 +82,14 @@ class TestGalleryOracle:
     def test_outputs_unit_norm(self, rng):
         oracle = make_oracle(6, 10, seed=7)
         emb = oracle_encode(oracle, rng.normal(size=(20, 6)))
-        assert emb.normalized
-        np.testing.assert_allclose(np.linalg.norm(emb.data, axis=1), 1.0, atol=1e-9)
+        assert emb.dtype == np.float64 and emb.shape == (20, 10)
+        np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 
     def test_deterministic(self, rng):
         raw = rng.normal(size=(5, 6))
         a = oracle_encode(make_oracle(6, 10, seed=8), raw)
         b = oracle_encode(make_oracle(6, 10, seed=8), raw)
-        assert a.data.tobytes() == b.data.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_checksum_stable_and_frozen(self):
         oracle = make_oracle(4, 6, seed=9)
@@ -105,7 +105,7 @@ class TestGalleryOracle:
     def test_same_class_more_similar_than_cross_class(self):
         ds = gen_mixture(12, 6, 16, 0.05, seed=10, anchor_count=8)
         oracle = make_oracle(16, 24, seed=11)
-        emb = oracle_encode(oracle, ds["gallery"][0]).data
+        emb = oracle_encode(oracle, ds["gallery"][0])
         labels = ds["gallery"][1]
         rng = np.random.default_rng(12)
         wins = 0

@@ -74,7 +74,6 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     import numpy as np
 
     import sspq.trainer
-    from sspq.embeddings import EmbeddingMatrix
     from sspq.encoder import encoder_init, forward_matrix
     from sspq.quantizer import train_product_codebook
 
@@ -91,7 +90,7 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     codebook = train_product_codebook(gallery, m=2, k=4, seed=2)
     cfg = sspq.trainer.TrainConfig(epochs=2, batch_size=8, seed=3)
     sspq.trainer.train_query_model(
-        encoder_init(6, [10], 8, seed=4), EmbeddingMatrix(gallery), raw, codebook, cfg
+        encoder_init(6, [10], 8, seed=4), gallery, raw, codebook, cfg
     )
     assert calls == [8, 8, 4] * 2
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oracles import central_diff_grad, grad_mismatch
-from sspq.embeddings import EmbeddingMatrix
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import BadConfigError, ShapeMismatchError, StepOutOfRangeError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
@@ -27,7 +26,8 @@ def small_problem(seed=0, n=48, d_in=6, d=8):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(n, d_in))
     target = encoder_init(d_in, [12], d, seed=seed + 100)
-    gallery = EmbeddingMatrix(forward_matrix(target, raw), normalized=True)
+    gallery = forward_matrix(target, raw)
+    assert np.abs(np.linalg.norm(gallery, axis=1) - 1.0).max() <= 1e-6
     codebook = train_product_codebook(gallery, m=2, k=4, seed=seed + 200)
     enc = encoder_init(d_in, [10], d, seed=seed + 300)
     return raw, gallery, codebook, enc
@@ -101,7 +101,8 @@ class TestTrainQueryModel:
         rng = np.random.default_rng(7)
         raw = rng.normal(size=(32, 8))
         target = encoder_init(8, [32], 8, seed=99)
-        gallery = EmbeddingMatrix(forward_matrix(target, raw), normalized=True)
+        gallery = forward_matrix(target, raw)
+        assert np.abs(np.linalg.norm(gallery, axis=1) - 1.0).max() <= 1e-6
         codebook = train_product_codebook(gallery, m=2, k=4, seed=3)
         enc = encoder_init(8, [32], 8, seed=1)
         cfg = TrainConfig(
@@ -126,11 +127,11 @@ class TestTrainQueryModel:
 
     def test_gallery_untouched_and_input_encoder_unmodified(self):
         raw, gallery, codebook, enc = small_problem(seed=3)
-        gallery_sum = hashlib.sha256(gallery.data.tobytes()).hexdigest()
+        gallery_sum = hashlib.sha256(gallery.tobytes()).hexdigest()
         enc_sum = hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
         cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
         train_query_model(enc, gallery, raw, codebook, cfg)
-        assert hashlib.sha256(gallery.data.tobytes()).hexdigest() == gallery_sum
+        assert hashlib.sha256(gallery.tobytes()).hexdigest() == gallery_sum
         assert (
             hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
             == enc_sum
@@ -167,7 +168,7 @@ class TestTrainQueryModel:
         assert sum(p.size for p in enc.parameters()) <= 300
         for sample in range(10):
             x = raw[sample : sample + 1]
-            g_emb = gallery.data[sample : sample + 1]
+            g_emb = gallery[sample : sample + 1]
 
             y, cache = encoder_forward(enc, x)
             _, grad_y = ssp_loss_and_grad(codebook, g_emb, y, 0.1, 1.0)
@@ -220,7 +221,7 @@ class TestBatchedPath:
     @pytest.mark.parametrize("tau_g", [0.0, 0.1])
     def test_batch_equals_batch_of_one(self, kind, tau_g):
         raw, gallery, codebook, enc = small_problem(seed=21, n=32)
-        batched, rows = batch_and_rows(enc, codebook, raw, gallery.data, tau_g, kind)
+        batched, rows = batch_and_rows(enc, codebook, raw, gallery, tau_g, kind)
         assert_batch_matches_rows(batched, rows)
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=KIND_IDS)
