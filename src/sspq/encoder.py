@@ -136,16 +136,13 @@ def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]
 
 
 def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list[np.ndarray]:
-    """Backpropagate dLoss/d(embeddings), (B, d_out), to parameter gradients.
+    """Backpropagate dLoss/d(embeddings), (B, d_out) float64 like ``cache["y"]``, to parameter gradients.
 
     Returns:
         Gradients summed over the batch, aligned with ``enc.parameters()``
         order (W0, b0, W1, b1...).
     """
-    grad_y = np.asarray(grad_y, dtype=np.float64)
     y, degenerate = cache["y"], cache["degenerate"]
-    if grad_y.shape != y.shape:
-        raise ShapeMismatchError(f"gradient has shape {grad_y.shape}, embeddings {y.shape}")
     # A degenerate row was returned unchanged with norm < 1e-12, so dividing
     # by 1 gives grad_y - y (y . grad_y), within |y|^2 < 1e-24 of the identity.
     z_norm = np.where(degenerate, 1.0, np.linalg.norm(cache["z"], axis=1))

@@ -32,7 +32,7 @@ class EmptyRelevantSetError(SspqError):
 
 
 class MissingLabelsError(SspqError):
-    """Label coverage is incomplete for the given embeddings."""
+    """Label coverage is incomplete for the given embeddings, or a label is not an integer."""
 
 
 class ZeroTargetProbabilityError(SspqError):
@@ -41,10 +41,6 @@ class ZeroTargetProbabilityError(SspqError):
 
 class NonPowerOfTwoKError(SspqError):
     """Centroid count must be a power of two for code-size accounting."""
-
-
-class StepOutOfRangeError(SspqError):
-    """Schedule step index outside [0, total_steps]."""
 
 
 class BadDimensionError(SspqError):

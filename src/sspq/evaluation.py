@@ -48,7 +48,7 @@ class EvalReport:
             raise ShapeMismatchError(f"per-query APs must be 1-D, got shape {aps.shape}")
         if aps.size == 0:
             raise EmptyInputError("no queries to score")
-        if np.min(aps) < 0 or np.max(aps) > 1:
+        if not ((aps >= 0) & (aps <= 1)).all():  # a NaN fails both comparisons
             raise InvariantError("APs must lie in [0, 1]")
         aps.setflags(write=False)
         object.__setattr__(self, "per_query_ap", aps)
@@ -156,10 +156,23 @@ def _report(order: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndar
 
 
 def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
+    """Both label sequences as int64 arrays; an integer or bool array takes NumPy's cast.
+
+    A label that is not an integer value, such as a fraction, a NaN, a float
+    outside int64 or a string, raises ``MissingLabelsError`` instead.
+    """
     if n_queries == 0:
         raise EmptyInputError("no queries to evaluate")
-    ql = np.asarray(query_labels, dtype=np.int64)
-    gl = np.asarray(gallery_labels, dtype=np.int64)
+    try:
+        ql, gl = np.asarray(query_labels), np.asarray(gallery_labels)
+    except ValueError as exc:  # a ragged sequence
+        raise MissingLabelsError(f"labels do not form an array: {exc}") from exc
+    for arr in (ql, gl):
+        if arr.dtype.kind not in "biu" and not (
+            arr.dtype.kind == "f" and (arr == np.trunc(arr)).all() and (np.abs(arr) < 2.0**63).all()
+        ):
+            raise MissingLabelsError(f"labels must be integers, got dtype {arr.dtype}")
+    ql, gl = np.asarray(ql, dtype=np.int64), np.asarray(gl, dtype=np.int64)
     if ql.shape != (n_queries,) or gl.shape != (n_gallery,):
         raise MissingLabelsError(
             f"label counts ({ql.shape[0]}, {gl.shape[0]}) do not cover "

@@ -8,7 +8,8 @@ matmul. The frozen gallery side and the trainable query side are softened
 in log space into distributions over K and matched with a per-subspace KL
 divergence. Analytic gradients with respect to the query embeddings are
 exact through the softmax and the chosen similarity kernel. A single
-embedding is a batch of one.
+embedding is a batch of one. The two per-step losses do not check their
+arguments: ``TrainConfig`` and ``train_query_model`` check them once per run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .embeddings import COSINE_EPS, NORM_EPS, normalize_rows
 from .errors import (
     BadConfigError,
     LengthMismatchError,
-    ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
 from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
@@ -44,16 +44,8 @@ class SspWorkspace:
         self._flat = np.empty((self._BUFFERS, m * k * rows))
 
     def arrays(self, m: int, k: int, rows: int) -> list[np.ndarray]:
-        """The buffers as (m, rows, k) views.
-
-        Raises:
-            ShapeMismatchError: if the workspace holds fewer than m * rows * k values.
-        """
+        """The buffers as (m, rows, k) views; the workspace must hold m * rows * k values."""
         size = m * rows * k
-        if size > self._flat.shape[1]:
-            raise ShapeMismatchError(
-                f"workspace holds {self._flat.shape[1]} values per buffer, a ({m}, {rows}, {k}) step needs {size}"
-            )
         return [buf[:size].reshape(m, rows, k) for buf in self._flat]
 
 
@@ -144,13 +136,6 @@ def _grad_through_similarity(
     return np.matmul(w, cents) - w.sum(axis=2)[:, :, None] * u
 
 
-def _check_rows(codebook: ProductCodebook, x: np.ndarray, kind: str) -> None:
-    if kind not in SIMILARITY_KINDS:
-        raise BadConfigError(f"unknown similarity kind {kind!r}")
-    if x.ndim != 2 or x.shape[1] != codebook.dim:
-        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
-
-
 def structure_similarity(
     codebook: ProductCodebook, x: np.ndarray, kind: str = SIM_COSINE
 ) -> np.ndarray:
@@ -161,7 +146,10 @@ def structure_similarity(
         LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_rows(codebook, x, kind)
+    if kind not in SIMILARITY_KINDS:
+        raise BadConfigError(f"unknown similarity kind {kind!r}")
+    if x.ndim != 2 or x.shape[1] != codebook.dim:
+        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
     out = np.empty((codebook.m, x.shape[0], codebook.k))
     _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
     return out.transpose(1, 0, 2)
@@ -193,7 +181,7 @@ def ssp_loss_and_grad(
     kind: str = SIM_COSINE,
     workspace: SspWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alignment loss between (B, d) gallery and query embeddings plus dLoss/dq.
+    """Alignment loss between (B, d) float64 gallery and query embeddings plus dLoss/dq.
 
     The gallery embeddings are treated as constants. ``tau_g`` may be 0
     (hard assignment); ``tau_q`` must be positive so the query distribution
@@ -209,23 +197,10 @@ def ssp_loss_and_grad(
         each sample's loss through the softmax and the similarity kernel.
 
     Raises:
-        BadConfigError: if ``tau_q`` is not positive, ``tau_g`` is negative
-            or ``kind`` is unknown.
-        LengthMismatchError: if the two batches differ in shape or are not
-            (B, codebook.dim) matrices.
         ZeroTargetProbabilityError: if the query distribution underflows to
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    if tau_q <= 0:
-        raise BadConfigError(f"tau_q must be > 0, got {tau_q}")
-    if tau_g < 0:
-        raise BadConfigError(f"tau_g must be >= 0, got {tau_g}")
-    q = np.asarray(q, dtype=np.float64)
-    g = np.asarray(g, dtype=np.float64)
-    if g.shape != q.shape:
-        raise LengthMismatchError(f"gallery shape {g.shape} differs from query shape {q.shape}")
-    _check_rows(codebook, q, kind)
     m, b, k = codebook.m, q.shape[0], codebook.k
     if workspace is None:
         workspace = SspWorkspace(m, k, b)
@@ -266,10 +241,6 @@ def regression_loss_and_grad(g: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, 
         embeddings are constants. A degenerate (zero-norm) query row gets
         zero gradient.
     """
-    g = np.asarray(g, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if g.shape != q.shape or q.ndim != 2:
-        raise LengthMismatchError(f"shapes differ or are not (B, d): {g.shape} vs {q.shape}")
     nq, degenerate = normalize_rows(q)
     ng, _ = normalize_rows(g)
     r = nq - ng

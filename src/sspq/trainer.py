@@ -10,8 +10,10 @@ a linear learning-rate decay to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from .errors import (
     EmptyInputError,
     NonFiniteInputError,
     ShapeMismatchError,
-    StepOutOfRangeError,
     check_seed,
 )
 from .loss import (
@@ -44,7 +45,7 @@ ADAM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run, checked once and then frozen."""
+    """Hyperparameters for one training run, checked once and then frozen: no per-step kernel checks them."""
 
     tau_g: float = 0.1
     tau_q: float = 1.0
@@ -57,16 +58,15 @@ class TrainConfig:
     weight_decay: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise BadConfigError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise BadConfigError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise BadConfigError("batch_size must be >= 1")
-        if self.tau_q <= 0:
-            raise BadConfigError("tau_q must be > 0")
-        if self.tau_g < 0:
-            raise BadConfigError("tau_g must be >= 0")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise BadConfigError(f"{name} must be an int >= 1, got {value!r}")
+        for name, low in (("tau_g", ">="), ("tau_q", ">"), ("learning_rate", ">"), ("weight_decay", ">=")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+                    or not (value > 0 if low == ">" else value >= 0)):
+                raise BadConfigError(f"{name} must be a finite real number {low} 0, got {value!r}")
         check_seed(self.seed)
         if self.loss_kind not in LOSS_KINDS:
             raise BadConfigError(f"unknown loss kind {self.loss_kind!r}")
@@ -74,43 +74,24 @@ class TrainConfig:
             raise BadConfigError(f"unknown similarity kind {self.similarity_kind!r}")
 
 
-@dataclass
-class AdamState:
-    """First/second-moment accumulators, one pair per parameter tensor."""
-
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    t: int = 0
-
-    @classmethod
-    def init_like(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
-
 def adam_step(
-    state: AdamState,
     params: list[np.ndarray],
     grads: list[np.ndarray],
+    moments: list[tuple[np.ndarray, np.ndarray]],
+    t: int,
     lr_t: float,
-    weight_decay: float = 0.0,
-) -> list[np.ndarray]:
-    """One Adam update with bias correction; parameters are updated in place.
+    weight_decay: float,
+) -> None:
+    """Adam update number ``t`` (from 1) with bias correction, in place.
 
-    Decoupled weight decay shrinks the parameters by lr_t * weight_decay
-    before the Adam delta is applied.
+    ``moments`` holds one (first, second) moment pair per parameter. Decoupled
+    weight decay shrinks the parameters by lr_t * weight_decay before the
+    Adam delta is applied. ``train_query_model`` builds the arguments, which
+    are not checked.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatchError("parameter, gradient, and state counts differ")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatchError(f"grad shape {g.shape} does not match param {p.shape}")
-    state.t += 1
-    bc1 = 1.0 - ADAM_BETA1**state.t
-    bc2 = 1.0 - ADAM_BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for p, g, (m, v) in zip(params, grads, moments):
         if weight_decay:
             p -= lr_t * weight_decay * p
         m *= ADAM_BETA1
@@ -118,16 +99,6 @@ def adam_step(
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
         p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-    return params
-
-
-def linear_lr(step: int, total_steps: int, lr0: float) -> float:
-    """Linearly decayed learning rate: lr0 * (1 - step/total_steps)."""
-    if total_steps < 1:
-        raise StepOutOfRangeError(f"total_steps must be >= 1, got {total_steps}")
-    if not 0 <= step <= total_steps:
-        raise StepOutOfRangeError(f"step {step} outside [0, {total_steps}]")
-    return lr0 * (1.0 - step / total_steps)
 
 
 def train_query_model(
@@ -170,7 +141,7 @@ def train_query_model(
 
     model = enc.copy()
     params = model.parameters()
-    adam = AdamState.init_like(params)
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -195,9 +166,9 @@ def train_query_model(
                 losses, grad_y = loss_and_grad(gallery[batch], y)
                 loss_sum += float(losses.sum())
                 grads = encoder_backward(model, cache, grad_y / batch.shape[0])
-                lr_t = linear_lr(global_step, total_steps, cfg.learning_rate)
-                adam_step(adam, params, grads, lr_t, cfg.weight_decay)
+                lr_t = cfg.learning_rate * (1.0 - global_step / total_steps)
                 global_step += 1
+                adam_step(params, grads, moments, global_step, lr_t, cfg.weight_decay)
         if not np.isfinite(loss_sum):
             raise NonFiniteInputError(f"training diverged: epoch {epoch + 1} has mean loss {loss_sum / n}")
         epoch_means.append(loss_sum / n)

@@ -5,7 +5,9 @@ The README promises that the library raises only ``SspqError`` subclasses.
 ``test_errors.py`` checks the ``raise`` statements; the property here checks
 what NumPy or Python would raise past them: each call given a 1-D or 3-D
 array, a list, or a NaN row in place of one array, a float or bool seed, or a
-bool or negative k, must return or raise an ``SspqError``.
+bool or negative k, must return or raise an ``SspqError``. So must each labels
+argument given such a value, and a ``TrainConfig`` with one field of the wrong
+kind, together with the training run it configures.
 """
 
 import ast
@@ -66,6 +68,10 @@ ARRAY_CASES = {
     "adc_search-codes": ("codes", lambda v, a: sspq.adc_search(v.x[:3], a, v.codebook)),
     "evaluate_pq-queries": ("x", lambda v, a: sspq.evaluate_pq(a, v.codes, v.codebook, v.labels, v.labels)),
     "evaluate_pq-codes": ("codes", lambda v, a: sspq.evaluate_pq(v.x, a, v.codebook, v.labels, v.labels)),
+    "evaluate-query_labels": ("labels", lambda v, a: sspq.evaluate(v.x, v.x, a, v.labels)),
+    "evaluate-gallery_labels": ("labels", lambda v, a: sspq.evaluate(v.x, v.x, v.labels, a)),
+    "evaluate_pq-query_labels": ("labels", lambda v, a: sspq.evaluate_pq(v.x, v.codes, v.codebook, a, v.labels)),
+    "evaluate_pq-gallery_labels": ("labels", lambda v, a: sspq.evaluate_pq(v.x, v.codes, v.codebook, v.labels, a)),
     "ProductCodebook": ("centroids", lambda v, a: sspq.ProductCodebook(a)),
     "encode_matrix": ("x", lambda v, a: sspq.encode_matrix(v.codebook, a)),
     "kmeans_fit": ("x", lambda v, a: sspq.kmeans_fit(a, 3, seed=0)),
@@ -82,6 +88,9 @@ SEED_CASES = {
     "gen_mixture": lambda v, s: sspq.gen_mixture(3, 4, 6, 0.1, seed=s, anchor_count=8),
     "TrainConfig": lambda v, s: sspq.TrainConfig(seed=s),
 }
+
+CONFIG_FIELDS = ("tau_g", "tau_q", "learning_rate", "epochs", "batch_size", "seed",
+                 "loss_kind", "similarity_kind", "weight_decay")
 
 K_CASES = {
     "kmeans_fit": lambda v, k: sspq.kmeans_fit(v.x, k, seed=0),
@@ -124,6 +133,20 @@ def test_wrong_kind_array_fails_typed(valid, case, data):
 @given(seed=st.one_of(st.floats(), st.booleans()))
 def test_float_or_bool_seed_fails_typed(valid, case, seed):
     returns_or_sspq_error(SEED_CASES[case], valid, seed)
+
+
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
+@PROPERTY
+@given(value=st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+                       st.integers(-2, 3), st.lists(st.integers(0, 2), max_size=2)))
+def test_wrong_kind_config_field_fails_typed(valid, field, value):
+    # TrainConfig is the only check on a run's settings: a value it accepts
+    # must train, or fail typed, through the unchecked per-step kernels.
+    def construct_and_train():
+        cfg = sspq.TrainConfig(**{"epochs": 1, "batch_size": 4, "seed": 4, field: value})
+        sspq.train_query_model(valid.enc, valid.x, valid.raw, valid.codebook, cfg)
+
+    returns_or_sspq_error(construct_and_train)
 
 
 @pytest.mark.parametrize("case", sorted(K_CASES))

@@ -10,11 +10,13 @@ from sspq.encoder import save_checkpoint
 from sspq.errors import (
     EmptyGalleryError,
     EmptyRelevantSetError,
+    InvariantError,
     MissingLabelsError,
     NonFiniteInputError,
     ShapeMismatchError,
 )
 from sspq.evaluation import (
+    EvalReport,
     _rank,
     adc_search,
     average_precision,
@@ -270,6 +272,16 @@ class TestAveragePrecision:
             assert (got == full_width_average_precision(hits)).all()
 
 
+class TestEvalReport:
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5], ids=["nan", "negative", "above-one"])
+    def test_ap_outside_unit_interval_raises(self, bad):
+        with pytest.raises(InvariantError):
+            EvalReport(np.array([bad, 0.5]))
+
+    def test_map_of_valid_aps(self):
+        assert EvalReport(np.array([0.0, 0.5, 1.0])).map_score == 0.5
+
+
 class TestEvaluate:
     def test_zero_std_symmetric_map_is_one(self):
         ds = gen_mixture(6, 5, 8, 0.0, seed=1, anchor_count=8)
@@ -314,6 +326,26 @@ class TestEvaluate:
     def test_missing_labels(self, rng):
         with pytest.raises(MissingLabelsError):
             evaluate(unit_rows(rng, 2, 4), unit_rows(rng, 3, 4), [0, 1], [0, 1])
+
+    @pytest.mark.parametrize(
+        "label", [0.5, np.nan, np.inf, 1e300, "0", None], ids=["fraction", "nan", "inf", "huge", "str", "none"]
+    )
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    def test_non_integer_label_raises(self, label, side):
+        # A cast would have truncated 0.5 to label 0 and scored mAP 1.0.
+        labels = {"query": [0, 1, 2, 3], "gallery": [0, 1, 2, 3]}
+        labels[side] = [label, 1, 2, 3]
+        with pytest.raises(MissingLabelsError):
+            evaluate(np.eye(4), np.eye(4), labels["query"], labels["gallery"])
+        codebook = train_product_codebook(np.eye(4), m=2, k=2, seed=0)
+        with pytest.raises(MissingLabelsError):
+            evaluate_pq(np.eye(4), encode_matrix(codebook, np.eye(4)), codebook, labels["query"], labels["gallery"])
+
+    def test_integer_valued_labels_score_as_ints(self):
+        ints = evaluate(np.eye(4), np.eye(4), np.arange(4) % 2, np.arange(4) % 2)
+        for query_labels in ([0.0, 1.0, 0.0, 1.0], np.array([0, 1, 0, 1], dtype=np.uint8), [0, 1, 0, 1]):
+            report = evaluate(np.eye(4), np.eye(4), query_labels, [0, 1, 0, 1])
+            assert report.per_query_ap.tobytes() == ints.per_query_ap.tobytes()
 
     def test_map_is_mean_of_aps(self, rng):
         queries = unit_rows(rng, 8, 6)
