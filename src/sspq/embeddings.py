@@ -74,6 +74,11 @@ class EmbeddingMatrix:
         return unit
 
 
+def as_embedding_matrix(x: EmbeddingMatrix | np.ndarray) -> EmbeddingMatrix:
+    """``x``, or a handle over a view of the (n, d) array ``x``, so the array keeps its flags."""
+    return x if isinstance(x, EmbeddingMatrix) else EmbeddingMatrix(np.asarray(x, dtype=np.float64).view())
+
+
 def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale each row of an (n, d) matrix to unit L2 norm, preserving direction.
 

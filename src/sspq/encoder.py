@@ -17,12 +17,11 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
-    BadDimensionError,
     FormatError,
     LengthMismatchError,
     NonFiniteInputError,
     ShapeMismatchError,
-    check_seed,
+    check_int,
 )
 from .fileio import write_atomic
 
@@ -38,12 +37,15 @@ class QueryEncoder:
     L2-normalized.
 
     Raises:
+        BadConfigError: if a layer size is not an int >= 1.
         ShapeMismatchError: unless each pair of adjacent layer sizes has one
             weight matrix and one bias of its shape.
     """
 
     def __init__(self, layer_sizes: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
-        self.layer_sizes = list(layer_sizes)
+        for size in layer_sizes:
+            check_int("layer size", size, 1)
+        self.layer_sizes = [int(size) for size in layer_sizes]  # as save_checkpoint writes them
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
         if not len(self.weights) == len(self.biases) == len(self.layer_sizes) - 1:
@@ -92,13 +94,12 @@ def encoder_init(
     deterministic given the seed.
 
     Raises:
-        BadDimensionError: if any layer size is < 1.
-        BadConfigError: if the seed is not an int >= 0.
+        BadConfigError: if a layer size is not an int >= 1 or the seed not an int >= 0.
     """
     sizes = [d_in, *hidden, d_out]
-    if any(int(s) < 1 for s in sizes):
-        raise BadDimensionError(f"all layer sizes must be >= 1, got {sizes}")
-    check_seed(seed)
+    for size in sizes:
+        check_int("layer size", size, 1)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
@@ -109,10 +110,11 @@ def encoder_init(
 
 
 def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Forward pass over a batch of input rows.
+    """Forward pass over a batch of input rows, unchecked: ``forward_matrix`` and
+    ``train_query_model`` check the inputs they pass.
 
     Args:
-        x: (B, d_in) inputs; a single vector is a batch of one.
+        x: (B, d_in) float64 inputs; a single vector is a batch of one.
 
     Returns:
         (embeddings, cache). Each (B, d_out) embedding row is the
@@ -121,9 +123,7 @@ def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]
         cache["degenerate"]. The cache holds every intermediate needed by
         encoder_backward.
     """
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != enc.input_dim:
-        raise LengthMismatchError(f"input has shape {h.shape}, expected (B, {enc.input_dim})")
+    h = x
     inputs = []
     last = len(enc.weights) - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
@@ -166,7 +166,10 @@ def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list
 
 
 def forward_matrix(enc: QueryEncoder, x: np.ndarray) -> np.ndarray:
-    """Embeddings of an (n, d_in) input matrix: encoder_forward without its cache."""
+    """Embeddings of an (n, d_in) input matrix, checked (``LengthMismatchError``): encoder_forward without its cache."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != enc.input_dim:
+        raise LengthMismatchError(f"input has shape {x.shape}, expected (n, {enc.input_dim})")
     return encoder_forward(enc, x)[0]
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, which raises only these, and its one seed check."""
+"""Exception types shared across the package, which raises only these, and its two argument checks."""
+
+import math
+from numbers import Real
 
 import numpy as np
 
@@ -43,10 +46,6 @@ class NonPowerOfTwoKError(SspqError):
     """Centroid count must be a power of two for code-size accounting."""
 
 
-class BadDimensionError(SspqError):
-    """A layer or embedding dimension is invalid."""
-
-
 class BadConfigError(SspqError):
     """Configuration values violate a precondition."""
 
@@ -63,7 +62,14 @@ class InvariantError(SspqError):
     """A value breaks an invariant its container declares, such as unit-norm rows."""
 
 
-def check_seed(seed) -> None:
-    """Raise ``BadConfigError`` unless ``seed`` is an int or NumPy integer >= 0, not a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise BadConfigError(f"seed must be an int >= 0, got {seed!r}")
+def check_int(name: str, value, low: int) -> None:
+    """Raise ``BadConfigError`` unless ``value`` is an int or NumPy integer >= ``low``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise BadConfigError(f"{name} must be an int >= {low}, got {value!r}")
+
+
+def check_real(name: str, value, positive: bool) -> None:
+    """Raise ``BadConfigError`` unless ``value`` is a finite real number, not a bool, > 0 if ``positive`` else >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or not (value > 0 if positive else value >= 0)):
+        raise BadConfigError(f"{name} must be a finite real number {'>' if positive else '>='} 0, got {value!r}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, as_embedding_matrix
 from .errors import (
     EmptyGalleryError,
     EmptyInputError,
@@ -84,17 +84,12 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _search_matrix(x: EmbeddingMatrix | np.ndarray) -> EmbeddingMatrix:
-    """``x``, or a handle over a view of the (n, d) array ``x``, so the array keeps its flags."""
-    return x if isinstance(x, EmbeddingMatrix) else EmbeddingMatrix(np.asarray(x, dtype=np.float64).view())
-
-
 def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     """(nq, n) gallery ids of every query, by descending cosine similarity of ``unit_rows``.
 
     An ``EmbeddingMatrix`` keeps its unit rows; an array's are computed per call.
     """
-    queries, gallery = _search_matrix(queries), _search_matrix(gallery)
+    queries, gallery = as_embedding_matrix(queries), as_embedding_matrix(gallery)
     if queries.data.shape[1] != gallery.data.shape[1]:
         raise ShapeMismatchError(f"dims differ: {queries.data.shape[1]} vs {gallery.data.shape[1]}")
     if gallery.rows == 0:
@@ -118,7 +113,7 @@ def adc_search(
     """
     if len(codes) == 0:
         raise EmptyGalleryError("ADC search against an empty gallery")
-    return _rank(adc_scores(codebook, codes, _search_matrix(queries).data))
+    return _rank(adc_scores(codebook, codes, as_embedding_matrix(queries).data))
 
 
 def average_precision(hits: np.ndarray) -> np.ndarray:
@@ -188,7 +183,7 @@ def evaluate(
     gallery_labels,
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
-    queries, gallery = _search_matrix(queries), _search_matrix(gallery)
+    queries, gallery = as_embedding_matrix(queries), as_embedding_matrix(gallery)
     ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
     return _report(exact_search(queries, gallery), ql, gl)
 
@@ -201,6 +196,6 @@ def evaluate_pq(
     gallery_labels,
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
-    queries = _search_matrix(queries)
+    queries = as_embedding_matrix(queries)
     ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
     return _report(adc_search(queries, gallery_codes, codebook), ql, gl)

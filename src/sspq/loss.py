@@ -21,6 +21,7 @@ from .errors import (
     BadConfigError,
     LengthMismatchError,
     ZeroTargetProbabilityError,
+    check_real,
 )
 from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 
@@ -162,10 +163,9 @@ def soften(values: np.ndarray, temperature: float) -> np.ndarray:
     the lowest centroid index.
 
     Raises:
-        BadConfigError: if ``temperature`` is negative.
+        BadConfigError: unless ``temperature`` is a finite real number >= 0.
     """
-    if temperature < 0:
-        raise BadConfigError(f"temperature must be >= 0, got {temperature}")
+    check_real("temperature", temperature, positive=False)
     values = np.asarray(values, dtype=np.float64)
     probs = np.empty_like(values)
     _soften_into(values, temperature, np.empty_like(values), probs)

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import as_embedding_matrix
 from .errors import (
-    BadConfigError,
     EmptyInputError,
     FormatError,
     IndivisibleDimensionError,
@@ -31,7 +30,7 @@ from .errors import (
     NonFiniteInputError,
     NonPowerOfTwoKError,
     ShapeMismatchError,
-    check_seed,
+    check_int,
 )
 from .fileio import write_atomic
 
@@ -43,15 +42,6 @@ KMEANS_REL_TOL = 1e-4
 # Elements in the (M, rows, K) score buffer of `_nearest_centroids`: 1 MiB, far below the
 # 32 MiB ceiling of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
-
-
-def _as_points(points: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(points, EmbeddingMatrix):  # the search handle, as encode_matrix callers pass it
-        return points.data
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatchError(f"points must be 2-D, got shape {x.shape}")
-    return x
 
 
 @dataclass
@@ -255,7 +245,7 @@ def kmeans_fit(
         ShapeMismatchError: if the points are neither 2-D nor 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: if ``k`` is not an int >= 1, ``max_iters`` < 1 or ``seed`` not an int >= 0.
+        BadConfigError: unless ``k`` and ``max_iters`` are ints >= 1 and ``seed`` an int >= 0.
     """
     x = np.asarray(points, dtype=np.float64)
     if x.ndim not in (2, 3):
@@ -266,11 +256,9 @@ def kmeans_fit(
         raise EmptyInputError("kmeans_fit requires at least one point")
     if not np.isfinite(stack).all():
         raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise BadConfigError(f"k must be an int >= 1, got {k!r}")
-    if max_iters < 1:
-        raise BadConfigError(f"max_iters must be >= 1, got {max_iters}")
-    check_seed(seed)
+    check_int("k", k, 1)
+    check_int("max_iters", max_iters, 1)
+    check_int("seed", seed, 0)
 
     centroids = _kmeans_pp_init(stack, k, [np.random.default_rng(seed + j) for j in range(m)])
     runs = [_lloyd(u, c, max_iters) for u, c in zip(stack, centroids)]
@@ -337,7 +325,7 @@ def train_product_codebook(
     ``kmeans_fit`` run at the same seed. Features are clustered as they are.
 
     Args:
-        features: n x d training matrix.
+        features: n x d training matrix, or its search handle.
         m: number of subspaces; d must be a multiple of m.
         k: centroids per subspace.
         seed: base seed; subspace j derives seed + j.
@@ -346,21 +334,21 @@ def train_product_codebook(
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
         NonFiniteInputError: if a feature holds a NaN or an infinity.
-        BadConfigError: if ``k`` is below 1 or ``seed`` is not an int >= 0.
+        BadConfigError: unless ``m`` and ``k`` are ints >= 1 and ``seed`` an int >= 0.
     """
-    x = _as_points(features)
+    x = as_embedding_matrix(features).data
     n, d = x.shape
     if n == 0:
         raise EmptyInputError("cannot train a codebook on zero feature rows")
     check_subspace_count(d, m)
+    centroids = kmeans_fit(subvectors(x, m), k, seed).centroids
     if n < k:
         warnings.warn(
             f"training {k} centroids per subspace from only {n} points; "
             "some clusters will be empty",
             stacklevel=2,
         )
-
-    return ProductCodebook(kmeans_fit(subvectors(x, m), k, seed).centroids)
+    return ProductCodebook(centroids)
 
 
 def subvectors(x: np.ndarray, m: int) -> np.ndarray:
@@ -448,18 +436,19 @@ def _nearest_centroids(cents: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
     return codes
 
 
-def encode_matrix(codebook: ProductCodebook, x: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """Quantize every row of a matrix into (n, M) code indices.
+def encode_matrix(codebook: ProductCodebook, x: np.ndarray) -> np.ndarray:
+    """Quantize every row of an (n, d) matrix, or of its search handle, into (n, M) code indices.
 
     Each code is the argmin of the row's ADC table, ties to the lowest index,
     found by ``_nearest_centroids``. The codes are uint8 when K <= 256, one
     byte per subspace, and int32 otherwise.
 
     Raises:
+        ShapeMismatchError: if the matrix is not 2-D.
         LengthMismatchError: if the row length is not the codebook's d.
         NonFiniteInputError: if a row holds a NaN or an infinity.
     """
-    data = _as_points(x)
+    data = as_embedding_matrix(x).data
     if data.shape[1] != codebook.dim:
         raise LengthMismatchError(
             f"matrix dim {data.shape[1]} does not match codebook dim {codebook.dim}"
@@ -506,8 +495,9 @@ def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) 
 
 
 def check_subspace_count(d: int, m: int) -> None:
-    """Raises IndivisibleDimensionError unless m >= 1 splits d into equal blocks."""
-    if m < 1 or d % m != 0:
+    """Raises BadConfigError unless m is an int >= 1, and IndivisibleDimensionError unless it divides d."""
+    check_int("m", m, 1)
+    if d % m != 0:
         raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
 
 
@@ -515,9 +505,11 @@ def check_power_of_two_k(k: int) -> None:
     """Code-size accounting needs log2(k) bits per code.
 
     Raises:
+        BadConfigError: if k is not an int >= 1.
         NonPowerOfTwoKError: if k is not a power of two.
     """
-    if k < 1 or (k & (k - 1)) != 0:
+    check_int("k", k, 1)
+    if k & (k - 1) != 0:
         raise NonPowerOfTwoKError(f"k must be a power of two, got {k}")
 
 
@@ -526,9 +518,13 @@ def memory_report(n: int, m: int, k: int) -> dict:
     n * m * log2(k) / 8 (codes only), ``mib`` the same in MiB.
 
     Raises:
+        BadConfigError: unless n is an int >= 0 and m and k ints >= 1.
         NonPowerOfTwoKError: if k is not a power of two.
     """
+    check_int("n", n, 0)
+    check_int("m", m, 1)
     check_power_of_two_k(k)
+    n, m, k = int(n), int(m), int(k)  # a NumPy integer is neither JSON-ready nor has bit_length
     bits_per_code = m * k.bit_length() - m  # m * log2(k)
     code_bytes = n * bits_per_code / 8
     return {

@@ -8,7 +8,7 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .encoder import QueryEncoder, encoder_init, forward_matrix
-from .errors import BadConfigError, check_seed
+from .errors import check_int, check_real
 
 SPLIT_ANCHOR = "anchor"
 SPLIT_TRAIN = "train"
@@ -44,22 +44,17 @@ def gen_mixture(
         class except for the anchors.
 
     Raises:
-        BadConfigError: num_classes < 2, per_class < 4, non-positive sizes,
-            or a seed that is not an int >= 0.
+        BadConfigError: unless num_classes >= 2, per_class >= 4, the other
+            sizes >= 1 and the seed >= 0 are ints, and cluster_std is a
+            finite real number >= 0.
     """
-    if num_classes < 2:
-        raise BadConfigError(f"num_classes must be >= 2, got {num_classes}")
-    if per_class < 4:
-        raise BadConfigError(f"per_class must be >= 4, got {per_class}")
-    if d_in < 1 or anchor_count < 1:
-        raise BadConfigError("d_in and anchor_count must be >= 1")
-    if cluster_std < 0:
-        raise BadConfigError(f"cluster_std must be >= 0, got {cluster_std}")
-    check_seed(seed)
+    for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 4), ("d_in", d_in, 1),
+                             ("anchor_count", anchor_count, 1), ("seed", seed, 0)):
+        check_int(name, value, low)
+    check_real("cluster_std", cluster_std, positive=False)
     if train_per_class is None:
         train_per_class = per_class
-    if train_per_class < 1:
-        raise BadConfigError("train_per_class must be >= 1")
+    check_int("train_per_class", train_per_class, 1)
 
     rng = np.random.default_rng(seed)
     means, _ = normalize_rows(rng.normal(size=(num_classes, d_in)))
@@ -86,9 +81,11 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     map is well conditioned: the curvature comes from the tanh units and the
     output normalization, not from a lopsided random linear map that would
     wash out the class structure the benchmark is meant to probe. The
-    parameters are read-only, so no caller can alter the oracle. A seed that
-    is not an int >= 0 raises ``BadConfigError``.
+    parameters are read-only, so no caller can alter the oracle. A size that
+    is not an int >= 1, or a seed that is not an int >= 0, raises
+    ``BadConfigError``.
     """
+    check_int("d_in", d_in, 1)  # before 2 * d_in, which a string or None would not survive
     enc = encoder_init(d_in, [2 * d_in], emb_dim, seed=seed)
     rng = np.random.default_rng(seed)
     for i, w in enumerate(enc.weights):

@@ -10,10 +10,8 @@ a linear learning-rate decay to zero.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 
 import numpy as np
 
@@ -23,7 +21,8 @@ from .errors import (
     EmptyInputError,
     NonFiniteInputError,
     ShapeMismatchError,
-    check_seed,
+    check_int,
+    check_real,
 )
 from .loss import (
     SIM_COSINE,
@@ -58,16 +57,10 @@ class TrainConfig:
     weight_decay: float = 1e-6
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-                raise BadConfigError(f"{name} must be an int >= 1, got {value!r}")
-        for name, low in (("tau_g", ">="), ("tau_q", ">"), ("learning_rate", ">"), ("weight_decay", ">=")):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
-                    or not (value > 0 if low == ">" else value >= 0)):
-                raise BadConfigError(f"{name} must be a finite real number {low} 0, got {value!r}")
-        check_seed(self.seed)
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            check_int(name, getattr(self, name), low)
+        for name, positive in (("tau_g", False), ("tau_q", True), ("learning_rate", True), ("weight_decay", False)):
+            check_real(name, getattr(self, name), positive)
         if self.loss_kind not in LOSS_KINDS:
             raise BadConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.similarity_kind not in SIMILARITY_KINDS:

@@ -1,16 +1,19 @@
-"""Every exported entry point that takes arrays fails typed on a wrong-kind
-argument, and only the search layer names ``EmbeddingMatrix``.
+"""Every exported entry point fails typed on a wrong-kind argument, and only
+the search layer names ``EmbeddingMatrix``.
 
 The README promises that the library raises only ``SspqError`` subclasses.
-``test_errors.py`` checks the ``raise`` statements; the property here checks
+``test_errors.py`` checks the ``raise`` statements; the properties here check
 what NumPy or Python would raise past them: each call given a 1-D or 3-D
-array, a list, or a NaN row in place of one array, a float or bool seed, or a
-bool or negative k, must return or raise an ``SspqError``. So must each labels
-argument given such a value, and a ``TrainConfig`` with one field of the wrong
-kind, together with the training run it configures.
+array, a list, or a NaN row in place of one array, or a float or bool seed,
+must return or raise an ``SspqError``. So must each labels argument given
+such a value, and a ``TrainConfig`` with one field of the wrong kind, together
+with the training run it configures. Each integer or real argument given a
+float, a bool, ``None``, a string or a value below its minimum must raise
+``BadConfigError`` unless the value is valid.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sspq
-from sspq.errors import SspqError
+from sspq.errors import BadConfigError, SspqError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sspq"
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -92,11 +95,37 @@ SEED_CASES = {
 CONFIG_FIELDS = ("tau_g", "tau_q", "learning_rate", "epochs", "batch_size", "seed",
                  "loss_kind", "similarity_kind", "weight_decay")
 
-K_CASES = {
-    "kmeans_fit": lambda v, k: sspq.kmeans_fit(v.x, k, seed=0),
-    "train_product_codebook": lambda v, k: sspq.train_product_codebook(v.x, m=2, k=k, seed=0),
-    "memory_report": lambda v, k: sspq.memory_report(12, 2, k),
+# case -> (the argument's minimum, the call given a drawn value). Every
+# argument is an int but those in REAL_CASES, which are real numbers.
+NUMBER_CASES = {
+    "encoder_init-d_in": (1, lambda v, n: sspq.encoder_init(n, [5], 8, seed=3)),
+    "encoder_init-hidden": (1, lambda v, n: sspq.encoder_init(6, [n], 8, seed=3)),
+    "encoder_init-d_out": (1, lambda v, n: sspq.encoder_init(6, [5], n, seed=3)),
+    "make_oracle-d_in": (1, lambda v, n: sspq.make_oracle(n, 8, seed=1)),
+    "make_oracle-emb_dim": (1, lambda v, n: sspq.make_oracle(6, n, seed=1)),
+    "gen_mixture-num_classes": (2, lambda v, n: sspq.gen_mixture(n, 4, 6, 0.1, seed=0, anchor_count=8)),
+    "gen_mixture-per_class": (4, lambda v, n: sspq.gen_mixture(3, n, 6, 0.1, seed=0, anchor_count=8)),
+    "gen_mixture-d_in": (1, lambda v, n: sspq.gen_mixture(3, 4, n, 0.1, seed=0, anchor_count=8)),
+    "gen_mixture-cluster_std": (0.0, lambda v, n: sspq.gen_mixture(3, 4, 6, n, seed=0, anchor_count=8)),
+    "gen_mixture-anchor_count": (1, lambda v, n: sspq.gen_mixture(3, 4, 6, 0.1, seed=0, anchor_count=n)),
+    "gen_mixture-train_per_class": (1, lambda v, n: sspq.gen_mixture(
+        3, 4, 6, 0.1, seed=0, anchor_count=8, train_per_class=n)),
+    "kmeans_fit-k": (1, lambda v, n: sspq.kmeans_fit(v.x, n, seed=0)),
+    "kmeans_fit-max_iters": (1, lambda v, n: sspq.kmeans_fit(v.x, 3, seed=0, max_iters=n)),
+    "train_product_codebook-m": (1, lambda v, n: sspq.train_product_codebook(v.x, m=n, k=4, seed=0)),
+    "train_product_codebook-k": (1, lambda v, n: sspq.train_product_codebook(v.x, m=2, k=n, seed=0)),
+    "memory_report-n": (0, lambda v, n: sspq.memory_report(n, 2, 4)),
+    "memory_report-m": (1, lambda v, n: sspq.memory_report(12, n, 4)),
+    "memory_report-k": (1, lambda v, n: sspq.memory_report(12, 2, n)),
 }
+REAL_CASES = {"gen_mixture-cluster_std"}
+
+
+def accepts(case, value) -> bool:
+    """Whether a drawn value is valid for the case's argument; no drawn int is."""
+    if case in REAL_CASES:
+        return type(value) in (int, float) and math.isfinite(value) and value >= NUMBER_CASES[case][0]
+    return value is None and case == "gen_mixture-train_per_class"  # None means per_class
 
 
 @st.composite
@@ -149,17 +178,30 @@ def test_wrong_kind_config_field_fails_typed(valid, field, value):
     returns_or_sspq_error(construct_and_train)
 
 
-@pytest.mark.parametrize("case", sorted(K_CASES))
+@pytest.mark.parametrize("case", sorted(NUMBER_CASES))
 @PROPERTY
-@given(k=st.one_of(st.booleans(), st.integers(max_value=-1)))
-def test_bool_or_negative_k_fails_typed(valid, case, k):
-    returns_or_sspq_error(K_CASES[case], valid, k)
+@given(data=st.data())
+def test_wrong_kind_number_fails_typed(valid, case, data):
+    low, call = NUMBER_CASES[case]
+    value = data.draw(st.one_of(
+        st.floats(width=32),  # no valid real this wide overflows a float64 row
+        st.integers(-3, 3).map(float),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=3),
+        st.integers(max_value=-1).map(lambda below: low + below),
+    ))
+    if accepts(case, value):
+        call(valid, value)
+    else:
+        with pytest.raises(BadConfigError):
+            call(valid, value)
 
 
-# Only these modules may name the class: the search handle, the searches that
-# take it, ``quantizer._as_points`` (the benchmark encodes handles) and the
-# package exports. Everything else passes plain (n, d) arrays.
-SEARCH_LAYER = {"embeddings", "evaluation", "quantizer", "__init__"}
+# Only these modules may name the class: the search handle with its boundary
+# helper, the searches that take it, and the package exports. Everything else
+# passes plain (n, d) arrays.
+SEARCH_LAYER = {"embeddings", "evaluation", "__init__"}
 
 
 def test_only_the_search_layer_names_embedding_matrix():

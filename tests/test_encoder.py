@@ -17,7 +17,6 @@ from sspq.encoder import (
 )
 from sspq.errors import (
     BadConfigError,
-    BadDimensionError,
     FormatError,
     LengthMismatchError,
     NonFiniteInputError,
@@ -45,7 +44,7 @@ class TestEncoderInit:
         assert sum(p.size for p in enc.parameters()) == 8 * 16 + 16 + 16 * 8 + 8
 
     def test_bad_dimension(self):
-        with pytest.raises(BadDimensionError):
+        with pytest.raises(BadConfigError):
             encoder_init(0, [4], 2, seed=0)
 
     def test_negative_seed_raises(self):
@@ -76,7 +75,7 @@ class TestEncoderForward:
     def test_length_mismatch(self):
         enc = encoder_init(4, [], 4, seed=0)
         with pytest.raises(LengthMismatchError):
-            encoder_forward(enc, np.ones((1, 5)))
+            forward_matrix(enc, np.ones((1, 5)))
 
     @pytest.mark.parametrize("layers", [1, 3], ids=["one-too-few", "one-too-many"])
     def test_layer_count_must_match_layer_sizes(self, layers):
@@ -85,6 +84,19 @@ class TestEncoderForward:
         shapes = [(5, 4), (3, 5), (2, 3)][:layers]
         with pytest.raises(ShapeMismatchError):
             QueryEncoder([4, 5, 3], [np.zeros(s) for s in shapes], [np.zeros(s[0]) for s in shapes])
+
+    @pytest.mark.parametrize("size", [2.0, True, 0], ids=["integral-float", "bool", "zero"])
+    def test_layer_size_must_be_an_int_at_least_one(self, size):
+        # Shape checks alone compare 2.0 == 2, so a float size passed them
+        # and save_checkpoint wrote a header that load_checkpoint rejects.
+        with pytest.raises(BadConfigError):
+            QueryEncoder([size, 3], [np.zeros((3, 2))], [np.zeros(3)])
+
+    def test_numpy_integer_layer_sizes_round_trip(self, tmp_path):
+        enc = QueryEncoder([np.int64(2), np.uint8(3)], [np.ones((3, 2))], [np.zeros(3)])
+        assert [type(s) for s in enc.layer_sizes] == [int, int]
+        save_checkpoint(enc, tmp_path / "enc.sspq")
+        assert load_checkpoint(tmp_path / "enc.sspq")[0].layer_sizes == [2, 3]
 
     def test_forward_matrix_agrees_rowwise(self, rng):
         enc = encoder_init(6, [10], 4, seed=2)

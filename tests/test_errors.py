@@ -34,15 +34,56 @@ def test_every_raise_names_an_sspq_error():
     assert offenders == []
 
 
-@pytest.mark.parametrize("seed", [0, 7, np.int64(3), np.uint8(1)])
-def test_check_seed_accepts_non_negative_integers(seed):
-    errors.check_seed(seed)
+def test_only_errors_spells_out_the_bool_exclusion():
+    # "An int that is not a bool" is written once, in check_int and check_real.
+    spelled = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and any(isinstance(n, ast.Name) and n.id == "bool" for n in ast.walk(node.args[1]))
+            ):
+                spelled.append((path.name, f"{path.name}:{node.lineno}: {ast.unparse(node)}"))
+    assert {name for name, _ in spelled} == {"errors.py"}, [where for _, where in spelled]
 
 
 @pytest.mark.parametrize(
-    "seed", [-1, np.int64(-2), 1.5, 2.0, True, np.True_, "1", None],
-    ids=["neg", "np-neg", "float", "integral-float", "bool", "np-bool", "str", "none"],
+    ("value", "low"), [(0, 0), (7, 0), (np.int64(3), 0), (np.uint8(1), 0), (1, 1), (np.int32(5), 4)],
 )
-def test_check_seed_rejects_everything_else(seed):
+def test_check_int_accepts_integers_at_least_low(value, low):
+    errors.check_int("n", value, low)
+
+
+@pytest.mark.parametrize(
+    ("value", "low"),
+    [(-1, 0), (np.int64(-2), 0), (1.5, 0), (2.0, 0), (True, 0), (np.True_, 0), ("1", 0), (None, 0),
+     (0, 1), (np.int64(3), 4)],
+    ids=["neg", "np-neg", "float", "integral-float", "bool", "np-bool", "str", "none",
+         "below-low", "np-below-low"],
+)
+def test_check_int_rejects_everything_else(value, low):
     with pytest.raises(errors.BadConfigError):
-        errors.check_seed(seed)
+        errors.check_int("n", value, low)
+
+
+@pytest.mark.parametrize(
+    ("value", "positive"),
+    [(0, False), (0.0, False), (2, False), (0.5, True), (1e-300, True), (np.float32(2.5), True), (np.int64(3), True)],
+)
+def test_check_real_accepts_finite_reals_in_range(value, positive):
+    errors.check_real("x", value, positive)
+
+
+@pytest.mark.parametrize(
+    ("value", "positive"),
+    [(np.nan, False), (np.inf, False), (-np.inf, False), (np.float64(np.nan), True), (True, False),
+     (np.True_, False), ("1", False), (None, False), (0, True), (0.0, True), (-0.5, False), (-1, True)],
+    ids=["nan", "inf", "-inf", "np-nan", "bool", "np-bool", "str", "none", "zero-positive",
+         "zero-float-positive", "negative", "negative-positive"],
+)
+def test_check_real_rejects_everything_else(value, positive):
+    with pytest.raises(errors.BadConfigError):
+        errors.check_real("x", value, positive)

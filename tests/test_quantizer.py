@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -703,6 +704,11 @@ class TestPqMemoryBytes:
 
     def test_single_vector(self):
         assert memory_report(1, 8, 256)["code_bytes"] == 8
+
+    def test_numpy_integers_give_the_same_json_ready_report(self):
+        # check_int accepts NumPy integers, which have no bit_length and no JSON form.
+        report = memory_report(np.int64(12), np.int32(2), np.uint16(4))
+        assert json.dumps(report) == json.dumps(memory_report(12, 2, 4))
 
     def test_non_power_of_two_raises(self):
         with pytest.raises(NonPowerOfTwoKError):
