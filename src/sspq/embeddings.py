@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InvariantError, NonFiniteInputError, ShapeMismatchError
-from .fileio import write_atomic, write_csv_atomic
+from .errors import FormatError, InvariantError, ShapeMismatchError
+from .fileio import read_blob, read_values, write_blob, write_csv_atomic
 
 # Norms below this are treated as degenerate (zero) vectors.
 NORM_EPS = 1e-12
@@ -27,6 +27,7 @@ COSINE_EPS = 1e-12
 EMB_MAGIC = b"EMB1"
 # The largest row count or dim that EMB1's u32 header fields hold.
 EMB_MAX_SIZE = 2**32 - 1
+_EMB_HEADER = "<IIB"  # rows, dim, dtype tag
 _EMB_DTYPE_F32 = 0
 
 # An integer exactly as ``write_labels`` writes it: no sign on 0 or positive
@@ -93,50 +94,32 @@ def normalize_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def export_embeddings(x: np.ndarray, path: str | Path) -> None:
-    """Write an (n, d) embedding array in the EMB1 binary format.
+    """Write an (n, d) embedding array in the EMB1 format of ``fileio.write_blob``.
 
-    Layout: magic ``EMB1``, u32 LE row count, u32 LE dim, u8 dtype tag
-    (0 = float32), then rows*dim little-endian float32 values, row-major.
+    Header: u32 LE row count, u32 LE dim, u8 dtype tag (0 = float32); then
+    rows*dim float32 values, row-major.
 
     Raises:
-        ShapeMismatchError: if the array is not 2-D.
+        ShapeMismatchError: if the array is not 2-D or a size exceeds ``EMB_MAX_SIZE``.
         NonFiniteInputError: if a value is, or rounds to, a NaN or an infinity.
     """
     data = np.asarray(x, dtype=np.float64)
-    if data.ndim != 2:
-        raise ShapeMismatchError(f"embeddings must be 2-D, got shape {data.shape}")
-    with np.errstate(over="ignore"):  # an overflow is reported just below
-        values = data.astype("<f4")
-    if not np.isfinite(values).all():
-        raise NonFiniteInputError(f"{path}: embeddings hold a NaN or an infinity")
-    header = EMB_MAGIC + struct.pack("<IIB", *values.shape, _EMB_DTYPE_F32)
-    write_atomic(path, header + values.tobytes())
+    if data.ndim != 2 or max(data.shape) > EMB_MAX_SIZE:
+        raise ShapeMismatchError(f"embeddings must be 2-D with sizes <= {EMB_MAX_SIZE}, got shape {data.shape}")
+    write_blob(path, EMB_MAGIC, struct.pack(_EMB_HEADER, *data.shape, _EMB_DTYPE_F32), [data], "<f4")
 
 
 def import_embeddings(path: str | Path) -> np.ndarray:
     """Read an EMB1 file back into a read-only (rows, dim) float64 array.
 
     Raises:
-        FormatError: on bad magic, bad dtype tag, truncated payload, or a
-            non-finite value.
+        FormatError: on a dtype tag other than 0, or as ``fileio.read_blob``
+            and ``read_values`` do.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 13:
-        raise FormatError(f"{path}: file too short for EMB1 header")
-    if raw[:4] != EMB_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    rows, dim, dtype = struct.unpack("<IIB", raw[4:13])
+    (rows, dim, dtype), payload = read_blob(path, EMB_MAGIC, _EMB_HEADER)
     if dtype != _EMB_DTYPE_F32:
         raise FormatError(f"{path}: unsupported dtype tag {dtype}")
-    expected = rows * dim * 4
-    payload = raw[13:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(rows, dim)
-    if not np.isfinite(data).all():
-        raise FormatError(f"{path}: payload holds a NaN or an infinity")
+    data = read_values(path, payload, "<f4", rows * dim).reshape(rows, dim)
     data.setflags(write=False)
     return data
 

@@ -10,6 +10,7 @@ batch. Checkpoints use the ``SSPQ`` container format.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -17,17 +18,25 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .errors import (
+    BadConfigError,
     FormatError,
     LengthMismatchError,
-    NonFiniteInputError,
     ShapeMismatchError,
     check_int,
 )
-from .fileio import write_atomic
+from .fileio import read_blob, read_values, write_blob
 
 ACT_TANH = "tanh"  # the hidden activation, as checkpoint headers name it
 
 CHECKPOINT_MAGIC = b"SSPQ"
+
+
+def _check_sizes(name: str, sizes) -> None:
+    """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of ints >= 1."""
+    if not isinstance(sizes, (list, tuple)):
+        raise BadConfigError(f"{name} must be a list or tuple of ints >= 1, got {sizes!r}")
+    for size in sizes:
+        check_int("layer size", size, 1)
 
 
 class QueryEncoder:
@@ -37,14 +46,13 @@ class QueryEncoder:
     L2-normalized.
 
     Raises:
-        BadConfigError: if a layer size is not an int >= 1.
+        BadConfigError: unless ``layer_sizes`` is a list or tuple of ints >= 1.
         ShapeMismatchError: unless each pair of adjacent layer sizes has one
             weight matrix and one bias of its shape.
     """
 
     def __init__(self, layer_sizes: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
-        for size in layer_sizes:
-            check_int("layer size", size, 1)
+        _check_sizes("layer_sizes", layer_sizes)
         self.layer_sizes = [int(size) for size in layer_sizes]  # as save_checkpoint writes them
         self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
         self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
@@ -94,11 +102,12 @@ def encoder_init(
     deterministic given the seed.
 
     Raises:
-        BadConfigError: if a layer size is not an int >= 1 or the seed not an int >= 0.
+        BadConfigError: unless ``hidden`` is a list or tuple, every layer size
+            an int >= 1 and the seed an int >= 0.
     """
+    _check_sizes("hidden", hidden)
     sizes = [d_in, *hidden, d_out]
-    for size in sizes:
-        check_int("layer size", size, 1)
+    _check_sizes("layer_sizes", sizes)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
@@ -174,47 +183,39 @@ def forward_matrix(enc: QueryEncoder, x: np.ndarray) -> np.ndarray:
 
 
 def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = None) -> None:
-    """Write an encoder checkpoint: SSPQ magic, JSON header, float64 blocks.
+    """Write an encoder checkpoint in the SSPQ format of ``fileio.write_blob``.
 
-    The header records the architecture and an arbitrary JSON-serializable
-    ``extra`` payload (typically the training config echo). Parameter blocks
-    follow in parameters() order as little-endian float64.
+    Header: u32 LE length, then a JSON object of the architecture and an
+    arbitrary JSON-serializable ``extra`` payload (typically the training
+    config echo); then the float64 parameter blocks in parameters() order.
 
     Raises:
         NonFiniteInputError: if a parameter holds a NaN or an infinity, as
             after a diverged training run.
     """
-    if not all(np.isfinite(p).all() for p in enc.parameters()):
-        raise NonFiniteInputError(f"{path}: a parameter holds a NaN or an infinity")
     header = {
         "layer_sizes": enc.layer_sizes,
         "activation": ACT_TANH,
         "extra": extra or {},
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    blob = CHECKPOINT_MAGIC + struct.pack("<I", len(header_bytes)) + header_bytes
-    blob += b"".join(p.astype("<f8").tobytes() for p in enc.parameters())
-    write_atomic(path, blob)
+    write_blob(path, CHECKPOINT_MAGIC, struct.pack("<I", len(header_bytes)) + header_bytes, enc.parameters(), "<f8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
     """Read an SSPQ checkpoint back into an encoder.
 
     Raises:
-        FormatError: on bad magic, a header that is not a JSON object with a
-            tanh activation and at least two integer layer sizes >= 1,
-            truncated blocks, or a non-finite parameter.
+        FormatError: on a header that is not a JSON object with a tanh
+            activation and at least two integer layer sizes >= 1, on a payload
+            other than the parameter blocks those sizes imply, or as
+            ``fileio.read_blob`` and ``read_values`` do.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise FormatError(f"{path}: file too short for SSPQ header")
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    (header_len,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + header_len:
+    (header_len,), payload = read_blob(path, CHECKPOINT_MAGIC, "<I")
+    if len(payload) < header_len:
         raise FormatError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(bytes(payload[:header_len]).decode("utf-8"))
         sizes = header["layer_sizes"]
         activation = header["activation"]
     except (ValueError, KeyError, TypeError) as exc:
@@ -228,23 +229,8 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
     if activation != ACT_TANH:
         raise FormatError(f"{path}: activation {activation!r} is not {ACT_TANH!r}")
 
-    offset = 8 + header_len
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        w_bytes = fan_out * fan_in * 8
-        b_bytes = fan_out * 8
-        if len(raw) < offset + w_bytes + b_bytes:
-            raise FormatError(f"{path}: truncated parameter blocks")
-        weights.append(
-            np.frombuffer(raw, dtype="<f8", count=fan_out * fan_in, offset=offset)
-            .reshape(fan_out, fan_in)
-            .copy()
-        )
-        offset += w_bytes
-        biases.append(np.frombuffer(raw, dtype="<f8", count=fan_out, offset=offset).copy())
-        offset += b_bytes
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} trailing bytes")
-    if not all(np.isfinite(p).all() for p in (*weights, *biases)):
-        raise FormatError(f"{path}: a parameter holds a NaN or an infinity")
-    return QueryEncoder(sizes, weights, biases), header.get("extra", {})
+    shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:]) for shape in ((fan_out, fan_in), (fan_out,))]
+    counts = [math.prod(shape) for shape in shapes]
+    values = read_values(path, payload[header_len:], "<f8", sum(counts))
+    params = [block.reshape(shape) for block, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)]
+    return QueryEncoder(sizes, params[0::2], params[1::2]), header.get("extra", {})

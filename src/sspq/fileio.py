@@ -1,4 +1,8 @@
-"""Atomic artifact writes.
+"""Atomic artifact writes and the one binary container of EMB1, PQC1 and SSPQ.
+
+Each binary artifact is four magic bytes, a fixed little-endian header, then
+little-endian floats that are all finite; a format module keeps only its
+magic and its header fields.
 
 Every artifact goes to a sibling temporary file that replaces the target with
 ``os.replace``. A reader, or a rerun after a failed process, finds either the
@@ -18,7 +22,12 @@ import csv
 import io
 import os
 import secrets
+import struct
 from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError, NonFiniteInputError
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
@@ -43,3 +52,46 @@ def write_csv_atomic(path: str | Path, rows) -> None:
     buf = io.StringIO(newline="")
     csv.writer(buf).writerows(rows)
     write_atomic(path, buf.getvalue().encode())
+
+
+def write_blob(path: str | Path, magic: bytes, header_bytes: bytes, arrays, dtype: str) -> None:
+    """Write ``magic + header_bytes``, then each array's values cast to ``dtype``, row-major.
+
+    Raises:
+        NonFiniteInputError: if a value is, or rounds to, a NaN or an infinity.
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        values = [np.asarray(a).astype(dtype, order="C") for a in arrays]
+    if not all(np.isfinite(v).all() for v in values):
+        raise NonFiniteInputError(f"{path}: a value is, or rounds to, a NaN or an infinity")
+    write_atomic(path, b"".join([magic, header_bytes, *values]))  # C-order buffers, not copies
+
+
+def read_blob(path: str | Path, magic: bytes, header_struct: str) -> tuple[tuple, memoryview]:
+    """The header fields, unpacked with the ``struct`` format ``header_struct``, and the bytes after them.
+
+    Raises:
+        FormatError: on a file shorter than magic and header, or other magic.
+    """
+    raw = Path(path).read_bytes()
+    end = len(magic) + struct.calcsize(header_struct)
+    if len(raw) < end:
+        raise FormatError(f"{path}: file too short for {magic.decode()} header")
+    if raw[: len(magic)] != magic:
+        raise FormatError(f"{path}: bad magic {raw[: len(magic)]!r}")
+    return struct.unpack_from(header_struct, raw, len(magic)), memoryview(raw)[end:]
+
+
+def read_values(path: str | Path, payload, dtype: str, count: int) -> np.ndarray:
+    """A new float64 array of the ``count`` values of ``dtype`` that make up ``payload``.
+
+    Raises:
+        FormatError: unless ``payload`` is exactly ``count`` values, all finite.
+    """
+    expected = count * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise FormatError(f"{path}: payload is {len(payload)} bytes, header promises {expected}")
+    values = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: payload holds a NaN or an infinity")
+    return values

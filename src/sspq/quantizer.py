@@ -32,9 +32,10 @@ from .errors import (
     ShapeMismatchError,
     check_int,
 )
-from .fileio import write_atomic
+from .fileio import read_blob, read_values, write_blob
 
 PQC_MAGIC = b"PQC1"
+_PQC_HEADER = "<III"  # M, K, d
 
 # Lloyd stops once an iteration lowers the objective by less than this share.
 KMEANS_REL_TOL = 1e-4
@@ -537,45 +538,28 @@ def memory_report(n: int, m: int, k: int) -> dict:
 
 
 def codebook_save(codebook: ProductCodebook, path: str | Path) -> None:
-    """Write a codebook in the PQC1 format.
+    """Write a codebook in the PQC1 format of ``fileio.write_blob``.
 
-    Layout: magic ``PQC1``, u32 LE M, u32 LE K, u32 LE d, then M blocks of
-    K x d* little-endian float32 centroids.
+    Header: u32 LE M, u32 LE K, u32 LE d; then M blocks of K x d* float32
+    centroids.
 
     Raises:
         NonFiniteInputError: if a centroid is, or rounds to, a NaN or an
             infinity.
     """
-    cents = codebook.stacked()
-    if not np.isfinite(cents).all():
-        raise NonFiniteInputError(f"{path}: a centroid holds a NaN or an infinity")
-    header = PQC_MAGIC + struct.pack("<III", codebook.m, codebook.k, codebook.dim)
-    write_atomic(path, header + cents.astype("<f4").tobytes())
+    header = struct.pack(_PQC_HEADER, codebook.m, codebook.k, codebook.dim)
+    write_blob(path, PQC_MAGIC, header, [codebook.stacked()], "<f4")
 
 
 def codebook_load(path: str | Path) -> ProductCodebook:
     """Read a PQC1 file; the round trip through save/load is bit-exact.
 
     Raises:
-        FormatError: on bad magic, indivisible dimensions, truncation, or a
-            non-finite centroid.
+        FormatError: on a size below 1 or a d that M does not divide, or as
+            ``fileio.read_blob`` and ``read_values`` do.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise FormatError(f"{path}: file too short for PQC1 header")
-    if raw[:4] != PQC_MAGIC:
-        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
-    m, k, dim = struct.unpack("<III", raw[4:16])
+    (m, k, dim), payload = read_blob(path, PQC_MAGIC, _PQC_HEADER)
     if m < 1 or k < 1 or dim < 1 or dim % m != 0:
         raise FormatError(f"{path}: invalid header m={m} k={k} d={dim}")
     ds = dim // m
-    expected = m * k * ds * 4
-    payload = raw[16:]
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header promises {expected}"
-        )
-    cents = np.frombuffer(payload, dtype="<f4").reshape(m, k, ds)
-    if not np.isfinite(cents).all():
-        raise FormatError(f"{path}: a centroid holds a NaN or an infinity")
-    return ProductCodebook(cents)
+    return ProductCodebook(read_values(path, payload, "<f4", m * k * ds).reshape(m, k, ds))

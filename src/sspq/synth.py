@@ -8,7 +8,7 @@ import numpy as np
 
 from .embeddings import normalize_rows
 from .encoder import QueryEncoder, encoder_init, forward_matrix
-from .errors import check_int, check_real
+from .errors import BadConfigError, check_int, check_real
 
 SPLIT_ANCHOR = "anchor"
 SPLIT_TRAIN = "train"
@@ -46,7 +46,7 @@ def gen_mixture(
     Raises:
         BadConfigError: unless num_classes >= 2, per_class >= 4, the other
             sizes >= 1 and the seed >= 0 are ints, and cluster_std is a
-            finite real number >= 0.
+            finite real number >= 0 that leaves every drawn row finite.
     """
     for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 4), ("d_in", d_in, 1),
                              ("anchor_count", anchor_count, 1), ("seed", seed, 0)):
@@ -62,10 +62,13 @@ def gen_mixture(
     # The draw order fixes every split's bytes: the evaluation pool class by
     # class, then the training blocks, then the anchors' labels and rows.
     classes = np.arange(num_classes, dtype=np.int64)
-    pool = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, per_class, d_in)) * cluster_std
-    train = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, train_per_class, d_in)) * cluster_std
-    anchor_labels = rng.integers(0, num_classes, size=anchor_count, dtype=np.int64)
-    anchors = means[anchor_labels] + rng.normal(0.0, 1.0, size=(anchor_count, d_in)) * cluster_std
+    with np.errstate(over="ignore"):  # an overflow is reported just below
+        pool = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, per_class, d_in)) * cluster_std
+        train = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, train_per_class, d_in)) * cluster_std
+        anchor_labels = rng.integers(0, num_classes, size=anchor_count, dtype=np.int64)
+        anchors = means[anchor_labels] + rng.normal(0.0, 1.0, size=(anchor_count, d_in)) * cluster_std
+    if not all(np.isfinite(rows).all() for rows in (pool, train, anchors)):
+        raise BadConfigError(f"cluster_std {cluster_std!r} overflows a drawn row to an infinity")
     return {
         SPLIT_ANCHOR: (anchors, anchor_labels),
         SPLIT_TRAIN: (train.reshape(-1, d_in), np.repeat(classes, train_per_class)),

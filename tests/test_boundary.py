@@ -9,7 +9,8 @@ must return or raise an ``SspqError``. So must each labels argument given
 such a value, and a ``TrainConfig`` with one field of the wrong kind, together
 with the training run it configures. Each integer or real argument given a
 float, a bool, ``None``, a string or a value below its minimum must raise
-``BadConfigError`` unless the value is valid.
+``BadConfigError`` unless the value is valid, and so must a list of layer
+sizes replaced whole by a value that is not a list or tuple.
 """
 
 import ast
@@ -196,6 +197,30 @@ def test_wrong_kind_number_fails_typed(valid, case, data):
     else:
         with pytest.raises(BadConfigError):
             call(valid, value)
+
+
+# case -> the call given a drawn value in place of its whole list of layer sizes
+SIZES_CASES = {
+    "encoder_init-hidden": lambda v, s: sspq.encoder_init(6, s, 8, seed=3),
+    "QueryEncoder-layer_sizes": lambda v, s: sspq.QueryEncoder(s, v.enc.weights, v.enc.biases),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIZES_CASES))
+@PROPERTY
+@given(sizes=st.one_of(
+    st.none(), st.integers(-3, 8), st.floats(), st.booleans(), st.text(max_size=3),
+    st.dictionaries(st.integers(1, 8), st.integers(1, 8), max_size=2),
+    st.lists(st.one_of(st.integers(-1, 8), st.floats(), st.none(), st.text(max_size=2)), max_size=4),
+))
+def test_wrong_kind_layer_sizes_fails_typed(valid, case, sizes):
+    # Anything but a list fails the container check; a list returns or fails
+    # typed, at an entry (BadConfigError) or at the parameter shapes.
+    if isinstance(sizes, list):
+        returns_or_sspq_error(SIZES_CASES[case], valid, sizes)
+    else:
+        with pytest.raises(BadConfigError):
+            SIZES_CASES[case](valid, sizes)
 
 
 # Only these modules may name the class: the search handle with its boundary

@@ -153,6 +153,15 @@ class TestGen:
         assert json.loads(err[0])["error"] == "BadConfigError"
         assert not (tmp_path / "run").exists()
 
+    def test_overflowing_cluster_std_fails_before_writing(self, tmp_path, capsys):
+        config = tiny_config(tmp_path)
+        args = ["gen", "--config", str(config), "--cluster-std", "1e308", "--anchor-count", "64"]
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+        assert not (tmp_path / "run" / "dataset").exists()
+
     def test_out_of_memory_fails_with_error_json(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(**_):
             raise MemoryError("cannot allocate the splits")

@@ -18,6 +18,7 @@ from sspq.errors import (
     InvariantError,
     LengthMismatchError,
     NonFiniteInputError,
+    ShapeMismatchError,
 )
 
 
@@ -193,6 +194,14 @@ class TestEmb1Format:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError):
             import_embeddings(path)
+
+    # Neither array allocates memory; each size is one past EMB1's u32 header field.
+    @pytest.mark.parametrize("shape", [(2**32, 0), (0, 2**32)])
+    def test_export_size_beyond_u32_raises(self, tmp_path, shape):
+        path = tmp_path / "big.emb"
+        with pytest.raises(ShapeMismatchError):
+            export_embeddings(np.empty(shape), path)
+        assert not path.exists()
 
     # 1e39 is finite in float64 but overflows the float32 payload.
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39])

@@ -1,11 +1,19 @@
+import ast
+import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sspq.fileio
+from sspq.embeddings import export_embeddings, import_embeddings
+from sspq.encoder import encoder_init, load_checkpoint, save_checkpoint
 from sspq.fileio import write_atomic, write_csv_atomic
-from sspq.quantizer import codebook_load, codebook_save, train_product_codebook
+from sspq.quantizer import ProductCodebook, codebook_load, codebook_save, train_product_codebook
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "sspq"
 
 
 class TestWriteAtomic:
@@ -45,3 +53,53 @@ class TestWriteAtomic:
         path = tmp_path / "t.csv"
         write_csv_atomic(path, [["m", "map"], [None, "0.5"], [2, "0.25"]])
         assert path.read_bytes() == b"m,map\r\n,0.5\r\n2,0.25\r\n"
+
+
+class TestLayouts:
+    """Each file the library writes equals the layout assembled here, and reads back with the same bits."""
+
+    def test_emb1(self, tmp_path, rng):
+        x = rng.normal(size=(5, 3))
+        path = tmp_path / "x.emb"
+        export_embeddings(x, path)
+        assert path.read_bytes() == b"EMB1" + struct.pack("<IIB", 5, 3, 0) + x.astype("<f4").tobytes()
+        back = import_embeddings(path)
+        assert back.tobytes() == x.astype("<f4").astype(np.float64).tobytes()
+
+    def test_pqc1(self, tmp_path, rng):
+        codebook = ProductCodebook(rng.normal(size=(2, 4, 3)))
+        path = tmp_path / "cb.pqc"
+        codebook_save(codebook, path)
+        cents = codebook.stacked()
+        assert path.read_bytes() == b"PQC1" + struct.pack("<III", 2, 4, 6) + cents.astype("<f4").tobytes()
+        assert codebook_load(path).stacked().tobytes() == cents.tobytes()
+
+    def test_sspq(self, tmp_path):
+        enc = encoder_init(4, [3], 2, seed=0)
+        path = tmp_path / "q.sspq"
+        save_checkpoint(enc, path, extra={"epochs": 2})
+        header = json.dumps(
+            {"activation": "tanh", "extra": {"epochs": 2}, "layer_sizes": [4, 3, 2]}, sort_keys=True
+        ).encode()
+        params = b"".join(p.astype("<f8").tobytes() for p in enc.parameters())
+        assert path.read_bytes() == b"SSPQ" + struct.pack("<I", len(header)) + header + params
+        back, extra = load_checkpoint(path)
+        assert extra == {"epochs": 2} and back.layer_sizes == [4, 3, 2]
+        assert [p.tobytes() for p in back.parameters()] == [p.tobytes() for p in enc.parameters()]
+
+
+def test_only_fileio_parses_bytes():
+    # The container rule is read in one place: no format module unpacks a
+    # header or views a payload itself.
+    parsers = {("np", "frombuffer"), ("struct", "unpack"), ("struct", "unpack_from")}
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and (node.func.value.id, node.func.attr) in parsers
+            ):
+                calls.append((path.name, f"{path.name}:{node.lineno}: {ast.unparse(node.func)}"))
+    assert {name for name, _ in calls} == {"fileio.py"}, [where for _, where in calls]

@@ -66,6 +66,11 @@ class TestGenMixture:
         with pytest.raises(BadConfigError):
             gen_mixture(4, 5, 4, 0.1, seed=-1)
 
+    def test_cluster_std_that_overflows_a_row_raises(self):
+        # Finite, but normal draws times 1e308 overflow float64; no warning escapes.
+        with pytest.raises(BadConfigError, match="cluster_std"):
+            gen_mixture(3, 4, 6, 1e308, seed=0, anchor_count=8)
+
     @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
     def test_non_int_seed_raises(self, seed):
         with pytest.raises(BadConfigError):
