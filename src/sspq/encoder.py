@@ -198,8 +198,9 @@ def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = No
         "activation": ACT_TANH,
         "extra": extra or {},
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    write_blob(path, CHECKPOINT_MAGIC, struct.pack("<I", len(header_bytes)) + header_bytes, enc.parameters(), "<f8")
+    header_json = json.dumps(header, sort_keys=True).encode("utf-8")
+    header_bytes = struct.pack("<I", len(header_json)) + header_json
+    write_blob(path, CHECKPOINT_MAGIC, header_bytes, enc.parameters(), "<f8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
@@ -229,8 +230,9 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
     if activation != ACT_TANH:
         raise FormatError(f"{path}: activation {activation!r} is not {ACT_TANH!r}")
 
-    shapes = [shape for fan_in, fan_out in zip(sizes[:-1], sizes[1:]) for shape in ((fan_out, fan_in), (fan_out,))]
+    shapes = [s for fan_in, fan_out in zip(sizes[:-1], sizes[1:]) for s in ((fan_out, fan_in), (fan_out,))]
     counts = [math.prod(shape) for shape in shapes]
     values = read_values(path, payload[header_len:], "<f8", sum(counts))
-    params = [block.reshape(shape) for block, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)]
+    blocks = np.split(values, np.cumsum(counts)[:-1])
+    params = [block.reshape(shape) for block, shape in zip(blocks, shapes)]
     return QueryEncoder(sizes, params[0::2], params[1::2]), header.get("extra", {})
