@@ -31,12 +31,22 @@ ACT_TANH = "tanh"  # the hidden activation, as checkpoint headers name it
 CHECKPOINT_MAGIC = b"SSPQ"
 
 
-def _check_sizes(name: str, sizes) -> None:
-    """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of ints >= 1."""
-    if not isinstance(sizes, (list, tuple)):
-        raise BadConfigError(f"{name} must be a list or tuple of ints >= 1, got {sizes!r}")
+def _check_sizes(name: str, sizes, min_count: int = 0) -> None:
+    """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of at least ``min_count`` ints >= 1."""
+    if not isinstance(sizes, (list, tuple)) or len(sizes) < min_count:
+        raise BadConfigError(f"{name} must be a list or tuple of at least {min_count} ints >= 1, got {sizes!r}")
     for size in sizes:
         check_int("layer size", size, 1)
+
+
+def _as_params(name: str, params) -> list[np.ndarray]:
+    """``params`` as float64 arrays; ``BadConfigError`` unless it is a list or tuple of real arrays."""
+    if not isinstance(params, (list, tuple)):
+        raise BadConfigError(f"{name} must be a list or tuple of arrays, got {params!r}")
+    try:
+        return [np.asarray(p, dtype=np.float64) for p in params]
+    except (TypeError, ValueError) as exc:
+        raise BadConfigError(f"{name} must hold real arrays: {exc}") from exc
 
 
 class QueryEncoder:
@@ -46,16 +56,18 @@ class QueryEncoder:
     L2-normalized.
 
     Raises:
-        BadConfigError: unless ``layer_sizes`` is a list or tuple of ints >= 1.
+        BadConfigError: unless ``layer_sizes`` is a list or tuple of two or
+            more ints >= 1, as ``load_checkpoint`` reads, and ``weights`` and
+            ``biases`` are lists or tuples of real arrays.
         ShapeMismatchError: unless each pair of adjacent layer sizes has one
             weight matrix and one bias of its shape.
     """
 
     def __init__(self, layer_sizes: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
-        _check_sizes("layer_sizes", layer_sizes)
+        _check_sizes("layer_sizes", layer_sizes, min_count=2)
         self.layer_sizes = [int(size) for size in layer_sizes]  # as save_checkpoint writes them
-        self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
-        self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+        self.weights = _as_params("weights", weights)
+        self.biases = _as_params("biases", biases)
         if not len(self.weights) == len(self.biases) == len(self.layer_sizes) - 1:
             raise ShapeMismatchError(
                 f"{len(self.weights)} weights and {len(self.biases)} biases "

@@ -94,7 +94,8 @@ def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix
         raise ShapeMismatchError(f"dims differ: {queries.data.shape[1]} vs {gallery.data.shape[1]}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
-    return _rank(-(queries.unit_rows @ gallery.unit_rows.T))
+    scores = queries.unit_rows @ gallery.unit_rows.T
+    return _rank(np.negative(scores, out=scores))
 
 
 def adc_search(

@@ -17,12 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .embeddings import COSINE_EPS, NORM_EPS, normalize_rows
-from .errors import (
-    BadConfigError,
-    LengthMismatchError,
-    ZeroTargetProbabilityError,
-    check_real,
-)
+from .errors import ZeroTargetProbabilityError
 from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 
 SIM_COSINE = "cosine"
@@ -135,41 +130,6 @@ def _grad_through_similarity(
     w /= aux
     # sum_k w_k * (c_k - u)
     return np.matmul(w, cents) - w.sum(axis=2)[:, :, None] * u
-
-
-def structure_similarity(
-    codebook: ProductCodebook, x: np.ndarray, kind: str = SIM_COSINE
-) -> np.ndarray:
-    """(B, M, K) similarities of each row's subvectors against its subspace's K centroids.
-
-    Raises:
-        BadConfigError: if ``kind`` is not a known similarity kind.
-        LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if kind not in SIMILARITY_KINDS:
-        raise BadConfigError(f"unknown similarity kind {kind!r}")
-    if x.ndim != 2 or x.shape[1] != codebook.dim:
-        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
-    out = np.empty((codebook.m, x.shape[0], codebook.k))
-    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
-    return out.transpose(1, 0, 2)
-
-
-def soften(values: np.ndarray, temperature: float) -> np.ndarray:
-    """Temperature softmax along the last axis; temperature 0 yields hard one-hot argmax.
-
-    Softmax uses max subtraction for stability. Hard-assignment ties go to
-    the lowest centroid index.
-
-    Raises:
-        BadConfigError: unless ``temperature`` is a finite real number >= 0.
-    """
-    check_real("temperature", temperature, positive=False)
-    values = np.asarray(values, dtype=np.float64)
-    probs = np.empty_like(values)
-    _soften_into(values, temperature, np.empty_like(values), probs)
-    return probs
 
 
 def ssp_loss_and_grad(

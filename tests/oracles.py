@@ -6,7 +6,10 @@ gradients, a double-loop scan for retrieval, a per-trial loop for greedy
 k-means++ seeding, a per-dimension loop for nearest centroids, scalar
 per-subvector similarity kernels for the batched structure similarities, a
 running sum over every rank for average precision, and a probability-space
-KL divergence for the log-space SSP loss.
+KL divergence for the log-space SSP loss. ``structure_similarity`` and
+``soften`` are the exception: checked (B, M, K) entry points to the loss's
+own similarity and softmax kernels, which no library code calls, kept so the
+tests can hold those kernels against the references here.
 """
 
 from __future__ import annotations
@@ -17,11 +20,15 @@ import math
 import numpy as np
 
 from sspq.errors import (
+    BadConfigError,
     IndivisibleDimensionError,
     LengthMismatchError,
     ShapeMismatchError,
     ZeroTargetProbabilityError,
+    check_real,
 )
+from sspq.loss import SIM_COSINE, SIMILARITY_KINDS, _similarity, _soften_into
+from sspq.quantizer import subvectors
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -133,6 +140,39 @@ def full_width_average_precision(hits: np.ndarray) -> np.ndarray:
     hits = np.asarray(hits, dtype=bool)
     precision = np.cumsum(hits, axis=-1) / np.arange(1, hits.shape[-1] + 1)
     return np.cumsum(np.where(hits, precision, 0.0), axis=-1)[..., -1] / hits.sum(axis=-1)
+
+
+def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.ndarray:
+    """(B, M, K) similarities of each row's subvectors against its subspace's K centroids.
+
+    Raises:
+        BadConfigError: if ``kind`` is not a known similarity kind.
+        LengthMismatchError: if ``x`` is not a (B, codebook.dim) matrix.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if kind not in SIMILARITY_KINDS:
+        raise BadConfigError(f"unknown similarity kind {kind!r}")
+    if x.ndim != 2 or x.shape[1] != codebook.dim:
+        raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
+    out = np.empty((codebook.m, x.shape[0], codebook.k))
+    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
+    return out.transpose(1, 0, 2)
+
+
+def soften(values: np.ndarray, temperature: float) -> np.ndarray:
+    """Temperature softmax along the last axis; temperature 0 yields hard one-hot argmax.
+
+    Softmax uses max subtraction for stability. Hard-assignment ties go to
+    the lowest centroid index.
+
+    Raises:
+        BadConfigError: unless ``temperature`` is a finite real number >= 0.
+    """
+    check_real("temperature", temperature, positive=False)
+    values = np.asarray(values, dtype=np.float64)
+    probs = np.empty_like(values)
+    _soften_into(values, temperature, np.empty_like(values), probs)
+    return probs
 
 
 def direct_kl(p: np.ndarray, q: np.ndarray) -> float:

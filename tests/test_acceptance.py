@@ -20,17 +20,13 @@ from oracles import (
     central_diff_grad,
     grad_mismatch,
     reconstruction_sq_dist,
+    soften,
+    structure_similarity,
 )
 from sspq.cli import DEFAULTS, main
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.evaluation import evaluate, evaluate_pq
-from sspq.loss import (
-    SIM_COSINE,
-    SIM_NEG_EUCLIDEAN,
-    soften,
-    ssp_loss_and_grad,
-    structure_similarity,
-)
+from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, ssp_loss_and_grad
 from sspq.quantizer import (
     adc_scores,
     encode_matrix,

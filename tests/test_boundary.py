@@ -10,7 +10,7 @@ such a value, and a ``TrainConfig`` with one field of the wrong kind, together
 with the training run it configures. Each integer or real argument given a
 float, a bool, ``None``, a string or a value below its minimum must raise
 ``BadConfigError`` unless the value is valid, and so must a list of layer
-sizes replaced whole by a value that is not a list or tuple.
+sizes, weights or biases replaced whole by a value that is not a list or tuple.
 """
 
 import ast
@@ -221,6 +221,29 @@ def test_wrong_kind_layer_sizes_fails_typed(valid, case, sizes):
     else:
         with pytest.raises(BadConfigError):
             SIZES_CASES[case](valid, sizes)
+
+
+# case -> the call given a drawn value in place of its whole list of parameters
+PARAMS_CASES = {
+    "QueryEncoder-weights": lambda v, p: sspq.QueryEncoder(v.enc.layer_sizes, p, v.enc.biases),
+    "QueryEncoder-biases": lambda v, p: sspq.QueryEncoder(v.enc.layer_sizes, v.enc.weights, p),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARAMS_CASES))
+@PROPERTY
+@given(params=st.one_of(
+    st.none(), st.integers(-3, 8), st.floats(), st.booleans(), st.text(max_size=3),
+    st.dictionaries(st.integers(0, 2), st.floats(), max_size=2),
+    st.lists(st.one_of(st.floats(), st.none(), st.text(max_size=2), st.lists(st.floats(), max_size=3)),
+             max_size=3),
+))
+def test_wrong_kind_parameter_list_fails_typed(valid, case, params):
+    # Anything but a list fails the container check; no drawn list holds
+    # arrays of the encoder's shapes, so it fails typed at an entry
+    # (BadConfigError) or at the shapes.
+    with pytest.raises(BadConfigError if not isinstance(params, list) else SspqError):
+        PARAMS_CASES[case](valid, params)
 
 
 # Only these modules may name the class: the search handle with its boundary

@@ -92,6 +92,29 @@ class TestEncoderForward:
         with pytest.raises(BadConfigError):
             QueryEncoder([size, 3], [np.zeros((3, 2))], [np.zeros(3)])
 
+    @pytest.mark.parametrize("sizes", [[5], []], ids=["one-size", "no-size"])
+    def test_fewer_than_two_layer_sizes_raise_as_load_checkpoint_does(self, sizes):
+        # Such an encoder has no layer; save_checkpoint wrote it and
+        # load_checkpoint rejected the file with FormatError.
+        with pytest.raises(BadConfigError):
+            QueryEncoder(sizes, [], [])
+
+    @pytest.mark.parametrize("weights, biases", [
+        (None, None),
+        ([np.ones((3, 2))], None),
+        (np.ones((1, 3, 2)), [np.zeros(3)]),
+        ("ab", [np.zeros(3)]),
+        ([np.ones((3, 2))], [["x", "y", "z"]]),
+        ([[[1.0, 2.0], [3.0]]], [np.zeros(3)]),
+    ], ids=["none", "biases-none", "array-not-list", "string", "string-entries", "ragged-entry"])
+    def test_parameter_lists_must_be_lists_of_real_arrays(self, weights, biases):
+        with pytest.raises(BadConfigError):
+            QueryEncoder([2, 3], weights, biases)
+
+    def test_parameter_tuples_are_accepted(self):
+        enc = QueryEncoder((2, 3), (np.ones((3, 2)),), (np.zeros(3),))
+        assert [w.shape for w in enc.weights] == [(3, 2)] and [b.shape for b in enc.biases] == [(3,)]
+
     def test_numpy_integer_layer_sizes_round_trip(self, tmp_path):
         enc = QueryEncoder([np.int64(2), np.uint8(3)], [np.ones((3, 2))], [np.zeros(3)])
         assert [type(s) for s in enc.layer_sizes] == [int, int]

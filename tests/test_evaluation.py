@@ -5,7 +5,7 @@ import pytest
 
 from oracles import double_loop_search, full_width_average_precision
 from sspq.cli import SEED_ORACLE, cmd_eval, cmd_gen, load_config
-from sspq.embeddings import EmbeddingMatrix, normalize_rows
+from sspq.embeddings import EmbeddingMatrix, as_embedding_matrix, normalize_rows
 from sspq.encoder import save_checkpoint
 from sspq.errors import (
     EmptyGalleryError,
@@ -149,9 +149,9 @@ class TestUnitRowsCache:
     def test_two_evaluates_normalize_each_matrix_once(self, rng, monkeypatch):
         calls = []
 
-        def counting(x):
+        def counting(x, out=None):
             calls.append(x.shape)
-            return normalize_rows(x)
+            return normalize_rows(x, out=out)
 
         monkeypatch.setattr("sspq.embeddings.normalize_rows", counting)
         gallery, queries = unit_rows(rng, 30, 6), unit_rows(rng, 4, 6)
@@ -192,6 +192,64 @@ class TestUnitRowsCache:
         np.testing.assert_array_equal(emb.unit_rows, normalize_rows(emb.data)[0])
         with pytest.raises(ValueError):
             emb.unit_rows[0, 0] = 1.0
+
+    @pytest.mark.parametrize("handle", [EmbeddingMatrix, as_embedding_matrix])
+    def test_unit_rows_are_stored_column_major_and_read_only(self, rng, handle):
+        # The transpose the searches multiply by must be a C-contiguous (d, n)
+        # matrix; a row-major one is repacked by BLAS on every search.
+        emb = handle(rng.normal(size=(50, 8)))
+        assert emb.unit_rows.shape == (50, 8)
+        assert emb.unit_rows.T.flags.c_contiguous
+        assert not emb.unit_rows.flags.writeable
+        with pytest.raises(ValueError):
+            emb.unit_rows[0, 0] = 1.0
+
+    @staticmethod
+    def float32_problem(rng, n, nq, d=64):
+        """float32-stored rows, not unit in float64, with exact copies and two zero rows in the gallery."""
+        base = rng.normal(size=(n, d)).astype(np.float32).astype(np.float64)
+        g = np.concatenate([base[[3, 0, 3, 7]], np.zeros((2, d)), base])
+        q = np.concatenate([base[[3, 0]], rng.normal(size=(nq, d)).astype(np.float32)])[:nq]
+        return q.astype(np.float64), g
+
+    @staticmethod
+    def search_keys(monkeypatch, queries, gallery):
+        """``exact_search``'s order and the keys it ranked."""
+        keys = []
+
+        def capture(k):
+            keys.append(k.copy())
+            return _rank(k)
+
+        monkeypatch.setattr("sspq.evaluation._rank", capture)
+        return exact_search(queries, gallery), keys[0]
+
+    @pytest.mark.parametrize("nq", [2, 4, 32])
+    def test_scores_keep_the_row_major_bits_on_a_search_scale_gallery(self, rng, monkeypatch, nq):
+        # At 4,102 x 64 BLAS runs its blocked GEMM, whose bits do not depend
+        # on the operands' layout.
+        q, g = self.float32_problem(rng, 4096, nq)
+        queries, gallery = EmbeddingMatrix(q), EmbeddingMatrix(g)
+        row_major = normalize_rows(q)[0] @ normalize_rows(g)[0].T
+        assert (row_major[:, 0] == row_major[:, 2]).all() and (row_major[:, 4:6] == 0).all()
+        assert (queries.unit_rows @ gallery.unit_rows.T).tobytes() == row_major.tobytes()
+        order, keys = self.search_keys(monkeypatch, queries, gallery)
+        assert keys.tobytes() == (-row_major).tobytes()
+        assert order.tobytes() == _rank(-row_major).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 333])
+    @pytest.mark.parametrize("nq", [1, 2, 32])
+    def test_small_products_stay_within_round_off_of_the_row_major_scores(self, rng, monkeypatch, n, nq):
+        # gemv (one query) and BLAS's kernels for small products may sum in
+        # another order than the row-major product, so the last bits may
+        # differ; the ranking is still that of the cached product.
+        q, g = self.float32_problem(rng, n, nq)
+        queries, gallery = EmbeddingMatrix(q), EmbeddingMatrix(g)
+        row_major = normalize_rows(q)[0] @ normalize_rows(g)[0].T
+        order, keys = self.search_keys(monkeypatch, queries, gallery)
+        np.testing.assert_allclose(-keys, row_major, rtol=0, atol=1e-14)
+        assert keys.tobytes() == (-(queries.unit_rows @ gallery.unit_rows.T)).tobytes()
+        assert order.tobytes() == _rank(keys).tobytes()
 
 
 # search -> its orders or APs, given queries, gallery, codebook, codes and labels

@@ -10,7 +10,9 @@ from oracles import (
     grad_mismatch,
     kl_loss,
     neg_euclid_sim,
+    soften,
     split_subvectors,
+    structure_similarity,
 )
 from sspq.errors import (
     LengthMismatchError,
@@ -22,9 +24,7 @@ from sspq.loss import (
     SIM_NEG_EUCLIDEAN,
     SspWorkspace,
     regression_loss_and_grad,
-    soften,
     ssp_loss_and_grad,
-    structure_similarity,
 )
 from sspq.quantizer import ProductCodebook, train_product_codebook
 

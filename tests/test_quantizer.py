@@ -14,6 +14,7 @@ from oracles import (
     per_dimension_argmin,
     reconstruct,
     reconstruction_sq_dist,
+    structure_similarity,
 )
 from sspq.embeddings import EmbeddingMatrix
 from sspq.errors import (
@@ -29,7 +30,6 @@ from sspq.errors import (
     ShapeMismatchError,
 )
 from sspq.evaluation import adc_search, evaluate_pq
-from sspq.loss import structure_similarity
 from sspq.quantizer import (
     _CHUNK_ELEMENTS,
     ProductCodebook,

@@ -4,10 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, grad_mismatch
+from oracles import central_diff_grad, grad_mismatch, soften, structure_similarity
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import BadConfigError, ShapeMismatchError
-from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, soften, ssp_loss_and_grad, structure_similarity
+from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, ssp_loss_and_grad
 from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import LOSS_REGRESSION, TrainConfig, adam_step, train_query_model
 
