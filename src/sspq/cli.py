@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .embeddings import (
     EMB_MAX_SIZE,
+    as_embedding_matrix,
     export_embeddings,
     import_embeddings,
     read_labels,
@@ -306,9 +307,10 @@ def cmd_eval(cfg: dict) -> dict:
     dataset = _Dataset(cfg)
     query_labels = dataset.labels("query")
     gallery_labels = dataset.labels("gallery")
-    gal_emb_g = dataset.embeddings("gallery", "emb")
+    # Search handles, so each matrix used by two searches is normalized once.
+    gal_emb_g = as_embedding_matrix(dataset.embeddings("gallery", "emb"))
     query_emb_g = dataset.embeddings("query", "emb")
-    query_emb_q = forward_matrix(model, dataset.embeddings("query", "raw"))
+    query_emb_q = as_embedding_matrix(forward_matrix(model, dataset.embeddings("query", "raw")))
     gal_emb_q = forward_matrix(model, dataset.embeddings("gallery", "raw"))
 
     # (mode, encoder id, codebook id, report); the oracle is the gallery side.
@@ -326,7 +328,7 @@ def cmd_eval(cfg: dict) -> dict:
         codes = encode_matrix(codebook, gal_emb_g)
         reports.append(("asymmetric_pq", encoder_id, codebook_id,
                         evaluate_pq(query_emb_q, codes, codebook, query_labels, gallery_labels)))
-        _write_json(memory_report(gal_emb_g.shape[0], codebook.m, codebook.k), out / "memory.json")
+        _write_json(memory_report(gal_emb_g.rows, codebook.m, codebook.k), out / "memory.json")
 
     rows = [["mode", "map", "n_queries", "codebook_id"]]
     for mode, enc_id, cb_id, report in reports:

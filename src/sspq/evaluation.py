@@ -2,12 +2,12 @@
 
 Symmetric runs embed queries and gallery with the same model; asymmetric runs
 pair the trainable query encoder with the frozen gallery side. Relevance is
-label match. Both searches score a batch of queries against the whole gallery
-as one (nq, n) matrix and rank every row the same way: NumPy's default sort,
-then one re-sort by gallery id of only the positions whose scores tie. The
-order equals a stable sort's, so score ties go to the lower gallery id and
-results are independent of storage order. A NaN or an infinity in a score
-raises ``NonFiniteInputError``.
+label match. Each search kind scores a batch of queries as one (nq, n) matrix
+of keys; exact search reads ``unit_rows``, which an ``EmbeddingMatrix`` keeps
+and an array computes per call. The searches return each row's full order,
+ties to the lower gallery id, so results do not depend on storage order;
+evaluation ranks only the hits, the relevant items, to the same ranks. A NaN
+or an infinity in a key raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class EvalReport:
 
 
 def _rank(keys: np.ndarray) -> np.ndarray:
-    """Gallery ids of each (nq, n) row by ascending key, ties to the lower id.
+    """Gallery ids of each (nq, n) row by ascending key, ties to the lower id: the full order.
 
     The default argsort orders a run of equal keys arbitrarily, so the ids
     of every run are re-sorted in place, all runs with one ``lexsort`` by
@@ -84,24 +84,50 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """(nq, n) gallery ids of every query, by descending cosine similarity of ``unit_rows``.
+def _hit_mask(keys: np.ndarray, relevant: np.ndarray) -> np.ndarray:
+    """``np.take_along_axis(relevant, _rank(keys), -1)``, ranking only the hits in their rows' sorted keys.
 
-    An ``EmbeddingMatrix`` keeps its unit rows; an array's are computed per call.
+    Rows where a hit's key ties go to ``_rank``; a NaN or an infinity raises ``NonFiniteInputError``.
     """
+    if not np.isfinite(keys).all():
+        raise NonFiniteInputError("a search score is a NaN or an infinity")
+    mask, tied = np.zeros(keys.shape, dtype=bool), np.zeros(len(keys), dtype=bool)
+    for row, (key_row, hit_row, mask_row) in enumerate(zip(keys, relevant, mask)):
+        ranked, hits = np.sort(key_row), np.sort(key_row[hit_row])
+        ranks = np.searchsorted(ranked, hits, "right") - 1  # an untied hit's rank
+        # A hit ties if the key ranked before it is equal; before rank 0 is the largest, equal only if all are.
+        tied[row] = (ranked[ranks - 1] == hits).any()
+        mask_row[ranks] = True
+    if tied.any():
+        mask[tied] = np.take_along_axis(relevant[tied], _rank(keys[tied]), -1)
+    return mask
+
+
+def _exact_keys(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     queries, gallery = as_embedding_matrix(queries), as_embedding_matrix(gallery)
     if queries.data.shape[1] != gallery.data.shape[1]:
         raise ShapeMismatchError(f"dims differ: {queries.data.shape[1]} vs {gallery.data.shape[1]}")
     if gallery.rows == 0:
         raise EmptyGalleryError("search against an empty gallery")
     scores = queries.unit_rows @ gallery.unit_rows.T
-    return _rank(np.negative(scores, out=scores))
+    return np.negative(scores, out=scores)
+
+
+def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix | np.ndarray) -> np.ndarray:
+    """(nq, n) gallery ids of every query, the full order by descending cosine similarity of ``unit_rows``."""
+    return _rank(_exact_keys(queries, gallery))
+
+
+def _adc_keys(queries: EmbeddingMatrix | np.ndarray, codes: np.ndarray, codebook: ProductCodebook) -> np.ndarray:
+    if len(codes) == 0:
+        raise EmptyGalleryError("ADC search against an empty gallery")
+    return adc_scores(codebook, codes, as_embedding_matrix(queries).data)
 
 
 def adc_search(
     queries: EmbeddingMatrix | np.ndarray, codes: np.ndarray, codebook: ProductCodebook
 ) -> np.ndarray:
-    """(nq, n) encoded gallery ids of every query, by ascending ADC distance.
+    """(nq, n) encoded gallery ids of every query, the full order by ascending ADC distance.
 
     The distance to a code equals the exact squared distance between the
     query and the code's reconstruction.
@@ -112,9 +138,7 @@ def adc_search(
         LengthMismatchError: if the query or code shape does not match.
         InvariantError: if a code is not an integer in [0, K).
     """
-    if len(codes) == 0:
-        raise EmptyGalleryError("ADC search against an empty gallery")
-    return _rank(adc_scores(codebook, codes, as_embedding_matrix(queries).data))
+    return _rank(_adc_keys(queries, codes, codebook))
 
 
 def average_precision(hits: np.ndarray) -> np.ndarray:
@@ -147,12 +171,8 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     return np.cumsum(precision, axis=-1)[:, -1] / n_relevant
 
 
-def _report(order: np.ndarray, query_labels: np.ndarray, gallery_labels: np.ndarray) -> EvalReport:
-    return EvalReport(average_precision(gallery_labels[order] == query_labels[:, None]))
-
-
-def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
-    """Both label sequences as int64 arrays; an integer or bool array takes NumPy's cast.
+def _relevance(n_queries: int, n_gallery: int, query_labels, gallery_labels) -> np.ndarray:
+    """(nq, n) label match of the queries to the gallery; an integer or bool array takes NumPy's cast.
 
     A label that is not an integer value, such as a fraction, a NaN, a float
     outside int64 or a string, raises ``MissingLabelsError`` instead.
@@ -170,11 +190,8 @@ def _check_labels(n_queries: int, n_gallery: int, query_labels, gallery_labels):
             raise MissingLabelsError(f"labels must be integers, got dtype {arr.dtype}")
     ql, gl = np.asarray(ql, dtype=np.int64), np.asarray(gl, dtype=np.int64)
     if ql.shape != (n_queries,) or gl.shape != (n_gallery,):
-        raise MissingLabelsError(
-            f"label counts ({ql.shape[0]}, {gl.shape[0]}) do not cover "
-            f"({n_queries} queries, {n_gallery} gallery items)"
-        )
-    return ql, gl
+        raise MissingLabelsError(f"label shapes {ql.shape}, {gl.shape} do not match ({n_queries},), ({n_gallery},)")
+    return gl == ql[:, None]
 
 
 def evaluate(
@@ -185,8 +202,8 @@ def evaluate(
 ) -> EvalReport:
     """Exact-search retrieval scored by label-match mAP."""
     queries, gallery = as_embedding_matrix(queries), as_embedding_matrix(gallery)
-    ql, gl = _check_labels(queries.rows, gallery.rows, query_labels, gallery_labels)
-    return _report(exact_search(queries, gallery), ql, gl)
+    relevant = _relevance(queries.rows, gallery.rows, query_labels, gallery_labels)
+    return EvalReport(average_precision(_hit_mask(_exact_keys(queries, gallery), relevant)))
 
 
 def evaluate_pq(
@@ -198,5 +215,5 @@ def evaluate_pq(
 ) -> EvalReport:
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
     queries = as_embedding_matrix(queries)
-    ql, gl = _check_labels(queries.rows, len(gallery_codes), query_labels, gallery_labels)
-    return _report(adc_search(queries, gallery_codes, codebook), ql, gl)
+    relevant = _relevance(queries.rows, len(gallery_codes), query_labels, gallery_labels)
+    return EvalReport(average_precision(_hit_mask(_adc_keys(queries, gallery_codes, codebook), relevant)))

@@ -17,6 +17,7 @@ from sspq.errors import (
 )
 from sspq.evaluation import (
     EvalReport,
+    _exact_keys,
     _rank,
     adc_search,
     average_precision,
@@ -24,7 +25,7 @@ from sspq.evaluation import (
     evaluate_pq,
     exact_search,
 )
-from sspq.quantizer import adc_scores, encode_matrix, train_product_codebook
+from sspq.quantizer import ProductCodebook, adc_scores, encode_matrix, train_product_codebook
 from sspq.synth import gen_mixture, make_oracle, oracle_encode
 
 
@@ -160,6 +161,24 @@ class TestUnitRowsCache:
         second = evaluate(queries, gallery, labels[:4], labels)
         assert sorted(calls) == [(4, 6), (30, 6)]
         assert first.per_query_ap.tobytes() == second.per_query_ap.tobytes()
+
+    def test_eval_stage_normalizes_each_search_input_once(self, tmp_path, monkeypatch):
+        # The oracle gallery and the encoded queries each serve two searches.
+        cfg = load_config(None, {
+            "out_dir": str(tmp_path / "run"), "num_classes": 5, "per_class": 6, "d_in": 8,
+            "anchor_count": 8, "train_per_class": 2, "emb_dim": 12,
+        })
+        cmd_gen(cfg)
+        save_checkpoint(make_oracle(8, 12, seed=1), tmp_path / "run" / "checkpoint.sspq")
+        calls = []
+
+        def counting(x, out=None):
+            calls.append(x.shape)
+            return normalize_rows(x, out=out)
+
+        monkeypatch.setattr("sspq.embeddings.normalize_rows", counting)
+        cmd_eval(cfg)
+        assert sorted(calls) == [(5, 12), (5, 12), (25, 12), (25, 12)]
 
     def test_orders_equal_the_per_call_normalization(self, rng):
         # Stored rows are float32, so they are not unit in float64; exact
@@ -385,6 +404,14 @@ class TestEvaluate:
         with pytest.raises(MissingLabelsError):
             evaluate(unit_rows(rng, 2, 4), unit_rows(rng, 3, 4), [0, 1], [0, 1])
 
+    @pytest.mark.parametrize("side", ["query", "gallery"])
+    def test_a_scalar_label_raises_missing_labels(self, side):
+        # A 0-d label array has no length to report; it raised IndexError.
+        labels = {"query": [0, 1, 2, 3], "gallery": [0, 1, 2, 3]}
+        labels[side] = 1
+        with pytest.raises(MissingLabelsError, match=r"label shapes"):
+            evaluate(np.eye(4), np.eye(4), labels["query"], labels["gallery"])
+
     @pytest.mark.parametrize(
         "label", [0.5, np.nan, np.inf, 1e300, "0", None], ids=["fraction", "nan", "inf", "huge", "str", "none"]
     )
@@ -481,3 +508,56 @@ class TestBatchEquivalence:
         np.testing.assert_array_equal(
             batch.per_query_ap, np.concatenate([r.per_query_ap for r in singles])
         )
+
+
+class TestHitMaskFastPath:
+    """Evaluation ranks the hits from sorted keys; only a row where a hit's key ties is ranked in full."""
+
+    @staticmethod
+    def problem(rng, n=300, nq=5):
+        """Random unit rows and distinct random codes: no two keys of a row tie."""
+        gallery, queries = unit_rows(rng, n, 8), unit_rows(rng, nq, 8)
+        cb = ProductCodebook(rng.normal(size=(4, 16, 2)))
+        codes = np.stack(np.unravel_index(rng.choice(16**4, n, replace=False), (16,) * 4), axis=1)
+        return queries, gallery, cb, codes.astype(np.uint8), np.arange(nq) % 3, np.arange(n) % 3
+
+    @staticmethod
+    def recording(monkeypatch, fail=False):
+        """Rows passed to ``_rank`` by each call; with ``fail`` every call raises."""
+        calls = []
+
+        def record(keys):
+            calls.append(keys.copy())
+            if fail:
+                raise AssertionError("evaluation fell back to the full ranking")
+            return _rank(keys)
+
+        monkeypatch.setattr("sspq.evaluation._rank", record)
+        return calls
+
+    def test_a_tie_free_gallery_is_scored_without_the_full_ranking(self, rng, monkeypatch):
+        q, g, cb, codes, ql, gl = self.problem(rng)
+        exact_keys, adc_keys = _exact_keys(q, g), adc_scores(cb, codes, q.data)
+        assert all(np.unique(row).size == row.size for row in np.concatenate([exact_keys, adc_keys]))
+        exact = average_precision(gl[exact_search(q, g)] == ql[:, None])
+        pq = average_precision(gl[adc_search(q, codes, cb)] == ql[:, None])
+        self.recording(monkeypatch, fail=True)
+        assert evaluate(q, g, ql, gl).per_query_ap.tobytes() == exact.tobytes()
+        assert evaluate_pq(q, codes, cb, ql, gl).per_query_ap.tobytes() == pq.tobytes()
+
+    def test_only_the_row_where_a_hit_ties_is_ranked_in_full(self, rng, monkeypatch):
+        # Gallery item 7 copies item 4; both carry label 1, which only query 1 has.
+        q, g, cb, codes, ql, gl = self.problem(rng, n=40, nq=3)
+        data = g.data.copy()
+        data[7], codes[7], gl[[4, 7]] = data[4], codes[4], 1
+        g = EmbeddingMatrix(data, normalized=True)
+        for name, evaluation, keys in (
+            ("exact", lambda: evaluate(q, g, ql, gl), _exact_keys(q, g)),
+            ("pq", lambda: evaluate_pq(q, codes, cb, ql, gl), adc_scores(cb, codes, q.data)),
+        ):
+            assert (keys[:, 4] == keys[:, 7]).all(), name
+            expected = evaluation().per_query_ap
+            calls = self.recording(monkeypatch)
+            assert evaluation().per_query_ap.tobytes() == expected.tobytes()
+            assert len(calls) == 1 and calls[0].tobytes() == keys[[1]].tobytes(), name
+            monkeypatch.undo()

@@ -118,3 +118,30 @@ def test_library_calls_keep_the_benchmark_signatures():
     assert report.per_query_ap.shape == (4,)
     assert sspq.quantizer.adc_scores(codebook, codes[:10], x[0]).shape == (10,)
     assert sspq.quantizer.memory_report(24, 2, 4)["code_bytes"] == 12
+
+
+def test_each_evaluation_calls_the_traced_ap_once_with_the_hit_mask(monkeypatch):
+    # perfbench's evaluation.ap span wraps sspq.evaluation.average_precision,
+    # and its selftest injects a wrong AP there; an evaluation that scored AP
+    # through another name would escape both.
+    import numpy as np
+
+    import sspq
+    import sspq.evaluation
+
+    calls = []
+    traced = sspq.evaluation.average_precision
+
+    def counting(hits):
+        calls.append((hits.dtype, hits.shape))
+        return traced(hits)
+
+    monkeypatch.setattr(sspq.evaluation, "average_precision", counting)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(24, 8))
+    labels = np.arange(24) % 3
+    codebook = sspq.quantizer.train_product_codebook(x, m=2, k=4, seed=1)
+    sspq.evaluate(x[:4], x, labels[:4], labels)
+    assert calls == [(np.dtype(bool), (4, 24))]
+    sspq.evaluate_pq(x[:3], sspq.encode_matrix(codebook, x), codebook, labels[:3], labels)
+    assert calls[1:] == [(np.dtype(bool), (3, 24))]
