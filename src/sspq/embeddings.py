@@ -39,10 +39,12 @@ _CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
 class EmbeddingMatrix:
     """Exact-search handle of an (n, d) embedding matrix that keeps its unit rows.
 
-    Immutable: a float64 C-contiguous input is kept, not copied, and made
-    read-only for its caller too; other input is copied. ``unit_rows``
-    assumes ``data`` never changes. ``normalized=True`` raises
-    ``InvariantError`` unless every row norm is within 1e-6 of 1.
+    A float64 C-contiguous input is kept, not copied, and made read-only;
+    other input is copied. ``unit_rows`` assumes ``data`` never changes. A
+    kept view becomes read-only but its base does not, so the caller must
+    not write through the base, which would change ``data`` under a cached
+    ``unit_rows``. ``normalized=True`` raises ``InvariantError`` unless
+    every row norm is within 1e-6 of 1.
 
     ``unit_rows`` holds the (n, d) values column-major, so ``unit_rows.T``
     is a C-contiguous (d, n) matrix and the searches' gallery product is a

@@ -5,9 +5,9 @@ pair the trainable query encoder with the frozen gallery side. Relevance is
 label match. Each search kind scores a batch of queries as one (nq, n) matrix
 of keys; exact search reads ``unit_rows``, which an ``EmbeddingMatrix`` keeps
 and an array computes per call. The searches return each row's full order,
-ties to the lower gallery id, so results do not depend on storage order;
-evaluation ranks only the hits, the relevant items, to the same ranks. A NaN
-or an infinity in a key raises ``NonFiniteInputError``.
+NumPy's stable argsort, so ties go to the lower gallery id and results do not
+depend on storage order; evaluation ranks only the hits, the relevant items,
+to the same ranks. A NaN or an infinity in a key raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -56,38 +56,20 @@ class EvalReport:
 
 
 def _rank(keys: np.ndarray) -> np.ndarray:
-    """Gallery ids of each (nq, n) row by ascending key, ties to the lower id: the full order.
-
-    The default argsort orders a run of equal keys arbitrarily, so the ids
-    of every run are re-sorted in place, all runs with one ``lexsort`` by
-    (run, id). The result equals ``np.argsort(keys, axis=-1, kind="stable")``.
+    """Gallery ids of each (nq, n) row by ascending key, ties to the lower id: NumPy's stable argsort.
 
     Raises:
         NonFiniteInputError: if a key is a NaN or an infinity.
     """
     if not np.isfinite(keys).all():
         raise NonFiniteInputError("a search score is a NaN or an infinity")
-    order = np.argsort(keys, axis=-1)
-    ranked = np.take_along_axis(keys, order, axis=-1)
-    tied = ranked[:, 1:] == ranked[:, :-1]  # rank p holds the key of rank p + 1
-    if tied.any():
-        # A run is a maximal stretch of equal keys; a rank not tied to the
-        # one before it starts a new run.
-        in_run = np.zeros(order.shape, dtype=bool)
-        in_run[:, 1:] = tied
-        starts = ~in_run
-        in_run[:, :-1] |= tied
-        pos = np.flatnonzero(in_run)
-        run = np.cumsum(starts.ravel()[pos])
-        ids = np.take(order, pos)
-        np.put(order, pos, ids[np.lexsort((ids, run))])
-    return order
+    return np.argsort(keys, axis=-1, kind="stable")
 
 
 def _hit_mask(keys: np.ndarray, relevant: np.ndarray) -> np.ndarray:
     """``np.take_along_axis(relevant, _rank(keys), -1)``, ranking only the hits in their rows' sorted keys.
 
-    Rows where a hit's key ties go to ``_rank``; a NaN or an infinity raises ``NonFiniteInputError``.
+    Only rows where a hit's key ties go to the stable ``_rank``; a NaN or an infinity raises ``NonFiniteInputError``.
     """
     if not np.isfinite(keys).all():
         raise NonFiniteInputError("a search score is a NaN or an infinity")

@@ -2,14 +2,15 @@
 
 These deliberately avoid the code paths they verify: brute-force enumeration
 for k-means, explicit reconstruction for ADC, central finite differences for
-gradients, a double-loop scan for retrieval, a per-trial loop for greedy
-k-means++ seeding, a per-dimension loop for nearest centroids, scalar
-per-subvector similarity kernels for the batched structure similarities, a
-running sum over every rank for average precision, and a probability-space
-KL divergence for the log-space SSP loss. ``structure_similarity`` and
-``soften`` are the exception: checked (B, M, K) entry points to the loss's
-own similarity and softmax kernels, which no library code calls, kept so the
-tests can hold those kernels against the references here.
+gradients, a double-loop scan for retrieval, a Python sort by (key, id) for
+ranking a key matrix, a per-trial loop for greedy k-means++ seeding, a
+per-dimension loop for nearest centroids, scalar per-subvector similarity
+kernels for the batched structure similarities, a running sum over every
+rank for average precision, and a probability-space KL divergence for the
+log-space SSP loss. ``structure_similarity`` and ``soften`` are the
+exception: checked (B, M, K) entry points to the loss's own similarity and
+softmax kernels, which no library code calls, kept so the tests can hold
+those kernels against the references here.
 """
 
 from __future__ import annotations
@@ -130,6 +131,11 @@ def double_loop_search(queries: np.ndarray, gallery: np.ndarray) -> list[list[in
         scores.sort()
         out.append([gid for _, gid in scores])
     return out
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """Reference ranking: each row's ids sorted by (key, id) in Python, so -0.0 and 0.0 tie."""
+    return np.array([sorted(range(len(row)), key=lambda i: (row[i], i)) for row in np.asarray(keys).tolist()])
 
 
 def full_width_average_precision(hits: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
-"""Property tests: the search ranking equals a stable argsort of its keys.
+"""Property tests: the search ranking equals a Python sort of its keys by (key, id).
 
 The full order of ``_rank`` and the hit mask of ``_hit_mask``, which ranks
-only the relevant items, both match the stable argsort, and the APs of
+only the relevant items, both match ``oracles.stable_order``, and the APs of
 ``evaluate`` and ``evaluate_pq`` match AP over the searches' full order bit
 for bit. The keys are small integer-valued floats, so most rows hold long
 runs of equal keys; both zeros appear, and they compare equal. Batches mix
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import stable_order
 from sspq.errors import EmptyGalleryError, NonFiniteInputError
 from sspq.evaluation import (
     _hit_mask,
@@ -49,7 +50,7 @@ def key_batches(draw):
 @example(np.array([[-0.0, 0.0] * 40, [0.0, -0.0] * 40]))
 @example(np.array([[1.0] * 100, list(np.arange(100.0)[::-1])]))
 def test_rank_equals_stable_argsort(keys):
-    np.testing.assert_array_equal(_rank(keys), np.argsort(keys, axis=-1, kind="stable"))
+    np.testing.assert_array_equal(_rank(keys), stable_order(keys))
 
 
 @st.composite
@@ -82,7 +83,7 @@ def hit_problems(draw):
 @example((np.array([[5.0]]), np.array([[True]])))
 def test_hit_mask_equals_the_stable_order_of_the_relevance(problem):
     keys, relevant = problem
-    expected = np.take_along_axis(relevant, np.argsort(keys, axis=-1, kind="stable"), -1)
+    expected = np.take_along_axis(relevant, stable_order(keys), -1)
     np.testing.assert_array_equal(_hit_mask(keys, relevant), expected)
 
 
