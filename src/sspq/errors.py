@@ -1,4 +1,4 @@
-"""Exception types shared across the package, which raises only these, and its two argument checks."""
+"""Exception types shared across the package, which raises only these, its two argument checks and its finiteness check."""
 
 import math
 from numbers import Real
@@ -73,3 +73,16 @@ def check_real(name: str, value, positive: bool) -> None:
     if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
             or not (value > 0 if positive else value >= 0)):
         raise BadConfigError(f"{name} must be a finite real number {'>' if positive else '>='} 0, got {value!r}")
+
+
+def check_finite(values: np.ndarray, message: str) -> None:
+    """Raise ``NonFiniteInputError(message)`` if the float array ``values`` holds a NaN or an infinity.
+
+    A NaN or an infinity makes the sum non-finite, and summing needs no
+    temporary of the array's size, so the element-wise test runs only when the
+    sum is not finite, which finite values whose sum overflows also give.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not np.isfinite(total) and not np.isfinite(values).all():
+        raise NonFiniteInputError(message)

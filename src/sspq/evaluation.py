@@ -23,8 +23,8 @@ from .errors import (
     EmptyRelevantSetError,
     InvariantError,
     MissingLabelsError,
-    NonFiniteInputError,
     ShapeMismatchError,
+    check_finite,
 )
 from .quantizer import ProductCodebook, adc_scores
 
@@ -61,8 +61,7 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     Raises:
         NonFiniteInputError: if a key is a NaN or an infinity.
     """
-    if not np.isfinite(keys).all():
-        raise NonFiniteInputError("a search score is a NaN or an infinity")
+    check_finite(keys, "a search score is a NaN or an infinity")
     return np.argsort(keys, axis=-1, kind="stable")
 
 
@@ -71,8 +70,7 @@ def _hit_mask(keys: np.ndarray, relevant: np.ndarray) -> np.ndarray:
 
     Only rows where a hit's key ties go to the stable ``_rank``; a NaN or an infinity raises ``NonFiniteInputError``.
     """
-    if not np.isfinite(keys).all():
-        raise NonFiniteInputError("a search score is a NaN or an infinity")
+    check_finite(keys, "a search score is a NaN or an infinity")
     mask, tied = np.zeros(keys.shape, dtype=bool), np.zeros(len(keys), dtype=bool)
     for row, (key_row, hit_row, mask_row) in enumerate(zip(keys, relevant, mask)):
         ranked, hits = np.sort(key_row), np.sort(key_row[hit_row])
@@ -131,7 +129,8 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     Precision is taken only at the hits: the i-th hit (0-based) at rank r
     contributes (i+1)/(r+1). A running sum adds them in rank order, so the
     result has the bits of a running sum over every rank, whose non-hit
-    terms are exact zeros.
+    terms are exact zeros. The hits' rows and ranks come from their flat
+    indices in row-major order, whatever the mask's memory layout.
 
     Raises:
         ShapeMismatchError: if the mask is not 2-D.
@@ -140,15 +139,16 @@ def average_precision(hits: np.ndarray) -> np.ndarray:
     hits = np.asarray(hits, dtype=bool)
     if hits.ndim != 2:
         raise ShapeMismatchError(f"hits must be an (nq, n) mask, got shape {hits.shape}")
-    n_relevant = hits.sum(axis=-1)
+    nq, n = hits.shape
+    rows, ranks = np.divmod(np.flatnonzero(hits), n)
+    n_relevant = np.bincount(rows, minlength=nq)
     if np.any(n_relevant == 0):
         row = int(np.flatnonzero(n_relevant == 0)[0])
         raise EmptyRelevantSetError(f"query {row} has no relevant gallery items")
-    rows, ranks = np.nonzero(hits)
     first = np.cumsum(n_relevant) - n_relevant
     nth = np.arange(ranks.size) - np.repeat(first, n_relevant)
     # Each row's precisions, padded with trailing zeros to the longest row.
-    precision = np.zeros((hits.shape[0], n_relevant.max(initial=1)))
+    precision = np.zeros((nq, n_relevant.max(initial=1)))
     precision[rows, nth] = (nth + 1) / (ranks + 1)
     return np.cumsum(precision, axis=-1)[:, -1] / n_relevant
 

@@ -30,6 +30,7 @@ from .errors import (
     NonFiniteInputError,
     NonPowerOfTwoKError,
     ShapeMismatchError,
+    check_finite,
     check_int,
 )
 from .fileio import read_blob, read_values, write_blob
@@ -43,6 +44,10 @@ KMEANS_REL_TOL = 1e-4
 # Elements in the (M, rows, K) score buffer of `_nearest_centroids`: 1 MiB, far below the
 # 32 MiB ceiling of glibc's dynamic mmap threshold, so freed buffers are reused, not unmapped.
 _CHUNK_ELEMENTS = 1 << 17
+
+# Elements in a row block of `adc_scores`' (rows, nq) lookup buffer: 256 KiB, so the
+# buffer and the block's rows of the result stay in cache while M lookups add up.
+_ADC_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass
@@ -432,7 +437,8 @@ def _nearest_centroids(cents: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
         rows = np.flatnonzero(near.any(axis=0))
         if rows.size:
             exact, aux = np.empty((2, m, rows.size, k))
-            subvector_sq_dists(cents, u[:, start + rows], exact, aux)
+            with np.errstate(over="ignore"):  # a distance that overflows is inf here too
+                subvector_sq_dists(cents, u[:, start + rows], exact, aux)
             codes[start + rows] = np.argmin(exact, axis=2).T
     return codes
 
@@ -454,10 +460,7 @@ def encode_matrix(codebook: ProductCodebook, x: np.ndarray) -> np.ndarray:
         raise LengthMismatchError(
             f"matrix dim {data.shape[1]} does not match codebook dim {codebook.dim}"
         )
-    # A NaN or an infinity makes the sum non-finite. Summing needs no (n, d)
-    # temporary, so the elementwise test runs only when the sum is not finite.
-    if not np.isfinite(data.sum()) and not np.isfinite(data).all():
-        raise NonFiniteInputError("a row to encode holds a NaN or an infinity")
+    check_finite(data, "a row to encode holds a NaN or an infinity")
     dtype = np.uint8 if codebook.k <= 256 else np.int32
     return _nearest_centroids(codebook.stacked(), subvectors(data, codebook.m), dtype)
 
@@ -475,7 +478,13 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
 def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Approximate squared distances to every (n, M) code via table lookup.
 
-    Returns (n,) for one (d,) query and (nq, n) for (nq, d) queries.
+    Returns (n,) for one (d,) query and (nq, n) for (nq, d) queries. The
+    (nq, M, K) table is transposed once into an (M, K, nq) lookup, so one
+    ``np.take`` copies a centroid's distances for every query at once. The
+    rows go in blocks through one buffer; each score adds its M lookups in
+    subspace order, starting from the first, which has the bits of starting
+    from 0 because ADC distances are >= +0. The batch result is the
+    transpose of an (n, nq) array, so its rows are strided.
 
     Raises:
         LengthMismatchError: if the codes are not (n, M) or the query is not d long.
@@ -488,11 +497,22 @@ def adc_scores(codebook: ProductCodebook, codes: np.ndarray, query: np.ndarray) 
     if not (integer and (codes.size == 0 or 0 <= codes.min() <= codes.max() < codebook.k)):
         raise InvariantError(f"codes must be integers in [0, {codebook.k})")
     query = np.asarray(query, dtype=np.float64)
-    table = adc_table(codebook, np.atleast_2d(query))
-    scores = np.zeros((table.shape[0], codes.shape[0]), dtype=np.float64)
-    for j in range(codebook.m):
-        scores += np.take(table[:, j], codes[:, j], axis=1)
-    return scores[0] if query.ndim == 1 else scores
+    # Only the lookup is kept, so a copied table is freed before the scores are allocated.
+    lookup = np.ascontiguousarray(adc_table(codebook, np.atleast_2d(query)).transpose(1, 2, 0))
+    (n, m), nq = codes.shape, lookup.shape[2]
+    rows = max(1, _ADC_BLOCK_ELEMENTS // max(nq, 1))
+    scores = np.empty((n, nq))
+    part = np.empty((min(rows, n), nq))
+    for start in range(0, n, rows):
+        block = codes[start : start + rows]
+        acc, buf = scores[start : start + rows], part[: len(block)]
+        # The codes are checked above, so "clip" never clips; "raise" would
+        # buffer every `out`.
+        np.take(lookup[0], block[:, 0], axis=0, out=acc, mode="clip")
+        for j in range(1, m):
+            np.take(lookup[j], block[:, j], axis=0, out=buf, mode="clip")
+            acc += buf
+    return scores[:, 0] if query.ndim == 1 else scores.T
 
 
 def check_subspace_count(d: int, m: int) -> None:

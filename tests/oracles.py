@@ -1,16 +1,16 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately avoid the code paths they verify: brute-force enumeration
-for k-means, explicit reconstruction for ADC, central finite differences for
-gradients, a double-loop scan for retrieval, a Python sort by (key, id) for
-ranking a key matrix, a per-trial loop for greedy k-means++ seeding, a
-per-dimension loop for nearest centroids, scalar per-subvector similarity
-kernels for the batched structure similarities, a running sum over every
-rank for average precision, and a probability-space KL divergence for the
-log-space SSP loss. ``structure_similarity`` and ``soften`` are the
-exception: checked (B, M, K) entry points to the loss's own similarity and
-softmax kernels, which no library code calls, kept so the tests can hold
-those kernels against the references here.
+for k-means, explicit reconstruction and a Python-float running sum for ADC,
+central finite differences for gradients, a double-loop scan for retrieval, a
+Python sort by (key, id) for ranking a key matrix, a per-trial loop for greedy
+k-means++ seeding, a per-dimension loop for nearest centroids, scalar
+per-subvector similarity kernels for the batched structure similarities, a
+running sum over every rank for average precision, and a probability-space KL
+divergence for the log-space SSP loss. ``structure_similarity`` and
+``soften`` are the exception: checked (B, M, K) entry points to the loss's
+own similarity and softmax kernels, which no library code calls, kept so the
+tests can hold those kernels against the references here.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from sspq.errors import (
     check_real,
 )
 from sspq.loss import SIM_COSINE, SIMILARITY_KINDS, _similarity, _soften_into
-from sspq.quantizer import subvectors
+from sspq.quantizer import adc_table, subvectors
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -118,6 +118,21 @@ def reconstruction_sq_dist(codebook, code, query: np.ndarray) -> float:
     """Exact squared distance between a query and a code's reconstruction."""
     diff = np.asarray(query, dtype=np.float64) - reconstruct(codebook, code)
     return float(np.dot(diff, diff))
+
+
+def running_sum_adc(codebook, codes, queries: np.ndarray) -> np.ndarray:
+    """Reference ADC keys, (nq, n): each score is the Python-float running sum of
+    the query's ``adc_table`` entries at the code's centroids, in subspace order."""
+    tables = adc_table(codebook, np.atleast_2d(queries)).tolist()
+    rows = np.asarray(codes).tolist()
+    scores = np.empty((len(tables), len(rows)))
+    for q, table in enumerate(tables):
+        for i, code in enumerate(rows):
+            total = 0.0
+            for j, c in enumerate(code):
+                total += table[j][c]
+            scores[q, i] = total
+    return scores
 
 
 def double_loop_search(queries: np.ndarray, gallery: np.ndarray) -> list[list[int]]:

@@ -87,3 +87,28 @@ def test_check_real_accepts_finite_reals_in_range(value, positive):
 def test_check_real_rejects_everything_else(value, positive):
     with pytest.raises(errors.BadConfigError):
         errors.check_real("x", value, positive)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.full((3, 4), 1e308), np.array([[1.7e308, 1.7e308], [-1.7e308, 0.0]]), np.asfortranarray(np.full((2, 3), -1e308)),
+     np.zeros((2, 0)), np.array([0.0, -0.0, 5e-324])],
+    ids=["sum-overflows", "mixed-signs-overflow", "fortran-overflow", "empty", "zeros-and-subnormal"],
+)
+def test_check_finite_passes_finite_arrays_without_a_warning(values):
+    # The suite turns warnings into errors, so an overflow warning from the sum fails here.
+    errors.check_finite(values, "bad values")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fill", [0.0, 1e308], ids=["small", "sum-overflows"])
+def test_check_finite_raises_on_a_nan_or_an_infinity(bad, fill):
+    values = np.full((3, 4), fill)
+    values[2, 1] = bad
+    with pytest.raises(errors.NonFiniteInputError, match="^bad values$"):
+        errors.check_finite(values, "bad values")
+
+
+def test_check_finite_raises_when_infinities_of_both_signs_sum_to_nan():
+    with pytest.raises(errors.NonFiniteInputError):
+        errors.check_finite(np.array([np.inf, 1.0, -np.inf]), "bad values")

@@ -339,14 +339,19 @@ class TestAveragePrecision:
 
     def test_equals_full_width_running_sum_bit_for_bit(self, rng):
         # Rows of one batch hold from one relevant item to nearly all of them,
-        # so the per-row precisions are padded to different lengths.
+        # so the per-row precisions are padded to different lengths. Each mask
+        # is also given Fortran-ordered and as a column-sliced view.
         for _ in range(50):
             nq, n = int(rng.integers(1, 9)), int(rng.integers(1, 400))
             hits = rng.random((nq, n)) < rng.random((nq, 1))
             hits[np.arange(nq), rng.integers(n, size=nq)] = True
-            got = average_precision(hits)
-            assert got.shape == (nq,)
-            assert (got == full_width_average_precision(hits)).all()
+            expected = full_width_average_precision(hits)
+            wide = np.zeros((nq, 2 * n), dtype=bool)
+            wide[:, 1::2] = hits
+            for layout in (hits, np.asfortranarray(hits), wide[:, 1::2]):
+                got = average_precision(layout)
+                assert got.shape == (nq,)
+                assert (got == expected).all()
 
 
 class TestEvalReport:

@@ -84,7 +84,9 @@ def hit_problems(draw):
 def test_hit_mask_equals_the_stable_order_of_the_relevance(problem):
     keys, relevant = problem
     expected = np.take_along_axis(relevant, stable_order(keys), -1)
-    np.testing.assert_array_equal(_hit_mask(keys, relevant), expected)
+    # ADC keys arrive as the transpose of an (n, nq) array, with strided rows.
+    for layout in (keys, np.ascontiguousarray(keys.T).T):
+        np.testing.assert_array_equal(_hit_mask(layout, relevant), expected)
 
 
 # Few directions, with a zero row and orthogonal pairs, so cosines tie exactly
@@ -120,11 +122,25 @@ def test_evaluations_score_the_full_order_bit_for_bit(problem):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-def test_a_non_finite_key_raises_before_any_ranking(bad):
-    keys = np.array([[0.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
-    keys[1, 2] = bad
-    with pytest.raises(NonFiniteInputError):
-        _hit_mask(keys, np.array([[True, False, False], [False, True, False]]))
+def test_a_non_finite_key_raises_before_any_ranking(monkeypatch, bad):
+    monkeypatch.setattr(np, "sort", None)  # any ranking fails with TypeError
+    monkeypatch.setattr(np, "argsort", None)
+    # The other keys are small, or large enough that their sum overflows.
+    for fill in (1.0, 1e308):
+        keys = np.array([[0.0, fill, 2.0], [fill, fill, 0.0]])
+        keys[1, 2] = bad
+        with pytest.raises(NonFiniteInputError):
+            _hit_mask(keys, np.array([[True, False, False], [False, True, False]]))
+        with pytest.raises(NonFiniteInputError):
+            _rank(keys)
+
+
+def test_finite_keys_whose_sum_overflows_rank_without_a_warning():
+    # The suite turns warnings into errors, so an overflow in the finiteness check fails here.
+    keys = np.array([[1e308, 1.7e308, -1e308, 1e308], [1.7e308, 1.7e308, 0.0, 1.7e308]])
+    relevant = np.array([[True, False, False, True], [False, True, True, False]])
+    np.testing.assert_array_equal(_rank(keys), stable_order(keys))
+    np.testing.assert_array_equal(_hit_mask(keys, relevant), np.take_along_axis(relevant, stable_order(keys), -1))
 
 
 def test_an_empty_gallery_raises_in_both_evaluations():

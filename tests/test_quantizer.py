@@ -14,6 +14,7 @@ from oracles import (
     per_dimension_argmin,
     reconstruct,
     reconstruction_sq_dist,
+    running_sum_adc,
     structure_similarity,
 )
 from sspq.embeddings import EmbeddingMatrix
@@ -404,10 +405,11 @@ class TestEncode:
             encode_matrix(tiny_codebook, x)
 
     def test_finite_rows_whose_sum_overflows_encode(self, tiny_codebook):
-        # The sum of these rows is inf, but every value is finite.
+        # The sum of these rows is inf, but every value is finite. The suite
+        # turns warnings into errors: neither the finiteness check's sum nor
+        # the exact kernel's overflowing squares may warn.
         x = np.full((3, 4), 1e308)
-        with np.errstate(over="ignore"):
-            codes = encode_matrix(tiny_codebook, x)
+        codes = encode_matrix(tiny_codebook, x)
         assert codes.shape == (3, 2)
 
     def test_finite_rows_whose_squares_overflow_encode_as_the_exact_kernel(self, tiny_codebook):
@@ -665,6 +667,37 @@ class TestAdcSearch:
         base = adc_scores(cb, codes, queries)
         for dtype in (np.int32, np.int64):
             np.testing.assert_array_equal(adc_scores(cb, codes.astype(dtype), queries), base)
+
+    @pytest.mark.parametrize("nq", [1, 2, 4, 33])
+    @pytest.mark.parametrize("blocks", ["one-row", "one-block", "partial-last-block"])
+    def test_scores_equal_the_running_sum_bit_for_bit(self, rng, monkeypatch, nq, blocks):
+        # Small blocks, so one code array spans several; rows per block = 256 // nq.
+        monkeypatch.setattr(sspq.quantizer, "_ADC_BLOCK_ELEMENTS", 256)
+        rows = 256 // nq
+        n = {"one-row": 1, "one-block": rows, "partial-last-block": 3 * rows + rows // 2 + 1}[blocks]
+        cb = ProductCodebook(rng.normal(size=(4, 16, 3)))
+        queries = rng.normal(size=(nq, 12))
+        drawn = rng.integers(0, 16, size=(n, 4))
+        expected = running_sum_adc(cb, drawn, queries)
+        for dtype in (np.uint8, np.int32, np.int64):
+            wide = np.zeros((n, 8), dtype=dtype)
+            wide[:, ::2] = drawn
+            for codes in (drawn.astype(dtype), np.asfortranarray(drawn, dtype=dtype), wide[:, ::2]):
+                got = adc_scores(cb, codes, queries)
+                assert got.shape == (nq, n)
+                assert np.ascontiguousarray(got).tobytes() == expected.tobytes()
+                one = adc_scores(cb, codes, queries[0])
+                assert one.shape == (n,)
+                assert one.tobytes() == np.ascontiguousarray(got[0]).tobytes()
+
+    def test_scores_equal_the_running_sum_across_full_size_blocks(self, rng):
+        nq = 33
+        rows = sspq.quantizer._ADC_BLOCK_ELEMENTS // nq
+        cb = ProductCodebook(rng.normal(size=(2, 256, 4)))
+        codes = rng.integers(0, 256, size=(2 * rows + 5, 2)).astype(np.uint8)
+        queries = rng.normal(size=(nq, 8))
+        got = adc_scores(cb, codes, queries)
+        assert np.ascontiguousarray(got).tobytes() == running_sum_adc(cb, codes, queries).tobytes()
 
     def test_full_ordering_matches_reconstruction(self, rng):
         feats = rng.normal(size=(40, 6))

@@ -145,3 +145,30 @@ def test_each_evaluation_calls_the_traced_ap_once_with_the_hit_mask(monkeypatch)
     assert calls == [(np.dtype(bool), (4, 24))]
     sspq.evaluate_pq(x[:3], sspq.encode_matrix(codebook, x), codebook, labels[:3], labels)
     assert calls[1:] == [(np.dtype(bool), (3, 24))]
+
+
+def test_each_pq_evaluation_calls_the_traced_adc_once_with_the_whole_batch(monkeypatch):
+    # perfbench's quantizer.adc span wraps sspq.evaluation.adc_scores; lookups
+    # moved out from under that name would leave quantizer.adc_s at 0.
+    import numpy as np
+
+    import sspq
+    import sspq.evaluation
+
+    calls = []
+    traced = sspq.evaluation.adc_scores
+
+    def counting(codebook, codes, query):
+        calls.append((np.shape(query), len(codes)))
+        return traced(codebook, codes, query)
+
+    monkeypatch.setattr(sspq.evaluation, "adc_scores", counting)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(24, 8))
+    labels = np.arange(24) % 3
+    codebook = sspq.quantizer.train_product_codebook(x, m=2, k=4, seed=1)
+    codes = sspq.encode_matrix(codebook, x)
+    sspq.evaluate_pq(x[:4], codes, codebook, labels[:4], labels)
+    assert calls == [((4, 8), 24)]
+    sspq.evaluate_pq(sspq.EmbeddingMatrix(x[:1]), codes, codebook, labels[:1], labels)
+    assert calls[1:] == [((1, 8), 24)]
