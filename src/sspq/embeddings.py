@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, InvariantError, ShapeMismatchError
-from .fileio import read_blob, read_values, write_blob, write_csv_atomic
+from .fileio import read_blob, read_values, write_atomic, write_blob
 
 # Norms below this are treated as degenerate (zero) vectors.
 NORM_EPS = 1e-12
@@ -97,14 +97,22 @@ def normalize_rows(x: np.ndarray, out: np.ndarray | None = None) -> tuple[np.nda
 
     ``out``, an (n, d) float64 array of any layout, receives the unit rows.
 
+    A finite row whose norm overflows is divided by its largest magnitude first.
+
     Returns:
         (unit_rows, degenerate). Rows with norm below 1e-12 are returned
         unchanged and flagged in the (n,) boolean mask ``degenerate``.
     """
     x = np.asarray(x, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
+    with np.errstate(over="ignore"):  # the rows whose norm overflows are rescaled below
+        norms = np.linalg.norm(x, axis=1)
     degenerate = norms < NORM_EPS
-    return np.divide(x, np.where(degenerate, 1.0, norms)[:, None], out=out), degenerate
+    unit = np.divide(x, np.where(degenerate, 1.0, norms)[:, None], out=out)
+    if np.isinf(norms).any():
+        huge = np.flatnonzero(np.isinf(norms) & np.isfinite(x).all(axis=1))
+        scaled = x[huge] / np.abs(x[huge]).max(axis=1, keepdims=True)
+        unit[huge] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return unit, degenerate
 
 
 def export_embeddings(x: np.ndarray, path: str | Path) -> None:
@@ -139,9 +147,9 @@ def import_embeddings(path: str | Path) -> np.ndarray:
 
 
 def write_labels(labels: np.ndarray, path: str | Path) -> None:
-    """Write a label sidecar CSV with header ``id,label``; ids are row indices."""
-    labels = np.asarray(labels)
-    write_csv_atomic(path, [["id", "label"], *([i, int(lab)] for i, lab in enumerate(labels))])
+    """Write a label sidecar CSV, header ``id,label`` and ids the row indices, as the default ``csv`` dialect would."""
+    rows = enumerate(map(int, np.asarray(labels).tolist()))
+    write_atomic(path, b"id,label\r\n", "".join([f"{i},{lab}\r\n" for i, lab in rows]).encode())
 
 
 def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarray:

@@ -29,6 +29,7 @@ from .fileio import read_blob, read_values, write_blob
 ACT_TANH = "tanh"  # the hidden activation, as checkpoint headers name it
 
 CHECKPOINT_MAGIC = b"SSPQ"
+FORWARD_BLOCK_ROWS = 4096  # the most rows in one of forward_matrix's blocks
 
 
 def _check_sizes(name: str, sizes, min_count: int = 0) -> None:
@@ -149,9 +150,10 @@ def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]
     last = len(enc.weights) - 1
     for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
         inputs.append(h)
-        h = h @ w.T + b
+        h = h @ w.T  # a new array, so the in-place steps never write into x or a cached input
+        h += b
         if i != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
     y, degenerate = normalize_rows(h)
     return y, {"inputs": inputs, "z": h, "y": y, "degenerate": degenerate}
 
@@ -191,7 +193,14 @@ def forward_matrix(enc: QueryEncoder, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != enc.input_dim:
         raise LengthMismatchError(f"input has shape {x.shape}, expected (n, {enc.input_dim})")
-    return encoder_forward(enc, x)[0]
+    blocks = -(-len(x) // FORWARD_BLOCK_ROWS)
+    if blocks <= 1:
+        return encoder_forward(enc, x)[0]
+    # Equal blocks keep the bits of one pass; a short tail block may take a BLAS kernel that rounds differently.
+    out = np.empty((len(x), enc.output_dim))
+    for rows, dst in zip(np.array_split(x, blocks), np.array_split(out, blocks)):
+        dst[...] = encoder_forward(enc, rows)[0]
+    return out
 
 
 def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = None) -> None:

@@ -27,11 +27,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, NonFiniteInputError
+from .errors import FormatError, check_finite
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data``; on any failure the old file stays as it was.
+def write_atomic(path: str | Path, *chunks: bytes) -> None:
+    """Replace ``path`` with the ``chunks`` of bytes-like data in turn; on any failure the old file stays as it was.
 
     The temporary file lives in the target's directory, so the replace is a
     rename within one file system, and it is removed if the write fails.
@@ -40,7 +40,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -62,9 +62,9 @@ def write_blob(path: str | Path, magic: bytes, header_bytes: bytes, arrays, dtyp
     """
     with np.errstate(over="ignore"):  # an overflow is reported just below
         values = [np.asarray(a).astype(dtype, order="C") for a in arrays]
-    if not all(np.isfinite(v).all() for v in values):
-        raise NonFiniteInputError(f"{path}: a value is, or rounds to, a NaN or an infinity")
-    write_atomic(path, b"".join([magic, header_bytes, *values]))  # C-order buffers, not copies
+    for v in values:
+        check_finite(v, f"{path}: a value is, or rounds to, a NaN or an infinity")
+    write_atomic(path, magic, header_bytes, *values)  # C-order buffers, written without a joined copy
 
 
 def read_blob(path: str | Path, magic: bytes, header_struct: str) -> tuple[tuple, memoryview]:

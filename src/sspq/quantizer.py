@@ -27,7 +27,6 @@ from .errors import (
     IndivisibleDimensionError,
     InvariantError,
     LengthMismatchError,
-    NonFiniteInputError,
     NonPowerOfTwoKError,
     ShapeMismatchError,
     check_finite,
@@ -260,8 +259,7 @@ def kmeans_fit(
     m, n = stack.shape[:2]
     if m == 0 or n == 0:
         raise EmptyInputError("kmeans_fit requires at least one point")
-    if not np.isfinite(stack).all():
-        raise NonFiniteInputError("kmeans_fit points hold a NaN or an infinity")
+    check_finite(stack, "kmeans_fit points hold a NaN or an infinity")
     check_int("k", k, 1)
     check_int("max_iters", max_iters, 1)
     check_int("seed", seed, 0)
@@ -471,7 +469,8 @@ def adc_table(codebook: ProductCodebook, queries: np.ndarray) -> np.ndarray:
     if q.ndim != 2 or q.shape[1] != codebook.dim:
         raise LengthMismatchError(f"queries have shape {q.shape}, codebook dim {codebook.dim}")
     table = np.empty((codebook.m, q.shape[0], codebook.k))
-    subvector_sq_dists(codebook.stacked(), subvectors(q, codebook.m), table, np.empty_like(table))
+    with np.errstate(over="ignore"):  # an overflowed distance is an infinite key, which the searches reject
+        subvector_sq_dists(codebook.stacked(), subvectors(q, codebook.m), table, np.empty_like(table))
     return table.transpose(1, 0, 2)
 
 

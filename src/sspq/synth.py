@@ -63,10 +63,14 @@ def gen_mixture(
     # class, then the training blocks, then the anchors' labels and rows.
     classes = np.arange(num_classes, dtype=np.int64)
     with np.errstate(over="ignore"):  # an overflow is reported just below
-        pool = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, per_class, d_in)) * cluster_std
-        train = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, train_per_class, d_in)) * cluster_std
+        pool = rng.normal(0.0, 1.0, size=(num_classes, per_class, d_in))
+        train = rng.normal(0.0, 1.0, size=(num_classes, train_per_class, d_in))
         anchor_labels = rng.integers(0, num_classes, size=anchor_count, dtype=np.int64)
-        anchors = means[anchor_labels] + rng.normal(0.0, 1.0, size=(anchor_count, d_in)) * cluster_std
+        anchors = rng.normal(0.0, 1.0, size=(anchor_count, d_in))
+        # Scaled and shifted in place: noise * std + mean has the bits of mean + noise * std, as IEEE + commutes.
+        for rows, shift in ((pool, means[:, None]), (train, means[:, None]), (anchors, means[anchor_labels])):
+            rows *= cluster_std
+            rows += shift
     if not all(np.isfinite(rows).all() for rows in (pool, train, anchors)):
         raise BadConfigError(f"cluster_std {cluster_std!r} overflows a drawn row to an infinity")
     return {

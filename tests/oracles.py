@@ -7,7 +7,9 @@ Python sort by (key, id) for ranking a key matrix, a per-trial loop for greedy
 k-means++ seeding, a per-dimension loop for nearest centroids, scalar
 per-subvector similarity kernels for the batched structure similarities, a
 running sum over every rank for average precision, and a probability-space KL
-divergence for the log-space SSP loss. ``structure_similarity`` and
+divergence for the log-space SSP loss, the allocating expression forms of
+the encoder's forward pass and the mixture draws, and the ``csv`` module for
+the label sidecar. ``structure_similarity`` and
 ``soften`` are the exception: checked (B, M, K) entry points to the loss's
 own similarity and softmax kernels, which no library code calls, kept so the
 tests can hold those kernels against the references here.
@@ -15,6 +17,8 @@ tests can hold those kernels against the references here.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 
@@ -274,3 +278,40 @@ def per_dimension_argmin(u: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     for j in range(u.shape[2]):
         dist += (u[:, :, None, j] - centroids[:, None, :, j]) ** 2
     return np.argmin(dist, axis=2)
+
+
+def expression_forward(enc, x: np.ndarray) -> np.ndarray:
+    """Unit output rows of ``enc`` on ``x``, with a new array for each affine map, tanh and normalization."""
+    h = x
+    last = len(enc.weights) - 1
+    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+        h = h @ w.T + b
+        if i != last:
+            h = np.tanh(h)
+    norms = np.linalg.norm(h, axis=1)
+    return h / np.where(norms < 1e-12, 1.0, norms)[:, None]
+
+
+def expression_mixture(num_classes: int, per_class: int, d_in: int, cluster_std: float, seed: int,
+                       anchor_count: int, train_per_class: int) -> dict[str, np.ndarray]:
+    """``gen_mixture``'s raw rows by split, from the same draws as ``means + noise * cluster_std``."""
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(num_classes, d_in))
+    means = means / np.linalg.norm(means, axis=1)[:, None]
+    pool = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, per_class, d_in)) * cluster_std
+    train = means[:, None] + rng.normal(0.0, 1.0, size=(num_classes, train_per_class, d_in)) * cluster_std
+    anchor_labels = rng.integers(0, num_classes, size=anchor_count, dtype=np.int64)
+    anchors = means[anchor_labels] + rng.normal(0.0, 1.0, size=(anchor_count, d_in)) * cluster_std
+    return {
+        "anchor": anchors,
+        "train": train.reshape(-1, d_in),
+        "query": pool[:, 0],
+        "gallery": pool[:, 1:].reshape(-1, d_in),
+    }
+
+
+def csv_labels(labels) -> bytes:
+    """A label sidecar's bytes: ``id,label``, then each row index and label, through the default ``csv`` dialect."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["id", "label"], *([i, int(label)] for i, label in enumerate(labels))])
+    return buf.getvalue().encode()

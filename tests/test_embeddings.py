@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import cosine_sim, neg_euclid_sim, split_subvectors
+from oracles import cosine_sim, csv_labels, neg_euclid_sim, split_subvectors
 from sspq.embeddings import (
     EmbeddingMatrix,
     export_embeddings,
@@ -44,6 +44,24 @@ class TestL2Normalize:
             (out,), (degenerate,) = normalize_rows(v[None])
             assert not degenerate
             assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_finite_row_whose_norm_overflows_is_scaled_first(self, rng):
+        x = np.concatenate([rng.normal(size=(2, 4)), np.full((1, 4), 1e200), [[-1e300, 3.0, 0.0, 2e299]]])
+        out, degenerate = normalize_rows(x)
+        np.testing.assert_array_equal(out[2], normalize_rows(np.full((1, 4), 1.0))[0][0])
+        np.testing.assert_allclose(np.linalg.norm(out[2:], axis=1), 1.0, rtol=1e-15)
+        assert out[:2].tobytes() == normalize_rows(x[:2])[0].tobytes()
+        assert not degenerate.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_row_with_a_non_finite_entry_is_not_rescaled(self, bad):
+        x = np.array([[1e200, bad, 1.0], [1e200, 1e200, 0.0]])
+        with np.errstate(invalid="ignore"):
+            out, _ = normalize_rows(x)
+        assert np.isnan(out[0]).any()
+        np.testing.assert_allclose(out[1], [2**-0.5, 2**-0.5, 0.0], rtol=1e-15)
 
 
 class TestSplitSubvectors:
@@ -239,6 +257,20 @@ class TestLabelSidecar:
         path = tmp_path / "labels.csv"
         write_labels(labels, path)
         np.testing.assert_array_equal(read_labels(path, expected_rows=5), labels)
+
+    @pytest.mark.parametrize("labels", [
+        np.zeros(0, dtype=np.int64),
+        np.array([0]),
+        np.array([-7, 0, 12, -1, 3]),
+        np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0]),
+        np.repeat(np.arange(64, dtype=np.int64), 1599),
+    ], ids=["empty", "zero", "negative", "int64-extremes", "search-gallery"])
+    def test_bytes_equal_the_csv_module_and_round_trip(self, tmp_path, labels):
+        path = tmp_path / "labels.csv"
+        write_labels(labels, path)
+        assert path.read_bytes() == csv_labels(labels)
+        read = read_labels(path, expected_rows=len(labels))
+        assert read.dtype == np.int64 and read.tolist() == labels.tolist()
 
     def test_bad_header_raises(self, tmp_path):
         path = tmp_path / "bad.csv"

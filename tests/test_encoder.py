@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, grad_mismatch
+from oracles import central_diff_grad, expression_forward, grad_mismatch
 from sspq.embeddings import normalize_rows
 from sspq.encoder import (
     QueryEncoder,
@@ -22,6 +22,7 @@ from sspq.errors import (
     NonFiniteInputError,
     ShapeMismatchError,
 )
+from sspq.synth import make_oracle
 
 
 class TestEncoderInit:
@@ -128,6 +129,46 @@ class TestEncoderForward:
         for i in range(8):
             (y,), _ = encoder_forward(enc, batch[i : i + 1])
             np.testing.assert_allclose(rows[i], y, atol=1e-12)
+
+
+    @pytest.mark.parametrize("hidden", [[64], [8], [], [64, 64]])
+    def test_forward_keeps_its_input_and_the_bits_of_the_expression_form(self, rng, hidden):
+        enc = encoder_init(32, hidden, 64, seed=5)
+        batch = rng.normal(size=(33, 32))
+        before = batch.copy()
+        y, cache = encoder_forward(enc, batch)
+        assert batch.tobytes() == before.tobytes()
+        assert cache["inputs"][0] is batch
+        assert y.tobytes() == expression_forward(enc, batch).tobytes()
+
+
+class TestForwardMatrixBlocks:
+    """forward_matrix runs in equal row blocks and keeps the bits of one whole-matrix pass."""
+
+    ROWS = (0, 1, 4095, 4096, 4097, 4113, 8193, 102336)
+
+    @pytest.mark.parametrize("hidden", [[64], [8], [], [64, 64], "oracle"])
+    def test_blocks_keep_the_bits_of_one_pass(self, hidden):
+        enc = make_oracle(32, 64, seed=7) if hidden == "oracle" else encoder_init(32, hidden, 64, seed=6)
+        x = np.random.default_rng(8).normal(size=(max(self.ROWS), 32))
+        for n in self.ROWS:
+            out = forward_matrix(enc, x[:n])
+            assert out.shape == (n, 64)
+            assert out.tobytes() == encoder_forward(enc, x[:n])[0].tobytes(), n
+
+    def test_blocks_are_equal_and_at_most_the_block_size(self, monkeypatch):
+        enc = encoder_init(4, [3], 2, seed=0)
+        seen = []
+
+        def recording(enc, x):
+            seen.append(len(x))
+            return encoder_forward(enc, x)
+
+        monkeypatch.setattr("sspq.encoder.encoder_forward", recording)
+        for n, blocks in ((0, [0]), (4096, [4096]), (4097, [2049, 2048]), (12289, [3073, 3072, 3072, 3072])):
+            seen.clear()
+            forward_matrix(enc, np.ones((n, 4)))
+            assert seen == blocks
 
 
 class TestEncoderBackward:

@@ -144,6 +144,23 @@ class TestNonFiniteScores:
             encode_matrix(cb, gallery)
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_query_whose_norm_overflows_ranks_as_its_direction(self, rng):
+        gallery, labels = rng.normal(size=(10, 4)), np.arange(10) % 2
+        huge = EmbeddingMatrix(np.full((1, 4), 1e200))
+        assert np.linalg.norm(huge.unit_rows[0]) == 1.0
+        expected = evaluate(np.full((1, 4), 1.0), gallery, [0], labels)
+        assert evaluate(huge, gallery, [0], labels).map_score == expected.map_score
+
+    @pytest.mark.filterwarnings("error")
+    def test_adc_distance_that_overflows_raises_without_a_warning(self, rng):
+        gallery = unit_rows(rng, 20, 4)
+        cb = train_product_codebook(gallery, m=2, k=4, seed=0)
+        codes = encode_matrix(cb, gallery)
+        with pytest.raises(NonFiniteInputError):
+            evaluate_pq(np.full((1, 4), 1e200), codes, cb, [0], np.arange(20) % 2)
+
+
 class TestUnitRowsCache:
     """Each matrix is normalized on its first search and never again."""
 

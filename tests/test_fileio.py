@@ -22,6 +22,8 @@ class TestWriteAtomic:
         write_atomic(path, b"old")
         write_atomic(path, b"new")
         assert path.read_bytes() == b"new"
+        write_atomic(path, b"n", b"", np.array([[0x65, 0x77]], dtype=np.uint8))  # chunks in turn
+        assert path.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["a.bin"]
 
     def test_failed_write_keeps_previous_file(self, tmp_path):

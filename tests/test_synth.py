@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import expression_mixture
 from sspq.cli import _params_sha256
 from sspq.errors import BadConfigError, LengthMismatchError
 from sspq.evaluation import evaluate
@@ -36,6 +37,18 @@ class TestGenMixture:
         for split in SPLITS:
             assert a[split][0].tobytes() == b[split][0].tobytes()
             assert a[split][1].tobytes() == b[split][1].tobytes()
+
+    @pytest.mark.parametrize("args", [
+        (10, 20, 8, 0.1, 0, 50, 5),
+        (64, 24, 32, 0.2, 1, 1024, 12),
+        (3, 4, 5, 0, 2, 7, 9),
+        (4, 6, 3, 1e300, 3, 5, 2),
+    ])
+    def test_rows_equal_the_expression_form(self, args):
+        ds = gen_mixture(*args[:4], seed=args[4], anchor_count=args[5], train_per_class=args[6])
+        expected = expression_mixture(*args)
+        for split in SPLITS:
+            assert ds[split][0].tobytes() == expected[split].tobytes(), split
 
     def test_splits_disjoint_and_exhaustive(self):
         ds = gen_mixture(4, 6, 5, 0.1, seed=4, anchor_count=20, train_per_class=3)
