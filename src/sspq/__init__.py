@@ -10,7 +10,6 @@ from .embeddings import EmbeddingMatrix, export_embeddings, import_embeddings
 from .encoder import QueryEncoder, encoder_init, forward_matrix, load_checkpoint, save_checkpoint
 from .evaluation import (
     EvalReport,
-    adc_search,
     average_precision,
     evaluate,
     evaluate_pq,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -121,7 +120,8 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
             raise BadConfigError(
                 f"config {key}={cfg[key]!r} must be of type {type(default).__name__}"
             )
-        if isinstance(cfg[key], float) and not math.isfinite(cfg[key]):
+        # A NaN, an infinity and an int beyond float range fail this comparison, which is exact.
+        if isinstance(default, float) and not abs(cfg[key]) <= sys.float_info.max:
             raise BadConfigError(f"config {key}={cfg[key]!r} must be finite")
     for key, allowed in (("loss", LOSS_KINDS), ("sim", SIMILARITY_KINDS)):
         if cfg[key] not in allowed:

@@ -68,11 +68,16 @@ def check_int(name: str, value, low: int) -> None:
         raise BadConfigError(f"{name} must be an int >= {low}, got {value!r}")
 
 
-def check_real(name: str, value, positive: bool) -> None:
-    """Raise ``BadConfigError`` unless ``value`` is a finite real number, not a bool, > 0 if ``positive`` else >= 0."""
-    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
-            or not (value > 0 if positive else value >= 0)):
+def check_real(name: str, value, positive: bool) -> float:
+    """Return ``value`` as a float, or raise ``BadConfigError`` unless it is a real number, not a bool,
+    whose float is finite and > 0 if ``positive`` else >= 0. A float keeps its bits."""
+    try:
+        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int or a fraction beyond float range
+        number = math.inf
+    if not math.isfinite(number) or not (number > 0 if positive else number >= 0):
         raise BadConfigError(f"{name} must be a finite real number {'>' if positive else '>='} 0, got {value!r}")
+    return number
 
 
 def check_finite(values: np.ndarray, message: str) -> None:

@@ -4,10 +4,10 @@ Symmetric runs embed queries and gallery with the same model; asymmetric runs
 pair the trainable query encoder with the frozen gallery side. Relevance is
 label match. Each search kind scores a batch of queries as one (nq, n) matrix
 of keys; exact search reads ``unit_rows``, which an ``EmbeddingMatrix`` keeps
-and an array computes per call. The searches return each row's full order,
-NumPy's stable argsort, so ties go to the lower gallery id and results do not
-depend on storage order; evaluation ranks only the hits, the relevant items,
-to the same ranks. A NaN or an infinity in a key raises ``NonFiniteInputError``.
+and an array computes per call. ``exact_search`` returns each row's full
+order, NumPy's stable argsort, so ties go to the lower gallery id and results
+do not depend on storage order; evaluation ranks only the hits, the relevant
+items, to the same ranks. A NaN or an infinity in a key raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -98,29 +98,6 @@ def exact_search(queries: EmbeddingMatrix | np.ndarray, gallery: EmbeddingMatrix
     return _rank(_exact_keys(queries, gallery))
 
 
-def _adc_keys(queries: EmbeddingMatrix | np.ndarray, codes: np.ndarray, codebook: ProductCodebook) -> np.ndarray:
-    if len(codes) == 0:
-        raise EmptyGalleryError("ADC search against an empty gallery")
-    return adc_scores(codebook, codes, as_embedding_matrix(queries).data)
-
-
-def adc_search(
-    queries: EmbeddingMatrix | np.ndarray, codes: np.ndarray, codebook: ProductCodebook
-) -> np.ndarray:
-    """(nq, n) encoded gallery ids of every query, the full order by ascending ADC distance.
-
-    The distance to a code equals the exact squared distance between the
-    query and the code's reconstruction.
-
-    Raises:
-        EmptyGalleryError: if there are no codes.
-        ShapeMismatchError: if the queries are not 2-D.
-        LengthMismatchError: if the query or code shape does not match.
-        InvariantError: if a code is not an integer in [0, K).
-    """
-    return _rank(_adc_keys(queries, codes, codebook))
-
-
 def average_precision(hits: np.ndarray) -> np.ndarray:
     """Per-query AP from an (nq, n) mask of relevant items in rank order.
 
@@ -198,4 +175,7 @@ def evaluate_pq(
     """PQ-compressed retrieval: rank by ADC distance, score by label-match mAP."""
     queries = as_embedding_matrix(queries)
     relevant = _relevance(queries.rows, len(gallery_codes), query_labels, gallery_labels)
-    return EvalReport(average_precision(_hit_mask(_adc_keys(queries, gallery_codes, codebook), relevant)))
+    if len(gallery_codes) == 0:
+        raise EmptyGalleryError("ADC search against an empty gallery")
+    keys = adc_scores(codebook, gallery_codes, queries.data)
+    return EvalReport(average_precision(_hit_mask(keys, relevant)))

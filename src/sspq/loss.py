@@ -25,24 +25,14 @@ SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
 
-class SspWorkspace:
-    """Reusable (M, B, K) float64 work arrays for ``ssp_loss_and_grad``.
+def ssp_workspace(m: int, k: int, rows: int) -> np.ndarray:
+    """The (6, m, rows, k) float64 work arrays of ``ssp_loss_and_grad`` for batches of up to ``rows``.
 
-    A training run allocates one workspace for its largest batch and passes
-    it to every step, so a step allocates nothing of (M, B, K) size. A
-    smaller batch uses the leading part of each buffer, which keeps its
-    (M, B, K) views contiguous.
+    A training run allocates one for its largest batch and passes it to every
+    step, so a step allocates nothing of (M, B, K) size. A smaller batch of b
+    rows uses ``[:, :, :b]``, whose (b, K) blocks stay C-contiguous.
     """
-
-    _BUFFERS = 6
-
-    def __init__(self, m: int, k: int, rows: int) -> None:
-        self._flat = np.empty((self._BUFFERS, m * k * rows))
-
-    def arrays(self, m: int, k: int, rows: int) -> list[np.ndarray]:
-        """The buffers as (m, rows, k) views; the workspace must hold m * rows * k values."""
-        size = m * rows * k
-        return [buf[:size].reshape(m, rows, k) for buf in self._flat]
+    return np.empty((6, m, rows, k))
 
 
 def _similarity(
@@ -139,7 +129,7 @@ def ssp_loss_and_grad(
     tau_g: float,
     tau_q: float,
     kind: str = SIM_COSINE,
-    workspace: SspWorkspace | None = None,
+    workspace: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alignment loss between (B, d) float64 gallery and query embeddings plus dLoss/dq.
 
@@ -147,9 +137,9 @@ def ssp_loss_and_grad(
     (hard assignment); ``tau_q`` must be positive so the query distribution
     has full support. Both sides are softened in log space in (M, B, K)
     layout: KL = sum p_g * log p_g - sum p_g * log p_q, and dLoss/dS_q =
-    (p_q - p_g) / tau_q. ``workspace`` holds the (M, B, K) work arrays; a
-    training run passes one for all its steps, and a call without one
-    allocates its own.
+    (p_q - p_g) / tau_q. ``workspace``, from ``ssp_workspace``, holds the
+    (M, B, K) work arrays; a training run passes one for all its steps, and a
+    call without one allocates its own.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -161,10 +151,10 @@ def ssp_loss_and_grad(
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    m, b, k = codebook.m, q.shape[0], codebook.k
+    b = q.shape[0]
     if workspace is None:
-        workspace = SspWorkspace(m, k, b)
-    s_q, aux, t_q, p_q, t_g, p_g = workspace.arrays(m, k, b)
+        workspace = ssp_workspace(codebook.m, codebook.k, b)
+    s_q, aux, t_q, p_q, t_g, p_g = workspace[:, :, :b]
     u_q = subvectors(q, codebook.m)
     # A tiny temperature may overflow the logits to -inf, and -inf - -inf is
     # NaN; both happen only where a probability is 0 and are handled below.

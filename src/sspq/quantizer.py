@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,23 +51,21 @@ _ADC_BLOCK_ELEMENTS = 1 << 15
 
 @dataclass
 class KMeansResult:
-    """Outcome of k-means on one (n, d) matrix or on an (M, n, d*) stack.
+    """Outcome of k-means on an (M, n, d*) stack of subspaces.
 
-    For a matrix, ``centroids`` is (K, d), ``assignments`` (n,), ``objective``
-    the final objective and ``objective_history`` the post-update objective
-    per iteration, which is non-increasing. For a stack, ``centroids`` is
-    (M, K, d*), ``assignments`` (M, n), and ``objective`` and
-    ``objective_history`` hold one such entry per subspace. ``assignments``,
-    exact-kernel argmins as ``encode_matrix``'s codes are, pair with the
-    returned centroids (the last update step).
-    ``iterations_run`` is the number of Lloyd iterations, summed over a stack.
+    ``centroids`` is (M, K, d*) and ``assignments`` (M, n), exact-kernel
+    argmins as ``encode_matrix``'s codes are, which pair with the returned
+    centroids (the last update step). ``objective`` holds each subspace's
+    final objective and ``objective_history`` its post-update objective per
+    iteration, which is non-increasing. ``iterations_run`` is the number of
+    Lloyd iterations summed over the subspaces.
     """
 
     centroids: np.ndarray
     assignments: np.ndarray
-    objective: float | list[float]
+    objective: list[float]
     iterations_run: int
-    objective_history: list = field(default_factory=list)
+    objective_history: list[list[float]]
 
 
 def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -229,11 +227,10 @@ def kmeans_fit(
     seed: int,
     max_iters: int = 50,
 ) -> KMeansResult:
-    """Lloyd's algorithm from a k-means++ start, deterministic given seed.
+    """Lloyd's algorithm from a k-means++ start on each subspace of an (M, n, d*) stack, deterministic given seed.
 
-    ``points`` is one (n, d) matrix or an (M, n, d*) stack of subspaces; a
-    matrix is a stack of one. Subspace j draws from ``default_rng(seed + j)``
-    and ends bit for bit as a run on it alone at ``seed + j`` would. The
+    Subspace j draws from ``default_rng(seed + j)`` and ends bit for bit as a
+    run on it alone, a stack of one, at ``seed + j`` would. The
     k-means++ seeding of all subspaces runs in one batched greedy step; Lloyd
     then runs one subspace at a time, assigning each point its nearest centroid
     as ``encode_matrix`` does: the exact kernel's argmin, ties to the lowest.
@@ -247,15 +244,14 @@ def kmeans_fit(
     decrease falls below ``KMEANS_REL_TOL``.
 
     Raises:
-        ShapeMismatchError: if the points are neither 2-D nor 3-D.
+        ShapeMismatchError: if the points are not 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
         BadConfigError: unless ``k`` and ``max_iters`` are ints >= 1 and ``seed`` an int >= 0.
     """
-    x = np.asarray(points, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeMismatchError(f"points must be (n, d) or (M, n, d*), got shape {x.shape}")
-    stack = x if x.ndim == 3 else x[None]
+    stack = np.asarray(points, dtype=np.float64)
+    if stack.ndim != 3:
+        raise ShapeMismatchError(f"points must be an (M, n, d*) stack, got shape {stack.shape}")
     m, n = stack.shape[:2]
     if m == 0 or n == 0:
         raise EmptyInputError("kmeans_fit requires at least one point")
@@ -268,10 +264,7 @@ def kmeans_fit(
     runs = [_lloyd(u, c, max_iters) for u, c in zip(stack, centroids)]
     assignments = np.stack([a for a, _ in runs])
     histories = [h for _, h in runs]
-    if x.ndim == 2:
-        return KMeansResult(centroids[0], assignments[0], histories[0][-1], len(histories[0]), histories[0])
-    objectives = [h[-1] for h in histories]
-    return KMeansResult(centroids, assignments, objectives, sum(len(h) for h in histories), histories)
+    return KMeansResult(centroids, assignments, [h[-1] for h in histories], sum(map(len, histories)), histories)
 
 
 class ProductCodebook:
@@ -325,7 +318,7 @@ def train_product_codebook(
 ) -> ProductCodebook:
     """Train one sub-codebook per subspace with seeded k-means.
 
-    Subspace j (0-based) uses seed + j, so m=1 reproduces a flat
+    Subspace j (0-based) uses seed + j, so m=1 reproduces a one-subspace
     ``kmeans_fit`` run at the same seed. Features are clustered as they are.
 
     Args:

@@ -51,7 +51,7 @@ def gen_mixture(
     for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 4), ("d_in", d_in, 1),
                              ("anchor_count", anchor_count, 1), ("seed", seed, 0)):
         check_int(name, value, low)
-    check_real("cluster_std", cluster_std, positive=False)
+    cluster_std = check_real("cluster_std", cluster_std, positive=False)
     if train_per_class is None:
         train_per_class = per_class
     check_int("train_per_class", train_per_class, 1)

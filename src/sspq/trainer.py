@@ -27,9 +27,9 @@ from .errors import (
 from .loss import (
     SIM_COSINE,
     SIMILARITY_KINDS,
-    SspWorkspace,
     regression_loss_and_grad,
     ssp_loss_and_grad,
+    ssp_workspace,
 )
 from .quantizer import ProductCodebook
 
@@ -60,7 +60,7 @@ class TrainConfig:
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
             check_int(name, getattr(self, name), low)
         for name, positive in (("tau_g", False), ("tau_q", True), ("learning_rate", True), ("weight_decay", False)):
-            check_real(name, getattr(self, name), positive)
+            object.__setattr__(self, name, check_real(name, getattr(self, name), positive))
         if self.loss_kind not in LOSS_KINDS:
             raise BadConfigError(f"unknown loss kind {self.loss_kind!r}")
         if self.similarity_kind not in SIMILARITY_KINDS:
@@ -140,7 +140,7 @@ def train_query_model(
     total_steps = cfg.epochs * steps_per_epoch
 
     if cfg.loss_kind == LOSS_SSP:
-        workspace = SspWorkspace(codebook.m, codebook.k, min(cfg.batch_size, n))
+        workspace = ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n))
         loss_and_grad = partial(ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q,
                                 kind=cfg.similarity_kind, workspace=workspace)
     else:

@@ -11,10 +11,14 @@ with the training run it configures. Each integer or real argument given a
 float, a bool, ``None``, a string or a value below its minimum must raise
 ``BadConfigError`` unless the value is valid, and so must a list of layer
 sizes, weights or biases replaced whole by a value that is not a list or tuple.
+Real arguments and config fields also get fractions, and ints and fractions
+beyond float range.
 """
 
 import ast
-import math
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ import sspq
 from sspq.errors import BadConfigError, SspqError
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sspq"
+PERFBENCH = SRC.parents[1] / "perfbench"
 PROPERTY = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 
 
@@ -37,6 +42,7 @@ class Valid:
         self.raw = rng.normal(size=(12, 6))
         self.oracle = sspq.make_oracle(6, 8, seed=1)
         self.x = sspq.oracle_encode(self.oracle, self.raw)
+        self.stack = self.x[None]
         self.labels = np.arange(12) % 3
         self.codebook = sspq.train_product_codebook(self.x, m=2, k=4, seed=2)
         self.centroids = self.codebook.stacked()
@@ -68,8 +74,6 @@ ARRAY_CASES = {
     "exact_search-gallery": ("x", lambda v, a: sspq.exact_search(v.x[:3], a)),
     "evaluate-queries": ("x", lambda v, a: sspq.evaluate(a, v.x, v.labels, v.labels)),
     "evaluate-gallery": ("x", lambda v, a: sspq.evaluate(v.x, a, v.labels, v.labels)),
-    "adc_search-queries": ("x", lambda v, a: sspq.adc_search(a, v.codes, v.codebook)),
-    "adc_search-codes": ("codes", lambda v, a: sspq.adc_search(v.x[:3], a, v.codebook)),
     "evaluate_pq-queries": ("x", lambda v, a: sspq.evaluate_pq(a, v.codes, v.codebook, v.labels, v.labels)),
     "evaluate_pq-codes": ("codes", lambda v, a: sspq.evaluate_pq(v.x, a, v.codebook, v.labels, v.labels)),
     "evaluate-query_labels": ("labels", lambda v, a: sspq.evaluate(v.x, v.x, a, v.labels)),
@@ -78,14 +82,14 @@ ARRAY_CASES = {
     "evaluate_pq-gallery_labels": ("labels", lambda v, a: sspq.evaluate_pq(v.x, v.codes, v.codebook, v.labels, a)),
     "ProductCodebook": ("centroids", lambda v, a: sspq.ProductCodebook(a)),
     "encode_matrix": ("x", lambda v, a: sspq.encode_matrix(v.codebook, a)),
-    "kmeans_fit": ("x", lambda v, a: sspq.kmeans_fit(a, 3, seed=0)),
+    "kmeans_fit": ("stack", lambda v, a: sspq.kmeans_fit(a, 3, seed=0)),
     "train_product_codebook": ("x", lambda v, a: sspq.train_product_codebook(a, m=2, k=4, seed=0)),
     "train_query_model-gallery": ("x", lambda v, a: sspq.train_query_model(v.enc, a, v.raw, v.codebook, v.cfg)),
     "train_query_model-raw": ("raw", lambda v, a: sspq.train_query_model(v.enc, v.x, a, v.codebook, v.cfg)),
 }
 
 SEED_CASES = {
-    "kmeans_fit": lambda v, s: sspq.kmeans_fit(v.x, 3, seed=s),
+    "kmeans_fit": lambda v, s: sspq.kmeans_fit(v.stack, 3, seed=s),
     "train_product_codebook": lambda v, s: sspq.train_product_codebook(v.x, m=2, k=4, seed=s),
     "encoder_init": lambda v, s: sspq.encoder_init(6, [5], 8, seed=s),
     "make_oracle": lambda v, s: sspq.make_oracle(6, 8, seed=s),
@@ -95,6 +99,12 @@ SEED_CASES = {
 
 CONFIG_FIELDS = ("tau_g", "tau_q", "learning_rate", "epochs", "batch_size", "seed",
                  "loss_kind", "similarity_kind", "weight_decay")
+REAL_FIELDS = {"tau_g", "tau_q", "learning_rate", "weight_decay"}
+
+# Real numbers that are not floats. An int beyond float range goes only to a
+# real argument: an int argument would take it as valid.
+FRACTIONS = st.fractions(-4, 4, max_denominator=1000)
+BEYOND_FLOAT = st.integers(2**1024, 2**1100).flatmap(lambda big: st.sampled_from([big, -big, Fraction(big)]))
 
 # case -> (the argument's minimum, the call given a drawn value). Every
 # argument is an int but those in REAL_CASES, which are real numbers.
@@ -111,8 +121,8 @@ NUMBER_CASES = {
     "gen_mixture-anchor_count": (1, lambda v, n: sspq.gen_mixture(3, 4, 6, 0.1, seed=0, anchor_count=n)),
     "gen_mixture-train_per_class": (1, lambda v, n: sspq.gen_mixture(
         3, 4, 6, 0.1, seed=0, anchor_count=8, train_per_class=n)),
-    "kmeans_fit-k": (1, lambda v, n: sspq.kmeans_fit(v.x, n, seed=0)),
-    "kmeans_fit-max_iters": (1, lambda v, n: sspq.kmeans_fit(v.x, 3, seed=0, max_iters=n)),
+    "kmeans_fit-k": (1, lambda v, n: sspq.kmeans_fit(v.stack, n, seed=0)),
+    "kmeans_fit-max_iters": (1, lambda v, n: sspq.kmeans_fit(v.stack, 3, seed=0, max_iters=n)),
     "train_product_codebook-m": (1, lambda v, n: sspq.train_product_codebook(v.x, m=n, k=4, seed=0)),
     "train_product_codebook-k": (1, lambda v, n: sspq.train_product_codebook(v.x, m=2, k=n, seed=0)),
     "memory_report-n": (0, lambda v, n: sspq.memory_report(n, 2, 4)),
@@ -125,7 +135,8 @@ REAL_CASES = {"gen_mixture-cluster_std"}
 def accepts(case, value) -> bool:
     """Whether a drawn value is valid for the case's argument; no drawn int is."""
     if case in REAL_CASES:
-        return type(value) in (int, float) and math.isfinite(value) and value >= NUMBER_CASES[case][0]
+        # The comparison is exact, so a NaN, an infinity and a number beyond float range fail it.
+        return type(value) in (int, float, Fraction) and NUMBER_CASES[case][0] <= value <= sys.float_info.max
     return value is None and case == "gen_mixture-train_per_class"  # None means per_class
 
 
@@ -167,11 +178,14 @@ def test_float_or_bool_seed_fails_typed(valid, case, seed):
 
 @pytest.mark.parametrize("field", CONFIG_FIELDS)
 @PROPERTY
-@given(value=st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3),
-                       st.integers(-2, 3), st.lists(st.integers(0, 2), max_size=2)))
-def test_wrong_kind_config_field_fails_typed(valid, field, value):
+@given(data=st.data())
+def test_wrong_kind_config_field_fails_typed(valid, field, data):
     # TrainConfig is the only check on a run's settings: a value it accepts
     # must train, or fail typed, through the unchecked per-step kernels.
+    value = data.draw(st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+                                st.integers(-2, 3), st.lists(st.integers(0, 2), max_size=2), FRACTIONS,
+                                *([BEYOND_FLOAT] if field in REAL_FIELDS else [])))
+
     def construct_and_train():
         cfg = sspq.TrainConfig(**{"epochs": 1, "batch_size": 4, "seed": 4, field: value})
         sspq.train_query_model(valid.enc, valid.x, valid.raw, valid.codebook, cfg)
@@ -191,6 +205,7 @@ def test_wrong_kind_number_fails_typed(valid, case, data):
         st.none(),
         st.text(max_size=3),
         st.integers(max_value=-1).map(lambda below: low + below),
+        *([FRACTIONS, BEYOND_FLOAT] if case in REAL_CASES else []),
     ))
     if accepts(case, value):
         call(valid, value)
@@ -264,3 +279,19 @@ def test_only_the_search_layer_names_embedding_matrix():
                 offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert files > len(SEARCH_LAYER)
     assert offenders == []
+
+
+def test_the_package_exports_no_test_only_names():
+    # Each name the package exports is used by the library or named by the benchmark.
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names]
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            used.update(getattr(node, "id", None) or getattr(node, "attr", None)
+                        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    benchmark = "\n".join(path.read_text() for path in sorted(PERFBENCH.glob("*.py")))
+    unused = [name for name in exported if name not in used and not re.search(rf"\b{name}\b", benchmark)]
+    assert len(exported) > 20
+    assert unused == []

@@ -101,6 +101,15 @@ class TestConfigLoading:
         assert len(err) == 1
         assert json.loads(err[0])["error"] == "BadConfigError"
 
+    def test_int_no_float_can_hold_fails_the_first_stage(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"out_dir": str(tmp_path / "run"), "tau_g": 10**400}))
+        assert main(["gen", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "text", ["5", "null", "true", '[["lr", 1]]', '["lr"]', '"abc"'],
         ids=["int", "null", "bool", "pairs", "list", "string"],

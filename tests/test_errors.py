@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -71,18 +72,22 @@ def test_check_int_rejects_everything_else(value, low):
 
 @pytest.mark.parametrize(
     ("value", "positive"),
-    [(0, False), (0.0, False), (2, False), (0.5, True), (1e-300, True), (np.float32(2.5), True), (np.int64(3), True)],
+    [(0, False), (0.0, False), (2, False), (0.5, True), (1e-300, True), (np.float32(2.5), True), (np.int64(3), True),
+     (Fraction(1, 10), True), pytest.param(10**300, True, id="int-1e300")],
 )
 def test_check_real_accepts_finite_reals_in_range(value, positive):
-    errors.check_real("x", value, positive)
+    number = errors.check_real("x", value, positive)
+    assert type(number) is float and number == float(value)
 
 
 @pytest.mark.parametrize(
     ("value", "positive"),
     [(np.nan, False), (np.inf, False), (-np.inf, False), (np.float64(np.nan), True), (True, False),
-     (np.True_, False), ("1", False), (None, False), (0, True), (0.0, True), (-0.5, False), (-1, True)],
+     (np.True_, False), ("1", False), (None, False), (0, True), (0.0, True), (-0.5, False), (-1, True),
+     (10**400, False), (-(10**400), False), (Fraction(10**400, 3), False), (Fraction(1, 10**400), True)],
     ids=["nan", "inf", "-inf", "np-nan", "bool", "np-bool", "str", "none", "zero-positive",
-         "zero-float-positive", "negative", "negative-positive"],
+         "zero-float-positive", "negative", "negative-positive", "int-beyond-float", "-int-beyond-float",
+         "fraction-beyond-float", "fraction-that-rounds-to-zero-positive"],
 )
 def test_check_real_rejects_everything_else(value, positive):
     with pytest.raises(errors.BadConfigError):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import double_loop_search, full_width_average_precision
+from oracles import double_loop_search, full_width_average_precision, stable_order
 from sspq.cli import SEED_ORACLE, cmd_eval, cmd_gen, load_config
 from sspq.embeddings import EmbeddingMatrix, as_embedding_matrix, normalize_rows
 from sspq.encoder import save_checkpoint
@@ -19,7 +19,6 @@ from sspq.evaluation import (
     EvalReport,
     _exact_keys,
     _rank,
-    adc_search,
     average_precision,
     evaluate,
     evaluate_pq,
@@ -75,9 +74,10 @@ class TestTies:
         codes = encode_matrix(cb, gallery)
         np.testing.assert_array_equal(codes, encode_matrix(cb, base)[dup])
         cosines = normalize_rows(queries.data)[0] @ normalize_rows(gallery.data)[0].T
+        adc = adc_scores(cb, codes, queries.data)
         for order, scores, sign in (
             (exact_search(queries, gallery), cosines, -1.0),
-            (adc_search(queries, codes, cb), adc_scores(cb, codes, queries.data), 1.0),
+            (stable_order(adc), adc, 1.0),
         ):
             for q in range(4):
                 by_id = scores[q]
@@ -86,6 +86,10 @@ class TestTies:
                     assert np.unique(by_id[dup == copy]).size == 1
                 expected = sorted(range(12), key=lambda i: (sign * by_id[i], i))
                 assert order[q].tolist() == expected
+        # Copies carry different labels, so the APs depend on the tie order.
+        ql, gl = np.arange(4) % 3, np.arange(12) % 3
+        pq = average_precision(gl[stable_order(adc)] == ql[:, None])
+        assert evaluate_pq(queries, codes, cb, ql, gl).per_query_ap.tobytes() == pq.tobytes()
 
     def test_row_where_most_items_tie(self, rng):
         # 200 copies of one row among 6 distinct rows, shuffled: nearly the
@@ -97,14 +101,18 @@ class TestTies:
         cb = train_product_codebook(base, m=4, k=4, seed=1)
         codes = encode_matrix(cb, gallery)
         cosines = normalize_rows(queries.data)[0] @ normalize_rows(gallery.data)[0].T
+        adc = adc_scores(cb, codes, queries.data)
         for order, scores, sign in (
             (exact_search(queries, gallery), cosines, -1.0),
-            (adc_search(queries, codes, cb), adc_scores(cb, codes, queries.data), 1.0),
+            (stable_order(adc), adc, 1.0),
         ):
             for q in range(3):
                 assert np.unique(scores[q]).size <= 7
                 expected = sorted(range(206), key=lambda i: (sign * scores[q, i], i))
                 assert order[q].tolist() == expected
+        ql, gl = np.arange(3) % 2, np.arange(206) % 2
+        pq = average_precision(gl[stable_order(adc)] == ql[:, None])
+        assert evaluate_pq(queries, codes, cb, ql, gl).per_query_ap.tobytes() == pq.tobytes()
 
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -124,8 +132,6 @@ class TestNonFiniteScores:
             exact_search(queries, gallery)
         with pytest.raises(NonFiniteInputError):
             evaluate(queries, gallery, ql, gl)
-        with pytest.raises(NonFiniteInputError):
-            adc_search(queries, codes, cb)
         with pytest.raises(NonFiniteInputError):
             evaluate_pq(queries, codes, cb, ql, gl)
 
@@ -291,7 +297,6 @@ class TestUnitRowsCache:
 # search -> its orders or APs, given queries, gallery, codebook, codes and labels
 SEARCHES = {
     "exact_search": lambda q, g, cb, codes, ql, gl: exact_search(q, g),
-    "adc_search": lambda q, g, cb, codes, ql, gl: adc_search(q, codes, cb),
     "evaluate": lambda q, g, cb, codes, ql, gl: evaluate(q, g, ql, gl).per_query_ap,
     "evaluate_pq": lambda q, g, cb, codes, ql, gl: evaluate_pq(q, codes, cb, ql, gl).per_query_ap,
 }
@@ -562,7 +567,7 @@ class TestHitMaskFastPath:
         exact_keys, adc_keys = _exact_keys(q, g), adc_scores(cb, codes, q.data)
         assert all(np.unique(row).size == row.size for row in np.concatenate([exact_keys, adc_keys]))
         exact = average_precision(gl[exact_search(q, g)] == ql[:, None])
-        pq = average_precision(gl[adc_search(q, codes, cb)] == ql[:, None])
+        pq = average_precision(gl[stable_order(adc_keys)] == ql[:, None])
         self.recording(monkeypatch, fail=True)
         assert evaluate(q, g, ql, gl).per_query_ap.tobytes() == exact.tobytes()
         assert evaluate_pq(q, codes, cb, ql, gl).per_query_ap.tobytes() == pq.tobytes()

@@ -2,8 +2,8 @@
 
 The full order of ``_rank`` and the hit mask of ``_hit_mask``, which ranks
 only the relevant items, both match ``oracles.stable_order``, and the APs of
-``evaluate`` and ``evaluate_pq`` match AP over the searches' full order bit
-for bit. The keys are small integer-valued floats, so most rows hold long
+``evaluate`` and ``evaluate_pq`` match AP over the full order, of
+``exact_search`` and the stable order of the ADC scores, bit for bit. The keys are small integer-valued floats, so most rows hold long
 runs of equal keys; both zeros appear, and they compare equal. Batches mix
 rows that tie with rows that do not. Runs are derandomized so the suite
 stays deterministic.
@@ -19,13 +19,12 @@ from sspq.errors import EmptyGalleryError, NonFiniteInputError
 from sspq.evaluation import (
     _hit_mask,
     _rank,
-    adc_search,
     average_precision,
     evaluate,
     evaluate_pq,
     exact_search,
 )
-from sspq.quantizer import ProductCodebook
+from sspq.quantizer import ProductCodebook, adc_scores
 
 FUZZ = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
@@ -117,7 +116,7 @@ def test_evaluations_score_the_full_order_bit_for_bit(problem):
     queries, gallery, codes, ql, gl = problem
     exact = average_precision(gl[exact_search(queries, gallery)] == ql[:, None])
     assert evaluate(queries, gallery, ql, gl).per_query_ap.tobytes() == exact.tobytes()
-    pq = average_precision(gl[adc_search(queries, codes, CODEBOOK)] == ql[:, None])
+    pq = average_precision(gl[stable_order(adc_scores(CODEBOOK, codes, queries))] == ql[:, None])
     assert evaluate_pq(queries, codes, CODEBOOK, ql, gl).per_query_ap.tobytes() == pq.tobytes()
 
 

@@ -22,9 +22,9 @@ from sspq.errors import (
 from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
-    SspWorkspace,
     regression_loss_and_grad,
     ssp_loss_and_grad,
+    ssp_workspace,
 )
 from sspq.quantizer import ProductCodebook, train_product_codebook
 
@@ -264,8 +264,9 @@ class TestLogSpaceStep:
     def test_matches_probability_space_reference(self, kind, tau_g):
         rng = np.random.default_rng(31)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
-        workspace = SspWorkspace(cb.m, cb.k, 16)
-        for rows in (16, 16, 5):  # the partial last batch reuses the full-size workspace
+        workspace = ssp_workspace(cb.m, cb.k, 16)
+        # A short batch reads strided (M, rows, K) views of the full-size workspace.
+        for rows in (16, 16, 5, 1, 15):
             g = rng.normal(size=(rows, cb.dim))
             q = rng.normal(size=(rows, cb.dim))
             losses, grad = ssp_loss_and_grad(cb, g, q, tau_g, 1.0, kind, workspace=workspace)
@@ -282,7 +283,7 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
-        workspace = SspWorkspace(m, k, b)
+        workspace = ssp_workspace(m, k, b)
         ssp_loss_and_grad(cb, g, q, 0.1, 1.0, kind, workspace=workspace)  # warm-up
         tracemalloc.start()
         try:

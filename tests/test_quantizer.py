@@ -15,6 +15,7 @@ from oracles import (
     reconstruct,
     reconstruction_sq_dist,
     running_sum_adc,
+    stable_order,
     structure_similarity,
 )
 from sspq.embeddings import EmbeddingMatrix
@@ -30,7 +31,7 @@ from sspq.errors import (
     NonPowerOfTwoKError,
     ShapeMismatchError,
 )
-from sspq.evaluation import adc_search, evaluate_pq
+from sspq.evaluation import average_precision, evaluate_pq
 from sspq.quantizer import (
     _CHUNK_ELEMENTS,
     ProductCodebook,
@@ -56,44 +57,44 @@ ENCODE_SHAPES = KERNEL_SHAPES + [(1, 64)]
 class TestKMeansFit:
     def test_two_cluster_global_optimum(self):
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
-        result = kmeans_fit(pts, 2, seed=0)
+        result = kmeans_fit(pts[None], 2, seed=0)
         oracle = brute_force_kmeans_objective(pts, 2)
-        assert result.objective == pytest.approx(oracle, abs=1e-12)
-        assert result.objective == pytest.approx(1.0)
-        assert sorted(result.centroids.tolist()) == [[0.0, 0.5], [10.0, 0.5]]
+        assert result.objective[0] == pytest.approx(oracle, abs=1e-12)
+        assert result.objective[0] == pytest.approx(1.0)
+        assert sorted(result.centroids[0].tolist()) == [[0.0, 0.5], [10.0, 0.5]]
 
     def test_k_equals_n_zero_objective(self, rng):
         pts = rng.normal(size=(5, 3))
-        result = kmeans_fit(pts, 5, seed=1)
-        assert result.objective == pytest.approx(0.0, abs=1e-18)
-        assert sorted(result.assignments.tolist()) == [0, 1, 2, 3, 4]
+        result = kmeans_fit(pts[None], 5, seed=1)
+        assert result.objective[0] == pytest.approx(0.0, abs=1e-18)
+        assert sorted(result.assignments[0].tolist()) == [0, 1, 2, 3, 4]
 
     def test_k_one_is_mean(self, rng):
         pts = rng.normal(size=(9, 4))
-        result = kmeans_fit(pts, 1, seed=2)
-        np.testing.assert_allclose(result.centroids[0], pts.mean(axis=0), atol=1e-12)
+        result = kmeans_fit(pts[None], 1, seed=2)
+        np.testing.assert_allclose(result.centroids[0, 0], pts.mean(axis=0), atol=1e-12)
 
     def test_empty_input_raises(self):
         with pytest.raises(EmptyInputError):
-            kmeans_fit(np.empty((0, 2)), 1, seed=0)
+            kmeans_fit(np.empty((1, 0, 2)), 1, seed=0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises(self, rng, bad):
         pts = rng.normal(size=(10, 4))
         pts[3, 2] = bad
         with pytest.raises(NonFiniteInputError):
-            kmeans_fit(pts, 2, seed=0)
+            kmeans_fit(pts[None], 2, seed=0)
         with pytest.raises(NonFiniteInputError):
             train_product_codebook(pts, m=2, k=2, seed=0)
 
     def test_objective_history_monotone(self, rng):
         for trial in range(10):
             pts = rng.normal(size=(40, 3))
-            result = kmeans_fit(pts, 5, seed=trial)
-            hist = result.objective_history
+            result = kmeans_fit(pts[None], 5, seed=trial)
+            hist = result.objective_history[0]
             assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
-            assert result.objective == hist[-1]
-            assert result.objective >= 0.0
+            assert result.objective[0] == hist[-1]
+            assert result.objective[0] >= 0.0
 
     def test_brute_force_small_instances(self):
         # Best-of-5 restarts reach the enumerated global optimum.
@@ -103,13 +104,13 @@ class TestKMeansFit:
             k = int(rng.integers(2, 4))
             d = int(rng.integers(1, 3))
             pts = rng.normal(size=(n, d))
-            best = min(kmeans_fit(pts, k, seed=s).objective for s in range(5))
+            best = min(kmeans_fit(pts[None], k, seed=s).objective[0] for s in range(5))
             assert best == pytest.approx(brute_force_kmeans_objective(pts, k), abs=1e-9)
 
     def test_deterministic(self, rng):
         pts = rng.normal(size=(30, 4))
-        a = kmeans_fit(pts, 4, seed=7)
-        b = kmeans_fit(pts, 4, seed=7)
+        a = kmeans_fit(pts[None], 4, seed=7)
+        b = kmeans_fit(pts[None], 4, seed=7)
         np.testing.assert_array_equal(a.centroids, b.centroids)
         np.testing.assert_array_equal(a.assignments, b.assignments)
 
@@ -119,9 +120,9 @@ class TestKMeansFit:
         # the repair moves a point into it.
         pts = np.repeat(rng.normal(size=(3, 2)), 2, axis=0)
         for seed in range(3):
-            result = kmeans_fit(pts, 4, seed=seed)
-            assert set(result.assignments.tolist()) == {0, 1, 2, 3}
-            assert result.objective == 0.0
+            result = kmeans_fit(pts[None], 4, seed=seed)
+            assert set(result.assignments[0].tolist()) == {0, 1, 2, 3}
+            assert result.objective[0] == 0.0
 
     @pytest.mark.parametrize("max_iters", [1, 50])
     def test_repair_fills_every_empty_cluster_when_points_lie_on_centroids(self, max_iters):
@@ -130,14 +131,14 @@ class TestKMeansFit:
         # repair must take a point that has not moved yet from a cluster that
         # keeps another member.
         pts = np.repeat(np.random.default_rng(0).normal(size=(3, 2)), 4, axis=0)
-        result = kmeans_fit(pts, 8, seed=0, max_iters=max_iters)
-        assert np.bincount(result.assignments, minlength=8).min() > 0
-        assert result.objective_history == [0.0]
+        result = kmeans_fit(pts[None], 8, seed=0, max_iters=max_iters)
+        assert np.bincount(result.assignments[0], minlength=8).min() > 0
+        assert result.objective_history == [[0.0]]
 
     def test_all_clusters_used_when_k_le_n(self, rng):
         pts = rng.normal(size=(20, 2))
-        result = kmeans_fit(pts, 6, seed=3)
-        assert set(result.assignments.tolist()) == set(range(6))
+        result = kmeans_fit(pts[None], 6, seed=3)
+        assert set(result.assignments[0].tolist()) == set(range(6))
 
     @pytest.mark.parametrize("offset", [1e7, 1e8])
     def test_common_offset_reaches_the_objective_at_the_origin(self, offset):
@@ -146,11 +147,12 @@ class TestKMeansFit:
         # most points and Lloyd settles on a worse objective.
         rng = np.random.default_rng(0)
         x = np.concatenate([rng.normal(scale=0.1, size=(200, 4)), rng.normal(scale=0.1, size=(200, 4)) + 1.0])
-        at_origin = kmeans_fit(x, 8, seed=0).objective
-        assert kmeans_fit(x + offset, 8, seed=0).objective == pytest.approx(at_origin, rel=1e-6)
+        at_origin = kmeans_fit(x[None], 8, seed=0).objective[0]
+        assert kmeans_fit(x[None] + offset, 8, seed=0).objective[0] == pytest.approx(at_origin, rel=1e-6)
 
     @pytest.mark.parametrize(
-        "fn", [kmeans_fit, lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
+        "fn",
+        [lambda x, k, seed: kmeans_fit(x[None], k, seed), lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
         ids=["kmeans_fit", "train_product_codebook"],
     )
     def test_negative_seed_raises(self, rng, fn):
@@ -158,7 +160,8 @@ class TestKMeansFit:
             fn(rng.normal(size=(10, 4)), 2, seed=-1)
 
     @pytest.mark.parametrize(
-        "fn", [kmeans_fit, lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
+        "fn",
+        [lambda x, k, seed: kmeans_fit(x[None], k, seed), lambda x, k, seed: train_product_codebook(x, 2, k, seed)],
         ids=["kmeans_fit", "train_product_codebook"],
     )
     @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
@@ -234,7 +237,7 @@ class TestKMeansPPInit:
 
 
 class TestStackedKMeans:
-    """A stacked ``kmeans_fit`` equals one flat run per subspace at seed + j."""
+    """An M-subspace ``kmeans_fit`` equals one one-subspace run per subspace at seed + j."""
 
     @staticmethod
     def assert_equals_flat_runs(x, m, k, seed, max_iters=50):
@@ -242,13 +245,13 @@ class TestStackedKMeans:
         stacked = kmeans_fit(subvectors(x, m), k, seed, max_iters=max_iters)
         assert stacked.centroids.shape == (m, k, ds)
         assert stacked.assignments.shape == (m, x.shape[0])
-        flats = [kmeans_fit(x[:, j * ds : (j + 1) * ds], k, seed + j, max_iters=max_iters)
+        flats = [kmeans_fit(x[None, :, j * ds : (j + 1) * ds], k, seed + j, max_iters=max_iters)
                  for j in range(m)]
         for j, flat in enumerate(flats):
-            assert stacked.centroids[j].tobytes() == flat.centroids.tobytes()
-            np.testing.assert_array_equal(stacked.assignments[j], flat.assignments)
-            assert stacked.objective_history[j] == flat.objective_history
-            assert stacked.objective[j] == flat.objective
+            assert stacked.centroids[j].tobytes() == flat.centroids[0].tobytes()
+            np.testing.assert_array_equal(stacked.assignments[j], flat.assignments[0])
+            assert stacked.objective_history[j] == flat.objective_history[0]
+            assert stacked.objective[j] == flat.objective[0]
             assert len(stacked.objective_history[j]) == flat.iterations_run
         assert type(stacked.iterations_run) is int
         assert stacked.iterations_run == sum(flat.iterations_run for flat in flats)
@@ -283,8 +286,8 @@ class TestStackedKMeans:
         assert [len(h) for h in result.objective_history] == [1, 1, 1, 1]
         assert result.iterations_run == 4
 
-    @pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4)])
-    def test_points_must_be_a_matrix_or_a_stack(self, shape):
+    @pytest.mark.parametrize("shape", [(5,), (1, 2, 3, 4), (4, 2)])
+    def test_points_must_be_a_stack(self, shape):
         with pytest.raises(ShapeMismatchError):
             kmeans_fit(np.zeros(shape), 1, seed=0)
 
@@ -308,8 +311,8 @@ class TestTrainProductCodebook:
         feats = rng.normal(size=(12, 4))
         cb = train_product_codebook(feats, m=2, k=2, seed=11)
         for j in range(2):
-            manual = kmeans_fit(feats[:, j * 2 : (j + 1) * 2], 2, seed=11 + j)
-            np.testing.assert_array_equal(cb.stacked()[j], manual.centroids.astype(np.float32))
+            manual = kmeans_fit(feats[None, :, j * 2 : (j + 1) * 2], 2, seed=11 + j)
+            np.testing.assert_array_equal(cb.stacked()[j], manual.centroids[0].astype(np.float32))
 
     def test_anchor_counts(self, rng):
         cb = train_product_codebook(rng.normal(size=(8, 4)), m=2, k=2, seed=0)
@@ -329,8 +332,8 @@ class TestTrainProductCodebook:
     def test_m1_degenerates_to_flat_kmeans(self, rng):
         feats = rng.normal(size=(15, 3))
         cb = train_product_codebook(feats, m=1, k=3, seed=21)
-        flat = kmeans_fit(feats, 3, seed=21)
-        np.testing.assert_array_equal(cb.stacked()[0], flat.centroids.astype(np.float32))
+        flat = kmeans_fit(feats[None], 3, seed=21)
+        np.testing.assert_array_equal(cb.stacked()[0], flat.centroids[0].astype(np.float32))
 
     def test_deterministic_bits(self, rng):
         feats = rng.normal(size=(20, 6))
@@ -629,11 +632,14 @@ class TestAdcSearch:
         cb = train_product_codebook(feats, m=4, k=4, seed=2)
         codes = encode_matrix(cb, feats)
         query = reconstruct(cb, codes[7])
-        order = adc_search(EmbeddingMatrix(query[None]), codes, cb)
+        order = stable_order(adc_scores(cb, codes, query[None]))
         top_index = order[0, 0]
         top_dist = adc_scores(cb, codes, query)[top_index]
         assert top_dist == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_array_equal(reconstruct(cb, codes[top_index]), query)
+        # Every item with the reconstructed code ranks ahead of the rest.
+        relevant = (codes == codes[7]).all(axis=1)
+        assert evaluate_pq(EmbeddingMatrix(query[None]), codes, cb, [1], relevant).map_score == 1.0
 
     def test_scores_equal_reconstruction_distance(self, rng):
         feats = rng.normal(size=(60, 8))
@@ -704,16 +710,19 @@ class TestAdcSearch:
         cb = train_product_codebook(feats, m=3, k=4, seed=6)
         codes = encode_matrix(cb, feats)
         query = rng.normal(size=6)
-        order = adc_search(EmbeddingMatrix(query[None]), codes, cb)
+        order = stable_order(adc_scores(cb, codes, query[None]))
         explicit = sorted(
             range(40), key=lambda i: (reconstruction_sq_dist(cb, codes[i], query), i)
         )
         assert order[0].tolist() == explicit
+        labels = np.arange(40) % 3
+        ap = average_precision(labels[None, explicit] == 0)
+        assert evaluate_pq(EmbeddingMatrix(query[None]), codes, cb, [0], labels).per_query_ap.tobytes() == ap.tobytes()
 
     def test_empty_gallery(self, tiny_codebook):
         with pytest.raises(EmptyGalleryError):
-            adc_search(EmbeddingMatrix(np.zeros((1, 4))), np.empty((0, 2), dtype=np.int64),
-                       tiny_codebook)
+            evaluate_pq(EmbeddingMatrix(np.zeros((1, 4))), np.empty((0, 2), dtype=np.int64),
+                        tiny_codebook, [0], np.empty(0, dtype=np.int64))
 
     @pytest.mark.parametrize("bad", [-1, 2, 0.5], ids=["negative", "k", "fraction"])
     def test_codes_outside_zero_to_k_are_rejected(self, tiny_codebook, bad):

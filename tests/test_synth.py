@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,12 @@ class TestGenMixture:
     def test_non_int_seed_raises(self, seed):
         with pytest.raises(BadConfigError):
             gen_mixture(4, 5, 4, 0.1, seed=seed)
+
+    def test_fraction_cluster_std_draws_the_bytes_of_its_float(self):
+        as_fraction = gen_mixture(4, 4, 3, Fraction(1, 10), 0)
+        as_float = gen_mixture(4, 4, 3, 0.1, 0)
+        for split in SPLITS:
+            assert as_fraction[split][0].tobytes() == as_float[split][0].tobytes(), split
 
     def test_class_means_on_unit_sphere(self):
         ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8)

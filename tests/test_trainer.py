@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,9 @@ class TestTrainConfig:
             ("tau_g", -0.1), ("tau_g", np.inf), ("tau_g", False),
             ("learning_rate", 0.0), ("learning_rate", -np.inf), ("learning_rate", [1e-3]),
             ("weight_decay", -1.0), ("weight_decay", np.nan), ("weight_decay", True),
+            pytest.param("tau_g", 10**400, id="tau_g-int-beyond-float"),
+            pytest.param("learning_rate", Fraction(10**400), id="learning_rate-fraction-beyond-float"),
+            pytest.param("tau_q", Fraction(1, 10**400), id="tau_q-fraction-that-rounds-to-zero"),
         ],
     )
     def test_wrong_type_or_range_raises(self, field, value):
@@ -104,6 +108,12 @@ class TestTrainConfig:
     def test_numpy_and_int_values_accepted(self):
         cfg = TrainConfig(epochs=np.int64(2), batch_size=np.uint8(4), learning_rate=1, tau_g=0, weight_decay=0)
         assert (cfg.epochs, cfg.batch_size, cfg.learning_rate) == (2, 4, 1)
+
+    def test_real_fields_are_kept_as_floats(self):
+        cfg = TrainConfig(tau_g=Fraction(1, 10), tau_q=np.float64(0.5), learning_rate=1, weight_decay=np.int64(0))
+        reals = (cfg.tau_g, cfg.tau_q, cfg.learning_rate, cfg.weight_decay)
+        assert [type(v) for v in reals] == [float] * 4
+        assert reals == (0.1, 0.5, 1.0, 0.0)
 
 
 class TestTrainQueryModel:
