@@ -33,7 +33,7 @@ from .embeddings import (
     write_labels,
 )
 from .encoder import encoder_init, forward_matrix, load_checkpoint, save_checkpoint
-from .errors import BadConfigError, FormatError, SspqError
+from .errors import BadConfigError, FormatError, SspqError, shown
 from .evaluation import evaluate, evaluate_pq
 from .fileio import write_atomic, write_csv_atomic
 from .loss import SIMILARITY_KINDS
@@ -96,8 +96,8 @@ def _sha12(data: bytes) -> str:
 
 
 def _params_sha256(enc) -> str:
-    """Hex SHA-256 of an encoder's parameter bytes, in parameters() order."""
-    return hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
+    """Hex SHA-256 of an encoder's parameter bytes, in ``params`` order."""
+    return hashlib.sha256(b"".join(p.tobytes() for p in enc.params)).hexdigest()
 
 
 def load_config(path: str | Path | None, overrides: dict) -> dict:
@@ -129,6 +129,8 @@ def load_config(path: str | Path | None, overrides: dict) -> dict:
     for key in ("seed", "weight_decay"):
         if cfg[key] < 0:
             raise BadConfigError(f"config {key}={cfg[key]!r} must be >= 0")
+    if (widest := max([cfg["k"], *cfg["hidden"]])) > EMB_MAX_SIZE:  # so gen fails, not a later stage's allocation
+        raise BadConfigError(f"config k and hidden widths must be <= {EMB_MAX_SIZE}, got {shown(widest)}")
     if not cfg["pq_m_list"] or min(cfg["pq_m_list"]) < 1:
         raise BadConfigError(f"config pq_m_list={cfg['pq_m_list']!r} needs one or more M >= 1")
     return cfg

@@ -152,7 +152,7 @@ def write_labels(labels: np.ndarray, path: str | Path) -> None:
     write_atomic(path, b"id,label\r\n", "".join([f"{i},{lab}\r\n" for i, lab in rows]).encode())
 
 
-def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarray:
+def read_labels(path: str | Path, expected_rows: int) -> np.ndarray:
     """Read a label sidecar CSV; validates the header and 0-based id sequence.
 
     Raises:
@@ -179,7 +179,7 @@ def read_labels(path: str | Path, expected_rows: int | None = None) -> np.ndarra
         out = np.asarray(labels, dtype=np.int64)
     except (ValueError, OverflowError, csv.Error) as exc:
         raise FormatError(f"{path}: malformed label sidecar: {exc}") from exc
-    if expected_rows is not None and out.shape[0] != expected_rows:
+    if out.shape[0] != expected_rows:
         raise FormatError(
             f"{path}: {out.shape[0]} labels for {expected_rows} embeddings"
         )

@@ -23,6 +23,7 @@ from .errors import (
     LengthMismatchError,
     ShapeMismatchError,
     check_int,
+    shown,
 )
 from .fileio import read_blob, read_values, write_blob
 
@@ -35,49 +36,40 @@ FORWARD_BLOCK_ROWS = 4096  # the most rows in one of forward_matrix's blocks
 def _check_sizes(name: str, sizes, min_count: int = 0) -> None:
     """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of at least ``min_count`` ints >= 1."""
     if not isinstance(sizes, (list, tuple)) or len(sizes) < min_count:
-        raise BadConfigError(f"{name} must be a list or tuple of at least {min_count} ints >= 1, got {sizes!r}")
+        raise BadConfigError(f"{name} must be a list or tuple of at least {min_count} ints >= 1, got {shown(sizes)}")
     for size in sizes:
         check_int("layer size", size, 1)
 
 
-def _as_params(name: str, params) -> list[np.ndarray]:
-    """``params`` as float64 arrays; ``BadConfigError`` unless it is a list or tuple of real arrays."""
-    if not isinstance(params, (list, tuple)):
-        raise BadConfigError(f"{name} must be a list or tuple of arrays, got {params!r}")
-    try:
-        return [np.asarray(p, dtype=np.float64) for p in params]
-    except (TypeError, ValueError) as exc:
-        raise BadConfigError(f"{name} must hold real arrays: {exc}") from exc
+def _param_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
+    """Parameter shapes in update order for these layer sizes: W0 (d1, d0), b0 (d1,), W1 (d2, d1), ..."""
+    return [shape for d_in, d_out in zip(layer_sizes[:-1], layer_sizes[1:]) for shape in ((d_out, d_in), (d_out,))]
 
 
 class QueryEncoder:
     """MLP mapping raw input vectors to unit-norm embeddings.
 
     Hidden layers apply tanh; the final layer is affine and its output is
-    L2-normalized.
+    L2-normalized. ``params`` holds W0, b0, W1, b1, ... in update order.
 
     Raises:
         BadConfigError: unless ``layer_sizes`` is a list or tuple of two or
-            more ints >= 1, as ``load_checkpoint`` reads, and ``weights`` and
-            ``biases`` are lists or tuples of real arrays.
-        ShapeMismatchError: unless each pair of adjacent layer sizes has one
-            weight matrix and one bias of its shape.
+            more ints >= 1, as ``load_checkpoint`` reads, and ``params`` a
+            list or tuple of real arrays.
+        ShapeMismatchError: unless ``params`` has ``_param_shapes(layer_sizes)``.
     """
 
-    def __init__(self, layer_sizes: list[int], weights: list[np.ndarray], biases: list[np.ndarray]):
+    def __init__(self, layer_sizes: list[int], params: list[np.ndarray]):
         _check_sizes("layer_sizes", layer_sizes, min_count=2)
         self.layer_sizes = [int(size) for size in layer_sizes]  # as save_checkpoint writes them
-        self.weights = _as_params("weights", weights)
-        self.biases = _as_params("biases", biases)
-        if not len(self.weights) == len(self.biases) == len(self.layer_sizes) - 1:
-            raise ShapeMismatchError(
-                f"{len(self.weights)} weights and {len(self.biases)} biases "
-                f"for {len(self.layer_sizes)} layer sizes"
-            )
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out_d, in_d = layer_sizes[i + 1], layer_sizes[i]
-            if w.shape != (out_d, in_d) or b.shape != (out_d,):
-                raise ShapeMismatchError(f"layer {i} parameter shapes do not match {in_d}->{out_d}")
+        if not isinstance(params, (list, tuple)):
+            raise BadConfigError(f"params must be a list or tuple of arrays, got {shown(params)}")
+        try:
+            self.params = [np.asarray(p, dtype=np.float64) for p in params]
+        except (TypeError, ValueError) as exc:
+            raise BadConfigError(f"params must hold real arrays: {exc}") from exc
+        if [p.shape for p in self.params] != _param_shapes(self.layer_sizes):
+            raise ShapeMismatchError(f"parameter shapes {[p.shape for p in self.params]} do not fit {self.layer_sizes}")
 
     @property
     def input_dim(self) -> int:
@@ -87,20 +79,8 @@ class QueryEncoder:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def parameters(self) -> list[np.ndarray]:
-        """Flat parameter list in update order: W0, b0, W1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def copy(self) -> "QueryEncoder":
-        return QueryEncoder(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return QueryEncoder(self.layer_sizes, [p.copy() for p in self.params])
 
 
 def encoder_init(
@@ -123,12 +103,11 @@ def encoder_init(
     _check_sizes("layer_sizes", sizes)
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return QueryEncoder(sizes, weights, biases)
+    params = []
+    for shape in _param_shapes(sizes):
+        bound = 1.0 / np.sqrt(shape[-1])  # fan_in for a weight; a bias is zero
+        params.append(rng.uniform(-bound, bound, size=shape) if len(shape) == 2 else np.zeros(shape))
+    return QueryEncoder(sizes, params)
 
 
 def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -147,12 +126,11 @@ def encoder_forward(enc: QueryEncoder, x: np.ndarray) -> tuple[np.ndarray, dict]
     """
     h = x
     inputs = []
-    last = len(enc.weights) - 1
-    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
+    for i in range(0, len(enc.params), 2):
         inputs.append(h)
-        h = h @ w.T  # a new array, so the in-place steps never write into x or a cached input
-        h += b
-        if i != last:
+        h = h @ enc.params[i].T  # a new array, so the in-place steps never write into x or a cached input
+        h += enc.params[i + 1]
+        if i + 2 < len(enc.params):
             np.tanh(h, out=h)
     y, degenerate = normalize_rows(h)
     return y, {"inputs": inputs, "z": h, "y": y, "degenerate": degenerate}
@@ -162,8 +140,7 @@ def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list
     """Backpropagate dLoss/d(embeddings), (B, d_out) float64 like ``cache["y"]``, to parameter gradients.
 
     Returns:
-        Gradients summed over the batch, aligned with ``enc.parameters()``
-        order (W0, b0, W1, b1...).
+        Gradients summed over the batch, aligned with ``enc.params``.
     """
     y, degenerate = cache["y"], cache["degenerate"]
     # A degenerate row was returned unchanged with norm < 1e-12, so dividing
@@ -174,7 +151,7 @@ def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list
 
     inputs = cache["inputs"]
     grads: list[np.ndarray] = []
-    last = len(enc.weights) - 1
+    last = len(enc.params) // 2 - 1
     for i in range(last, -1, -1):
         if i != last:
             # inputs[i + 1] is the tanh output h of layer i, and tanh' = 1 - h^2
@@ -183,7 +160,7 @@ def encoder_backward(enc: QueryEncoder, cache: dict, grad_y: np.ndarray) -> list
         grads.append(delta.sum(axis=0))  # db_i
         grads.append(delta.T @ inputs[i])  # dW_i
         if i > 0:
-            delta = delta @ enc.weights[i]
+            delta = delta @ enc.params[2 * i]
     grads.reverse()
     return grads
 
@@ -203,12 +180,12 @@ def forward_matrix(enc: QueryEncoder, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = None) -> None:
+def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict) -> None:
     """Write an encoder checkpoint in the SSPQ format of ``fileio.write_blob``.
 
     Header: u32 LE length, then a JSON object of the architecture and an
     arbitrary JSON-serializable ``extra`` payload (typically the training
-    config echo); then the float64 parameter blocks in parameters() order.
+    config echo); then the float64 parameter blocks of ``enc.params``.
 
     Raises:
         NonFiniteInputError: if a parameter holds a NaN or an infinity, as
@@ -217,11 +194,11 @@ def save_checkpoint(enc: QueryEncoder, path: str | Path, extra: dict | None = No
     header = {
         "layer_sizes": enc.layer_sizes,
         "activation": ACT_TANH,
-        "extra": extra or {},
+        "extra": extra,
     }
     header_json = json.dumps(header, sort_keys=True).encode("utf-8")
     header_bytes = struct.pack("<I", len(header_json)) + header_json
-    write_blob(path, CHECKPOINT_MAGIC, header_bytes, enc.parameters(), "<f8")
+    write_blob(path, CHECKPOINT_MAGIC, header_bytes, enc.params, "<f8")
 
 
 def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
@@ -240,20 +217,14 @@ def load_checkpoint(path: str | Path) -> tuple[QueryEncoder, dict]:
         header = json.loads(bytes(payload[:header_len]).decode("utf-8"))
         sizes = header["layer_sizes"]
         activation = header["activation"]
-    except (ValueError, KeyError, TypeError) as exc:
+        _check_sizes("layer_sizes", sizes, min_count=2)
+    except (ValueError, KeyError, TypeError, BadConfigError) as exc:
         raise FormatError(f"{path}: malformed header: {exc!r}") from exc
-    if not (
-        isinstance(sizes, list)
-        and len(sizes) >= 2
-        and all(type(s) is int and s >= 1 for s in sizes)
-    ):
-        raise FormatError(f"{path}: layer_sizes must be two or more integers >= 1, got {sizes!r}")
     if activation != ACT_TANH:
         raise FormatError(f"{path}: activation {activation!r} is not {ACT_TANH!r}")
 
-    shapes = [s for fan_in, fan_out in zip(sizes[:-1], sizes[1:]) for s in ((fan_out, fan_in), (fan_out,))]
+    shapes = _param_shapes(sizes)
     counts = [math.prod(shape) for shape in shapes]
     values = read_values(path, payload[header_len:], "<f8", sum(counts))
-    blocks = np.split(values, np.cumsum(counts)[:-1])
-    params = [block.reshape(shape) for block, shape in zip(blocks, shapes)]
-    return QueryEncoder(sizes, params[0::2], params[1::2]), header.get("extra", {})
+    params = [block.reshape(shape) for block, shape in zip(np.split(values, np.cumsum(counts)[:-1]), shapes)]
+    return QueryEncoder(sizes, params), header.get("extra", {})

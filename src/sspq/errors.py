@@ -62,10 +62,20 @@ class InvariantError(SspqError):
     """A value breaks an invariant its container declares, such as unit-norm rows."""
 
 
+def shown(value) -> str:
+    """``repr(value)``, or an int's sign and bit length where Python refuses to print its digits."""
+    try:
+        return repr(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        if isinstance(value, int):
+            return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} too long to print"
+
+
 def check_int(name: str, value, low: int) -> None:
     """Raise ``BadConfigError`` unless ``value`` is an int or NumPy integer >= ``low``, not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise BadConfigError(f"{name} must be an int >= {low}, got {value!r}")
+        raise BadConfigError(f"{name} must be an int >= {low}, got {shown(value)}")
 
 
 def check_real(name: str, value, positive: bool) -> float:
@@ -76,7 +86,7 @@ def check_real(name: str, value, positive: bool) -> float:
     except OverflowError:  # an int or a fraction beyond float range
         number = math.inf
     if not math.isfinite(number) or not (number > 0 if positive else number >= 0):
-        raise BadConfigError(f"{name} must be a finite real number {'>' if positive else '>='} 0, got {value!r}")
+        raise BadConfigError(f"{name} must be a finite real number {'>' if positive else '>='} 0, got {shown(value)}")
     return number
 
 

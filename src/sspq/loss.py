@@ -128,8 +128,8 @@ def ssp_loss_and_grad(
     q: np.ndarray,
     tau_g: float,
     tau_q: float,
-    kind: str = SIM_COSINE,
-    workspace: np.ndarray | None = None,
+    kind: str,
+    workspace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alignment loss between (B, d) float64 gallery and query embeddings plus dLoss/dq.
 
@@ -137,9 +137,9 @@ def ssp_loss_and_grad(
     (hard assignment); ``tau_q`` must be positive so the query distribution
     has full support. Both sides are softened in log space in (M, B, K)
     layout: KL = sum p_g * log p_g - sum p_g * log p_q, and dLoss/dS_q =
-    (p_q - p_g) / tau_q. ``workspace``, from ``ssp_workspace``, holds the
-    (M, B, K) work arrays; a training run passes one for all its steps, and a
-    call without one allocates its own.
+    (p_q - p_g) / tau_q. ``kind`` names the similarity kernel, and
+    ``workspace``, from ``ssp_workspace`` for B or more rows, holds the
+    (M, B, K) work arrays; a training run passes one for all its steps.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -151,10 +151,7 @@ def ssp_loss_and_grad(
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    b = q.shape[0]
-    if workspace is None:
-        workspace = ssp_workspace(codebook.m, codebook.k, b)
-    s_q, aux, t_q, p_q, t_g, p_g = workspace[:, :, :b]
+    s_q, aux, t_q, p_q, t_g, p_g = workspace[:, :, : q.shape[0]]
     u_q = subvectors(q, codebook.m)
     # A tiny temperature may overflow the logits to -inf, and -inf - -inf is
     # NaN; both happen only where a probability is 0 and are handled below.

@@ -22,6 +22,7 @@ import numpy as np
 
 from .embeddings import as_embedding_matrix
 from .errors import (
+    BadConfigError,
     EmptyInputError,
     FormatError,
     IndivisibleDimensionError,
@@ -31,6 +32,7 @@ from .errors import (
     ShapeMismatchError,
     check_finite,
     check_int,
+    shown,
 )
 from .fileio import read_blob, read_values, write_blob
 
@@ -55,15 +57,13 @@ class KMeansResult:
 
     ``centroids`` is (M, K, d*) and ``assignments`` (M, n), exact-kernel
     argmins as ``encode_matrix``'s codes are, which pair with the returned
-    centroids (the last update step). ``objective`` holds each subspace's
-    final objective and ``objective_history`` its post-update objective per
-    iteration, which is non-increasing. ``iterations_run`` is the number of
-    Lloyd iterations summed over the subspaces.
+    centroids (the last update step). ``objective_history`` holds each
+    subspace's post-update objective per iteration, which is non-increasing,
+    and ``iterations_run`` the Lloyd iterations summed over the subspaces.
     """
 
     centroids: np.ndarray
     assignments: np.ndarray
-    objective: list[float]
     iterations_run: int
     objective_history: list[list[float]]
 
@@ -264,7 +264,7 @@ def kmeans_fit(
     runs = [_lloyd(u, c, max_iters) for u, c in zip(stack, centroids)]
     assignments = np.stack([a for a, _ in runs])
     histories = [h for _, h in runs]
-    return KMeansResult(centroids, assignments, [h[-1] for h in histories], sum(map(len, histories)), histories)
+    return KMeansResult(centroids, assignments, sum(map(len, histories)), histories)
 
 
 class ProductCodebook:
@@ -294,12 +294,8 @@ class ProductCodebook:
         return self._centroids.shape[1]
 
     @property
-    def sub_dim(self) -> int:
-        return self._centroids.shape[2]
-
-    @property
     def dim(self) -> int:
-        return self.m * self.sub_dim
+        return self.m * self._centroids.shape[2]
 
     def stacked(self) -> np.ndarray:
         """All centroids as one (M, K, d*) float64 array."""
@@ -511,7 +507,7 @@ def check_subspace_count(d: int, m: int) -> None:
     """Raises BadConfigError unless m is an int >= 1, and IndivisibleDimensionError unless it divides d."""
     check_int("m", m, 1)
     if d % m != 0:
-        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {m}")
+        raise IndivisibleDimensionError(f"dim {d} is not a multiple of {shown(m)}")
 
 
 def check_power_of_two_k(k: int) -> None:
@@ -523,7 +519,7 @@ def check_power_of_two_k(k: int) -> None:
     """
     check_int("k", k, 1)
     if k & (k - 1) != 0:
-        raise NonPowerOfTwoKError(f"k must be a power of two, got {k}")
+        raise NonPowerOfTwoKError(f"k must be a power of two, got {shown(k)}")
 
 
 def memory_report(n: int, m: int, k: int) -> dict:
@@ -531,7 +527,7 @@ def memory_report(n: int, m: int, k: int) -> dict:
     n * m * log2(k) / 8 (codes only), ``mib`` the same in MiB.
 
     Raises:
-        BadConfigError: unless n is an int >= 0 and m and k ints >= 1.
+        BadConfigError: unless n >= 0, m >= 1 and k >= 1 are ints and the byte count fits a float.
         NonPowerOfTwoKError: if k is not a power of two.
     """
     check_int("n", n, 0)
@@ -539,7 +535,10 @@ def memory_report(n: int, m: int, k: int) -> dict:
     check_power_of_two_k(k)
     n, m, k = int(n), int(m), int(k)  # a NumPy integer is neither JSON-ready nor has bit_length
     bits_per_code = m * k.bit_length() - m  # m * log2(k)
-    code_bytes = n * bits_per_code / 8
+    try:
+        code_bytes = n * bits_per_code / 8
+    except OverflowError as exc:
+        raise BadConfigError("n * m * log2(k) / 8 code bytes overflow a float") from exc
     return {
         "n": n,
         "m": m,

@@ -28,8 +28,8 @@ def gen_mixture(
     d_in: int,
     cluster_std: float,
     seed: int,
-    anchor_count: int = 4096,
-    train_per_class: int | None = None,
+    anchor_count: int,
+    train_per_class: int,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Sample a Gaussian mixture with means drawn uniformly on the unit sphere.
 
@@ -49,12 +49,10 @@ def gen_mixture(
             finite real number >= 0 that leaves every drawn row finite.
     """
     for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 4), ("d_in", d_in, 1),
-                             ("anchor_count", anchor_count, 1), ("seed", seed, 0)):
+                             ("anchor_count", anchor_count, 1), ("train_per_class", train_per_class, 1),
+                             ("seed", seed, 0)):
         check_int(name, value, low)
     cluster_std = check_real("cluster_std", cluster_std, positive=False)
-    if train_per_class is None:
-        train_per_class = per_class
-    check_int("train_per_class", train_per_class, 1)
 
     rng = np.random.default_rng(seed)
     means, _ = normalize_rows(rng.normal(size=(num_classes, d_in)))
@@ -95,11 +93,11 @@ def make_oracle(d_in: int, emb_dim: int, seed: int) -> QueryEncoder:
     check_int("d_in", d_in, 1)  # before 2 * d_in, which a string or None would not survive
     enc = encoder_init(d_in, [2 * d_in], emb_dim, seed=seed)
     rng = np.random.default_rng(seed)
-    for i, w in enumerate(enc.weights):
-        q, _ = np.linalg.qr(rng.normal(size=(max(w.shape), min(w.shape))))
-        q = q[: w.shape[0], : w.shape[1]] if w.shape[0] >= w.shape[1] else q.T[: w.shape[0], :]
-        enc.weights[i] = ORACLE_GAIN * q
-    for p in enc.parameters():
+    for i in range(0, len(enc.params), 2):  # the weights
+        rows, cols = enc.params[i].shape
+        q, _ = np.linalg.qr(rng.normal(size=(max(rows, cols), min(rows, cols))))
+        enc.params[i] = ORACLE_GAIN * (q[:rows, :cols] if rows >= cols else q.T[:rows, :])
+    for p in enc.params:
         p.setflags(write=False)
     return enc
 

@@ -133,16 +133,14 @@ def train_query_model(
         raise ShapeMismatchError(f"raw input dim {raw.shape[1]} != encoder input {enc.input_dim}")
 
     model = enc.copy()
-    params = model.parameters()
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.params]
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
 
     if cfg.loss_kind == LOSS_SSP:
-        workspace = ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n))
-        loss_and_grad = partial(ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q,
-                                kind=cfg.similarity_kind, workspace=workspace)
+        loss_and_grad = partial(ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q, kind=cfg.similarity_kind,
+                                workspace=ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n)))
     else:
         loss_and_grad = regression_loss_and_grad
 
@@ -161,7 +159,7 @@ def train_query_model(
                 grads = encoder_backward(model, cache, grad_y / batch.shape[0])
                 lr_t = cfg.learning_rate * (1.0 - global_step / total_steps)
                 global_step += 1
-                adam_step(params, grads, moments, global_step, lr_t, cfg.weight_decay)
+                adam_step(model.params, grads, moments, global_step, lr_t, cfg.weight_decay)
         if not np.isfinite(loss_sum):
             raise NonFiniteInputError(f"training diverged: epoch {epoch + 1} has mean loss {loss_sum / n}")
         epoch_means.append(loss_sum / n)

@@ -12,7 +12,8 @@ the encoder's forward pass and the mixture draws, and the ``csv`` module for
 the label sidecar. ``structure_similarity`` and
 ``soften`` are the exception: checked (B, M, K) entry points to the loss's
 own similarity and softmax kernels, which no library code calls, kept so the
-tests can hold those kernels against the references here.
+tests can hold those kernels against the references here. ``ssp_step`` runs
+the loss on one batch in a workspace of its own.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from sspq.errors import (
     ZeroTargetProbabilityError,
     check_real,
 )
-from sspq.loss import SIM_COSINE, SIMILARITY_KINDS, _similarity, _soften_into
+from sspq.loss import SIM_COSINE, SIMILARITY_KINDS, _similarity, _soften_into, ssp_loss_and_grad, ssp_workspace
 from sspq.quantizer import adc_table, subvectors
 
 
@@ -184,6 +185,11 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
     return out.transpose(1, 0, 2)
 
 
+def ssp_step(codebook, g: np.ndarray, q: np.ndarray, tau_g: float, tau_q: float, kind: str = SIM_COSINE):
+    """``ssp_loss_and_grad`` of (B, d) batches, in a workspace of exactly B rows."""
+    return ssp_loss_and_grad(codebook, g, q, tau_g, tau_q, kind, ssp_workspace(codebook.m, codebook.k, len(q)))
+
+
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:
     """Temperature softmax along the last axis; temperature 0 yields hard one-hot argmax.
 
@@ -283,9 +289,9 @@ def per_dimension_argmin(u: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def expression_forward(enc, x: np.ndarray) -> np.ndarray:
     """Unit output rows of ``enc`` on ``x``, with a new array for each affine map, tanh and normalization."""
     h = x
-    last = len(enc.weights) - 1
-    for i, (w, b) in enumerate(zip(enc.weights, enc.biases)):
-        h = h @ w.T + b
+    last = len(enc.params) - 2
+    for i in range(0, last + 2, 2):
+        h = h @ enc.params[i].T + enc.params[i + 1]
         if i != last:
             h = np.tanh(h)
     norms = np.linalg.norm(h, axis=1)

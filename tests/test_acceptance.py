@@ -21,12 +21,13 @@ from oracles import (
     grad_mismatch,
     reconstruction_sq_dist,
     soften,
+    ssp_step,
     structure_similarity,
 )
 from sspq.cli import DEFAULTS, main
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.evaluation import evaluate, evaluate_pq
-from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, ssp_loss_and_grad
+from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN
 from sspq.quantizer import (
     adc_scores,
     encode_matrix,
@@ -171,9 +172,9 @@ def test_criterion_2_gradient_correctness():
 
         # Loss level: dLoss/d(query embedding).
         q = rng.normal(size=d)
-        _, (grad,) = ssp_loss_and_grad(cb, g[None], q[None], tau_g, tau_q, kind)
+        _, (grad,) = ssp_step(cb, g[None], q[None], tau_g, tau_q, kind)
         numeric = central_diff_grad(
-            lambda qq: ssp_loss_and_grad(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q, h=1e-5
+            lambda qq: ssp_step(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q, h=1e-5
         )
         worst_loss_level = max(worst_loss_level, grad_mismatch(grad, numeric))
 
@@ -181,16 +182,16 @@ def test_criterion_2_gradient_correctness():
         enc = encoder_init(5, [8], d, seed=config)
         x = rng.normal(size=(1, 5))
         y, cache = encoder_forward(enc, x)
-        _, grad_y = ssp_loss_and_grad(cb, g[None], y, tau_g, tau_q, kind)
+        _, grad_y = ssp_step(cb, g[None], y, tau_g, tau_q, kind)
         analytic = encoder_backward(enc, cache, grad_y)
-        for p_idx, p in enumerate(enc.parameters()):
+        for p_idx, p in enumerate(enc.params):
             flat = p.reshape(-1)
 
             def loss_at(vec, flat=flat):
                 old = flat.copy()
                 flat[:] = vec
                 yy, _ = encoder_forward(enc, x)
-                out = ssp_loss_and_grad(cb, g[None], yy, tau_g, tau_q, kind)[0][0]
+                out = ssp_step(cb, g[None], yy, tau_g, tau_q, kind)[0][0]
                 flat[:] = old
                 return out
 
@@ -216,7 +217,7 @@ def test_criterion_3_kmeans_matches_brute_force():
         d = int(rng.integers(1, 3))
         pts = rng.normal(size=(n, d))
         oracle = brute_force_kmeans_objective(pts, k)
-        best = min(kmeans_fit(pts[None], k, seed=s).objective[0] for s in range(5))
+        best = min(kmeans_fit(pts[None], k, seed=s).objective_history[0][-1] for s in range(5))
         worst = max(worst, abs(best - oracle))
     criterion(3, worst < 1e-9, f"12 instances, worst |best-of-5 - bruteforce| = {worst:.2e}")
 
@@ -257,8 +258,8 @@ def test_criterion_5_soft_hard_limit():
         if np.min(top[:, -1] - top[:, -2]) <= 0.01:
             continue
         checked += 1
-        soft = ssp_loss_and_grad(cb, g[None], q[None], 1e-6, 1.0)[0][0]
-        hard = ssp_loss_and_grad(cb, g[None], q[None], 0.0, 1.0)[0][0]
+        soft = ssp_step(cb, g[None], q[None], 1e-6, 1.0)[0][0]
+        hard = ssp_step(cb, g[None], q[None], 0.0, 1.0)[0][0]
         worst = max(worst, abs(soft - hard))
     one_hot_exact = True
     for _ in range(20):
@@ -299,7 +300,7 @@ def test_training_loss_halves_by_final_epoch(bench0, codebooks0, trained0, regre
     codebook = codebooks0[DEFAULTS["m"]]
     _, epoch_means = trained0[DEFAULTS["m"]]
     train = bench0.train_emb
-    losses, _ = ssp_loss_and_grad(codebook, train, train.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])
+    losses, _ = ssp_step(codebook, train, train.copy(), DEFAULTS["tau_g"], DEFAULTS["tau_q"])
     floor = float(np.mean(losses))
     assert epoch_means[-1] - floor < 0.5 * (epoch_means[0] - floor)
 

@@ -10,7 +10,7 @@ such a value, and a ``TrainConfig`` with one field of the wrong kind, together
 with the training run it configures. Each integer or real argument given a
 float, a bool, ``None``, a string or a value below its minimum must raise
 ``BadConfigError`` unless the value is valid, and so must a list of layer
-sizes, weights or biases replaced whole by a value that is not a list or tuple.
+sizes or parameters replaced whole by a value that is not a list or tuple.
 Real arguments and config fields also get fractions, and ints and fractions
 beyond float range.
 """
@@ -50,7 +50,7 @@ class Valid:
         self.hits = self.labels[:3, None] == self.labels[None]
         self.aps = np.array([0.5, 1.0])
         self.enc = sspq.encoder_init(6, [5], 8, seed=3)
-        self.weight = self.enc.weights[0]
+        self.weight = self.enc.params[0]
         self.cfg = sspq.TrainConfig(epochs=1, batch_size=4, seed=4)
         self.path = tmp / "x.emb"
 
@@ -64,8 +64,7 @@ def valid(tmp_path_factory) -> Valid:
 ARRAY_CASES = {
     "EmbeddingMatrix": ("x", lambda v, a: sspq.EmbeddingMatrix(a)),
     "export_embeddings": ("x", lambda v, a: sspq.export_embeddings(a, v.path)),
-    "QueryEncoder": ("weight", lambda v, a: sspq.QueryEncoder(
-        v.enc.layer_sizes, [a, *v.enc.weights[1:]], v.enc.biases)),
+    "QueryEncoder": ("weight", lambda v, a: sspq.QueryEncoder(v.enc.layer_sizes, [a, *v.enc.params[1:]])),
     "forward_matrix": ("raw", lambda v, a: sspq.forward_matrix(v.enc, a)),
     "oracle_encode": ("raw", lambda v, a: sspq.oracle_encode(v.oracle, a)),
     "EvalReport": ("aps", lambda v, a: sspq.EvalReport(a)),
@@ -93,7 +92,7 @@ SEED_CASES = {
     "train_product_codebook": lambda v, s: sspq.train_product_codebook(v.x, m=2, k=4, seed=s),
     "encoder_init": lambda v, s: sspq.encoder_init(6, [5], 8, seed=s),
     "make_oracle": lambda v, s: sspq.make_oracle(6, 8, seed=s),
-    "gen_mixture": lambda v, s: sspq.gen_mixture(3, 4, 6, 0.1, seed=s, anchor_count=8),
+    "gen_mixture": lambda v, s: sspq.gen_mixture(3, 4, 6, 0.1, s, 8, 4),
     "TrainConfig": lambda v, s: sspq.TrainConfig(seed=s),
 }
 
@@ -114,13 +113,12 @@ NUMBER_CASES = {
     "encoder_init-d_out": (1, lambda v, n: sspq.encoder_init(6, [5], n, seed=3)),
     "make_oracle-d_in": (1, lambda v, n: sspq.make_oracle(n, 8, seed=1)),
     "make_oracle-emb_dim": (1, lambda v, n: sspq.make_oracle(6, n, seed=1)),
-    "gen_mixture-num_classes": (2, lambda v, n: sspq.gen_mixture(n, 4, 6, 0.1, seed=0, anchor_count=8)),
-    "gen_mixture-per_class": (4, lambda v, n: sspq.gen_mixture(3, n, 6, 0.1, seed=0, anchor_count=8)),
-    "gen_mixture-d_in": (1, lambda v, n: sspq.gen_mixture(3, 4, n, 0.1, seed=0, anchor_count=8)),
-    "gen_mixture-cluster_std": (0.0, lambda v, n: sspq.gen_mixture(3, 4, 6, n, seed=0, anchor_count=8)),
-    "gen_mixture-anchor_count": (1, lambda v, n: sspq.gen_mixture(3, 4, 6, 0.1, seed=0, anchor_count=n)),
-    "gen_mixture-train_per_class": (1, lambda v, n: sspq.gen_mixture(
-        3, 4, 6, 0.1, seed=0, anchor_count=8, train_per_class=n)),
+    "gen_mixture-num_classes": (2, lambda v, n: sspq.gen_mixture(n, 4, 6, 0.1, 0, 8, 4)),
+    "gen_mixture-per_class": (4, lambda v, n: sspq.gen_mixture(3, n, 6, 0.1, 0, 8, 4)),
+    "gen_mixture-d_in": (1, lambda v, n: sspq.gen_mixture(3, 4, n, 0.1, 0, 8, 4)),
+    "gen_mixture-cluster_std": (0.0, lambda v, n: sspq.gen_mixture(3, 4, 6, n, 0, 8, 4)),
+    "gen_mixture-anchor_count": (1, lambda v, n: sspq.gen_mixture(3, 4, 6, 0.1, 0, n, 4)),
+    "gen_mixture-train_per_class": (1, lambda v, n: sspq.gen_mixture(3, 4, 6, 0.1, 0, 8, n)),
     "kmeans_fit-k": (1, lambda v, n: sspq.kmeans_fit(v.stack, n, seed=0)),
     "kmeans_fit-max_iters": (1, lambda v, n: sspq.kmeans_fit(v.stack, 3, seed=0, max_iters=n)),
     "train_product_codebook-m": (1, lambda v, n: sspq.train_product_codebook(v.x, m=n, k=4, seed=0)),
@@ -134,10 +132,9 @@ REAL_CASES = {"gen_mixture-cluster_std"}
 
 def accepts(case, value) -> bool:
     """Whether a drawn value is valid for the case's argument; no drawn int is."""
-    if case in REAL_CASES:
-        # The comparison is exact, so a NaN, an infinity and a number beyond float range fail it.
-        return type(value) in (int, float, Fraction) and NUMBER_CASES[case][0] <= value <= sys.float_info.max
-    return value is None and case == "gen_mixture-train_per_class"  # None means per_class
+    # The comparison is exact, so a NaN, an infinity and a number beyond float range fail it.
+    return (case in REAL_CASES and type(value) in (int, float, Fraction)
+            and NUMBER_CASES[case][0] <= value <= sys.float_info.max)
 
 
 @st.composite
@@ -217,7 +214,7 @@ def test_wrong_kind_number_fails_typed(valid, case, data):
 # case -> the call given a drawn value in place of its whole list of layer sizes
 SIZES_CASES = {
     "encoder_init-hidden": lambda v, s: sspq.encoder_init(6, s, 8, seed=3),
-    "QueryEncoder-layer_sizes": lambda v, s: sspq.QueryEncoder(s, v.enc.weights, v.enc.biases),
+    "QueryEncoder-layer_sizes": lambda v, s: sspq.QueryEncoder(s, v.enc.params),
 }
 
 
@@ -240,8 +237,7 @@ def test_wrong_kind_layer_sizes_fails_typed(valid, case, sizes):
 
 # case -> the call given a drawn value in place of its whole list of parameters
 PARAMS_CASES = {
-    "QueryEncoder-weights": lambda v, p: sspq.QueryEncoder(v.enc.layer_sizes, p, v.enc.biases),
-    "QueryEncoder-biases": lambda v, p: sspq.QueryEncoder(v.enc.layer_sizes, v.enc.weights, p),
+    "QueryEncoder-params": lambda v, p: sspq.QueryEncoder(v.enc.layer_sizes, p),
 }
 
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from sspq.embeddings import export_embeddings, import_embeddings, write_labels
 from sspq.encoder import load_checkpoint, save_checkpoint
 from sspq.errors import BadConfigError, FormatError
 from sspq.quantizer import ProductCodebook, codebook_load, codebook_save, encode_matrix
+from sspq.trainer import TrainConfig
 
 
 def tiny_config(tmp_path: Path) -> Path:
@@ -162,6 +164,19 @@ class TestGen:
         assert json.loads(err[0])["error"] == "BadConfigError"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("k", 2**32), ("k", 2**62), ("k", 2**400), ("hidden", [2**32]), ("hidden", [2**62]), ("hidden", [16, 10**400]),
+    ], ids=["k-2**32", "k-2**62", "k-2**400", "hidden-2**32", "hidden-2**62", "hidden-16-10**400"])
+    def test_width_no_array_can_hold_fails_before_writing(self, tmp_path, capsys, key, value):
+        # Above EMB_MAX_SIZE, so gen fails, not train-codebook's or train-query's allocation.
+        config = tiny_config(tmp_path)
+        config.write_text(json.dumps(json.loads(config.read_text()) | {key: value}))
+        assert main(["gen", "--config", str(config)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["error"] == "BadConfigError"
+        assert not (tmp_path / "run").exists()
+
     def test_overflowing_cluster_std_fails_before_writing(self, tmp_path, capsys):
         config = tiny_config(tmp_path)
         args = ["gen", "--config", str(config), "--cluster-std", "1e308", "--anchor-count", "64"]
@@ -193,7 +208,7 @@ class TestTrainCodebook:
         cb = codebook_load(run / "codebook.pqc")
         anchors = import_embeddings(run / "dataset" / "anchor_emb.emb")
         codes = encode_matrix(cb, anchors)
-        ds = cb.sub_dim
+        ds = cb.dim // cb.m
         cents = cb.stacked()
         for j in range(cb.m):
             diff = anchors[:, j * ds : (j + 1) * ds] - cents[j, codes[:, j]]
@@ -296,6 +311,29 @@ class TestManifest:
 
 
 class TestTrainQueryAndEval:
+    def test_train_config_defaults_are_the_run_the_cli_makes(self, tmp_path, monkeypatch):
+        # Tests build TrainConfig from its defaults, the acceptance fixtures
+        # among them, as the CLI's run: cmd_train_query passes lr as
+        # learning_rate, loss as loss_kind, sim as similarity_kind, and every
+        # other field but the seed under its own name.
+        config = tiny_config(tmp_path)
+        tiny = json.loads(config.read_text())
+        config.write_text(json.dumps({k: v for k, v in tiny.items() if k not in ("epochs", "batch_size")}))
+        for cmd in ("gen", "train-codebook"):
+            assert main([cmd, "--config", str(config)]) == 0
+
+        class Passed(Exception):
+            pass
+
+        def capture(enc, gallery, raw, codebook, cfg):
+            raise Passed(cfg)
+
+        monkeypatch.setattr(sspq.cli, "train_query_model", capture)
+        with pytest.raises(Passed) as passed:
+            main(["train-query", "--config", str(config)])
+        (cfg,) = passed.value.args
+        assert replace(cfg, seed=TrainConfig().seed) == TrainConfig()
+
     def test_full_pipeline_outputs(self, tmp_path):
         config = tiny_config(tmp_path)
         assert run_pipeline(config) == 0
@@ -502,8 +540,8 @@ class TestTrainQueryAndEval:
             assert main([cmd, "--config", str(config)]) == 0
         run = tmp_path / "run"
         model, extra = load_checkpoint(run / "checkpoint.sspq")
-        model.weights[-1][:] = 0.0
-        model.biases[-1][:] = 0.0
+        model.params[-2][:] = 0.0  # the output layer's weight and bias
+        model.params[-1][:] = 0.0
         save_checkpoint(model, run / "checkpoint.sspq", extra=extra)
         assert main(["eval", "--pq", "--config", str(config)]) == 0
         assert main(["pq-bench", "--config", str(config)]) == 0

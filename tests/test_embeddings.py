@@ -276,7 +276,7 @@ class TestLabelSidecar:
         path = tmp_path / "bad.csv"
         path.write_text("idx,label\n0,1\n")
         with pytest.raises(FormatError):
-            read_labels(path)
+            read_labels(path, expected_rows=1)
 
     def test_row_count_check(self, tmp_path):
         path = tmp_path / "short.csv"
@@ -305,4 +305,4 @@ class TestLabelSidecar:
         path = tmp_path / "bad.csv"
         path.write_bytes(blob)
         with pytest.raises(FormatError):
-            read_labels(path)
+            read_labels(path, expected_rows=blob.count(b"\n") - 1)  # the count fits; the row does not

@@ -29,20 +29,20 @@ class TestEncoderInit:
     def test_deterministic(self):
         a = encoder_init(8, [16], 8, seed=4)
         b = encoder_init(8, [16], 8, seed=4)
-        for pa, pb in zip(a.parameters(), b.parameters()):
+        for pa, pb in zip(a.params, b.params):
             assert pa.tobytes() == pb.tobytes()
 
     def test_no_hidden_identity_activation_is_linear(self, rng):
         enc = encoder_init(5, [], 5, seed=1)
-        assert len(enc.weights) == 1
+        assert len(enc.params) == 2
         x = rng.normal(size=5)
         (y,), _ = encoder_forward(enc, x[None])
-        (expected,), _ = normalize_rows((enc.weights[0] @ x)[None])
+        (expected,), _ = normalize_rows((enc.params[0] @ x)[None])
         np.testing.assert_allclose(y, expected, atol=1e-12)
 
     def test_parameter_count(self):
         enc = encoder_init(8, [16], 8, seed=0)
-        assert sum(p.size for p in enc.parameters()) == 8 * 16 + 16 + 16 * 8 + 8
+        assert sum(p.size for p in enc.params) == 8 * 16 + 16 + 16 * 8 + 8
 
     def test_bad_dimension(self):
         with pytest.raises(BadConfigError):
@@ -60,7 +60,7 @@ class TestEncoderInit:
 
 class TestEncoderForward:
     def test_identity_weights_normalize_input(self, rng):
-        enc = QueryEncoder([4, 4], [np.eye(4)], [np.zeros(4)])
+        enc = QueryEncoder([4, 4], [np.eye(4), np.zeros(4)])
         x = rng.normal(size=4)
         (y,), cache = encoder_forward(enc, x[None])
         (expected,), _ = normalize_rows(x[None])
@@ -68,7 +68,7 @@ class TestEncoderForward:
         assert not cache["degenerate"][0]
 
     def test_zero_encoder_degenerate(self):
-        enc = QueryEncoder([3, 3], [np.zeros((3, 3))], [np.zeros(3)])
+        enc = QueryEncoder([3, 3], [np.zeros((3, 3)), np.zeros(3)])
         (y,), cache = encoder_forward(enc, np.ones((1, 3)))
         np.testing.assert_array_equal(y, np.zeros(3))
         assert cache["degenerate"][0]
@@ -84,42 +84,50 @@ class TestEncoderForward:
         # so only the count is wrong.
         shapes = [(5, 4), (3, 5), (2, 3)][:layers]
         with pytest.raises(ShapeMismatchError):
-            QueryEncoder([4, 5, 3], [np.zeros(s) for s in shapes], [np.zeros(s[0]) for s in shapes])
+            QueryEncoder([4, 5, 3], [p for s in shapes for p in (np.zeros(s), np.zeros(s[0]))])
+
+    @pytest.mark.parametrize("sizes", [[2, 3], [2, 3, 3]], ids=["one-layer", "two-layers"])
+    def test_a_bias_before_its_weight_raises(self, sizes):
+        # The same arrays in W, b order make a valid encoder.
+        params = [np.zeros((3, 2)), np.zeros(3)] + [np.zeros((3, 3)), np.zeros(3)] * (len(sizes) - 2)
+        QueryEncoder(sizes, params)
+        params[-2], params[-1] = params[-1], params[-2]
+        with pytest.raises(ShapeMismatchError):
+            QueryEncoder(sizes, params)
 
     @pytest.mark.parametrize("size", [2.0, True, 0], ids=["integral-float", "bool", "zero"])
     def test_layer_size_must_be_an_int_at_least_one(self, size):
         # Shape checks alone compare 2.0 == 2, so a float size passed them
         # and save_checkpoint wrote a header that load_checkpoint rejects.
         with pytest.raises(BadConfigError):
-            QueryEncoder([size, 3], [np.zeros((3, 2))], [np.zeros(3)])
+            QueryEncoder([size, 3], [np.zeros((3, 2)), np.zeros(3)])
 
     @pytest.mark.parametrize("sizes", [[5], []], ids=["one-size", "no-size"])
     def test_fewer_than_two_layer_sizes_raise_as_load_checkpoint_does(self, sizes):
         # Such an encoder has no layer; save_checkpoint wrote it and
         # load_checkpoint rejected the file with FormatError.
         with pytest.raises(BadConfigError):
-            QueryEncoder(sizes, [], [])
+            QueryEncoder(sizes, [])
 
-    @pytest.mark.parametrize("weights, biases", [
-        (None, None),
-        ([np.ones((3, 2))], None),
-        (np.ones((1, 3, 2)), [np.zeros(3)]),
-        ("ab", [np.zeros(3)]),
-        ([np.ones((3, 2))], [["x", "y", "z"]]),
-        ([[[1.0, 2.0], [3.0]]], [np.zeros(3)]),
-    ], ids=["none", "biases-none", "array-not-list", "string", "string-entries", "ragged-entry"])
-    def test_parameter_lists_must_be_lists_of_real_arrays(self, weights, biases):
+    @pytest.mark.parametrize("params", [
+        None,
+        np.ones((1, 3, 2)),
+        "ab",
+        [np.ones((3, 2)), ["x", "y", "z"]],
+        [[[1.0, 2.0], [3.0]], np.zeros(3)],
+    ], ids=["none", "array-not-list", "string", "string-entries", "ragged-entry"])
+    def test_parameter_list_must_be_a_list_of_real_arrays(self, params):
         with pytest.raises(BadConfigError):
-            QueryEncoder([2, 3], weights, biases)
+            QueryEncoder([2, 3], params)
 
-    def test_parameter_tuples_are_accepted(self):
-        enc = QueryEncoder((2, 3), (np.ones((3, 2)),), (np.zeros(3),))
-        assert [w.shape for w in enc.weights] == [(3, 2)] and [b.shape for b in enc.biases] == [(3,)]
+    def test_parameter_tuple_is_accepted(self):
+        enc = QueryEncoder((2, 3), (np.ones((3, 2)), np.zeros(3)))
+        assert [p.shape for p in enc.params] == [(3, 2), (3,)]
 
     def test_numpy_integer_layer_sizes_round_trip(self, tmp_path):
-        enc = QueryEncoder([np.int64(2), np.uint8(3)], [np.ones((3, 2))], [np.zeros(3)])
+        enc = QueryEncoder([np.int64(2), np.uint8(3)], [np.ones((3, 2)), np.zeros(3)])
         assert [type(s) for s in enc.layer_sizes] == [int, int]
-        save_checkpoint(enc, tmp_path / "enc.sspq")
+        save_checkpoint(enc, tmp_path / "enc.sspq", {})
         assert load_checkpoint(tmp_path / "enc.sspq")[0].layer_sizes == [2, 3]
 
     def test_forward_matrix_agrees_rowwise(self, rng):
@@ -183,7 +191,7 @@ class TestEncoderBackward:
         # grad_mismatch's 1e-8 floor, and finite-difference noise fails it.
         assert min(np.abs(g).max() for g in analytic) >= 1e-3
 
-        params = enc.parameters()
+        params = enc.params
         for p_idx, p in enumerate(params):
             flat = p.reshape(-1)
 
@@ -209,7 +217,7 @@ class TestCheckpointFormat:
         blob = path.read_bytes()
         (header_len,) = struct.unpack("<I", blob[4:8])
         assert json.loads(blob[8 : 8 + header_len])["activation"] == "tanh"
-        for pa, pb in zip(enc.parameters(), back.parameters()):
+        for pa, pb in zip(enc.params, back.params):
             assert pa.tobytes() == pb.tobytes()
 
     def test_bad_magic(self, tmp_path):
@@ -221,7 +229,7 @@ class TestCheckpointFormat:
     def test_truncated_blocks(self, tmp_path):
         enc = encoder_init(4, [], 4, seed=0)
         path = tmp_path / "t.sspq"
-        save_checkpoint(enc, path)
+        save_checkpoint(enc, path, {})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FormatError):
             load_checkpoint(path)
@@ -229,17 +237,17 @@ class TestCheckpointFormat:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_save_non_finite_parameter_raises(self, tmp_path, bad):
         enc = encoder_init(4, [3], 4, seed=0)
-        enc.biases[-1][-1] = bad
+        enc.params[-1][-1] = bad
         path = tmp_path / "nan.sspq"
         with pytest.raises(NonFiniteInputError):
-            save_checkpoint(enc, path)
+            save_checkpoint(enc, path, {})
         assert not path.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_raises(self, tmp_path, bad):
         enc = encoder_init(4, [3], 4, seed=0)
         path = tmp_path / "nan.sspq"
-        save_checkpoint(enc, path)
+        save_checkpoint(enc, path, {})
         blob = bytearray(path.read_bytes())
         blob[-8:] = struct.pack("<d", bad)  # last bias of the output layer
         path.write_bytes(bytes(blob))
@@ -272,7 +280,7 @@ class TestCheckpointFormat:
         # A relu checkpoint from an older build would run wrong as tanh.
         enc = encoder_init(4, [], 4, seed=0)
         path = tmp_path / "relu.sspq"
-        save_checkpoint(enc, path)
+        save_checkpoint(enc, path, {})
         path.write_bytes(path.read_bytes().replace(b'"tanh"', b'"relu"'))
         with pytest.raises(FormatError):
             load_checkpoint(path)

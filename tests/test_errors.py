@@ -95,6 +95,19 @@ def test_check_real_rejects_everything_else(value, positive):
 
 
 @pytest.mark.parametrize(
+    ("check", "value", "shown"),
+    [(lambda v: errors.check_int("seed", v, 0), -(10**5000), "a negative int of 16610 bits"),
+     (lambda v: errors.check_real("tau_g", v, True), 10**5000, "an int of 16610 bits"),
+     (lambda v: errors.check_real("tau_g", v, True), Fraction(10**5000, 3), "a Fraction too long to print")],
+    ids=["check_int", "check_real", "check_real-fraction"],
+)
+def test_an_int_too_long_to_print_is_named_by_its_bit_length(check, value, shown):
+    # Python refuses to turn an int of over 4,300 digits into a string.
+    with pytest.raises(errors.BadConfigError, match=f"got {shown}$"):
+        check(value)
+
+
+@pytest.mark.parametrize(
     "values",
     [np.full((3, 4), 1e308), np.array([[1.7e308, 1.7e308], [-1.7e308, 0.0]]), np.asfortranarray(np.full((2, 3), -1e308)),
      np.zeros((2, 0)), np.array([0.0, -0.0, 5e-324])],

@@ -192,7 +192,7 @@ class TestUnitRowsCache:
             "anchor_count": 8, "train_per_class": 2, "emb_dim": 12,
         })
         cmd_gen(cfg)
-        save_checkpoint(make_oracle(8, 12, seed=1), tmp_path / "run" / "checkpoint.sspq")
+        save_checkpoint(make_oracle(8, 12, seed=1), tmp_path / "run" / "checkpoint.sspq", {})
         calls = []
 
         def counting(x, out=None):
@@ -388,7 +388,7 @@ class TestEvalReport:
 
 class TestEvaluate:
     def test_zero_std_symmetric_map_is_one(self):
-        ds = gen_mixture(6, 5, 8, 0.0, seed=1, anchor_count=8)
+        ds = gen_mixture(6, 5, 8, 0.0, seed=1, anchor_count=8, train_per_class=5)
         oracle = make_oracle(8, 12, seed=2)
         q = oracle_encode(oracle, ds["query"][0])
         g = oracle_encode(oracle, ds["gallery"][0])
@@ -417,7 +417,7 @@ class TestEvaluate:
         })
         cmd_gen(cfg)
         oracle = make_oracle(cfg["d_in"], cfg["emb_dim"], seed=cfg["seed"] + SEED_ORACLE)
-        save_checkpoint(oracle, tmp_path / "run" / "checkpoint.sspq")
+        save_checkpoint(oracle, tmp_path / "run" / "checkpoint.sspq", {})
         cmd_eval(cfg)
         sym, asym = (
             json.loads((tmp_path / "run" / f"eval_{mode}.json").read_text())
@@ -481,7 +481,7 @@ class TestEvaluatePq:
     def test_lossless_quantization_matches_exact(self):
         # d* = 1 with K >= number of gallery rows: every scalar value is its
         # own centroid, so ADC ranking equals the exact ranking.
-        ds = gen_mixture(4, 4, 6, 0.1, seed=5, anchor_count=8)
+        ds = gen_mixture(4, 4, 6, 0.1, seed=5, anchor_count=8, train_per_class=4)
         oracle = make_oracle(6, 8, seed=6)
         g = oracle_encode(oracle, ds["gallery"][0])
         q = oracle_encode(oracle, ds["query"][0])
@@ -502,7 +502,7 @@ class TestEvaluatePq:
         assert report.map_score == 1.0
 
     def test_finer_codebooks_do_not_hurt(self):
-        ds = gen_mixture(8, 6, 16, 0.1, seed=8, anchor_count=512)
+        ds = gen_mixture(8, 6, 16, 0.1, seed=8, anchor_count=512, train_per_class=6)
         oracle = make_oracle(16, 16, seed=9)
         anchors = oracle_encode(oracle, ds["anchor"][0])
         g = oracle_encode(oracle, ds["gallery"][0])

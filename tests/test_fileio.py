@@ -83,11 +83,11 @@ class TestLayouts:
         header = json.dumps(
             {"activation": "tanh", "extra": {"epochs": 2}, "layer_sizes": [4, 3, 2]}, sort_keys=True
         ).encode()
-        params = b"".join(p.astype("<f8").tobytes() for p in enc.parameters())
+        params = b"".join(p.astype("<f8").tobytes() for p in enc.params)
         assert path.read_bytes() == b"SSPQ" + struct.pack("<I", len(header)) + header + params
         back, extra = load_checkpoint(path)
         assert extra == {"epochs": 2} and back.layer_sizes == [4, 3, 2]
-        assert [p.tobytes() for p in back.parameters()] == [p.tobytes() for p in enc.parameters()]
+        assert [p.tobytes() for p in back.params] == [p.tobytes() for p in enc.params]
 
 
 def test_only_fileio_parses_bytes():

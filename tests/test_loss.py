@@ -12,6 +12,7 @@ from oracles import (
     neg_euclid_sim,
     soften,
     split_subvectors,
+    ssp_step,
     structure_similarity,
 )
 from sspq.errors import (
@@ -161,7 +162,7 @@ class TestSspLossAndGrad:
     def test_matched_distributions_zero_grad(self, rng):
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=3)
         g = rng.normal(size=6)
-        (loss,), (grad,) = ssp_loss_and_grad(cb, g[None], g[None].copy(), tau_g=0.7, tau_q=0.7)
+        (loss,), (grad,) = ssp_step(cb, g[None], g[None].copy(), tau_g=0.7, tau_q=0.7)
         assert loss == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
@@ -177,9 +178,9 @@ class TestSspLossAndGrad:
             q = rng.normal(size=m * ds)
             tau_g = float(rng.uniform(0.05, 1.0))
             tau_q = float(rng.uniform(0.5, 2.0))
-            _, (grad,) = ssp_loss_and_grad(cb, g[None], q[None], tau_g, tau_q, kind)
+            _, (grad,) = ssp_step(cb, g[None], q[None], tau_g, tau_q, kind)
             numeric = central_diff_grad(
-                lambda qq: ssp_loss_and_grad(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q
+                lambda qq: ssp_step(cb, g[None], qq[None], tau_g, tau_q, kind)[0][0], q
             )
             assert grad_mismatch(grad, numeric) < 1e-5
 
@@ -194,8 +195,8 @@ class TestSspLossAndGrad:
             if np.min(top[:, -1] - top[:, -2]) <= 0.01:
                 continue  # needs a clear per-row argmax margin
             checked += 1
-            soft = ssp_loss_and_grad(cb, g[None], q[None], 1e-6, 1.0)[0][0]
-            hard = ssp_loss_and_grad(cb, g[None], q[None], 0.0, 1.0)[0][0]
+            soft = ssp_step(cb, g[None], q[None], 1e-6, 1.0)[0][0]
+            hard = ssp_step(cb, g[None], q[None], 0.0, 1.0)[0][0]
             assert abs(soft - hard) < 1e-3
         assert checked >= 5
 
@@ -205,11 +206,11 @@ class TestSspLossAndGrad:
         for _ in range(20):
             g = rng.normal(size=6)
             q = rng.normal(size=6)
-            (loss,), (grad,) = ssp_loss_and_grad(cb, g[None], q[None], 0.1, 1.0)
+            (loss,), (grad,) = ssp_step(cb, g[None], q[None], 0.1, 1.0)
             if np.linalg.norm(grad) <= 1e-6:
                 continue
             moved += 1
-            (after,), _ = ssp_loss_and_grad(cb, g[None], (q - 1e-3 * grad)[None], 0.1, 1.0)
+            (after,), _ = ssp_step(cb, g[None], (q - 1e-3 * grad)[None], 0.1, 1.0)
             assert after < loss
         assert moved >= 10
 
@@ -220,14 +221,14 @@ class TestSspLossAndGrad:
         g, q = rng.normal(size=(3, 6)), rng.normal(size=(3, 6))
         for tau_q in (1e-300, 1e-310):
             with pytest.raises(ZeroTargetProbabilityError):
-                ssp_loss_and_grad(cb, g, q, 0.1, tau_q)
+                ssp_step(cb, g, q, 0.1, tau_q)
 
     def test_tiny_taus_with_matching_supports_stay_finite(self, rng):
         # Both sides one-hot on the same centroid: 0 * ln(0/0) terms are 0.
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
         q = rng.normal(size=(3, 6))
         for tau in (1e-300, 1e-310):
-            losses, grad = ssp_loss_and_grad(cb, q, q.copy(), tau, tau)
+            losses, grad = ssp_step(cb, q, q.copy(), tau, tau)
             np.testing.assert_array_equal(losses, 0.0)
             np.testing.assert_array_equal(grad, 0.0)
 
@@ -239,7 +240,7 @@ def reference_step(cb, g, q, tau_g, tau_q, kind):
     p_g, p_q = soften(s_g, tau_g), soften(s_q, tau_q)
     losses = kl_loss(p_g, p_q).sum(axis=1)
     w = (p_q - p_g) / tau_q
-    u = q.reshape(q.shape[0], cb.m, cb.sub_dim)
+    u = q.reshape(q.shape[0], cb.m, -1)
     cents = cb.stacked()
     if kind == SIM_COSINE:
         c_norms = np.linalg.norm(cents, axis=2)
@@ -273,7 +274,7 @@ class TestLogSpaceStep:
             ref_losses, ref_grad = reference_step(cb, g, q, tau_g, 1.0, kind)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
-            fresh = ssp_loss_and_grad(cb, g, q, tau_g, 1.0, kind)
+            fresh = ssp_step(cb, g, q, tau_g, 1.0, kind)
             np.testing.assert_array_equal(losses, fresh[0])
             np.testing.assert_array_equal(grad, fresh[1])
 

@@ -59,14 +59,14 @@ class TestKMeansFit:
         pts = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
         result = kmeans_fit(pts[None], 2, seed=0)
         oracle = brute_force_kmeans_objective(pts, 2)
-        assert result.objective[0] == pytest.approx(oracle, abs=1e-12)
-        assert result.objective[0] == pytest.approx(1.0)
+        assert result.objective_history[0][-1] == pytest.approx(oracle, abs=1e-12)
+        assert result.objective_history[0][-1] == pytest.approx(1.0)
         assert sorted(result.centroids[0].tolist()) == [[0.0, 0.5], [10.0, 0.5]]
 
     def test_k_equals_n_zero_objective(self, rng):
         pts = rng.normal(size=(5, 3))
         result = kmeans_fit(pts[None], 5, seed=1)
-        assert result.objective[0] == pytest.approx(0.0, abs=1e-18)
+        assert result.objective_history[0][-1] == pytest.approx(0.0, abs=1e-18)
         assert sorted(result.assignments[0].tolist()) == [0, 1, 2, 3, 4]
 
     def test_k_one_is_mean(self, rng):
@@ -93,8 +93,7 @@ class TestKMeansFit:
             result = kmeans_fit(pts[None], 5, seed=trial)
             hist = result.objective_history[0]
             assert all(a >= b - 1e-12 for a, b in zip(hist, hist[1:]))
-            assert result.objective[0] == hist[-1]
-            assert result.objective[0] >= 0.0
+            assert hist[-1] >= 0.0
 
     def test_brute_force_small_instances(self):
         # Best-of-5 restarts reach the enumerated global optimum.
@@ -104,7 +103,7 @@ class TestKMeansFit:
             k = int(rng.integers(2, 4))
             d = int(rng.integers(1, 3))
             pts = rng.normal(size=(n, d))
-            best = min(kmeans_fit(pts[None], k, seed=s).objective[0] for s in range(5))
+            best = min(kmeans_fit(pts[None], k, seed=s).objective_history[0][-1] for s in range(5))
             assert best == pytest.approx(brute_force_kmeans_objective(pts, k), abs=1e-9)
 
     def test_deterministic(self, rng):
@@ -122,7 +121,7 @@ class TestKMeansFit:
         for seed in range(3):
             result = kmeans_fit(pts[None], 4, seed=seed)
             assert set(result.assignments[0].tolist()) == {0, 1, 2, 3}
-            assert result.objective[0] == 0.0
+            assert result.objective_history[0][-1] == 0.0
 
     @pytest.mark.parametrize("max_iters", [1, 50])
     def test_repair_fills_every_empty_cluster_when_points_lie_on_centroids(self, max_iters):
@@ -147,8 +146,8 @@ class TestKMeansFit:
         # most points and Lloyd settles on a worse objective.
         rng = np.random.default_rng(0)
         x = np.concatenate([rng.normal(scale=0.1, size=(200, 4)), rng.normal(scale=0.1, size=(200, 4)) + 1.0])
-        at_origin = kmeans_fit(x[None], 8, seed=0).objective[0]
-        assert kmeans_fit(x[None] + offset, 8, seed=0).objective[0] == pytest.approx(at_origin, rel=1e-6)
+        at_origin = kmeans_fit(x[None], 8, seed=0).objective_history[0][-1]
+        assert kmeans_fit(x[None] + offset, 8, seed=0).objective_history[0][-1] == pytest.approx(at_origin, rel=1e-6)
 
     @pytest.mark.parametrize(
         "fn",
@@ -251,7 +250,6 @@ class TestStackedKMeans:
             assert stacked.centroids[j].tobytes() == flat.centroids[0].tobytes()
             np.testing.assert_array_equal(stacked.assignments[j], flat.assignments[0])
             assert stacked.objective_history[j] == flat.objective_history[0]
-            assert stacked.objective[j] == flat.objective[0]
             assert len(stacked.objective_history[j]) == flat.iterations_run
         assert type(stacked.iterations_run) is int
         assert stacked.iterations_run == sum(flat.iterations_run for flat in flats)
@@ -295,7 +293,7 @@ class TestStackedKMeans:
 class TestProductCodebook:
     def test_shape_gives_sizes_and_values_round_to_float32(self):
         cb = ProductCodebook(np.full((3, 4, 2), 0.1))
-        assert (cb.m, cb.k, cb.sub_dim, cb.dim) == (3, 4, 2, 6)
+        assert (cb.m, cb.k, cb.stacked().shape[2], cb.dim) == (3, 4, 2, 6)
         assert cb.stacked().dtype == np.float64
         np.testing.assert_array_equal(cb.stacked(), np.float32(0.1))
         assert not cb.stacked().flags.writeable
@@ -325,9 +323,10 @@ class TestTrainProductCodebook:
             cb = train_product_codebook(rng.normal(size=(4, 32)), m=32, k=256, seed=0)
         assert cb.k**cb.m == 256**32
 
-    def test_indivisible_dimension(self, rng):
+    @pytest.mark.parametrize("m", [2, 10**5000], ids=["2", "too-long-to-print"])
+    def test_indivisible_dimension(self, rng, m):
         with pytest.raises(IndivisibleDimensionError):
-            train_product_codebook(rng.normal(size=(6, 5)), m=2, k=2, seed=0)
+            train_product_codebook(rng.normal(size=(6, 5)), m=m, k=2, seed=0)
 
     def test_m1_degenerates_to_flat_kmeans(self, rng):
         feats = rng.normal(size=(15, 3))
@@ -755,6 +754,16 @@ class TestPqMemoryBytes:
     def test_non_power_of_two_raises(self):
         with pytest.raises(NonPowerOfTwoKError):
             memory_report(10, 4, 100)
+
+    @pytest.mark.parametrize("n", [10**400, 10**5000], ids=["1e400", "1e5000"])
+    def test_byte_count_beyond_float_range_raises(self, n):
+        with pytest.raises(BadConfigError, match="overflow"):
+            memory_report(n, 2, 4)
+
+    def test_a_k_too_long_to_print_fails_typed(self):
+        # Python refuses to print an int of over 4,300 digits.
+        with pytest.raises(NonPowerOfTwoKError, match="got an int of 16610 bits$"):
+            memory_report(12, 2, 10**5000 + 1)
 
 
 class TestCodebookFile:

@@ -25,7 +25,7 @@ class TestGenMixture:
         assert ds["anchor"][0].shape == (50, 8)
 
     def test_zero_std_gives_perfect_symmetric_map(self):
-        ds = gen_mixture(5, 4, 6, 0.0, seed=1, anchor_count=10)
+        ds = gen_mixture(5, 4, 6, 0.0, seed=1, anchor_count=10, train_per_class=4)
         oracle = make_oracle(6, 8, seed=2)
         q = oracle_encode(oracle, ds["query"][0])
         g = oracle_encode(oracle, ds["gallery"][0])
@@ -33,8 +33,8 @@ class TestGenMixture:
         assert report.map_score == pytest.approx(1.0)
 
     def test_deterministic(self):
-        a = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16)
-        b = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16)
+        a = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16, train_per_class=5)
+        b = gen_mixture(4, 5, 7, 0.2, seed=3, anchor_count=16, train_per_class=5)
         assert list(a) == list(b) == list(SPLITS)
         for split in SPLITS:
             assert a[split][0].tobytes() == b[split][0].tobytes()
@@ -67,38 +67,38 @@ class TestGenMixture:
         assert counts["anchor"] == 20
 
     def test_one_query_per_class(self):
-        ds = gen_mixture(6, 4, 5, 0.1, seed=5, anchor_count=8)
+        ds = gen_mixture(6, 4, 5, 0.1, seed=5, anchor_count=8, train_per_class=4)
         labels = ds["query"][1]
         assert sorted(labels.tolist()) == list(range(6))
 
     def test_bad_config(self):
         with pytest.raises(BadConfigError):
-            gen_mixture(1, 10, 4, 0.1, seed=0)
+            gen_mixture(1, 10, 4, 0.1, 0, 4096, 10)
         with pytest.raises(BadConfigError):
-            gen_mixture(4, 1, 4, 0.1, seed=0)
+            gen_mixture(4, 1, 4, 0.1, 0, 4096, 1)
 
     def test_negative_seed_raises(self):
         with pytest.raises(BadConfigError):
-            gen_mixture(4, 5, 4, 0.1, seed=-1)
+            gen_mixture(4, 5, 4, 0.1, -1, 4096, 5)
 
     def test_cluster_std_that_overflows_a_row_raises(self):
         # Finite, but normal draws times 1e308 overflow float64; no warning escapes.
         with pytest.raises(BadConfigError, match="cluster_std"):
-            gen_mixture(3, 4, 6, 1e308, seed=0, anchor_count=8)
+            gen_mixture(3, 4, 6, 1e308, seed=0, anchor_count=8, train_per_class=4)
 
     @pytest.mark.parametrize("seed", [1.5, True], ids=["float", "bool"])
     def test_non_int_seed_raises(self, seed):
         with pytest.raises(BadConfigError):
-            gen_mixture(4, 5, 4, 0.1, seed=seed)
+            gen_mixture(4, 5, 4, 0.1, seed, 4096, 5)
 
     def test_fraction_cluster_std_draws_the_bytes_of_its_float(self):
-        as_fraction = gen_mixture(4, 4, 3, Fraction(1, 10), 0)
-        as_float = gen_mixture(4, 4, 3, 0.1, 0)
+        as_fraction = gen_mixture(4, 4, 3, Fraction(1, 10), 0, 4096, 4)
+        as_float = gen_mixture(4, 4, 3, 0.1, 0, 4096, 4)
         for split in SPLITS:
             assert as_fraction[split][0].tobytes() == as_float[split][0].tobytes(), split
 
     def test_class_means_on_unit_sphere(self):
-        ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8)
+        ds = gen_mixture(8, 4, 16, 0.0, seed=6, anchor_count=8, train_per_class=4)
         for c in range(8):
             member = ds["gallery"][0][ds["gallery"][1] == c][0]
             assert np.linalg.norm(member) == pytest.approx(1.0, abs=1e-9)
@@ -123,13 +123,13 @@ class TestGalleryOracle:
         oracle_encode(oracle, np.random.default_rng(0).normal(size=(10, 4)))
         assert _params_sha256(oracle) == before
         with pytest.raises(ValueError):
-            oracle.weights[0][0, 0] = 1.0
-        for p in oracle.parameters():
+            oracle.params[0][0, 0] = 1.0
+        for p in oracle.params:
             with pytest.raises(ValueError):
                 p.flat[0] = 1.0
 
     def test_same_class_more_similar_than_cross_class(self):
-        ds = gen_mixture(12, 6, 16, 0.05, seed=10, anchor_count=8)
+        ds = gen_mixture(12, 6, 16, 0.05, seed=10, anchor_count=8, train_per_class=6)
         oracle = make_oracle(16, 24, seed=11)
         emb = oracle_encode(oracle, ds["gallery"][0])
         labels = ds["gallery"][1]

