@@ -65,9 +65,12 @@ class QueryEncoder:
         if not isinstance(params, (list, tuple)):
             raise BadConfigError(f"params must be a list or tuple of arrays, got {shown(params)}")
         try:
-            self.params = [np.asarray(p, dtype=np.float64) for p in params]
+            arrays = [np.asarray(p) for p in params]
         except (TypeError, ValueError) as exc:
             raise BadConfigError(f"params must hold real arrays: {exc}") from exc
+        if kinds := [str(a.dtype) for a in arrays if a.dtype.kind not in "biuf"]:
+            raise BadConfigError(f"params must hold real arrays, got dtype {kinds[0]}")
+        self.params = [np.asarray(a, dtype=np.float64) for a in arrays]
         if [p.shape for p in self.params] != _param_shapes(self.layer_sizes):
             raise ShapeMismatchError(f"parameter shapes {[p.shape for p in self.params]} do not fit {self.layer_sizes}")
 

@@ -4,12 +4,15 @@ Every function works on a batch. Each row of a (B, d) batch of embeddings
 is split into M subvectors and compared subspace-by-subspace against the
 codebook centroids, giving (B, M, K) structure similarities; internally
 they are computed subspace-major, (M, B, K), the layout of the per-subspace
-matmul. The frozen gallery side and the trainable query side are softened
-in log space into distributions over K and matched with a per-subspace KL
-divergence. Analytic gradients with respect to the query embeddings are
-exact through the softmax and the chosen similarity kernel. A single
-embedding is a batch of one. The two per-step losses do not check their
-arguments: ``TrainConfig`` and ``train_query_model`` check them once per run.
+matmul. Both sides are softened in log space into distributions over K
+and matched with a per-subspace KL divergence. The gallery side is frozen,
+so ``gallery_targets`` scores it once per training run for every training
+row, and each step reads its batch's rows of those targets and softens only
+the trainable query side. Analytic gradients with respect to the query
+embeddings are exact through the softmax and the chosen similarity kernel.
+A single embedding is a batch of one. The per-run targets and the two
+per-step losses do not check their arguments: ``TrainConfig`` and
+``train_query_model`` check them once per run.
 """
 
 from __future__ import annotations
@@ -26,13 +29,20 @@ SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
 
 def ssp_workspace(m: int, k: int, rows: int) -> np.ndarray:
-    """The (6, m, rows, k) float64 work arrays of ``ssp_loss_and_grad`` for batches of up to ``rows``.
+    """The (5, m, rows, k) float64 work arrays of ``ssp_loss_and_grad`` for batches of up to ``rows``.
 
-    A training run allocates one for its largest batch and passes it to every
-    step, so a step allocates nothing of (M, B, K) size. A smaller batch of b
-    rows uses ``[:, :, :b]``, whose (b, K) blocks stay C-contiguous.
+    A training run allocates one for its largest batch and passes it to
+    ``gallery_targets`` and to every step, so a step allocates nothing of
+    (M, B, K) size. ``_batch_slots`` gives a batch of b rows five
+    C-contiguous (m, b, k) arrays from the front of each slot.
     """
-    return np.empty((6, m, rows, k))
+    return np.empty((5, m, rows, k))
+
+
+def _batch_slots(workspace: np.ndarray, b: int) -> np.ndarray:
+    """The (5, m, b, k) view of ``workspace`` whose five (m, b, k) arrays are each C-contiguous."""
+    _, m, _, k = workspace.shape
+    return workspace.reshape(5, -1)[:, : m * b * k].reshape(5, m, b, k)
 
 
 def _similarity(
@@ -122,24 +132,64 @@ def _grad_through_similarity(
     return np.matmul(w, cents) - w.sum(axis=2)[:, :, None] * u
 
 
+def gallery_targets(
+    codebook: ProductCodebook, g: np.ndarray, tau_g: float, kind: str, workspace: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The frozen gallery side of the SSP loss for every row of (n, d) float64 embeddings ``g``.
+
+    The gallery similarities are softened at ``tau_g`` (0 is hard
+    assignment) in blocks of the rows of ``workspace``, from
+    ``ssp_workspace``, so nothing of (M, n, K) size is allocated but ``p_g``.
+    A row's values do not depend on the other rows of its block, as long
+    as the block has two or more rows.
+
+    Returns:
+        (p_g, lse_g, h_g): the (M, n, K) target distributions, their (M, n)
+        log-sum-exps, and the (M, n) sums over k of p_g times the shifted
+        logits, with 0 * log 0 := 0; log p_g = logits - lse_g.
+    """
+    m, n, k = codebook.m, g.shape[0], codebook.k
+    p_g, lse_g, h_g = np.empty((m, n, k)), np.empty((m, n)), np.empty((m, n))
+    b = min(workspace.shape[2], n)
+    t, aux = _batch_slots(workspace, b)[:2]
+    # A tiny temperature may overflow the logits to -inf, and 0 * -inf is NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, b):
+            # The last block ends at row n, so no row is scored alone: a
+            # one-row cosine matmul is a matrix-vector product, which rounds
+            # differently.
+            start = min(start, n - b)
+            block = slice(start, start + b)
+            p, h = p_g[:, block], h_g[:, block]
+            _similarity(codebook, subvectors(g[block], m), kind, t, aux)
+            lse_g[:, block] = _soften_into(t, tau_g, t, p)
+            np.einsum("mbk,mbk->mb", p, t, out=h)
+            if not np.isfinite(h).all():
+                np.copyto(t, 0.0, where=p == 0.0)
+                np.einsum("mbk,mbk->mb", p, t, out=h)
+    return p_g, lse_g, h_g
+
+
 def ssp_loss_and_grad(
     codebook: ProductCodebook,
-    g: np.ndarray,
+    targets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rows: np.ndarray,
     q: np.ndarray,
-    tau_g: float,
     tau_q: float,
     kind: str,
     workspace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Alignment loss between (B, d) float64 gallery and query embeddings plus dLoss/dq.
+    """Alignment loss of (B, d) float64 query embeddings against gallery rows ``rows`` plus dLoss/dq.
 
-    The gallery embeddings are treated as constants. ``tau_g`` may be 0
-    (hard assignment); ``tau_q`` must be positive so the query distribution
-    has full support. Both sides are softened in log space in (M, B, K)
-    layout: KL = sum p_g * log p_g - sum p_g * log p_q, and dLoss/dS_q =
-    (p_q - p_g) / tau_q. ``kind`` names the similarity kernel, and
-    ``workspace``, from ``ssp_workspace`` for B or more rows, holds the
-    (M, B, K) work arrays; a training run passes one for all its steps.
+    ``targets`` is ``gallery_targets`` of the gallery embeddings, whose
+    rows ``rows`` (B in-range indices) pair with the rows of ``q``; they
+    are constants. ``tau_q`` must be positive so the query distribution
+    has full support. The query side is softened in log space in (M, B, K)
+    layout: KL = h_g - sum p_g * t_q + lse_q - lse_g, with t_q the shifted
+    query logits, and dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the
+    similarity kernel, and ``workspace``, from ``ssp_workspace`` for B or
+    more rows, holds the (M, B, K) work arrays; a training run passes one
+    for all its steps.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -151,27 +201,29 @@ def ssp_loss_and_grad(
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    s_q, aux, t_q, p_q, t_g, p_g = workspace[:, :, : q.shape[0]]
+    p_g_all, lse_g, h_g = targets
+    s_q, aux, t_q, p_q, p_g = _batch_slots(workspace, q.shape[0])
+    # Rows come from the training loop's permutation; "clip" skips the
+    # bounds pass that would buffer the gather.
+    np.take(p_g_all, rows, axis=1, out=p_g, mode="clip")
     u_q = subvectors(q, codebook.m)
-    # A tiny temperature may overflow the logits to -inf, and -inf - -inf is
+    # A tiny temperature may overflow the logits to -inf, and -inf * 0 is
     # NaN; both happen only where a probability is 0 and are handled below.
     with np.errstate(over="ignore", invalid="ignore"):
-        _similarity(codebook, subvectors(g, codebook.m), kind, t_g, aux)
-        lse_g = _soften_into(t_g, tau_g, t_g, p_g)
         u_norms = _similarity(codebook, u_q, kind, s_q, aux)
         lse_q = _soften_into(s_q, tau_q, t_q, p_q)
         if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
             raise ZeroTargetProbabilityError(
                 "query distribution has zero probability on the gallery support"
             )
-        # sum_k p_g (log p_g - log p_q), with sum_k p_g = 1
-        np.subtract(t_g, t_q, out=t_g)
-        kl = np.einsum("mbk,mbk->mb", p_g, t_g)
-        if not np.isfinite(kl).all():
+        # sum_k p_g (log p_g - log p_q) with log p = t - lse and sum_k p_g = 1
+        cross = np.einsum("mbk,mbk->mb", p_g, t_q)
+        if not np.isfinite(cross).all():
             # 0 * ln(0/x) := 0 where a logit overflowed.
-            np.copyto(t_g, 0.0, where=p_g == 0.0)
-            kl = np.einsum("mbk,mbk->mb", p_g, t_g)
-        kl += lse_q - lse_g
+            np.copyto(t_q, 0.0, where=p_g == 0.0)
+            cross = np.einsum("mbk,mbk->mb", p_g, t_q)
+        kl = h_g[:, rows] - cross
+        kl += lse_q - lse_g[:, rows]
         np.subtract(p_q, p_g, out=p_q)
         if tau_q != 1.0:
             p_q /= tau_q  # dLoss/dS_q
@@ -179,18 +231,21 @@ def ssp_loss_and_grad(
     return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
 
 
-def regression_loss_and_grad(g: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Direct feature-matching baseline: squared L2 between unit-normalized (B, d) embeddings.
+def regression_loss_and_grad(
+    unit_gallery: np.ndarray, rows: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct feature-matching baseline: squared L2 between unit-normalized (B, d) query rows and gallery rows.
+
+    ``unit_gallery`` is ``normalize_rows`` of the gallery embeddings, and
+    its rows ``rows`` pair with the rows of ``q``; they are constants.
 
     Returns:
         (losses, gradient): per-sample losses (B,) and the (B, d) gradient,
-        analytic through the query-side normalization; the gallery
-        embeddings are constants. A degenerate (zero-norm) query row gets
-        zero gradient.
+        analytic through the query-side normalization. A degenerate
+        (zero-norm) query row gets zero gradient.
     """
     nq, degenerate = normalize_rows(q)
-    ng, _ = normalize_rows(g)
-    r = nq - ng
+    r = nq - unit_gallery[rows]
     losses = np.einsum("bd,bd->b", r, r)
     qn = np.where(degenerate, 1.0, np.linalg.norm(q, axis=1))
     grad = (2.0 / qn)[:, None] * (r - nq * np.einsum("bd,bd->b", nq, r)[:, None])

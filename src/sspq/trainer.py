@@ -1,9 +1,12 @@
 """Query-model training against frozen, cached gallery embeddings.
 
-Each mini-batch is pushed through the encoder in one forward pass, scored
-row by row against the gallery embeddings of the same samples with the
-configured loss in one call, and backpropagated in one backward pass. The
-SSP loss reuses one workspace of (M, B, K) arrays for the whole run. The
+The gallery side is frozen, so it is prepared once per run before the first
+epoch: the SSP loss's softened targets of every training row
+(``gallery_targets``, n·M·K float64), or the unit rows for the regression
+loss. Each mini-batch is then pushed through the encoder in one forward
+pass, scored row by row against its samples' rows of that gallery side with
+the configured loss in one call, and backpropagated in one backward pass.
+The SSP loss reuses one workspace of (M, B, K) arrays for the whole run. The
 parameter gradients, averaged over the mini-batch, feed an Adam update under
 a linear learning-rate decay to zero.
 """
@@ -15,6 +18,7 @@ from functools import partial
 
 import numpy as np
 
+from .embeddings import normalize_rows
 from .encoder import QueryEncoder, encoder_backward, encoder_forward
 from .errors import (
     BadConfigError,
@@ -27,6 +31,7 @@ from .errors import (
 from .loss import (
     SIM_COSINE,
     SIMILARITY_KINDS,
+    gallery_targets,
     regression_loss_and_grad,
     ssp_loss_and_grad,
     ssp_workspace,
@@ -139,10 +144,12 @@ def train_query_model(
     total_steps = cfg.epochs * steps_per_epoch
 
     if cfg.loss_kind == LOSS_SSP:
-        loss_and_grad = partial(ssp_loss_and_grad, codebook, tau_g=cfg.tau_g, tau_q=cfg.tau_q, kind=cfg.similarity_kind,
-                                workspace=ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n)))
+        workspace = ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n))
+        targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.similarity_kind, workspace)
+        loss_and_grad = partial(ssp_loss_and_grad, codebook, targets, tau_q=cfg.tau_q, kind=cfg.similarity_kind,
+                                workspace=workspace)
     else:
-        loss_and_grad = regression_loss_and_grad
+        loss_and_grad = partial(regression_loss_and_grad, normalize_rows(gallery)[0])
 
     epoch_means: list[float] = []
     global_step = 0
@@ -154,7 +161,7 @@ def train_query_model(
             for b in range(steps_per_epoch):
                 batch = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
                 y, cache = encoder_forward(model, raw[batch])
-                losses, grad_y = loss_and_grad(gallery[batch], y)
+                losses, grad_y = loss_and_grad(batch, y)
                 loss_sum += float(losses.sum())
                 grads = encoder_backward(model, cache, grad_y / batch.shape[0])
                 lr_t = cfg.learning_rate * (1.0 - global_step / total_steps)

@@ -13,7 +13,8 @@ the label sidecar. ``structure_similarity`` and
 ``soften`` are the exception: checked (B, M, K) entry points to the loss's
 own similarity and softmax kernels, which no library code calls, kept so the
 tests can hold those kernels against the references here. ``ssp_step`` runs
-the loss on one batch in a workspace of its own.
+the loss on one batch of paired rows: the gallery targets of the batch, then
+the step, in a workspace of its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,15 @@ from sspq.errors import (
     ZeroTargetProbabilityError,
     check_real,
 )
-from sspq.loss import SIM_COSINE, SIMILARITY_KINDS, _similarity, _soften_into, ssp_loss_and_grad, ssp_workspace
+from sspq.loss import (
+    SIM_COSINE,
+    SIMILARITY_KINDS,
+    _similarity,
+    _soften_into,
+    gallery_targets,
+    ssp_loss_and_grad,
+    ssp_workspace,
+)
 from sspq.quantizer import adc_table, subvectors
 
 
@@ -186,8 +195,10 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
 
 
 def ssp_step(codebook, g: np.ndarray, q: np.ndarray, tau_g: float, tau_q: float, kind: str = SIM_COSINE):
-    """``ssp_loss_and_grad`` of (B, d) batches, in a workspace of exactly B rows."""
-    return ssp_loss_and_grad(codebook, g, q, tau_g, tau_q, kind, ssp_workspace(codebook.m, codebook.k, len(q)))
+    """``ssp_loss_and_grad`` of (B, d) batches paired row by row, with the targets of ``g`` and a workspace of B rows."""
+    workspace = ssp_workspace(codebook.m, codebook.k, len(q))
+    targets = gallery_targets(codebook, g, tau_g, kind, workspace)
+    return ssp_loss_and_grad(codebook, targets, np.arange(len(q)), q, tau_q, kind, workspace)
 
 
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:

@@ -291,3 +291,11 @@ def test_the_package_exports_no_test_only_names():
     unused = [name for name in exported if name not in used and not re.search(rf"\b{name}\b", benchmark)]
     assert len(exported) > 20
     assert unused == []
+
+
+@pytest.mark.parametrize("entry", [None, np.array([1 + 2j, 0, 0])], ids=["None", "complex"])
+def test_query_encoder_rejects_a_parameter_that_is_not_a_real_array(entry):
+    # None once failed later, at the shapes, and a complex bias lost its
+    # imaginary part with only a ComplexWarning.
+    with pytest.raises(BadConfigError):
+        sspq.QueryEncoder([2, 3], [np.ones((3, 2)), entry])

@@ -20,14 +20,18 @@ from sspq.errors import (
     ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
+from sspq.embeddings import normalize_rows
 from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
+    _similarity,
+    _soften_into,
+    gallery_targets,
     regression_loss_and_grad,
     ssp_loss_and_grad,
     ssp_workspace,
 )
-from sspq.quantizer import ProductCodebook, train_product_codebook
+from sspq.quantizer import ProductCodebook, subvectors, train_product_codebook
 
 
 @pytest.fixture
@@ -233,6 +237,89 @@ class TestSspLossAndGrad:
             np.testing.assert_array_equal(grad, 0.0)
 
 
+def per_batch_gallery_side(cb, g, tau_g, kind):
+    """(p_g, lse_g) of a (B, d) batch as each training step once computed them: in a workspace of B rows."""
+    t, aux, p = np.empty((3, cb.m, len(g), cb.k))
+    _similarity(cb, subvectors(g, cb.m), kind, t, aux)
+    return p, _soften_into(t, tau_g, t, p)
+
+
+class TestGalleryTargets:
+    """The once-per-run gallery side against the per-batch computation it replaces."""
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    @pytest.mark.parametrize("tau_g", [0.0, 0.1])
+    @pytest.mark.parametrize("batch_size", [32, 20])
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 768])
+    def test_targets_equal_each_shuffled_batch_bit_for_bit(self, kind, tau_g, batch_size, n):
+        rng = np.random.default_rng(n + batch_size)
+        cb = ProductCodebook(rng.normal(size=(8, 256, 8)))
+        g = rng.normal(size=(n, cb.dim))
+        p_g, lse_g, h_g = gallery_targets(cb, g, tau_g, kind, ssp_workspace(cb.m, cb.k, min(batch_size, n)))
+        assert (p_g.shape, lse_g.shape, h_g.shape) == ((8, n, 256), (8, n), (8, n))
+        order = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            batch = order[lo : lo + batch_size]
+            p, lse = per_batch_gallery_side(cb, g[batch], tau_g, kind)
+            if len(batch) > 1 or n == 1:
+                np.testing.assert_array_equal(p_g[:, batch], p)
+                np.testing.assert_array_equal(lse_g[:, batch], lse)
+            else:
+                # A lone row of a training set of two or more: the per-batch
+                # cosine is a matrix-vector product there, which rounds apart.
+                np.testing.assert_allclose(p_g[:, batch], p, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(lse_g[:, batch], lse, rtol=1e-13, atol=0)
+        # h_g - lse_g is sum p_g log p_g, with 0 log 0 := 0
+        neg_entropy = np.where(p_g > 0, p_g * np.log(np.where(p_g > 0, p_g, 1.0)), 0.0).sum(axis=2)
+        np.testing.assert_allclose(h_g - lse_g, neg_entropy, rtol=0, atol=1e-12)
+
+    def test_tiny_tau_g_gives_finite_targets(self, rng):
+        # The logits overflow to -inf off the argmax, where p_g is 0.
+        cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
+        p_g, lse_g, h_g = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, ssp_workspace(2, 4, 2))
+        np.testing.assert_array_equal(p_g.max(axis=2), 1.0)
+        assert np.isfinite(lse_g).all() and np.isfinite(h_g).all()
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    def test_allocates_its_outputs_and_less_than_one_batch_array(self, kind):
+        # No (M, n, K) temporary: beyond p_g, the two (M, n) outputs and
+        # block-sized scratch.
+        n, m, k, b = 768, 8, 256, 32
+        rng = np.random.default_rng(6)
+        cb = ProductCodebook(rng.normal(size=(m, k, 8)))
+        g = rng.normal(size=(n, cb.dim))
+        workspace = ssp_workspace(m, k, b)
+        gallery_targets(cb, g[:b], 0.1, kind, workspace)  # warm-up
+        tracemalloc.start()
+        try:
+            targets = gallery_targets(cb, g, 0.1, kind, workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        p_g, lse_g, h_g = targets
+        assert peak - p_g.nbytes - lse_g.nbytes - h_g.nbytes < b * m * k * 8
+
+    @pytest.mark.parametrize("tau_g", [0.0, 1e-310, 0.1])
+    @pytest.mark.parametrize("tau_q", [1e-310, 1e-300, 1e-3, 1.0])
+    def test_zero_target_probability_where_the_probability_space_kl_is_infinite(self, rng, tau_g, tau_q):
+        # The step raises exactly where the oracle KL of the softened sides has no finite value.
+        cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=7)
+        for g, q in ((rng.normal(size=(3, 6)), rng.normal(size=(3, 6))), (np.ones((2, 6)), np.ones((2, 6)))):
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_g = soften(structure_similarity(cb, g), tau_g)
+                p_q = soften(structure_similarity(cb, q), tau_q)
+            try:
+                kl_loss(p_g, p_q)
+                infinite = False
+            except ZeroTargetProbabilityError:
+                infinite = True
+            if infinite:
+                with pytest.raises(ZeroTargetProbabilityError):
+                    ssp_step(cb, g, q, tau_g, tau_q)
+            else:
+                assert np.isfinite(ssp_step(cb, g, q, tau_g, tau_q)[0]).all()
+
+
 def reference_step(cb, g, q, tau_g, tau_q, kind):
     """Losses from soften and the probability-space KL oracle; dLoss/dq from explicit kernel derivatives."""
     s_g = structure_similarity(cb, g, kind)
@@ -266,11 +353,12 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(31)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         workspace = ssp_workspace(cb.m, cb.k, 16)
-        # A short batch reads strided (M, rows, K) views of the full-size workspace.
+        # A short batch reads the front of each full-size workspace slot.
         for rows in (16, 16, 5, 1, 15):
             g = rng.normal(size=(rows, cb.dim))
             q = rng.normal(size=(rows, cb.dim))
-            losses, grad = ssp_loss_and_grad(cb, g, q, tau_g, 1.0, kind, workspace=workspace)
+            targets = gallery_targets(cb, g, tau_g, kind, workspace)
+            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(rows), q, 1.0, kind, workspace=workspace)
             ref_losses, ref_grad = reference_step(cb, g, q, tau_g, 1.0, kind)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
@@ -285,39 +373,46 @@ class TestLogSpaceStep:
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
         workspace = ssp_workspace(m, k, b)
-        ssp_loss_and_grad(cb, g, q, 0.1, 1.0, kind, workspace=workspace)  # warm-up
+        targets = gallery_targets(cb, g, 0.1, kind, workspace)
+        rows = np.arange(b)
+        ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind, workspace=workspace)  # warm-up
         tracemalloc.start()
         try:
-            ssp_loss_and_grad(cb, g, q, 0.1, 1.0, kind, workspace=workspace)
+            ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind, workspace=workspace)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < b * m * k * 8
 
 
+def reg_step(g: np.ndarray, q: np.ndarray):
+    """``regression_loss_and_grad`` of (B, d) batches paired row by row."""
+    return regression_loss_and_grad(normalize_rows(g)[0], np.arange(len(q)), q)
+
+
 class TestRegressionLoss:
     def test_identical_embeddings(self, rng):
         q = rng.normal(size=5)
-        (loss,), (grad,) = regression_loss_and_grad(q[None].copy(), q[None])
+        (loss,), (grad,) = reg_step(q[None].copy(), q[None])
         assert loss == pytest.approx(0.0, abs=1e-15)
         assert np.linalg.norm(grad) < 1e-9
 
     def test_antipodal_is_four(self, rng):
         q = rng.normal(size=5)
-        (loss,), _ = regression_loss_and_grad(-q[None], q[None])
+        (loss,), _ = reg_step(-q[None], q[None])
         assert loss == pytest.approx(4.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(20):
             g = rng.normal(size=6)
             q = rng.normal(size=6)
-            _, (grad,) = regression_loss_and_grad(g[None], q[None])
-            numeric = central_diff_grad(lambda qq: regression_loss_and_grad(g[None], qq[None])[0][0], q)
+            _, (grad,) = reg_step(g[None], q[None])
+            numeric = central_diff_grad(lambda qq: reg_step(g[None], qq[None])[0][0], q)
             assert grad_mismatch(grad, numeric) < 1e-5
 
     def test_gradient_orthogonal_to_query(self, rng):
         # The loss depends on the direction of q only.
         g = rng.normal(size=6)
         q = rng.normal(size=6)
-        _, (grad,) = regression_loss_and_grad(g[None], q[None])
+        _, (grad,) = reg_step(g[None], q[None])
         assert abs(float(np.dot(grad, q))) < 1e-9 * max(1.0, float(np.linalg.norm(grad)))

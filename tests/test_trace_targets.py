@@ -77,14 +77,19 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     from sspq.encoder import encoder_init, forward_matrix
     from sspq.quantizer import train_product_codebook
 
-    calls = []
-    traced = sspq.trainer.ssp_loss_and_grad
+    calls, target_calls = [], []
+    traced, scored = sspq.trainer.ssp_loss_and_grad, sspq.trainer.gallery_targets
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape[0])
-        return traced(*args, **kwargs)
+    def counting(codebook, targets, rows, q, *args, **kwargs):
+        calls.append(q.shape[0])
+        return traced(codebook, targets, rows, q, *args, **kwargs)
+
+    def counting_targets(codebook, g, *args, **kwargs):
+        target_calls.append(g.shape[0])
+        return scored(codebook, g, *args, **kwargs)
 
     monkeypatch.setattr(sspq.trainer, "ssp_loss_and_grad", counting)
+    monkeypatch.setattr(sspq.trainer, "gallery_targets", counting_targets)
     raw = np.random.default_rng(0).normal(size=(20, 6))
     gallery = forward_matrix(encoder_init(6, [12], 8, seed=1), raw)
     codebook = train_product_codebook(gallery, m=2, k=4, seed=2)
@@ -93,6 +98,9 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
         encoder_init(6, [10], 8, seed=4), gallery, raw, codebook, cfg
     )
     assert calls == [8, 8, 4] * 2
+    # The frozen gallery side is scored once per run, for all 20 rows,
+    # outside the traced step.
+    assert target_calls == [20]
 
 
 def test_library_calls_keep_the_benchmark_signatures():
