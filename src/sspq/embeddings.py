@@ -20,10 +20,6 @@ from .fileio import read_blob, read_values, write_atomic, write_blob
 # Norms below this are treated as degenerate (zero) vectors.
 NORM_EPS = 1e-12
 
-# Guard added to norm products in cosine similarity; makes the similarity of a
-# zero vector 0 instead of NaN.
-COSINE_EPS = 1e-12
-
 EMB_MAGIC = b"EMB1"
 # The largest row count or dim that EMB1's u32 header fields hold.
 EMB_MAX_SIZE = 2**32 - 1

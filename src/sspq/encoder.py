@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import normalize_rows
+from .embeddings import EMB_MAX_SIZE, normalize_rows
 from .errors import (
     BadConfigError,
     FormatError,
@@ -34,11 +34,11 @@ FORWARD_BLOCK_ROWS = 4096  # the most rows in one of forward_matrix's blocks
 
 
 def _check_sizes(name: str, sizes, min_count: int = 0) -> None:
-    """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of at least ``min_count`` ints >= 1."""
+    """Raise ``BadConfigError`` unless ``sizes`` is a list or tuple of at least ``min_count`` ints in [1, ``EMB_MAX_SIZE``]."""
     if not isinstance(sizes, (list, tuple)) or len(sizes) < min_count:
         raise BadConfigError(f"{name} must be a list or tuple of at least {min_count} ints >= 1, got {shown(sizes)}")
     for size in sizes:
-        check_int("layer size", size, 1)
+        check_int("layer size", size, 1, EMB_MAX_SIZE)
 
 
 def _param_shapes(layer_sizes: list[int]) -> list[tuple[int, ...]]:
@@ -99,7 +99,7 @@ def encoder_init(
 
     Raises:
         BadConfigError: unless ``hidden`` is a list or tuple, every layer size
-            an int >= 1 and the seed an int >= 0.
+            an int in [1, ``EMB_MAX_SIZE``] and the seed an int >= 0.
     """
     _check_sizes("hidden", hidden)
     sizes = [d_in, *hidden, d_out]

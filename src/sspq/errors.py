@@ -72,10 +72,10 @@ def shown(value) -> str:
         return f"a {type(value).__name__} too long to print"
 
 
-def check_int(name: str, value, low: int) -> None:
-    """Raise ``BadConfigError`` unless ``value`` is an int or NumPy integer >= ``low``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise BadConfigError(f"{name} must be an int >= {low}, got {shown(value)}")
+def check_int(name: str, value, low: int, high: int | None = None) -> None:
+    """Raise ``BadConfigError`` unless ``value`` is an int or NumPy integer >= ``low``, and <= ``high`` if given, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low or (high is not None and value > high):
+        raise BadConfigError(f"{name} must be an int >= {low}{'' if high is None else f' and <= {high}'}, got {shown(value)}")
 
 
 def check_real(name: str, value, positive: bool) -> float:

@@ -8,8 +8,10 @@ matmul. Both sides are softened in log space into distributions over K
 and matched with a per-subspace KL divergence. The gallery side is frozen,
 so ``gallery_targets`` scores it once per training run for every training
 row, and each step reads its batch's rows of those targets and softens only
-the trainable query side. Analytic gradients with respect to the query
-embeddings are exact through the softmax and the chosen similarity kernel.
+the trainable query side. The cosine kernel is one matmul of the unit
+subvectors against the codebook's unit centroids, a norm below ``NORM_EPS``
+giving 0. Analytic gradients with respect to the query embeddings are
+exact through the softmax and the chosen similarity kernel.
 A single embedding is a batch of one. The per-run targets and the two
 per-step losses do not check their arguments: ``TrainConfig`` and
 ``train_query_model`` check them once per run.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import COSINE_EPS, NORM_EPS, normalize_rows
+from .embeddings import NORM_EPS, normalize_rows
 from .errors import ZeroTargetProbabilityError
 from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 
@@ -47,22 +49,22 @@ def _batch_slots(workspace: np.ndarray, b: int) -> np.ndarray:
 
 def _similarity(
     codebook: ProductCodebook, u: np.ndarray, kind: str, out: np.ndarray, aux: np.ndarray
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """Write the (M, B, K) similarities of (M, B, d*) subvectors ``u`` into ``out``.
 
-    Under cosine, ``aux`` is left holding the (M, B, K) denominators and the
-    (M, B) subvector norms are returned; under negative-Euclidean ``aux`` is
-    scratch and None is returned. The Euclidean distance is the root of the
+    Under cosine, ``aux`` is not touched, and the (M, B, d*) unit subvectors
+    and their (M, B) norms are returned, a norm below ``NORM_EPS`` as inf,
+    so its unit subvector is 0. Under negative-Euclidean ``aux`` is scratch
+    and None is returned. The Euclidean distance is the root of the
     quantizer's squared-distance kernel, so it equals the root of the ADC
     table bit for bit.
     """
     if kind == SIM_COSINE:
-        np.matmul(u, codebook.stacked().transpose(0, 2, 1), out=out)
-        u_norms = np.linalg.norm(u, axis=2)
-        np.multiply(codebook.centroid_norms()[:, None, :], u_norms[:, :, None], out=aux)
-        aux += COSINE_EPS
-        out /= aux
-        return u_norms
+        norms = np.linalg.norm(u, axis=2)
+        norms[norms < NORM_EPS] = np.inf
+        unit = u / norms[:, :, None]
+        np.matmul(unit, codebook.unit_centroids().transpose(0, 2, 1), out=out)
+        return unit, norms
     subvector_sq_dists(codebook.stacked(), u, out, aux)
     np.sqrt(out, out=out)
     np.negative(out, out=out)
@@ -70,7 +72,7 @@ def _similarity(
 
 
 def _soften_into(
-    values: np.ndarray, temperature: float, logits: np.ndarray, probs: np.ndarray
+    values: np.ndarray, temperature: float, logits: np.ndarray, probs: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Temperature softmax of ``values`` along the last axis, in log space.
 
@@ -79,6 +81,8 @@ def _soften_into(
     ``probs``, and returns log sum exp(t), so log probs = t - lse. At
     temperature 0, ``probs`` is the one-hot argmax (ties to the lowest
     index), and the logits and lse are 0, so sum probs * log probs is 0.
+    The row maxima and sums are spread into ``scratch``, of the shape of
+    ``values``, since a ufunc buffers an operand broadcast along the last axis.
     """
     if temperature == 0:
         hard = np.argmax(values, axis=-1)[..., None]
@@ -86,13 +90,15 @@ def _soften_into(
         np.put_along_axis(probs, hard, 1.0, axis=-1)
         logits.fill(0.0)
         return np.zeros(values.shape[:-1])
-    np.subtract(values, values.max(axis=-1, keepdims=True), out=logits)
+    np.copyto(scratch, values.max(axis=-1, keepdims=True))
+    np.subtract(values, scratch, out=logits)
     if temperature != 1.0:
         logits /= temperature
     np.exp(logits, out=probs)
-    total = probs.sum(axis=-1, keepdims=True)
-    probs /= total
-    return np.log(total[..., 0])
+    total = probs.sum(axis=-1)
+    np.copyto(scratch, total[..., None])
+    probs /= scratch
+    return np.log(total)
 
 
 def _grad_through_similarity(
@@ -102,34 +108,28 @@ def _grad_through_similarity(
     s: np.ndarray,
     w: np.ndarray,
     aux: np.ndarray,
-    u_norms: np.ndarray | None,
+    unit_norms: tuple[np.ndarray, np.ndarray] | None,
 ) -> np.ndarray:
     """Map dLoss/dS ``w`` (M, B, K) to dLoss/du (M, B, d*) for the chosen kernel.
 
-    ``s`` is the similarity of ``u``; under cosine ``aux`` holds its
-    denominators and ``u_norms`` its subvector norms, as ``_similarity``
-    left them. ``w`` is overwritten, and so is ``aux`` under
-    negative-Euclidean. Dead subspaces (near-zero subvector norm under
-    cosine, or a subvector sitting exactly on a centroid under
-    negative-Euclidean) get zero gradient; the kernels are flat or
-    non-differentiable there.
+    ``s`` and ``unit_norms`` are what ``_similarity`` wrote and returned for
+    ``u``. Under cosine it is (g - û (û·g)) / |u| with g = w @ unit centroids;
+    under negative-Euclidean ``w`` and ``aux`` are overwritten. Dead subspaces
+    (a degenerate subvector under cosine, or one exactly on a centroid under
+    negative-Euclidean) get zero gradient: the kernel is flat or kinked there.
     """
-    cents = codebook.stacked()
     if kind == SIM_COSINE:
-        w /= aux
-        term1 = np.matmul(w, cents)
-        w *= s
-        coef = np.matmul(w, codebook.centroid_norms()[:, :, None])[:, :, 0]
-        dead = u_norms < NORM_EPS
-        grad = term1 - (coef / np.where(dead, 1.0, u_norms))[:, :, None] * u
-        grad[dead] = 0.0
+        unit, norms = unit_norms
+        grad = np.matmul(w, codebook.unit_centroids())
+        grad -= unit * np.einsum("mbd,mbd->mb", unit, grad)[:, :, None]
+        grad /= norms[:, :, None]  # 0 where the norm is inf
         return grad
     np.negative(s, out=aux)
     # An infinite distance gives the centroid under the subvector zero weight.
     np.copyto(aux, np.inf, where=aux < NORM_EPS)
     w /= aux
     # sum_k w_k * (c_k - u)
-    return np.matmul(w, cents) - w.sum(axis=2)[:, :, None] * u
+    return np.matmul(w, codebook.stacked()) - w.sum(axis=2)[:, :, None] * u
 
 
 def gallery_targets(
@@ -162,7 +162,7 @@ def gallery_targets(
             block = slice(start, start + b)
             p, h = p_g[:, block], h_g[:, block]
             _similarity(codebook, subvectors(g[block], m), kind, t, aux)
-            lse_g[:, block] = _soften_into(t, tau_g, t, p)
+            lse_g[:, block] = _soften_into(t, tau_g, t, p, aux)
             np.einsum("mbk,mbk->mb", p, t, out=h)
             if not np.isfinite(h).all():
                 np.copyto(t, 0.0, where=p == 0.0)
@@ -210,8 +210,8 @@ def ssp_loss_and_grad(
     # A tiny temperature may overflow the logits to -inf, and -inf * 0 is
     # NaN; both happen only where a probability is 0 and are handled below.
     with np.errstate(over="ignore", invalid="ignore"):
-        u_norms = _similarity(codebook, u_q, kind, s_q, aux)
-        lse_q = _soften_into(s_q, tau_q, t_q, p_q)
+        unit_norms = _similarity(codebook, u_q, kind, s_q, aux)
+        lse_q = _soften_into(s_q, tau_q, t_q, p_q, aux)
         if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
             raise ZeroTargetProbabilityError(
                 "query distribution has zero probability on the gallery support"
@@ -227,7 +227,7 @@ def ssp_loss_and_grad(
         np.subtract(p_q, p_g, out=p_q)
         if tau_q != 1.0:
             p_q /= tau_q  # dLoss/dS_q
-        grad = _grad_through_similarity(codebook, u_q, kind, s_q, p_q, aux, u_norms)
+        grad = _grad_through_similarity(codebook, u_q, kind, s_q, p_q, aux, unit_norms)
     return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import as_embedding_matrix
+from .embeddings import EMB_MAX_SIZE, NORM_EPS, as_embedding_matrix
 from .errors import (
     BadConfigError,
     EmptyInputError,
@@ -247,7 +247,7 @@ def kmeans_fit(
         ShapeMismatchError: if the points are not 3-D.
         EmptyInputError: if there are no points.
         NonFiniteInputError: if a point holds a NaN or an infinity.
-        BadConfigError: unless ``k`` and ``max_iters`` are ints >= 1 and ``seed`` an int >= 0.
+        BadConfigError: unless ``k`` (at most ``EMB_MAX_SIZE``) and ``max_iters`` are ints >= 1 and ``seed`` an int >= 0.
     """
     stack = np.asarray(points, dtype=np.float64)
     if stack.ndim != 3:
@@ -256,7 +256,7 @@ def kmeans_fit(
     if m == 0 or n == 0:
         raise EmptyInputError("kmeans_fit requires at least one point")
     check_finite(stack, "kmeans_fit points hold a NaN or an infinity")
-    check_int("k", k, 1)
+    check_int("k", k, 1, EMB_MAX_SIZE)
     check_int("max_iters", max_iters, 1)
     check_int("seed", seed, 0)
 
@@ -280,10 +280,12 @@ class ProductCodebook:
         if cents.ndim != 3 or 0 in cents.shape:
             raise ShapeMismatchError(f"centroids must be a non-empty (M, K, d*) array, got {cents.shape}")
         cents.setflags(write=False)
-        norms = np.linalg.norm(cents, axis=2)
-        norms.setflags(write=False)
+        norms = np.linalg.norm(cents, axis=2, keepdims=True)
+        with np.errstate(invalid="ignore"):  # an infinity gives a NaN row, which codebook_save rejects
+            unit = cents / np.where(norms < NORM_EPS, np.inf, norms)
+        unit.setflags(write=False)
         self._centroids = cents
-        self._norms = norms
+        self._unit = unit
 
     @property
     def m(self) -> int:
@@ -301,9 +303,9 @@ class ProductCodebook:
         """All centroids as one (M, K, d*) float64 array."""
         return self._centroids
 
-    def centroid_norms(self) -> np.ndarray:
-        """L2 norms of all centroids, shape (M, K)."""
-        return self._norms
+    def unit_centroids(self) -> np.ndarray:
+        """All centroids scaled to unit norm, (M, K, d*) and read-only; a centroid of norm below ``NORM_EPS`` is 0."""
+        return self._unit
 
 
 def train_product_codebook(

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .embeddings import normalize_rows
+from .embeddings import EMB_MAX_SIZE, normalize_rows
 from .encoder import QueryEncoder, encoder_init, forward_matrix
 from .errors import BadConfigError, check_int, check_real
 
@@ -45,13 +45,14 @@ def gen_mixture(
 
     Raises:
         BadConfigError: unless num_classes >= 2, per_class >= 4, the other
-            sizes >= 1 and the seed >= 0 are ints, and cluster_std is a
-            finite real number >= 0 that leaves every drawn row finite.
+            sizes >= 1, all at most ``EMB_MAX_SIZE``, and the seed >= 0 are
+            ints, and cluster_std is a finite real number >= 0 that leaves
+            every drawn row finite.
     """
     for name, value, low in (("num_classes", num_classes, 2), ("per_class", per_class, 4), ("d_in", d_in, 1),
-                             ("anchor_count", anchor_count, 1), ("train_per_class", train_per_class, 1),
-                             ("seed", seed, 0)):
-        check_int(name, value, low)
+                             ("anchor_count", anchor_count, 1), ("train_per_class", train_per_class, 1)):
+        check_int(name, value, low, EMB_MAX_SIZE)
+    check_int("seed", seed, 0)
     cluster_std = check_real("cluster_std", cluster_std, positive=False)
 
     rng = np.random.default_rng(seed)

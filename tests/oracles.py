@@ -101,13 +101,15 @@ def split_subvectors(v: np.ndarray, m: int) -> list[np.ndarray]:
 
 
 def cosine_sim(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity a.b / (|a||b| + 1e-12); 0 for zero-norm inputs."""
+    """Cosine similarity a.b / (|a||b|); 0 when either norm is below 1e-12."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise LengthMismatchError(f"lengths differ: {a.shape} vs {b.shape}")
-    denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b)) + 1e-12
-    return float(np.dot(a, b) / denom)
+    a_norm, b_norm = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    if a_norm < 1e-12 or b_norm < 1e-12:
+        return 0.0
+    return float(np.dot(a, b) / (a_norm * b_norm))
 
 
 def neg_euclid_sim(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,7 +215,7 @@ def soften(values: np.ndarray, temperature: float) -> np.ndarray:
     check_real("temperature", temperature, positive=False)
     values = np.asarray(values, dtype=np.float64)
     probs = np.empty_like(values)
-    _soften_into(values, temperature, np.empty_like(values), probs)
+    _soften_into(values, temperature, np.empty_like(values), probs, np.empty_like(values))
     return probs
 
 

@@ -211,6 +211,27 @@ def test_wrong_kind_number_fails_typed(valid, case, data):
             call(valid, value)
 
 
+# The NUMBER_CASES whose int is an array size: above EMB_MAX_SIZE it fails
+# typed, before NumPy is asked for an array no machine can hold.
+SIZE_CASES = ["encoder_init-d_in", "encoder_init-hidden", "encoder_init-d_out", "make_oracle-d_in",
+              "make_oracle-emb_dim", "gen_mixture-num_classes", "gen_mixture-per_class", "gen_mixture-d_in",
+              "gen_mixture-anchor_count", "gen_mixture-train_per_class", "kmeans_fit-k", "train_product_codebook-k"]
+
+
+@pytest.mark.parametrize("case", SIZE_CASES)
+@pytest.mark.parametrize("size", [2**32, 2**40, 2**62, 10**400], ids=["2**32", "2**40", "2**62", "10**400"])
+def test_size_no_array_can_hold_fails_typed(valid, case, size):
+    with pytest.raises(BadConfigError, match="<= 4294967295"):
+        NUMBER_CASES[case][1](valid, size)
+
+
+def test_seeds_stay_unbounded(valid):
+    seed = 2**70
+    assert sspq.encoder_init(6, [5], 8, seed=seed).layer_sizes == [6, 5, 8]
+    assert sspq.kmeans_fit(valid.stack, 3, seed=seed).centroids.shape == (1, 3, 8)
+    assert len(sspq.gen_mixture(3, 4, 6, 0.1, seed, 8, 4)) == 4
+
+
 # case -> the call given a drawn value in place of its whole list of layer sizes
 SIZES_CASES = {
     "encoder_init-hidden": lambda v, s: sspq.encoder_init(6, s, 8, seed=3),

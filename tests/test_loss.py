@@ -241,7 +241,7 @@ def per_batch_gallery_side(cb, g, tau_g, kind):
     """(p_g, lse_g) of a (B, d) batch as each training step once computed them: in a workspace of B rows."""
     t, aux, p = np.empty((3, cb.m, len(g), cb.k))
     _similarity(cb, subvectors(g, cb.m), kind, t, aux)
-    return p, _soften_into(t, tau_g, t, p)
+    return p, _soften_into(t, tau_g, t, p, aux)
 
 
 class TestGalleryTargets:
@@ -330,13 +330,12 @@ def reference_step(cb, g, q, tau_g, tau_q, kind):
     u = q.reshape(q.shape[0], cb.m, -1)
     cents = cb.stacked()
     if kind == SIM_COSINE:
-        c_norms = np.linalg.norm(cents, axis=2)
-        u_norms = np.linalg.norm(u, axis=2)
-        denom = c_norms[None] * u_norms[:, :, None] + 1e-12
-        # ds_k/du = c_k / denom_k - s_k |c_k| u / (|u| denom_k)
-        ds = cents[None] / denom[..., None] - (s_q * c_norms / denom)[..., None] * (
-            u / u_norms[..., None]
-        )[:, :, None, :]
+        unit_c = cents / np.linalg.norm(cents, axis=2, keepdims=True)
+        u_norms = np.linalg.norm(u, axis=2, keepdims=True)
+        unit_u = u / u_norms
+        # ds_k/du = (c^_k - u^ (u^.c^_k)) / |u|
+        along = np.einsum("bmd,mkd->bmk", unit_u, unit_c)
+        ds = (unit_c[None] - along[..., None] * unit_u[:, :, None, :]) / u_norms[..., None]
     else:
         diff = cents[None] - u[:, :, None, :]  # (B, M, K, d*): c_k - u
         ds = diff / np.linalg.norm(diff, axis=3, keepdims=True)  # d(-|u - c_k|)/du
@@ -383,6 +382,57 @@ class TestLogSpaceStep:
         finally:
             tracemalloc.stop()
         assert peak < b * m * k * 8
+
+    def test_cosine_step_allocates_less_than_a_quarter_batch_array(self):
+        # No (M, B, K) outer product of norms and no broadcast buffer of the softmax.
+        b, m, k = 32, 8, 256
+        rng = np.random.default_rng(5)
+        cb = ProductCodebook(rng.normal(size=(m, k, 8)))
+        g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
+        workspace = ssp_workspace(m, k, b)
+        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, workspace)
+        rows = np.arange(b)
+        ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE, workspace=workspace)  # warm-up
+        tracemalloc.start()
+        try:
+            ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE, workspace=workspace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < b * m * k * 8 // 4
+
+
+class TestDegenerateCosine:
+    """A subvector or centroid of norm below NORM_EPS is a zero vector under cosine."""
+
+    def test_tiny_subvector_gives_a_zero_row_and_a_zero_gradient(self, rng):
+        cb = ProductCodebook(rng.normal(size=(2, 4, 3)))
+        q = rng.normal(size=(3, 6))
+        q[1, :3] = [1e-13, -2e-14, 3e-14]
+        sim = structure_similarity(cb, q, SIM_COSINE)
+        np.testing.assert_array_equal(sim[1, 0], 0.0)
+        assert np.all(np.delete(sim, 1, axis=0) != 0.0) and np.all(sim[1, 1] != 0.0)
+        _, grad = ssp_step(cb, rng.normal(size=(3, 6)), q, 0.1, 1.0)
+        np.testing.assert_array_equal(grad[1, :3], 0.0)
+        assert np.all(grad[1, 3:] != 0.0)
+
+    def test_zero_centroid_gives_a_zero_column(self, rng):
+        cents = rng.normal(size=(2, 4, 3))
+        cents[1, 2] = 0.0
+        sim = structure_similarity(ProductCodebook(cents), rng.normal(size=(5, 6)), SIM_COSINE)
+        np.testing.assert_array_equal(sim[:, 1, 2], 0.0)
+        assert np.all(np.delete(sim[:, 1], 2, axis=1) != 0.0)
+
+    def test_unit_centroids_are_read_only_unit_rows(self, rng):
+        cents = 10.0 * rng.normal(size=(3, 5, 4))
+        cents[0, 1] = 0.0
+        unit = ProductCodebook(cents).unit_centroids()
+        assert unit.shape == (3, 5, 4) and not unit.flags.writeable
+        norms = np.linalg.norm(unit, axis=2)
+        np.testing.assert_array_equal(unit[0, 1], 0.0)
+        np.testing.assert_allclose(np.delete(norms.ravel(), 1), 1.0, rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            unit[1, 1, 1] = 0.0
 
 
 def reg_step(g: np.ndarray, q: np.ndarray):
