@@ -7,10 +7,10 @@ they are computed subspace-major, (M, B, K), the layout of the per-subspace
 matmul. Both sides are softened in log space into distributions over K
 and matched with a per-subspace KL divergence. The gallery side is frozen,
 so ``gallery_targets`` scores it once per training run for every training
-row, and each step reads its batch's rows of those targets and softens only
-the trainable query side. The cosine kernel is one matmul of the unit
-subvectors against the codebook's unit centroids, a norm below ``NORM_EPS``
-giving 0. Analytic gradients with respect to the query embeddings are
+row and allocates the run's one work array; each step reads its batch's
+rows of those targets and softens only the trainable query side in that
+array. The cosine kernel is one matmul of the unit subvectors against the
+codebook's unit centroids, a norm below ``NORM_EPS`` giving 0. Analytic gradients with respect to the query embeddings are
 exact through the softmax and the chosen similarity kernel.
 A single embedding is a batch of one. The per-run targets and the two
 per-step losses do not check their arguments: ``TrainConfig`` and
@@ -28,23 +28,6 @@ from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
-
-
-def ssp_workspace(m: int, k: int, rows: int) -> np.ndarray:
-    """The (5, m, rows, k) float64 work arrays of ``ssp_loss_and_grad`` for batches of up to ``rows``.
-
-    A training run allocates one for its largest batch and passes it to
-    ``gallery_targets`` and to every step, so a step allocates nothing of
-    (M, B, K) size. ``_batch_slots`` gives a batch of b rows five
-    C-contiguous (m, b, k) arrays from the front of each slot.
-    """
-    return np.empty((5, m, rows, k))
-
-
-def _batch_slots(workspace: np.ndarray, b: int) -> np.ndarray:
-    """The (5, m, b, k) view of ``workspace`` whose five (m, b, k) arrays are each C-contiguous."""
-    _, m, _, k = workspace.shape
-    return workspace.reshape(5, -1)[:, : m * b * k].reshape(5, m, b, k)
 
 
 def _similarity(
@@ -132,26 +115,39 @@ def _grad_through_similarity(
     return np.matmul(w, codebook.stacked()) - w.sum(axis=2)[:, :, None] * u
 
 
+def _expectation(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The (M, B) sums over k of (M, B, K) ``p`` times ``t``, with 0 * t := 0.
+
+    0 * -inf is NaN, so if a logit overflowed, ``t`` is set to 0 wherever ``p`` is 0.
+    """
+    total = np.einsum("mbk,mbk->mb", p, t)
+    if not np.isfinite(total).all():
+        np.copyto(t, 0.0, where=p == 0.0)
+        total = np.einsum("mbk,mbk->mb", p, t)
+    return total
+
+
 def gallery_targets(
-    codebook: ProductCodebook, g: np.ndarray, tau_g: float, kind: str, workspace: np.ndarray
+    codebook: ProductCodebook, g: np.ndarray, tau_g: float, kind: str, batch_rows: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The frozen gallery side of the SSP loss for every row of (n, d) float64 embeddings ``g``.
 
-    The gallery similarities are softened at ``tau_g`` (0 is hard
-    assignment) in blocks of the rows of ``workspace``, from
-    ``ssp_workspace``, so nothing of (M, n, K) size is allocated but ``p_g``.
-    A row's values do not depend on the other rows of its block, as long
-    as the block has two or more rows.
+    Allocates the run's one work array, five (M, b, K) slots for steps of up
+    to b = min(``batch_rows``, n) rows, and softens the gallery similarities
+    at ``tau_g`` (0 is hard assignment) in blocks of b rows in its first two
+    slots, so nothing of (M, n, K) size is allocated but ``p_g``. A row's
+    values do not depend on the other rows of a block of two or more.
 
     Returns:
-        (p_g, lse_g, h_g): the (M, n, K) target distributions, their (M, n)
-        log-sum-exps, and the (M, n) sums over k of p_g times the shifted
-        logits, with 0 * log 0 := 0; log p_g = logits - lse_g.
+        (p_g, neg_entropy, workspace): the (M, n, K) target distributions,
+        their (M, n) sums over k of p_g log p_g, with 0 log 0 := 0, and the
+        work array that ``ssp_loss_and_grad`` takes with them.
     """
     m, n, k = codebook.m, g.shape[0], codebook.k
-    p_g, lse_g, h_g = np.empty((m, n, k)), np.empty((m, n)), np.empty((m, n))
-    b = min(workspace.shape[2], n)
-    t, aux = _batch_slots(workspace, b)[:2]
+    b = min(batch_rows, n)
+    workspace = np.empty((5, m * b * k))
+    t, aux = workspace[:2].reshape(2, m, b, k)
+    p_g, neg_entropy = np.empty((m, n, k)), np.empty((m, n))
     # A tiny temperature may overflow the logits to -inf, and 0 * -inf is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, b):
@@ -160,14 +156,12 @@ def gallery_targets(
             # differently.
             start = min(start, n - b)
             block = slice(start, start + b)
-            p, h = p_g[:, block], h_g[:, block]
+            p = p_g[:, block]
             _similarity(codebook, subvectors(g[block], m), kind, t, aux)
-            lse_g[:, block] = _soften_into(t, tau_g, t, p, aux)
-            np.einsum("mbk,mbk->mb", p, t, out=h)
-            if not np.isfinite(h).all():
-                np.copyto(t, 0.0, where=p == 0.0)
-                np.einsum("mbk,mbk->mb", p, t, out=h)
-    return p_g, lse_g, h_g
+            lse = _soften_into(t, tau_g, t, p, aux)
+            # log p_g = t - lse and sum_k p_g = 1
+            np.subtract(_expectation(p, t), lse, out=neg_entropy[:, block])
+    return p_g, neg_entropy, workspace
 
 
 def ssp_loss_and_grad(
@@ -177,19 +171,17 @@ def ssp_loss_and_grad(
     q: np.ndarray,
     tau_q: float,
     kind: str,
-    workspace: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alignment loss of (B, d) float64 query embeddings against gallery rows ``rows`` plus dLoss/dq.
 
-    ``targets`` is ``gallery_targets`` of the gallery embeddings, whose
-    rows ``rows`` (B in-range indices) pair with the rows of ``q``; they
-    are constants. ``tau_q`` must be positive so the query distribution
-    has full support. The query side is softened in log space in (M, B, K)
-    layout: KL = h_g - sum p_g * t_q + lse_q - lse_g, with t_q the shifted
-    query logits, and dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the
-    similarity kernel, and ``workspace``, from ``ssp_workspace`` for B or
-    more rows, holds the (M, B, K) work arrays; a training run passes one
-    for all its steps.
+    ``targets`` is ``gallery_targets`` of the gallery embeddings, for
+    batches of B or more rows; its rows ``rows`` (B in-range indices) pair
+    with the rows of ``q`` and are constants, and its work array holds the
+    step's five (M, B, K) arrays. ``tau_q`` must be positive so the query
+    distribution has full support. The query side is softened in log space:
+    KL = sum p_g log p_g - sum p_g * t_q + lse_q, with t_q the shifted query
+    logits, and dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the
+    similarity kernel.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -201,14 +193,15 @@ def ssp_loss_and_grad(
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    p_g_all, lse_g, h_g = targets
-    s_q, aux, t_q, p_q, p_g = _batch_slots(workspace, q.shape[0])
+    p_g_all, neg_entropy, workspace = targets
+    m, b, k = codebook.m, q.shape[0], codebook.k
+    s_q, aux, t_q, p_q, p_g = workspace[:, : m * b * k].reshape(5, m, b, k)
     # Rows come from the training loop's permutation; "clip" skips the
     # bounds pass that would buffer the gather.
     np.take(p_g_all, rows, axis=1, out=p_g, mode="clip")
-    u_q = subvectors(q, codebook.m)
+    u_q = subvectors(q, m)
     # A tiny temperature may overflow the logits to -inf, and -inf * 0 is
-    # NaN; both happen only where a probability is 0 and are handled below.
+    # NaN; both happen only where a probability is 0.
     with np.errstate(over="ignore", invalid="ignore"):
         unit_norms = _similarity(codebook, u_q, kind, s_q, aux)
         lse_q = _soften_into(s_q, tau_q, t_q, p_q, aux)
@@ -216,14 +209,8 @@ def ssp_loss_and_grad(
             raise ZeroTargetProbabilityError(
                 "query distribution has zero probability on the gallery support"
             )
-        # sum_k p_g (log p_g - log p_q) with log p = t - lse and sum_k p_g = 1
-        cross = np.einsum("mbk,mbk->mb", p_g, t_q)
-        if not np.isfinite(cross).all():
-            # 0 * ln(0/x) := 0 where a logit overflowed.
-            np.copyto(t_q, 0.0, where=p_g == 0.0)
-            cross = np.einsum("mbk,mbk->mb", p_g, t_q)
-        kl = h_g[:, rows] - cross
-        kl += lse_q - lse_g[:, rows]
+        # sum_k p_g (log p_g - log p_q) with log p_q = t_q - lse_q and sum_k p_g = 1
+        kl = neg_entropy[:, rows] - _expectation(p_g, t_q) + lse_q
         np.subtract(p_q, p_g, out=p_q)
         if tau_q != 1.0:
             p_q /= tau_q  # dLoss/dS_q

@@ -272,17 +272,19 @@ class ProductCodebook:
 
     The centroids are one read-only (M, K, d*) array of float32 values held
     as float64, so a codebook trained in memory equals its ``PQC1`` file.
-    M, K, d* and d come from the array's shape.
+    M, K, d* and d come from the array's shape. A centroid that is, or
+    rounds in float32 to, a NaN or an infinity raises ``NonFiniteInputError``.
     """
 
     def __init__(self, centroids) -> None:
-        cents = np.asarray(centroids, dtype=np.float32).astype(np.float64)
+        with np.errstate(over="ignore"):  # an overflow is reported just below
+            cents = np.asarray(centroids, dtype=np.float32).astype(np.float64)
         if cents.ndim != 3 or 0 in cents.shape:
             raise ShapeMismatchError(f"centroids must be a non-empty (M, K, d*) array, got {cents.shape}")
+        check_finite(cents, "a centroid is, or rounds in float32 to, a NaN or an infinity")
         cents.setflags(write=False)
         norms = np.linalg.norm(cents, axis=2, keepdims=True)
-        with np.errstate(invalid="ignore"):  # an infinity gives a NaN row, which codebook_save rejects
-            unit = cents / np.where(norms < NORM_EPS, np.inf, norms)
+        unit = cents / np.where(norms < NORM_EPS, np.inf, norms)
         unit.setflags(write=False)
         self._centroids = cents
         self._unit = unit
@@ -328,7 +330,8 @@ def train_product_codebook(
     Raises:
         IndivisibleDimensionError: if d is not a multiple of m.
         EmptyInputError: if there are no feature rows.
-        NonFiniteInputError: if a feature holds a NaN or an infinity.
+        NonFiniteInputError: if a feature holds a NaN or an infinity, or a
+            centroid rounds in float32 to an infinity.
         BadConfigError: unless ``m`` and ``k`` are ints >= 1 and ``seed`` an int >= 0.
     """
     x = as_embedding_matrix(features).data
@@ -555,10 +558,6 @@ def codebook_save(codebook: ProductCodebook, path: str | Path) -> None:
 
     Header: u32 LE M, u32 LE K, u32 LE d; then M blocks of K x d* float32
     centroids.
-
-    Raises:
-        NonFiniteInputError: if a centroid is, or rounds to, a NaN or an
-            infinity.
     """
     header = struct.pack(_PQC_HEADER, codebook.m, codebook.k, codebook.dim)
     write_blob(path, PQC_MAGIC, header, [codebook.stacked()], "<f4")

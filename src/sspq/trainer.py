@@ -6,9 +6,8 @@ epoch: the SSP loss's softened targets of every training row
 loss. Each mini-batch is then pushed through the encoder in one forward
 pass, scored row by row against its samples' rows of that gallery side with
 the configured loss in one call, and backpropagated in one backward pass.
-The SSP loss reuses one workspace of (M, B, K) arrays for the whole run. The
-parameter gradients, averaged over the mini-batch, feed an Adam update under
-a linear learning-rate decay to zero.
+The parameter gradients, averaged over the mini-batch, feed an Adam update
+under a linear learning-rate decay to zero.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from .errors import (
     EmptyInputError,
     NonFiniteInputError,
     ShapeMismatchError,
+    check_finite,
     check_int,
     check_real,
 )
@@ -34,7 +34,6 @@ from .loss import (
     gallery_targets,
     regression_loss_and_grad,
     ssp_loss_and_grad,
-    ssp_workspace,
 )
 from .quantizer import ProductCodebook
 
@@ -118,7 +117,8 @@ def train_query_model(
         (trained encoder, mean loss of each epoch).
 
     Raises:
-        NonFiniteInputError: at the first epoch whose mean loss is not finite.
+        NonFiniteInputError: if an input holds a NaN or an infinity, before
+            training, or at the first epoch whose mean loss is not finite.
     """
     raw = np.asarray(raw_inputs, dtype=np.float64)
     gallery = np.asarray(gallery_embeddings, dtype=np.float64)
@@ -136,6 +136,8 @@ def train_query_model(
         )
     if raw.shape[1] != enc.input_dim:
         raise ShapeMismatchError(f"raw input dim {raw.shape[1]} != encoder input {enc.input_dim}")
+    check_finite(raw, "a raw training input holds a NaN or an infinity")
+    check_finite(gallery, "a gallery embedding holds a NaN or an infinity")
 
     model = enc.copy()
     moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.params]
@@ -144,10 +146,8 @@ def train_query_model(
     total_steps = cfg.epochs * steps_per_epoch
 
     if cfg.loss_kind == LOSS_SSP:
-        workspace = ssp_workspace(codebook.m, codebook.k, min(cfg.batch_size, n))
-        targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.similarity_kind, workspace)
-        loss_and_grad = partial(ssp_loss_and_grad, codebook, targets, tau_q=cfg.tau_q, kind=cfg.similarity_kind,
-                                workspace=workspace)
+        targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.similarity_kind, cfg.batch_size)
+        loss_and_grad = partial(ssp_loss_and_grad, codebook, targets, tau_q=cfg.tau_q, kind=cfg.similarity_kind)
     else:
         loss_and_grad = partial(regression_loss_and_grad, normalize_rows(gallery)[0])
 

@@ -13,8 +13,8 @@ the label sidecar. ``structure_similarity`` and
 ``soften`` are the exception: checked (B, M, K) entry points to the loss's
 own similarity and softmax kernels, which no library code calls, kept so the
 tests can hold those kernels against the references here. ``ssp_step`` runs
-the loss on one batch of paired rows: the gallery targets of the batch, then
-the step, in a workspace of its own.
+the loss on one batch of paired rows: the gallery targets of the batch, with
+a work array of its own, then the step.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from sspq.loss import (
     _soften_into,
     gallery_targets,
     ssp_loss_and_grad,
-    ssp_workspace,
 )
 from sspq.quantizer import adc_table, subvectors
 
@@ -197,10 +196,9 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
 
 
 def ssp_step(codebook, g: np.ndarray, q: np.ndarray, tau_g: float, tau_q: float, kind: str = SIM_COSINE):
-    """``ssp_loss_and_grad`` of (B, d) batches paired row by row, with the targets of ``g`` and a workspace of B rows."""
-    workspace = ssp_workspace(codebook.m, codebook.k, len(q))
-    targets = gallery_targets(codebook, g, tau_g, kind, workspace)
-    return ssp_loss_and_grad(codebook, targets, np.arange(len(q)), q, tau_q, kind, workspace)
+    """``ssp_loss_and_grad`` of (B, d) batches paired row by row, with the targets of ``g`` for batches of B rows."""
+    targets = gallery_targets(codebook, g, tau_g, kind, len(q))
+    return ssp_loss_and_grad(codebook, targets, np.arange(len(q)), q, tau_q, kind)
 
 
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:

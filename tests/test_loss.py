@@ -24,12 +24,12 @@ from sspq.embeddings import normalize_rows
 from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
+    _expectation,
     _similarity,
     _soften_into,
     gallery_targets,
     regression_loss_and_grad,
     ssp_loss_and_grad,
-    ssp_workspace,
 )
 from sspq.quantizer import ProductCodebook, subvectors, train_product_codebook
 
@@ -238,10 +238,11 @@ class TestSspLossAndGrad:
 
 
 def per_batch_gallery_side(cb, g, tau_g, kind):
-    """(p_g, lse_g) of a (B, d) batch as each training step once computed them: in a workspace of B rows."""
+    """(p_g, sum p_g log p_g) of a (B, d) batch as each training step once computed them: in arrays of B rows."""
     t, aux, p = np.empty((3, cb.m, len(g), cb.k))
     _similarity(cb, subvectors(g, cb.m), kind, t, aux)
-    return p, _soften_into(t, tau_g, t, p, aux)
+    lse = _soften_into(t, tau_g, t, p, aux)
+    return p, _expectation(p, t) - lse
 
 
 class TestGalleryTargets:
@@ -255,49 +256,48 @@ class TestGalleryTargets:
         rng = np.random.default_rng(n + batch_size)
         cb = ProductCodebook(rng.normal(size=(8, 256, 8)))
         g = rng.normal(size=(n, cb.dim))
-        p_g, lse_g, h_g = gallery_targets(cb, g, tau_g, kind, ssp_workspace(cb.m, cb.k, min(batch_size, n)))
-        assert (p_g.shape, lse_g.shape, h_g.shape) == ((8, n, 256), (8, n), (8, n))
+        p_g, neg_entropy, workspace = gallery_targets(cb, g, tau_g, kind, batch_size)
+        b = min(batch_size, n)
+        assert (p_g.shape, neg_entropy.shape, workspace.shape) == ((8, n, 256), (8, n), (5, 8 * b * 256))
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             batch = order[lo : lo + batch_size]
-            p, lse = per_batch_gallery_side(cb, g[batch], tau_g, kind)
+            p, h = per_batch_gallery_side(cb, g[batch], tau_g, kind)
             if len(batch) > 1 or n == 1:
                 np.testing.assert_array_equal(p_g[:, batch], p)
-                np.testing.assert_array_equal(lse_g[:, batch], lse)
+                np.testing.assert_array_equal(neg_entropy[:, batch], h)
             else:
                 # A lone row of a training set of two or more: the per-batch
                 # cosine is a matrix-vector product there, which rounds apart.
                 np.testing.assert_allclose(p_g[:, batch], p, rtol=1e-13, atol=0)
-                np.testing.assert_allclose(lse_g[:, batch], lse, rtol=1e-13, atol=0)
-        # h_g - lse_g is sum p_g log p_g, with 0 log 0 := 0
-        neg_entropy = np.where(p_g > 0, p_g * np.log(np.where(p_g > 0, p_g, 1.0)), 0.0).sum(axis=2)
-        np.testing.assert_allclose(h_g - lse_g, neg_entropy, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(neg_entropy[:, batch], h, rtol=1e-13, atol=0)
+        # sum p_g log p_g, with 0 log 0 := 0
+        explicit = np.where(p_g > 0, p_g * np.log(np.where(p_g > 0, p_g, 1.0)), 0.0).sum(axis=2)
+        np.testing.assert_allclose(neg_entropy, explicit, rtol=0, atol=1e-12)
 
     def test_tiny_tau_g_gives_finite_targets(self, rng):
         # The logits overflow to -inf off the argmax, where p_g is 0.
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
-        p_g, lse_g, h_g = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, ssp_workspace(2, 4, 2))
+        p_g, neg_entropy, _ = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, 2)
         np.testing.assert_array_equal(p_g.max(axis=2), 1.0)
-        assert np.isfinite(lse_g).all() and np.isfinite(h_g).all()
+        assert np.isfinite(neg_entropy).all()
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
     def test_allocates_its_outputs_and_less_than_one_batch_array(self, kind):
-        # No (M, n, K) temporary: beyond p_g, the two (M, n) outputs and
-        # block-sized scratch.
+        # No (M, n, K) temporary: beyond p_g, the (M, n) output, the work
+        # array and block-sized scratch.
         n, m, k, b = 768, 8, 256, 32
         rng = np.random.default_rng(6)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g = rng.normal(size=(n, cb.dim))
-        workspace = ssp_workspace(m, k, b)
-        gallery_targets(cb, g[:b], 0.1, kind, workspace)  # warm-up
+        gallery_targets(cb, g[:b], 0.1, kind, b)  # warm-up
         tracemalloc.start()
         try:
-            targets = gallery_targets(cb, g, 0.1, kind, workspace)
+            targets = gallery_targets(cb, g, 0.1, kind, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        p_g, lse_g, h_g = targets
-        assert peak - p_g.nbytes - lse_g.nbytes - h_g.nbytes < b * m * k * 8
+        assert peak - sum(a.nbytes for a in targets) < b * m * k * 8
 
     @pytest.mark.parametrize("tau_g", [0.0, 1e-310, 0.1])
     @pytest.mark.parametrize("tau_q", [1e-310, 1e-300, 1e-3, 1.0])
@@ -351,17 +351,35 @@ class TestLogSpaceStep:
     def test_matches_probability_space_reference(self, kind, tau_g):
         rng = np.random.default_rng(31)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
-        workspace = ssp_workspace(cb.m, cb.k, 16)
-        # A short batch reads the front of each full-size workspace slot.
         for rows in (16, 16, 5, 1, 15):
             g = rng.normal(size=(rows, cb.dim))
             q = rng.normal(size=(rows, cb.dim))
-            targets = gallery_targets(cb, g, tau_g, kind, workspace)
-            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(rows), q, 1.0, kind, workspace=workspace)
+            targets = gallery_targets(cb, g, tau_g, kind, 16)
+            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(rows), q, 1.0, kind)
             ref_losses, ref_grad = reference_step(cb, g, q, tau_g, 1.0, kind)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
             fresh = ssp_step(cb, g, q, tau_g, 1.0, kind)
+            np.testing.assert_array_equal(losses, fresh[0])
+            np.testing.assert_array_equal(grad, fresh[1])
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    @pytest.mark.parametrize("tau_g", [0.0, 0.1, 1.0])
+    def test_short_batch_reads_the_front_of_the_run_work_array(self, kind, tau_g):
+        # Targets for 37 rows at 16 rows a step; the last, short step reads
+        # the front of each slot of the work array.
+        rng = np.random.default_rng(37)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g = rng.normal(size=(37, cb.dim))
+        targets = gallery_targets(cb, g, tau_g, kind, 16)
+        order = rng.permutation(37)
+        for batch in np.split(order, [16, 32]):
+            q = rng.normal(size=(len(batch), cb.dim))
+            losses, grad = ssp_loss_and_grad(cb, targets, batch, q, 1.0, kind)
+            ref_losses, ref_grad = reference_step(cb, g[batch], q, tau_g, 1.0, kind)
+            np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+            fresh = ssp_step(cb, g[batch], q, tau_g, 1.0, kind)
             np.testing.assert_array_equal(losses, fresh[0])
             np.testing.assert_array_equal(grad, fresh[1])
 
@@ -371,13 +389,12 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
-        workspace = ssp_workspace(m, k, b)
-        targets = gallery_targets(cb, g, 0.1, kind, workspace)
+        targets = gallery_targets(cb, g, 0.1, kind, b)
         rows = np.arange(b)
-        ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind, workspace=workspace)  # warm-up
+        ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind)  # warm-up
         tracemalloc.start()
         try:
-            ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind, workspace=workspace)
+            ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -389,13 +406,12 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
-        workspace = ssp_workspace(m, k, b)
-        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, workspace)
+        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, b)
         rows = np.arange(b)
-        ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE, workspace=workspace)  # warm-up
+        ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE)  # warm-up
         tracemalloc.start()
         try:
-            ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE, workspace=workspace)
+            ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -303,6 +303,15 @@ class TestProductCodebook:
         with pytest.raises(ShapeMismatchError):
             ProductCodebook(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e39], ids=["nan", "inf", "-inf", "float32-overflow"])
+    def test_centroid_that_is_or_rounds_to_non_finite_raises(self, rng, bad):
+        # Encoding would code every row of the subspace to a NaN centroid,
+        # the index np.argmin returns.
+        cents = rng.normal(size=(2, 4, 3))
+        cents[1, 2, 0] = bad
+        with pytest.raises(NonFiniteInputError):
+            ProductCodebook(cents)
+
 
 class TestTrainProductCodebook:
     def test_matches_manual_slices(self, rng):
@@ -311,6 +320,11 @@ class TestTrainProductCodebook:
         for j in range(2):
             manual = kmeans_fit(feats[None, :, j * 2 : (j + 1) * 2], 2, seed=11 + j)
             np.testing.assert_array_equal(cb.stacked()[j], manual.centroids[0].astype(np.float32))
+
+    def test_centroids_that_overflow_float32_raise(self, rng):
+        # They would round to an all-inf codebook whose codes are all 0.
+        with pytest.raises(NonFiniteInputError):
+            train_product_codebook(rng.normal(size=(12, 4)) * 1e39, m=2, k=4, seed=0)
 
     def test_anchor_counts(self, rng):
         cb = train_product_codebook(rng.normal(size=(8, 4)), m=2, k=2, seed=0)

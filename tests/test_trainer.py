@@ -7,7 +7,7 @@ import pytest
 
 from oracles import central_diff_grad, grad_mismatch, soften, ssp_step, structure_similarity
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
-from sspq.errors import BadConfigError, ShapeMismatchError
+from sspq.errors import BadConfigError, NonFiniteInputError, ShapeMismatchError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN
 from sspq.quantizer import ProductCodebook, train_product_codebook
 from sspq.trainer import LOSS_REGRESSION, TrainConfig, adam_step, train_query_model
@@ -174,6 +174,27 @@ class TestTrainQueryModel:
         cfg = TrainConfig(epochs=1, loss_kind=LOSS_REGRESSION)
         with pytest.raises(ShapeMismatchError):
             train_query_model(enc, gallery[:, :-1], raw, codebook, cfg)
+
+    @pytest.mark.parametrize(
+        "fields, where, bad",
+        [
+            ({"tau_g": 0.0}, "gallery", np.nan),
+            ({"tau_g": 0.0, "similarity_kind": SIM_NEG_EUCLIDEAN}, "gallery", np.nan),
+            ({"tau_g": 0.1}, "gallery", np.nan),
+            ({"loss_kind": LOSS_REGRESSION}, "gallery", np.nan),
+            ({}, "raw", np.inf),
+        ],
+        ids=["hard-cosine-nan-gallery", "hard-l2-nan-gallery", "soft-nan-gallery", "reg-nan-gallery", "inf-raw"],
+    )
+    def test_non_finite_input_raises_before_training(self, monkeypatch, fields, where, bad):
+        # A hard target of a NaN row is centroid 0, so such a run would train
+        # to the end; a soft one would diverge only after a whole epoch.
+        raw, gallery, codebook, enc = small_problem(seed=5)
+        inputs = {"raw": raw.copy(), "gallery": gallery.copy()}
+        inputs[where][3, 1] = bad
+        monkeypatch.setattr("sspq.trainer.encoder_forward", None)  # any step would fail on it
+        with pytest.raises(NonFiniteInputError, match="NaN or an infinity"):
+            train_query_model(enc, inputs["gallery"], inputs["raw"], codebook, TrainConfig(epochs=1, **fields))
 
     def test_negative_seed_in_config_raises(self):
         with pytest.raises(BadConfigError):
