@@ -7,17 +7,22 @@ they are computed subspace-major, (M, B, K), the layout of the per-subspace
 matmul. Both sides are softened in log space into distributions over K
 and matched with a per-subspace KL divergence. The gallery side is frozen,
 so ``gallery_targets`` scores it once per training run for every training
-row and allocates the run's one work array; each step reads its batch's
-rows of those targets and softens only the trainable query side in that
-array. The cosine kernel is one matmul of the unit subvectors against the
-codebook's unit centroids, a norm below ``NORM_EPS`` giving 0. Analytic gradients with respect to the query embeddings are
-exact through the softmax and the chosen similarity kernel.
-A single embedding is a batch of one. The per-run targets and the two
-per-step losses do not check their arguments: ``TrainConfig`` and
-``train_query_model`` check them once per run.
+row and allocates the run's work arrays; each step reads its batch's rows
+of those targets and softens only the trainable query side in those
+arrays. The cosine kernel is one matmul of the unit subvectors against the
+codebook's unit centroids, a norm below ``NORM_EPS`` giving 0. It is linear
+in the unit centroids, so a cosine step reads the targets p_g only through
+each row's expected unit centroids c̄_g = p_g @ unit centroids, which the
+run keeps in place of p_g: n·M·d* floats, not n·M·K. Analytic gradients
+with respect to the query embeddings are exact through the softmax and the
+chosen similarity kernel. A single embedding is a batch of one. The
+per-run targets and the two per-step losses do not check their arguments:
+``TrainConfig`` and ``train_query_model`` check them once per run.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,29 +34,90 @@ SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
+# Below K times the smallest subnormal, an exp(t) divided by its row sum
+# (at most K) may round to 0.
+SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+
+
+class GalleryTargets(NamedTuple):
+    """The frozen gallery side of an SSP run and its steps' work arrays, as ``gallery_targets`` returns them.
+
+    ``expected`` is, under cosine, the (M, n, d*) expected unit centroids
+    c̄_g = p_g @ unit centroids of every row and, under negative-Euclidean,
+    the (M, n, K) target distributions p_g. ``neg_entropy`` is their (M, n)
+    sums over k of p_g log p_g, with 0 log 0 := 0. ``work`` holds five
+    (M, b, K) slots and ``vectors`` three (M, b, d*) slots for steps of up to
+    b rows. A cosine step whose query distribution may round to 0 scores its
+    rows of ``gallery`` again at ``tau_g``.
+    """
+
+    expected: np.ndarray
+    neg_entropy: np.ndarray
+    work: np.ndarray
+    vectors: np.ndarray
+    gallery: np.ndarray
+    tau_g: float
+
 
 def _similarity(
-    codebook: ProductCodebook, u: np.ndarray, kind: str, out: np.ndarray, aux: np.ndarray
+    codebook: ProductCodebook,
+    u: np.ndarray,
+    kind: str,
+    out: np.ndarray,
+    aux: np.ndarray,
+    vec: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Write the (M, B, K) similarities of (M, B, d*) subvectors ``u`` into ``out``.
 
-    Under cosine, ``aux`` is not touched, and the (M, B, d*) unit subvectors
-    and their (M, B) norms are returned, a norm below ``NORM_EPS`` as inf,
-    so its unit subvector is 0. Under negative-Euclidean ``aux`` is scratch
-    and None is returned. The Euclidean distance is the root of the
-    quantizer's squared-distance kernel, so it equals the root of the ADC
-    table bit for bit.
+    Under cosine, ``aux`` is not touched, the unit subvectors are written to
+    the first of the two (M, B, d*) arrays ``vec`` and the second is scratch,
+    and (unit subvectors, (M, B) norms) is returned, a norm below
+    ``NORM_EPS`` as inf, so its unit subvector is 0. Under negative-Euclidean
+    ``aux`` is scratch, ``vec`` is not touched and None is returned. The
+    Euclidean distance is the root of the quantizer's squared-distance
+    kernel, so it equals the root of the ADC table bit for bit.
     """
     if kind == SIM_COSINE:
+        unit, spread = vec
         norms = np.linalg.norm(u, axis=2)
         norms[norms < NORM_EPS] = np.inf
-        unit = u / norms[:, :, None]
+        # A ufunc buffers a strided or broadcast operand, so the divide
+        # reads copies of both.
+        np.copyto(unit, u)
+        np.copyto(spread, norms[:, :, None])
+        unit /= spread
         np.matmul(unit, codebook.unit_centroids().transpose(0, 2, 1), out=out)
         return unit, norms
     subvector_sq_dists(codebook.stacked(), u, out, aux)
     np.sqrt(out, out=out)
     np.negative(out, out=out)
     return None
+
+
+def _exp_logits_into(
+    values: np.ndarray, temperature: float, logits: np.ndarray, exps: np.ndarray, scratch: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write t = (values - max) / temperature into ``logits`` and exp(t) into ``exps``.
+
+    ``logits`` may be ``values`` itself, and ``temperature`` is positive.
+    Returns the row maxima and the row sums of exp(t). The row maxima are
+    spread into ``scratch``, of the shape of ``values``, since a ufunc
+    buffers an operand broadcast along the last axis.
+    """
+    peak = values.max(axis=-1)
+    np.copyto(scratch, peak[..., None])
+    np.subtract(values, scratch, out=logits)
+    if temperature != 1.0:
+        logits /= temperature
+    np.exp(logits, out=exps)
+    return peak, exps.sum(axis=-1)
+
+
+def _normalize_into(exps: np.ndarray, total: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Divide ``exps`` in place by its row sums ``total``, spread through ``scratch``; returns log ``total``."""
+    np.copyto(scratch, total[..., None])
+    exps /= scratch
+    return np.log(total)
 
 
 def _soften_into(
@@ -64,8 +130,7 @@ def _soften_into(
     ``probs``, and returns log sum exp(t), so log probs = t - lse. At
     temperature 0, ``probs`` is the one-hot argmax (ties to the lowest
     index), and the logits and lse are 0, so sum probs * log probs is 0.
-    The row maxima and sums are spread into ``scratch``, of the shape of
-    ``values``, since a ufunc buffers an operand broadcast along the last axis.
+    ``scratch``, of the shape of ``values``, spreads the row maxima and sums.
     """
     if temperature == 0:
         hard = np.argmax(values, axis=-1)[..., None]
@@ -73,40 +138,35 @@ def _soften_into(
         np.put_along_axis(probs, hard, 1.0, axis=-1)
         logits.fill(0.0)
         return np.zeros(values.shape[:-1])
-    np.copyto(scratch, values.max(axis=-1, keepdims=True))
-    np.subtract(values, scratch, out=logits)
-    if temperature != 1.0:
-        logits /= temperature
-    np.exp(logits, out=probs)
-    total = probs.sum(axis=-1)
-    np.copyto(scratch, total[..., None])
-    probs /= scratch
-    return np.log(total)
+    _, total = _exp_logits_into(values, temperature, logits, probs, scratch)
+    return _normalize_into(probs, total, scratch)
 
 
-def _grad_through_similarity(
-    codebook: ProductCodebook,
-    u: np.ndarray,
-    kind: str,
-    s: np.ndarray,
-    w: np.ndarray,
-    aux: np.ndarray,
-    unit_norms: tuple[np.ndarray, np.ndarray] | None,
-) -> np.ndarray:
-    """Map dLoss/dS ``w`` (M, B, K) to dLoss/du (M, B, d*) for the chosen kernel.
+def _cosine_grad(grad: np.ndarray, unit_norms: tuple[np.ndarray, np.ndarray], spread: np.ndarray) -> np.ndarray:
+    """Map g = dLoss/dS @ unit centroids (M, B, d*), in place in ``grad``, to dLoss/du = (g - û (û·g)) / |u|.
 
-    ``s`` and ``unit_norms`` are what ``_similarity`` wrote and returned for
-    ``u``. Under cosine it is (g - û (û·g)) / |u| with g = w @ unit centroids;
-    under negative-Euclidean ``w`` and ``aux`` are overwritten. Dead subspaces
-    (a degenerate subvector under cosine, or one exactly on a centroid under
-    negative-Euclidean) get zero gradient: the kernel is flat or kinked there.
+    ``unit_norms`` is what cosine ``_similarity`` returned for u, and
+    ``spread`` is scratch of the shape of ``grad``. A degenerate subvector,
+    whose norm is inf, gets gradient 0: the kernel is flat there.
     """
-    if kind == SIM_COSINE:
-        unit, norms = unit_norms
-        grad = np.matmul(w, codebook.unit_centroids())
-        grad -= unit * np.einsum("mbd,mbd->mb", unit, grad)[:, :, None]
-        grad /= norms[:, :, None]  # 0 where the norm is inf
-        return grad
+    unit, norms = unit_norms
+    np.copyto(spread, np.einsum("mbd,mbd->mb", unit, grad)[:, :, None])
+    spread *= unit
+    grad -= spread
+    np.copyto(spread, norms[:, :, None])
+    grad /= spread
+    return grad
+
+
+def _neg_euclidean_grad(
+    codebook: ProductCodebook, u: np.ndarray, s: np.ndarray, w: np.ndarray, aux: np.ndarray
+) -> np.ndarray:
+    """Map dLoss/dS ``w`` (M, B, K) to dLoss/du (M, B, d*) under negative-Euclidean.
+
+    ``s`` is what ``_similarity`` wrote for ``u``, and ``w`` and ``aux`` are
+    overwritten. A subvector exactly on a centroid gets no gradient from it:
+    the kernel is kinked there.
+    """
     np.negative(s, out=aux)
     # An infinite distance gives the centroid under the subvector zero weight.
     np.copyto(aux, np.inf, where=aux < NORM_EPS)
@@ -129,44 +189,65 @@ def _expectation(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def gallery_targets(
     codebook: ProductCodebook, g: np.ndarray, tau_g: float, kind: str, batch_rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> GalleryTargets:
     """The frozen gallery side of the SSP loss for every row of (n, d) float64 embeddings ``g``.
 
-    Allocates the run's one work array, five (M, b, K) slots for steps of up
-    to b = min(``batch_rows``, n) rows, and softens the gallery similarities
-    at ``tau_g`` (0 is hard assignment) in blocks of b rows in its first two
-    slots, so nothing of (M, n, K) size is allocated but ``p_g``. A row's
-    values do not depend on the other rows of a block of two or more.
-
-    Returns:
-        (p_g, neg_entropy, workspace): the (M, n, K) target distributions,
-        their (M, n) sums over k of p_g log p_g, with 0 log 0 := 0, and the
-        work array that ``ssp_loss_and_grad`` takes with them.
+    Allocates the run's work arrays for steps of up to b = min(``batch_rows``,
+    n) rows and softens the gallery similarities at ``tau_g`` (0 is hard
+    assignment) in blocks of b rows in their slots. A row's values do not
+    depend on the other rows of a block of two or more, and the last block
+    ends at row n, so no row is scored alone unless b is 1: a one-row cosine
+    matmul is a matrix-vector product, which rounds differently. Under
+    cosine each block's p_g is reduced to its expected unit centroids at
+    once, so nothing of (M, n, K) size is allocated; under
+    negative-Euclidean p_g is the one. The targets keep ``g`` uncopied.
     """
     m, n, k = codebook.m, g.shape[0], codebook.k
     b = min(batch_rows, n)
-    workspace = np.empty((5, m * b * k))
-    t, aux = workspace[:2].reshape(2, m, b, k)
-    p_g, neg_entropy = np.empty((m, n, k)), np.empty((m, n))
+    work, vectors = np.empty((5, m * b * k)), np.empty((3, b * g.shape[1]))
+    t, aux, p = work[:3].reshape(3, m, b, k)
+    vec = vectors[:2].reshape(2, m, b, -1)
+    cosine = kind == SIM_COSINE
+    expected = np.empty((m, n, vec.shape[3] if cosine else k))
+    neg_entropy = np.empty((m, n))
     # A tiny temperature may overflow the logits to -inf, and 0 * -inf is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, b):
-            # The last block ends at row n, so no row is scored alone: a
-            # one-row cosine matmul is a matrix-vector product, which rounds
-            # differently.
             start = min(start, n - b)
             block = slice(start, start + b)
-            p = p_g[:, block]
-            _similarity(codebook, subvectors(g[block], m), kind, t, aux)
+            if not cosine:
+                p = expected[:, block]
+            _similarity(codebook, subvectors(g[block], m), kind, t, aux, vec)
             lse = _soften_into(t, tau_g, t, p, aux)
             # log p_g = t - lse and sum_k p_g = 1
             np.subtract(_expectation(p, t), lse, out=neg_entropy[:, block])
-    return p_g, neg_entropy, workspace
+            if cosine:
+                # A (1, K) @ (K, d*) product a row: a block's matmul would
+                # round a row by its place in the block.
+                np.matmul(p[:, :, None], codebook.unit_centroids()[:, None], out=expected[:, block, None])
+    return GalleryTargets(expected, neg_entropy, work, vectors, g, tau_g)
+
+
+def _rescored_targets(codebook: ProductCodebook, targets: GalleryTargets, rows: np.ndarray) -> np.ndarray:
+    """The (M, B, K) p_g of gallery rows ``rows``, scored again as ``gallery_targets`` scored them.
+
+    Uses the front of the first, second and fifth work slots and of the
+    second and third vector slots. A lone row is scored in a block of two
+    unless the run scored rows one at a time, so its bits are the run's.
+    """
+    m, k = codebook.m, codebook.k
+    block = rows if len(rows) > 1 or targets.work.shape[1] == m * k else np.repeat(rows, 2)
+    r = len(block)
+    t, aux, p = (targets.work[slot, : m * r * k].reshape(m, r, k) for slot in (0, 1, 4))
+    vec = targets.vectors[1:, : r * codebook.dim].reshape(2, m, r, -1)
+    _similarity(codebook, subvectors(targets.gallery[block], m), SIM_COSINE, t, aux, vec)
+    _soften_into(t, targets.tau_g, t, p, aux)
+    return p[:, : len(rows)]
 
 
 def ssp_loss_and_grad(
     codebook: ProductCodebook,
-    targets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    targets: GalleryTargets,
     rows: np.ndarray,
     q: np.ndarray,
     tau_q: float,
@@ -176,12 +257,18 @@ def ssp_loss_and_grad(
 
     ``targets`` is ``gallery_targets`` of the gallery embeddings, for
     batches of B or more rows; its rows ``rows`` (B in-range indices) pair
-    with the rows of ``q`` and are constants, and its work array holds the
-    step's five (M, B, K) arrays. ``tau_q`` must be positive so the query
-    distribution has full support. The query side is softened in log space:
-    KL = sum p_g log p_g - sum p_g * t_q + lse_q, with t_q the shifted query
-    logits, and dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the
-    similarity kernel.
+    with the rows of ``q`` and are constants, and its work arrays hold the
+    step's arrays. ``tau_q`` must be positive so the query distribution has
+    full support. The query side is softened in log space: KL = sum p_g log
+    p_g - sum p_g * t_q + lse_q, with t_q the shifted query logits, and
+    dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the similarity kernel.
+
+    Under cosine, while no query probability can round to 0, both terms
+    read p_g only through c̄_g: sum p_g * t_q = (û·c̄_g - max s_q) / tau_q and
+    (p_q - p_g) @ unit centroids = (e @ unit centroids) / sum e - c̄_g, with
+    e = exp(t_q). Otherwise (a tiny ``tau_q``, or a non-finite value) the
+    step scores its gallery rows again and takes the general path, which
+    negative-Euclidean always takes.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -193,28 +280,50 @@ def ssp_loss_and_grad(
             zero probability where the gallery distribution is positive (the
             divergence would be infinite).
     """
-    p_g_all, neg_entropy, workspace = targets
     m, b, k = codebook.m, q.shape[0], codebook.k
-    s_q, aux, t_q, p_q, p_g = workspace[:, : m * b * k].reshape(5, m, b, k)
-    # Rows come from the training loop's permutation; "clip" skips the
-    # bounds pass that would buffer the gather.
-    np.take(p_g_all, rows, axis=1, out=p_g, mode="clip")
+    s_q, aux, t_q, p_q, p_g = targets.work[:, : m * b * k].reshape(5, m, b, k)
+    unit_q, grad, spread = targets.vectors[:, : q.size].reshape(3, m, b, -1)
     u_q = subvectors(q, m)
     # A tiny temperature may overflow the logits to -inf, and -inf * 0 is
     # NaN; both happen only where a probability is 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        unit_norms = _similarity(codebook, u_q, kind, s_q, aux)
-        lse_q = _soften_into(s_q, tau_q, t_q, p_q, aux)
-        if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
-            raise ZeroTargetProbabilityError(
-                "query distribution has zero probability on the gallery support"
-            )
-        # sum_k p_g (log p_g - log p_q) with log p_q = t_q - lse_q and sum_k p_g = 1
-        kl = neg_entropy[:, rows] - _expectation(p_g, t_q) + lse_q
-        np.subtract(p_q, p_g, out=p_q)
-        if tau_q != 1.0:
-            p_q /= tau_q  # dLoss/dS_q
-        grad = _grad_through_similarity(codebook, u_q, kind, s_q, p_q, aux, unit_norms)
+        unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
+        peak, total = _exp_logits_into(s_q, tau_q, t_q, p_q, aux)
+        # NaN compares False, so a non-finite value also takes the general path.
+        if kind == SIM_COSINE and p_q.min() >= k * SMALLEST_SUBNORMAL:
+            # p_q = e / sum e is positive everywhere; see the docstring.
+            lse_q = np.log(total)
+            np.matmul(p_q, codebook.unit_centroids(), out=grad)
+            np.copyto(spread, total[:, :, None])
+            grad /= spread
+            np.take(targets.expected, rows, axis=1, out=spread, mode="clip")
+            kl = targets.neg_entropy[:, rows] - (np.einsum("mbd,mbd->mb", unit_q, spread) - peak) / tau_q + lse_q
+            grad -= spread
+            if tau_q != 1.0:
+                grad /= tau_q
+        else:
+            lse_q = _normalize_into(p_q, total, aux)
+            if kind == SIM_COSINE:
+                p_g = _rescored_targets(codebook, targets, rows)
+            else:
+                # Rows come from the training loop's permutation; "clip"
+                # skips the bounds pass that would buffer the gather.
+                np.take(targets.expected, rows, axis=1, out=p_g, mode="clip")
+            if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
+                raise ZeroTargetProbabilityError(
+                    "query distribution has zero probability on the gallery support"
+                )
+            # sum_k p_g (log p_g - log p_q) with log p_q = t_q - lse_q and sum_k p_g = 1
+            kl = targets.neg_entropy[:, rows] - _expectation(p_g, t_q) + lse_q
+            np.subtract(p_q, p_g, out=p_q)
+            if tau_q != 1.0:
+                p_q /= tau_q  # dLoss/dS_q
+            if kind == SIM_COSINE:
+                np.matmul(p_q, codebook.unit_centroids(), out=grad)
+        if kind == SIM_COSINE:
+            grad = _cosine_grad(grad, unit_norms, spread)
+        else:
+            grad = _neg_euclidean_grad(codebook, u_q, s_q, p_q, aux)
     return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
 
 

@@ -360,11 +360,14 @@ def subvector_sq_dists(centroids: np.ndarray, u: np.ndarray, out: np.ndarray, au
     ``u`` is (M, rows, d*), ``centroids`` (M, K, d*), and ``out`` and ``aux``
     are (M, rows, K); ``aux`` is scratch. The sum of explicit per-dimension
     differences keeps a subvector on a centroid at exactly 0 and equidistant
-    centroids exactly tied.
+    centroids exactly tied. Each subvector coordinate is spread into ``aux``
+    before the subtract, since a ufunc buffers an operand broadcast along
+    the last axis.
     """
     out.fill(0.0)
     for j in range(centroids.shape[2]):
-        np.subtract(centroids[:, None, :, j], u[:, :, j, None], out=aux)
+        np.copyto(aux, u[:, :, j, None])
+        np.subtract(centroids[:, None, :, j], aux, out=aux)
         aux *= aux
         out += aux
 

@@ -2,8 +2,9 @@
 
 The gallery side is frozen, so it is prepared once per run before the first
 epoch: the SSP loss's softened targets of every training row
-(``gallery_targets``, n·M·K float64), or the unit rows for the regression
-loss. Each mini-batch is then pushed through the encoder in one forward
+(``gallery_targets``: under cosine their expected unit centroids, n·M·d*
+float64, and under negative-Euclidean the targets themselves, n·M·K), or
+the unit rows for the regression loss. Each mini-batch is then pushed through the encoder in one forward
 pass, scored row by row against its samples' rows of that gallery side with
 the configured loss in one call, and backpropagated in one backward pass.
 The parameter gradients, averaged over the mini-batch, feed an Adam update

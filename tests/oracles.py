@@ -14,7 +14,7 @@ the label sidecar. ``structure_similarity`` and
 own similarity and softmax kernels, which no library code calls, kept so the
 tests can hold those kernels against the references here. ``ssp_step`` runs
 the loss on one batch of paired rows: the gallery targets of the batch, with
-a work array of its own, then the step.
+work arrays of their own, then the step.
 """
 
 from __future__ import annotations
@@ -191,7 +191,8 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
     if x.ndim != 2 or x.shape[1] != codebook.dim:
         raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
     out = np.empty((codebook.m, x.shape[0], codebook.k))
-    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
+    vec = np.empty((2, codebook.m, x.shape[0], codebook.dim // codebook.m))
+    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out), vec)
     return out.transpose(1, 0, 2)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sspq.loss
 from oracles import (
     central_diff_grad,
     cosine_sim,
@@ -25,6 +26,7 @@ from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
     _expectation,
+    _rescored_targets,
     _similarity,
     _soften_into,
     gallery_targets,
@@ -240,7 +242,7 @@ class TestSspLossAndGrad:
 def per_batch_gallery_side(cb, g, tau_g, kind):
     """(p_g, sum p_g log p_g) of a (B, d) batch as each training step once computed them: in arrays of B rows."""
     t, aux, p = np.empty((3, cb.m, len(g), cb.k))
-    _similarity(cb, subvectors(g, cb.m), kind, t, aux)
+    _similarity(cb, subvectors(g, cb.m), kind, t, aux, np.empty((2, cb.m, len(g), cb.dim // cb.m)))
     lse = _soften_into(t, tau_g, t, p, aux)
     return p, _expectation(p, t) - lse
 
@@ -256,12 +258,18 @@ class TestGalleryTargets:
         rng = np.random.default_rng(n + batch_size)
         cb = ProductCodebook(rng.normal(size=(8, 256, 8)))
         g = rng.normal(size=(n, cb.dim))
-        p_g, neg_entropy, workspace = gallery_targets(cb, g, tau_g, kind, batch_size)
+        targets = gallery_targets(cb, g, tau_g, kind, batch_size)
+        expected, neg_entropy = targets.expected, targets.neg_entropy
         b = min(batch_size, n)
-        assert (p_g.shape, neg_entropy.shape, workspace.shape) == ((8, n, 256), (8, n), (5, 8 * b * 256))
+        shapes = (expected.shape, neg_entropy.shape, targets.work.shape, targets.vectors.shape)
+        assert shapes == ((8, n, 8 if kind == SIM_COSINE else 256), (8, n), (5, 8 * b * 256), (3, b * 64))
+        p_g = np.empty((8, n, 256))
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             batch = order[lo : lo + batch_size]
+            # Under cosine the step scores its rows again where a query
+            # probability may round to 0.
+            p_g[:, batch] = expected[:, batch] if kind != SIM_COSINE else _rescored_targets(cb, targets, batch)
             p, h = per_batch_gallery_side(cb, g[batch], tau_g, kind)
             if len(batch) > 1 or n == 1:
                 np.testing.assert_array_equal(p_g[:, batch], p)
@@ -271,6 +279,10 @@ class TestGalleryTargets:
                 # cosine is a matrix-vector product there, which rounds apart.
                 np.testing.assert_allclose(p_g[:, batch], p, rtol=1e-13, atol=0)
                 np.testing.assert_allclose(neg_entropy[:, batch], h, rtol=1e-13, atol=0)
+        if kind == SIM_COSINE:
+            # Each coordinate is a convex combination of unit-vector coordinates,
+            # so its rounding is bounded at the scale 1, not at its own size.
+            np.testing.assert_allclose(expected, p_g @ cb.unit_centroids(), rtol=0, atol=1e-13)
         # sum p_g log p_g, with 0 log 0 := 0
         explicit = np.where(p_g > 0, p_g * np.log(np.where(p_g > 0, p_g, 1.0)), 0.0).sum(axis=2)
         np.testing.assert_allclose(neg_entropy, explicit, rtol=0, atol=1e-12)
@@ -278,14 +290,19 @@ class TestGalleryTargets:
     def test_tiny_tau_g_gives_finite_targets(self, rng):
         # The logits overflow to -inf off the argmax, where p_g is 0.
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
-        p_g, neg_entropy, _ = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, 2)
-        np.testing.assert_array_equal(p_g.max(axis=2), 1.0)
-        assert np.isfinite(neg_entropy).all()
+        targets = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, 2)
+        for batch in ([0, 1], [2, 3], [4]):
+            # The step scores its rows again under the errstate it runs in.
+            with np.errstate(over="ignore", invalid="ignore"):
+                p_g = _rescored_targets(cb, targets, np.array(batch))
+            np.testing.assert_array_equal(p_g.max(axis=2), 1.0)
+        assert np.isfinite(targets.neg_entropy).all() and np.isfinite(targets.expected).all()
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
     def test_allocates_its_outputs_and_less_than_one_batch_array(self, kind):
-        # No (M, n, K) temporary: beyond p_g, the (M, n) output, the work
-        # array and block-sized scratch.
+        # No (M, n, K) temporary: beyond the (M, n, K) p_g under l2 or the
+        # (M, n, d*) expected unit centroids under cosine, the (M, n)
+        # output, the work arrays and block-sized scratch.
         n, m, k, b = 768, 8, 256, 32
         rng = np.random.default_rng(6)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
@@ -297,7 +314,12 @@ class TestGalleryTargets:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak - sum(a.nbytes for a in targets) < b * m * k * 8
+        outputs = (targets.expected, targets.neg_entropy, targets.work, targets.vectors)
+        assert peak - sum(a.nbytes for a in outputs) < b * m * k * 8
+        if kind == SIM_COSINE:
+            # Nothing of (M, n, K) size was ever held.
+            assert targets.expected.shape == (m, n, 8)
+            assert peak < m * n * k * 8
 
     @pytest.mark.parametrize("tau_g", [0.0, 1e-310, 0.1])
     @pytest.mark.parametrize("tau_q", [1e-310, 1e-300, 1e-3, 1.0])
@@ -416,6 +438,89 @@ class TestLogSpaceStep:
         finally:
             tracemalloc.stop()
         assert peak < b * m * k * 8 // 4
+
+
+def count_rescores(monkeypatch) -> list:
+    """Record each call of the cosine step's general path, which scores its gallery rows again."""
+    calls, rescore = [], sspq.loss._rescored_targets
+
+    def counting(codebook, targets, rows):
+        calls.append(len(rows))
+        return rescore(codebook, targets, rows)
+
+    monkeypatch.setattr(sspq.loss, "_rescored_targets", counting)
+    return calls
+
+
+class TestCosineExpectedCentroids:
+    """The cosine step that reads c̄_g = p_g @ unit centroids against the reference and the general path."""
+
+    @pytest.mark.parametrize("tau_g", [0.0, 0.1])
+    @pytest.mark.parametrize("tau_q", [1e-2, 0.1, 1.0, 2.0])
+    def test_matches_reference_and_the_general_path(self, monkeypatch, tau_g, tau_q):
+        rng = np.random.default_rng(41)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g = rng.normal(size=(37, cb.dim))
+        targets = gallery_targets(cb, g, tau_g, SIM_COSINE, 16)
+        rescored = count_rescores(monkeypatch)
+        for batch in np.split(rng.permutation(37), [16, 32, 36]):
+            q = rng.normal(size=(len(batch), cb.dim))
+            losses, grad = ssp_loss_and_grad(cb, targets, batch, q, tau_q, SIM_COSINE)
+            assert rescored == []
+            ref_losses, ref_grad = reference_step(cb, g[batch], q, tau_g, tau_q, SIM_COSINE)
+            np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+            # The gradient grows as 1 / tau_q; 1e-12 of its largest coordinate.
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
+            with monkeypatch.context() as general:
+                general.setattr(sspq.loss, "SMALLEST_SUBNORMAL", np.inf)
+                gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, batch, q, tau_q, SIM_COSINE)
+            assert rescored == [len(batch)]
+            rescored.clear()
+            np.testing.assert_allclose(losses, gen_losses, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, gen_grad, rtol=0, atol=1e-12 * np.abs(gen_grad).max())
+
+    def test_underflow_threshold_picks_the_path(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g, q = rng.normal(size=(2, 8, cb.dim))
+        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 8)
+        sim = structure_similarity(cb, q)
+        widest = (sim.max(axis=2) - sim.min(axis=2)).max()
+        # The least exp(t_q) is exp(-widest / tau_q); below K * 2^-1074 it
+        # takes the general path. A relative 1e-4 of tau_q moves it by about
+        # 7%, past the 3% step between subnormals there.
+        threshold = widest / (1074 * np.log(2) - np.log(cb.k))
+        rescored = count_rescores(monkeypatch)
+        for tau_q, general in ((threshold * (1 + 1e-4), False), (threshold * (1 - 1e-4), True)):
+            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
+            assert rescored == ([8] if general else [])
+            rescored.clear()
+            assert np.isfinite(losses).all() and np.isfinite(grad).all()
+            with monkeypatch.context() as forced:
+                forced.setattr(sspq.loss, "SMALLEST_SUBNORMAL", np.inf)
+                gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
+            rescored.clear()
+            np.testing.assert_allclose(losses, gen_losses, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(grad, gen_grad, rtol=0, atol=1e-12 * np.abs(gen_grad).max())
+
+    def test_a_lone_row_is_scored_again_as_the_run_scored_it(self, rng):
+        # The run scored blocks of 16, so a lone row is scored again in a
+        # block of two: a one-row matmul rounds differently.
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g = rng.normal(size=(37, cb.dim))
+        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            lone = _rescored_targets(cb, targets, np.array([36])).copy()
+            pair = _rescored_targets(cb, targets, np.array([36, 5]))[:, :1].copy()
+        np.testing.assert_array_equal(lone, pair)
+        p, _ = per_batch_gallery_side(cb, g[[36, 5]], 0.1, SIM_COSINE)
+        np.testing.assert_array_equal(lone, p[:, :1])
+        # Matching one-hot supports at a tiny tau keep their exact zeros.
+        q = g[[36]].copy()
+        targets = gallery_targets(cb, g, 1e-300, SIM_COSINE, 16)
+        losses, grad = ssp_loss_and_grad(cb, targets, np.array([36]), q, 1e-300, SIM_COSINE)
+        np.testing.assert_array_equal(losses, 0.0)
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestDegenerateCosine:
