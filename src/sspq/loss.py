@@ -4,24 +4,29 @@ Every function works on a batch. Each row of a (B, d) batch of embeddings
 is split into M subvectors and compared subspace-by-subspace against the
 codebook centroids, giving (B, M, K) structure similarities; internally
 they are computed subspace-major, (M, B, K), the layout of the per-subspace
-matmul. Both sides are softened in log space into distributions over K
-and matched with a per-subspace KL divergence. The gallery side is frozen,
-so ``gallery_targets`` scores it once per training run for every training
-row and allocates the run's work arrays; each step reads its batch's rows
-of those targets and softens only the trainable query side in those
-arrays. The cosine kernel is one matmul of the unit subvectors against the
-codebook's unit centroids, a norm below ``NORM_EPS`` giving 0. It is linear
-in the unit centroids, so a cosine step reads the targets p_g only through
-each row's expected unit centroids c̄_g = p_g @ unit centroids, which the
-run keeps in place of p_g: n·M·d* floats, not n·M·K. Analytic gradients
-with respect to the query embeddings are exact through the softmax and the
-chosen similarity kernel. A single embedding is a batch of one. The
-per-run targets and the two per-step losses do not check their arguments:
-``TrainConfig`` and ``train_query_model`` check them once per run.
+matmul. Both sides are softened with a temperature into distributions
+over K and matched with a per-subspace KL divergence. The gallery side and
+the general query step soften in log space, shifting each row by its
+maximum; a cosine query step at a temperature at or above a limit fixed by
+K exponentiates its bounded similarities directly. The gallery side is
+frozen, so ``gallery_targets`` scores it once per training run for every
+training row and allocates the run's work arrays; each step reads its
+batch's rows of those targets and softens only the trainable query side in
+those arrays. The cosine kernel is one matmul of the unit subvectors
+against the codebook's unit centroids, a norm below ``NORM_EPS`` giving 0.
+It is linear in the unit centroids, so a cosine step reads the targets p_g
+only through each row's expected unit centroids c̄_g = p_g @ unit
+centroids, which the run keeps in place of p_g: n·M·d* floats, not n·M·K.
+Analytic gradients with respect to the query embeddings are exact through
+the softmax and the chosen similarity kernel. A single embedding is a batch
+of one. The per-run targets and the two per-step losses do not check their
+arguments: ``TrainConfig`` and ``train_query_model`` check them once per
+run.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -34,9 +39,22 @@ SIM_COSINE = "cosine"
 SIM_NEG_EUCLIDEAN = "l2"
 SIMILARITY_KINDS = (SIM_COSINE, SIM_NEG_EUCLIDEAN)
 
-# Below K times the smallest subnormal, an exp(t) divided by its row sum
-# (at most K) may round to 0.
-SMALLEST_SUBNORMAL = float(np.finfo(np.float64).smallest_subnormal)
+# A computed cosine similarity is a dot product of two computed unit
+# vectors of d* coordinates, each within about (d*+2)·2^-53 of norm 1, and
+# the product adds at most d*·2^-53 of relative error, so |s| <= 1 + delta
+# with delta = (3d*+4)·2^-53·(1 + 2^-20) < 2^-18 for every d* <= 2^32.
+COSINE_BOUND = 1.0 + 2.0**-18
+
+
+def cosine_tau_q_limit(k: int) -> float:
+    """The least tau_q at which the cosine step exponentiates s_q / tau_q directly.
+
+    A cosine row spans at most 2(1 + delta), so at or above
+    2(1 + delta) / (1074 ln 2 - ln K) every e = exp(s_q / tau_q) is a normal
+    float whose row sum of K terms is finite, and each e / sum e is at least
+    2^-1074: no query probability can round to 0.
+    """
+    return 2.0 * COSINE_BOUND / (1074 * math.log(2.0) - math.log(k))
 
 
 class GalleryTargets(NamedTuple):
@@ -47,8 +65,8 @@ class GalleryTargets(NamedTuple):
     the (M, n, K) target distributions p_g. ``neg_entropy`` is their (M, n)
     sums over k of p_g log p_g, with 0 log 0 := 0. ``work`` holds five
     (M, b, K) slots and ``vectors`` three (M, b, d*) slots for steps of up to
-    b rows. A cosine step whose query distribution may round to 0 scores its
-    rows of ``gallery`` again at ``tau_g``.
+    b rows. A cosine step that takes the general path scores its rows of
+    ``gallery`` again at ``tau_g``.
     """
 
     expected: np.ndarray
@@ -96,21 +114,20 @@ def _similarity(
 
 def _exp_logits_into(
     values: np.ndarray, temperature: float, logits: np.ndarray, exps: np.ndarray, scratch: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Write t = (values - max) / temperature into ``logits`` and exp(t) into ``exps``.
 
     ``logits`` may be ``values`` itself, and ``temperature`` is positive.
-    Returns the row maxima and the row sums of exp(t). The row maxima are
-    spread into ``scratch``, of the shape of ``values``, since a ufunc
-    buffers an operand broadcast along the last axis.
+    Returns the row sums of exp(t). The row maxima are spread into
+    ``scratch``, of the shape of ``values``, since a ufunc buffers an operand
+    broadcast along the last axis.
     """
-    peak = values.max(axis=-1)
-    np.copyto(scratch, peak[..., None])
+    np.copyto(scratch, values.max(axis=-1)[..., None])
     np.subtract(values, scratch, out=logits)
     if temperature != 1.0:
         logits /= temperature
     np.exp(logits, out=exps)
-    return peak, exps.sum(axis=-1)
+    return exps.sum(axis=-1)
 
 
 def _normalize_into(exps: np.ndarray, total: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -138,7 +155,7 @@ def _soften_into(
         np.put_along_axis(probs, hard, 1.0, axis=-1)
         logits.fill(0.0)
         return np.zeros(values.shape[:-1])
-    _, total = _exp_logits_into(values, temperature, logits, probs, scratch)
+    total = _exp_logits_into(values, temperature, logits, probs, scratch)
     return _normalize_into(probs, total, scratch)
 
 
@@ -259,16 +276,19 @@ def ssp_loss_and_grad(
     batches of B or more rows; its rows ``rows`` (B in-range indices) pair
     with the rows of ``q`` and are constants, and its work arrays hold the
     step's arrays. ``tau_q`` must be positive so the query distribution has
-    full support. The query side is softened in log space: KL = sum p_g log
-    p_g - sum p_g * t_q + lse_q, with t_q the shifted query logits, and
-    dLoss/dS_q = (p_q - p_g) / tau_q. ``kind`` names the similarity kernel.
+    full support. KL = sum p_g log p_g - sum p_g log p_q and dLoss/dS_q =
+    (p_q - p_g) / tau_q. ``kind`` names the similarity kernel.
 
-    Under cosine, while no query probability can round to 0, both terms
-    read p_g only through c̄_g: sum p_g * t_q = (û·c̄_g - max s_q) / tau_q and
-    (p_q - p_g) @ unit centroids = (e @ unit centroids) / sum e - c̄_g, with
-    e = exp(t_q). Otherwise (a tiny ``tau_q``, or a non-finite value) the
-    step scores its gallery rows again and takes the general path, which
-    negative-Euclidean always takes.
+    Under cosine with ``tau_q`` at or above ``cosine_tau_q_limit(K)``, the
+    similarities are bounded, so e = exp(s_q / tau_q) is taken without a
+    shift, and the step reads p_g only through c̄_g: KL = sum p_g log p_g -
+    (û·c̄_g) / tau_q + log sum e, and (p_q - p_g) @ unit centroids =
+    (e @ unit centroids) / sum e - c̄_g. Below that limit, or where a row
+    sum of e is not finite (a NaN query), the step scores its gallery rows
+    again and takes the general path, which negative-Euclidean always
+    takes: the query side is softened in log space, with t_q the logits
+    shifted by their row maxima, log p_q = t_q - lse_q, and the targets p_g
+    gathered.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -288,20 +308,28 @@ def ssp_loss_and_grad(
     # NaN; both happen only where a probability is 0.
     with np.errstate(over="ignore", invalid="ignore"):
         unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
-        peak, total = _exp_logits_into(s_q, tau_q, t_q, p_q, aux)
-        # NaN compares False, so a non-finite value also takes the general path.
-        if kind == SIM_COSINE and p_q.min() >= k * SMALLEST_SUBNORMAL:
-            # p_q = e / sum e is positive everywhere; see the docstring.
-            lse_q = np.log(total)
-            np.matmul(p_q, codebook.unit_centroids(), out=grad)
+        direct = kind == SIM_COSINE and tau_q >= cosine_tau_q_limit(k)
+        if direct:
+            # e = exp(s_q / tau_q), unshifted; see the docstring.
+            e = s_q if tau_q == 1.0 else np.divide(s_q, tau_q, out=p_q)
+            np.exp(e, out=e)
+            total = e.sum(axis=-1)
+            # Only a NaN similarity makes a row sum not finite.
+            direct = np.isfinite(total).all()
+            if not direct and e is s_q:
+                # The general path reads s_q, which e overwrote.
+                unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
+        if direct:
+            np.matmul(e, codebook.unit_centroids(), out=grad)
             np.copyto(spread, total[:, :, None])
             grad /= spread
             np.take(targets.expected, rows, axis=1, out=spread, mode="clip")
-            kl = targets.neg_entropy[:, rows] - (np.einsum("mbd,mbd->mb", unit_q, spread) - peak) / tau_q + lse_q
+            kl = targets.neg_entropy[:, rows] - np.einsum("mbd,mbd->mb", unit_q, spread) / tau_q + np.log(total)
             grad -= spread
             if tau_q != 1.0:
                 grad /= tau_q
         else:
+            total = _exp_logits_into(s_q, tau_q, t_q, p_q, aux)
             lse_q = _normalize_into(p_q, total, aux)
             if kind == SIM_COSINE:
                 p_g = _rescored_targets(codebook, targets, rows)

@@ -118,8 +118,9 @@ def train_query_model(
         (trained encoder, mean loss of each epoch).
 
     Raises:
-        NonFiniteInputError: if an input holds a NaN or an infinity, before
-            training, or at the first epoch whose mean loss is not finite.
+        NonFiniteInputError: if an input holds a NaN or an infinity, or a
+            gallery row's SSP targets are not finite, before training, or at
+            the first epoch whose mean loss is not finite.
     """
     raw = np.asarray(raw_inputs, dtype=np.float64)
     gallery = np.asarray(gallery_embeddings, dtype=np.float64)
@@ -148,6 +149,8 @@ def train_query_model(
 
     if cfg.loss_kind == LOSS_SSP:
         targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.similarity_kind, cfg.batch_size)
+        # Under l2, a finite row whose distances to every centroid overflow has NaN targets.
+        check_finite(targets.neg_entropy, "a gallery row's targets are not finite: its l2 distances overflow")
         loss_and_grad = partial(ssp_loss_and_grad, codebook, targets, tau_q=cfg.tau_q, kind=cfg.similarity_kind)
     else:
         loss_and_grad = partial(regression_loss_and_grad, normalize_rows(gallery)[0])

@@ -23,12 +23,14 @@ from sspq.errors import (
 )
 from sspq.embeddings import normalize_rows
 from sspq.loss import (
+    COSINE_BOUND,
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
     _expectation,
     _rescored_targets,
     _similarity,
     _soften_into,
+    cosine_tau_q_limit,
     gallery_targets,
     regression_loss_and_grad,
     ssp_loss_and_grad,
@@ -267,8 +269,7 @@ class TestGalleryTargets:
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             batch = order[lo : lo + batch_size]
-            # Under cosine the step scores its rows again where a query
-            # probability may round to 0.
+            # Under cosine the step's general path scores its rows again.
             p_g[:, batch] = expected[:, batch] if kind != SIM_COSINE else _rescored_targets(cb, targets, batch)
             p, h = per_batch_gallery_side(cb, g[batch], tau_g, kind)
             if len(batch) > 1 or n == 1:
@@ -472,7 +473,7 @@ class TestCosineExpectedCentroids:
             # The gradient grows as 1 / tau_q; 1e-12 of its largest coordinate.
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
             with monkeypatch.context() as general:
-                general.setattr(sspq.loss, "SMALLEST_SUBNORMAL", np.inf)
+                general.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
                 gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, batch, q, tau_q, SIM_COSINE)
             assert rescored == [len(batch)]
             rescored.clear()
@@ -484,24 +485,41 @@ class TestCosineExpectedCentroids:
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g, q = rng.normal(size=(2, 8, cb.dim))
         targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 8)
-        sim = structure_similarity(cb, q)
-        widest = (sim.max(axis=2) - sim.min(axis=2)).max()
-        # The least exp(t_q) is exp(-widest / tau_q); below K * 2^-1074 it
-        # takes the general path. A relative 1e-4 of tau_q moves it by about
-        # 7%, past the 3% step between subnormals there.
-        threshold = widest / (1074 * np.log(2) - np.log(cb.k))
+        # |s| <= 1 + delta, so a row spans at most 2(1 + delta), and the least
+        # exp(s / tau_q) over its sum is at least exp(-2(1 + delta) / tau_q) / K.
+        limit = cosine_tau_q_limit(cb.k)
+        assert limit == 2 * COSINE_BOUND / (1074 * np.log(2) - np.log(cb.k))
         rescored = count_rescores(monkeypatch)
-        for tau_q, general in ((threshold * (1 + 1e-4), False), (threshold * (1 - 1e-4), True)):
+        for tau_q, general in ((limit * (1 + 1e-4), False), (limit, False), (limit * (1 - 1e-4), True)):
             losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
             assert rescored == ([8] if general else [])
             rescored.clear()
             assert np.isfinite(losses).all() and np.isfinite(grad).all()
             with monkeypatch.context() as forced:
-                forced.setattr(sspq.loss, "SMALLEST_SUBNORMAL", np.inf)
+                forced.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
                 gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
             rescored.clear()
             np.testing.assert_allclose(losses, gen_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, gen_grad, rtol=0, atol=1e-12 * np.abs(gen_grad).max())
+
+    @pytest.mark.parametrize("tau_q", [1.0, 0.5])
+    def test_a_nan_query_row_takes_the_general_path(self, monkeypatch, tau_q):
+        # Above the limit, a NaN similarity makes its row sum of e NaN; at
+        # tau_q = 1, e overwrote s_q, which the general path scores again.
+        rng = np.random.default_rng(47)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g, q = rng.normal(size=(2, 8, cb.dim))
+        q[3, 4] = np.nan
+        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 8)
+        rescored = count_rescores(monkeypatch)
+        losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
+        assert rescored == [8]
+        with monkeypatch.context() as forced:
+            forced.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
+            gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
+        np.testing.assert_array_equal(losses, gen_losses)
+        np.testing.assert_array_equal(grad, gen_grad)
+        assert np.isnan(losses[3]) and np.isfinite(np.delete(losses, 3)).all()
 
     def test_a_lone_row_is_scored_again_as_the_run_scored_it(self, rng):
         # The run scored blocks of 16, so a lone row is scored again in a
