@@ -5,23 +5,23 @@ is split into M subvectors and compared subspace-by-subspace against the
 codebook centroids, giving (B, M, K) structure similarities; internally
 they are computed subspace-major, (M, B, K), the layout of the per-subspace
 matmul. Both sides are softened with a temperature into distributions
-over K and matched with a per-subspace KL divergence. The gallery side and
-the general query step soften in log space, shifting each row by its
-maximum; a cosine query step at a temperature at or above a limit fixed by
-K exponentiates its bounded similarities directly. The gallery side is
+over K and matched with a per-subspace KL divergence. The gallery side is
 frozen, so ``gallery_targets`` scores it once per training run for every
-training row and allocates the run's work arrays; each step reads its
-batch's rows of those targets and softens only the trainable query side in
-those arrays. The cosine kernel is one matmul of the unit subvectors
-against the codebook's unit centroids, a norm below ``NORM_EPS`` giving 0.
-It is linear in the unit centroids, so a cosine step reads the targets p_g
-only through each row's expected unit centroids c̄_g = p_g @ unit
-centroids, which the run keeps in place of p_g: n·M·d* floats, not n·M·K.
-Analytic gradients with respect to the query embeddings are exact through
-the softmax and the chosen similarity kernel. A single embedding is a batch
-of one. The per-run targets and the two per-step losses do not check their
-arguments: ``TrainConfig`` and ``train_query_model`` check them once per
-run.
+training row, allocates the run's work arrays and picks the form of its
+targets once, from the kernel, tau_q and K. The cosine kernel is one matmul
+of the unit subvectors against the codebook's unit centroids, a norm below
+``NORM_EPS`` giving 0. At a tau_q at or above a limit fixed by K, a cosine
+step exponentiates its bounded similarities without a shift, and since the
+kernel is linear in the unit centroids it reads the targets p_g only
+through each row's expected unit centroids c̄_g = p_g @ unit centroids,
+which the run keeps in place of p_g: n·M·d* floats, not n·M·K. Every other
+run keeps p_g, and its steps soften the query side in log space, shifting
+each row by its maximum. Analytic gradients with respect to the query
+embeddings are exact through the softmax and the chosen similarity kernel.
+A single embedding is a batch of one. ``gallery_targets`` rejects targets
+that are not finite; beyond that, neither it nor the two per-step losses
+check their arguments: ``TrainConfig`` and ``train_query_model`` check them
+once per run.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embeddings import NORM_EPS, normalize_rows
-from .errors import ZeroTargetProbabilityError
+from .errors import ZeroTargetProbabilityError, check_finite
 from .quantizer import ProductCodebook, subvector_sq_dists, subvectors
 
 SIM_COSINE = "cosine"
@@ -47,7 +47,7 @@ COSINE_BOUND = 1.0 + 2.0**-18
 
 
 def cosine_tau_q_limit(k: int) -> float:
-    """The least tau_q at which the cosine step exponentiates s_q / tau_q directly.
+    """The least tau_q at which a cosine run keeps c̄_g and its step exponentiates s_q / tau_q directly.
 
     A cosine row spans at most 2(1 + delta), so at or above
     2(1 + delta) / (1074 ln 2 - ln K) every e = exp(s_q / tau_q) is a normal
@@ -60,21 +60,22 @@ def cosine_tau_q_limit(k: int) -> float:
 class GalleryTargets(NamedTuple):
     """The frozen gallery side of an SSP run and its steps' work arrays, as ``gallery_targets`` returns them.
 
-    ``expected`` is, under cosine, the (M, n, d*) expected unit centroids
-    c̄_g = p_g @ unit centroids of every row and, under negative-Euclidean,
-    the (M, n, K) target distributions p_g. ``neg_entropy`` is their (M, n)
-    sums over k of p_g log p_g, with 0 log 0 := 0. ``work`` holds five
-    (M, b, K) slots and ``vectors`` three (M, b, d*) slots for steps of up to
-    b rows. A cosine step that takes the general path scores its rows of
-    ``gallery`` again at ``tau_g``.
+    The run picks its target form once, and ``direct`` records it: if set,
+    ``expected`` is the (M, n, d*) expected unit centroids c̄_g = p_g @ unit
+    centroids of every row, and otherwise the (M, n, K) target
+    distributions p_g. ``neg_entropy`` is their (M, n) sums over k of
+    p_g log p_g, with 0 log 0 := 0. ``work`` holds five (M, b, K) slots and
+    ``vectors`` three (M, b, d*) slots for steps of up to b rows. ``tau_q``
+    and ``kind`` are the query temperature and the kernel of every step.
     """
 
     expected: np.ndarray
     neg_entropy: np.ndarray
     work: np.ndarray
     vectors: np.ndarray
-    gallery: np.ndarray
-    tau_g: float
+    tau_q: float
+    kind: str
+    direct: bool
 
 
 def _similarity(
@@ -112,31 +113,6 @@ def _similarity(
     return None
 
 
-def _exp_logits_into(
-    values: np.ndarray, temperature: float, logits: np.ndarray, exps: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
-    """Write t = (values - max) / temperature into ``logits`` and exp(t) into ``exps``.
-
-    ``logits`` may be ``values`` itself, and ``temperature`` is positive.
-    Returns the row sums of exp(t). The row maxima are spread into
-    ``scratch``, of the shape of ``values``, since a ufunc buffers an operand
-    broadcast along the last axis.
-    """
-    np.copyto(scratch, values.max(axis=-1)[..., None])
-    np.subtract(values, scratch, out=logits)
-    if temperature != 1.0:
-        logits /= temperature
-    np.exp(logits, out=exps)
-    return exps.sum(axis=-1)
-
-
-def _normalize_into(exps: np.ndarray, total: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Divide ``exps`` in place by its row sums ``total``, spread through ``scratch``; returns log ``total``."""
-    np.copyto(scratch, total[..., None])
-    exps /= scratch
-    return np.log(total)
-
-
 def _soften_into(
     values: np.ndarray, temperature: float, logits: np.ndarray, probs: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
@@ -147,7 +123,8 @@ def _soften_into(
     ``probs``, and returns log sum exp(t), so log probs = t - lse. At
     temperature 0, ``probs`` is the one-hot argmax (ties to the lowest
     index), and the logits and lse are 0, so sum probs * log probs is 0.
-    ``scratch``, of the shape of ``values``, spreads the row maxima and sums.
+    ``scratch``, of the shape of ``values``, spreads the row maxima and sums,
+    since a ufunc buffers an operand broadcast along the last axis.
     """
     if temperature == 0:
         hard = np.argmax(values, axis=-1)[..., None]
@@ -155,8 +132,15 @@ def _soften_into(
         np.put_along_axis(probs, hard, 1.0, axis=-1)
         logits.fill(0.0)
         return np.zeros(values.shape[:-1])
-    total = _exp_logits_into(values, temperature, logits, probs, scratch)
-    return _normalize_into(probs, total, scratch)
+    np.copyto(scratch, values.max(axis=-1)[..., None])
+    np.subtract(values, scratch, out=logits)
+    if temperature != 1.0:
+        logits /= temperature
+    np.exp(logits, out=probs)
+    total = probs.sum(axis=-1)
+    np.copyto(scratch, total[..., None])
+    probs /= scratch
+    return np.log(total)
 
 
 def _cosine_grad(grad: np.ndarray, unit_norms: tuple[np.ndarray, np.ndarray], spread: np.ndarray) -> np.ndarray:
@@ -205,7 +189,7 @@ def _expectation(p: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def gallery_targets(
-    codebook: ProductCodebook, g: np.ndarray, tau_g: float, kind: str, batch_rows: int
+    codebook: ProductCodebook, g: np.ndarray, tau_g: float, tau_q: float, kind: str, batch_rows: int
 ) -> GalleryTargets:
     """The frozen gallery side of the SSP loss for every row of (n, d) float64 embeddings ``g``.
 
@@ -214,81 +198,63 @@ def gallery_targets(
     assignment) in blocks of b rows in their slots. A row's values do not
     depend on the other rows of a block of two or more, and the last block
     ends at row n, so no row is scored alone unless b is 1: a one-row cosine
-    matmul is a matrix-vector product, which rounds differently. Under
-    cosine each block's p_g is reduced to its expected unit centroids at
-    once, so nothing of (M, n, K) size is allocated; under
-    negative-Euclidean p_g is the one. The targets keep ``g`` uncopied.
+    matmul is a matrix-vector product, which rounds differently. The run
+    picks its target form once: under cosine at a ``tau_q`` at or above
+    ``cosine_tau_q_limit(K)`` each block's p_g is reduced to its expected
+    unit centroids at once, so nothing of (M, n, K) size is allocated, and
+    every other run keeps p_g itself.
+
+    Raises:
+        NonFiniteInputError: if a row's targets are not finite: the row
+            holds a NaN or an infinity, or, under negative-Euclidean, its
+            distances to every centroid overflow.
     """
     m, n, k = codebook.m, g.shape[0], codebook.k
     b = min(batch_rows, n)
     work, vectors = np.empty((5, m * b * k)), np.empty((3, b * g.shape[1]))
     t, aux, p = work[:3].reshape(3, m, b, k)
     vec = vectors[:2].reshape(2, m, b, -1)
-    cosine = kind == SIM_COSINE
-    expected = np.empty((m, n, vec.shape[3] if cosine else k))
+    direct = kind == SIM_COSINE and tau_q >= cosine_tau_q_limit(k)
+    expected = np.empty((m, n, vec.shape[3] if direct else k))
     neg_entropy = np.empty((m, n))
     # A tiny temperature may overflow the logits to -inf, and 0 * -inf is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, b):
             start = min(start, n - b)
             block = slice(start, start + b)
-            if not cosine:
+            if not direct:
                 p = expected[:, block]
             _similarity(codebook, subvectors(g[block], m), kind, t, aux, vec)
             lse = _soften_into(t, tau_g, t, p, aux)
             # log p_g = t - lse and sum_k p_g = 1
             np.subtract(_expectation(p, t), lse, out=neg_entropy[:, block])
-            if cosine:
+            if direct:
                 # A (1, K) @ (K, d*) product a row: a block's matmul would
                 # round a row by its place in the block.
                 np.matmul(p[:, :, None], codebook.unit_centroids()[:, None], out=expected[:, block, None])
-    return GalleryTargets(expected, neg_entropy, work, vectors, g, tau_g)
-
-
-def _rescored_targets(codebook: ProductCodebook, targets: GalleryTargets, rows: np.ndarray) -> np.ndarray:
-    """The (M, B, K) p_g of gallery rows ``rows``, scored again as ``gallery_targets`` scored them.
-
-    Uses the front of the first, second and fifth work slots and of the
-    second and third vector slots. A lone row is scored in a block of two
-    unless the run scored rows one at a time, so its bits are the run's.
-    """
-    m, k = codebook.m, codebook.k
-    block = rows if len(rows) > 1 or targets.work.shape[1] == m * k else np.repeat(rows, 2)
-    r = len(block)
-    t, aux, p = (targets.work[slot, : m * r * k].reshape(m, r, k) for slot in (0, 1, 4))
-    vec = targets.vectors[1:, : r * codebook.dim].reshape(2, m, r, -1)
-    _similarity(codebook, subvectors(targets.gallery[block], m), SIM_COSINE, t, aux, vec)
-    _soften_into(t, targets.tau_g, t, p, aux)
-    return p[:, : len(rows)]
+    check_finite(neg_entropy, "a gallery row's targets are not finite: a NaN or inf, or overflowing l2 distances")
+    return GalleryTargets(expected, neg_entropy, work, vectors, tau_q, kind, direct)
 
 
 def ssp_loss_and_grad(
-    codebook: ProductCodebook,
-    targets: GalleryTargets,
-    rows: np.ndarray,
-    q: np.ndarray,
-    tau_q: float,
-    kind: str,
+    codebook: ProductCodebook, targets: GalleryTargets, rows: np.ndarray, q: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Alignment loss of (B, d) float64 query embeddings against gallery rows ``rows`` plus dLoss/dq.
 
     ``targets`` is ``gallery_targets`` of the gallery embeddings, for
-    batches of B or more rows; its rows ``rows`` (B in-range indices) pair
-    with the rows of ``q`` and are constants, and its work arrays hold the
-    step's arrays. ``tau_q`` must be positive so the query distribution has
-    full support. KL = sum p_g log p_g - sum p_g log p_q and dLoss/dS_q =
-    (p_q - p_g) / tau_q. ``kind`` names the similarity kernel.
+    batches of B or more rows, and fixes the query temperature tau_q and the
+    similarity kernel; its rows ``rows`` (B in-range indices) pair with the
+    rows of ``q`` and are constants, and its work arrays hold the step's
+    arrays. KL = sum p_g log p_g - sum p_g log p_q and dLoss/dS_q =
+    (p_q - p_g) / tau_q.
 
-    Under cosine with ``tau_q`` at or above ``cosine_tau_q_limit(K)``, the
-    similarities are bounded, so e = exp(s_q / tau_q) is taken without a
-    shift, and the step reads p_g only through c̄_g: KL = sum p_g log p_g -
-    (û·c̄_g) / tau_q + log sum e, and (p_q - p_g) @ unit centroids =
-    (e @ unit centroids) / sum e - c̄_g. Below that limit, or where a row
-    sum of e is not finite (a NaN query), the step scores its gallery rows
-    again and takes the general path, which negative-Euclidean always
-    takes: the query side is softened in log space, with t_q the logits
-    shifted by their row maxima, log p_q = t_q - lse_q, and the targets p_g
-    gathered.
+    If the targets hold c̄_g, the cosine similarities are bounded, so
+    e = exp(s_q / tau_q) is taken without a shift and the step reads p_g
+    only through c̄_g: KL = sum p_g log p_g - (û·c̄_g) / tau_q + log sum e,
+    and (p_q - p_g) @ unit centroids = (e @ unit centroids) / sum e - c̄_g.
+    A NaN query row stays NaN in its own row. If they hold p_g, the query
+    side is softened in log space, with t_q the logits shifted by their row
+    maxima, log p_q = t_q - lse_q, and the targets p_g gathered.
 
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
@@ -301,6 +267,7 @@ def ssp_loss_and_grad(
             divergence would be infinite).
     """
     m, b, k = codebook.m, q.shape[0], codebook.k
+    tau_q, kind = targets.tau_q, targets.kind
     s_q, aux, t_q, p_q, p_g = targets.work[:, : m * b * k].reshape(5, m, b, k)
     unit_q, grad, spread = targets.vectors[:, : q.size].reshape(3, m, b, -1)
     u_q = subvectors(q, m)
@@ -308,18 +275,11 @@ def ssp_loss_and_grad(
     # NaN; both happen only where a probability is 0.
     with np.errstate(over="ignore", invalid="ignore"):
         unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
-        direct = kind == SIM_COSINE and tau_q >= cosine_tau_q_limit(k)
-        if direct:
+        if targets.direct:
             # e = exp(s_q / tau_q), unshifted; see the docstring.
             e = s_q if tau_q == 1.0 else np.divide(s_q, tau_q, out=p_q)
             np.exp(e, out=e)
             total = e.sum(axis=-1)
-            # Only a NaN similarity makes a row sum not finite.
-            direct = np.isfinite(total).all()
-            if not direct and e is s_q:
-                # The general path reads s_q, which e overwrote.
-                unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
-        if direct:
             np.matmul(e, codebook.unit_centroids(), out=grad)
             np.copyto(spread, total[:, :, None])
             grad /= spread
@@ -329,14 +289,10 @@ def ssp_loss_and_grad(
             if tau_q != 1.0:
                 grad /= tau_q
         else:
-            total = _exp_logits_into(s_q, tau_q, t_q, p_q, aux)
-            lse_q = _normalize_into(p_q, total, aux)
-            if kind == SIM_COSINE:
-                p_g = _rescored_targets(codebook, targets, rows)
-            else:
-                # Rows come from the training loop's permutation; "clip"
-                # skips the bounds pass that would buffer the gather.
-                np.take(targets.expected, rows, axis=1, out=p_g, mode="clip")
+            lse_q = _soften_into(s_q, tau_q, t_q, p_q, aux)
+            # Rows come from the training loop's permutation; "clip" skips
+            # the bounds pass that would buffer the gather.
+            np.take(targets.expected, rows, axis=1, out=p_g, mode="clip")
             if p_q.min() == 0.0 and np.any((p_q == 0.0) & (p_g > 0.0)):
                 raise ZeroTargetProbabilityError(
                     "query distribution has zero probability on the gallery support"

@@ -1,14 +1,16 @@
 """Query-model training against frozen, cached gallery embeddings.
 
 The gallery side is frozen, so it is prepared once per run before the first
-epoch: the SSP loss's softened targets of every training row
-(``gallery_targets``: under cosine their expected unit centroids, n·M·d*
-float64, and under negative-Euclidean the targets themselves, n·M·K), or
-the unit rows for the regression loss. Each mini-batch is then pushed through the encoder in one forward
-pass, scored row by row against its samples' rows of that gallery side with
-the configured loss in one call, and backpropagated in one backward pass.
-The parameter gradients, averaged over the mini-batch, feed an Adam update
-under a linear learning-rate decay to zero.
+epoch: the SSP loss's softened targets of every training row, in the one
+form the run picks from its kernel, tau_q and K (``gallery_targets``: the
+expected unit centroids, n·M·d* float64, for a cosine run at a tau_q at or
+above ``cosine_tau_q_limit(K)``, and the targets themselves, n·M·K, for
+every other run), or the unit rows for the regression loss. Each mini-batch
+is then pushed through the encoder in one forward pass, scored row by row
+against its samples' rows of that gallery side with the configured loss in
+one call, and backpropagated in one backward pass. The parameter gradients,
+averaged over the mini-batch, feed an Adam update under a linear
+learning-rate decay to zero.
 """
 
 from __future__ import annotations
@@ -148,10 +150,8 @@ def train_query_model(
     total_steps = cfg.epochs * steps_per_epoch
 
     if cfg.loss_kind == LOSS_SSP:
-        targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.similarity_kind, cfg.batch_size)
-        # Under l2, a finite row whose distances to every centroid overflow has NaN targets.
-        check_finite(targets.neg_entropy, "a gallery row's targets are not finite: its l2 distances overflow")
-        loss_and_grad = partial(ssp_loss_and_grad, codebook, targets, tau_q=cfg.tau_q, kind=cfg.similarity_kind)
+        targets = gallery_targets(codebook, gallery, cfg.tau_g, cfg.tau_q, cfg.similarity_kind, cfg.batch_size)
+        loss_and_grad = partial(ssp_loss_and_grad, codebook, targets)
     else:
         loss_and_grad = partial(regression_loss_and_grad, normalize_rows(gallery)[0])
 

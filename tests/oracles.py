@@ -198,8 +198,8 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
 
 def ssp_step(codebook, g: np.ndarray, q: np.ndarray, tau_g: float, tau_q: float, kind: str = SIM_COSINE):
     """``ssp_loss_and_grad`` of (B, d) batches paired row by row, with the targets of ``g`` for batches of B rows."""
-    targets = gallery_targets(codebook, g, tau_g, kind, len(q))
-    return ssp_loss_and_grad(codebook, targets, np.arange(len(q)), q, tau_q, kind)
+    targets = gallery_targets(codebook, g, tau_g, tau_q, kind, len(q))
+    return ssp_loss_and_grad(codebook, targets, np.arange(len(q)), q)
 
 
 def soften(values: np.ndarray, temperature: float) -> np.ndarray:

@@ -18,6 +18,7 @@ from oracles import (
 )
 from sspq.errors import (
     LengthMismatchError,
+    NonFiniteInputError,
     ShapeMismatchError,
     ZeroTargetProbabilityError,
 )
@@ -27,7 +28,6 @@ from sspq.loss import (
     SIM_COSINE,
     SIM_NEG_EUCLIDEAN,
     _expectation,
-    _rescored_targets,
     _similarity,
     _soften_into,
     cosine_tau_q_limit,
@@ -260,17 +260,21 @@ class TestGalleryTargets:
         rng = np.random.default_rng(n + batch_size)
         cb = ProductCodebook(rng.normal(size=(8, 256, 8)))
         g = rng.normal(size=(n, cb.dim))
-        targets = gallery_targets(cb, g, tau_g, kind, batch_size)
+        targets = gallery_targets(cb, g, tau_g, 1.0, kind, batch_size)
         expected, neg_entropy = targets.expected, targets.neg_entropy
         b = min(batch_size, n)
         shapes = (expected.shape, neg_entropy.shape, targets.work.shape, targets.vectors.shape)
         assert shapes == ((8, n, 8 if kind == SIM_COSINE else 256), (8, n), (5, 8 * b * 256), (3, b * 64))
-        p_g = np.empty((8, n, 256))
+        p_g = expected
+        if kind == SIM_COSINE:
+            # Below the limit a cosine run keeps p_g itself.
+            below = gallery_targets(cb, g, tau_g, 1e-3, kind, batch_size)
+            p_g = below.expected
+            assert p_g.shape == (8, n, 256) and not below.direct
+            np.testing.assert_array_equal(below.neg_entropy, neg_entropy)
         order = rng.permutation(n)
         for lo in range(0, n, batch_size):
             batch = order[lo : lo + batch_size]
-            # Under cosine the step's general path scores its rows again.
-            p_g[:, batch] = expected[:, batch] if kind != SIM_COSINE else _rescored_targets(cb, targets, batch)
             p, h = per_batch_gallery_side(cb, g[batch], tau_g, kind)
             if len(batch) > 1 or n == 1:
                 np.testing.assert_array_equal(p_g[:, batch], p)
@@ -291,33 +295,53 @@ class TestGalleryTargets:
     def test_tiny_tau_g_gives_finite_targets(self, rng):
         # The logits overflow to -inf off the argmax, where p_g is 0.
         cb = train_product_codebook(rng.normal(size=(20, 6)), m=2, k=4, seed=8)
-        targets = gallery_targets(cb, rng.normal(size=(5, 6)), 1e-310, SIM_COSINE, 2)
-        for batch in ([0, 1], [2, 3], [4]):
-            # The step scores its rows again under the errstate it runs in.
-            with np.errstate(over="ignore", invalid="ignore"):
-                p_g = _rescored_targets(cb, targets, np.array(batch))
-            np.testing.assert_array_equal(p_g.max(axis=2), 1.0)
-        assert np.isfinite(targets.neg_entropy).all() and np.isfinite(targets.expected).all()
+        g = rng.normal(size=(5, 6))
+        targets = gallery_targets(cb, g, 1e-310, 1.0, SIM_COSINE, 2)
+        # Below the limit the run keeps p_g itself.
+        below = gallery_targets(cb, g, 1e-310, 1e-3, SIM_COSINE, 2)
+        assert below.expected.shape == (2, 5, 4)
+        np.testing.assert_array_equal(below.expected.max(axis=2), 1.0)
+        for t in (targets, below):
+            assert np.isfinite(t.neg_entropy).all() and np.isfinite(t.expected).all()
 
-    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
-    def test_allocates_its_outputs_and_less_than_one_batch_array(self, kind):
-        # No (M, n, K) temporary: beyond the (M, n, K) p_g under l2 or the
-        # (M, n, d*) expected unit centroids under cosine, the (M, n)
-        # output, the work arrays and block-sized scratch.
+    def test_overflowing_l2_targets_raise(self):
+        # Every l2 distance of a finite row of about 1e160 overflows, so its
+        # targets are NaN; its cosine targets are finite.
+        rng = np.random.default_rng(9)
+        cb = ProductCodebook(rng.normal(size=(4, 16, 2)))
+        huge = rng.normal(size=(40, cb.dim)) * 1e160
+        with pytest.raises(NonFiniteInputError, match="targets are not finite"):
+            gallery_targets(cb, huge, 0.1, 1.0, SIM_NEG_EUCLIDEAN, 32)
+        targets = gallery_targets(cb, huge, 0.1, 1.0, SIM_COSINE, 32)
+        assert np.isfinite(targets.neg_entropy).all() and np.isfinite(targets.expected).all()
+        huge[5, 0] = np.nan
+        with pytest.raises(NonFiniteInputError, match="targets are not finite"):
+            gallery_targets(cb, huge, 0.1, 1.0, SIM_COSINE, 32)
+
+    @pytest.mark.parametrize(
+        "kind, tau_q",
+        [(SIM_COSINE, 1.0), (SIM_COSINE, 1e-3), (SIM_NEG_EUCLIDEAN, 1.0)],
+        ids=["cosine", "cosine-below-limit", "neg_euclidean"],
+    )
+    def test_allocates_its_outputs_and_less_than_one_batch_array(self, kind, tau_q):
+        # No (M, n, K) temporary: beyond the (M, n, K) p_g or the (M, n, d*)
+        # expected unit centroids of a cosine run above the limit, the
+        # (M, n) output, the work arrays and block-sized scratch.
         n, m, k, b = 768, 8, 256, 32
         rng = np.random.default_rng(6)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g = rng.normal(size=(n, cb.dim))
-        gallery_targets(cb, g[:b], 0.1, kind, b)  # warm-up
+        gallery_targets(cb, g[:b], 0.1, tau_q, kind, b)  # warm-up
         tracemalloc.start()
         try:
-            targets = gallery_targets(cb, g, 0.1, kind, b)
+            targets = gallery_targets(cb, g, 0.1, tau_q, kind, b)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         outputs = (targets.expected, targets.neg_entropy, targets.work, targets.vectors)
         assert peak - sum(a.nbytes for a in outputs) < b * m * k * 8
-        if kind == SIM_COSINE:
+        assert targets.expected.shape == (m, n, 8 if targets.direct else k)
+        if kind == SIM_COSINE and tau_q == 1.0:
             # Nothing of (M, n, K) size was ever held.
             assert targets.expected.shape == (m, n, 8)
             assert peak < m * n * k * 8
@@ -377,8 +401,8 @@ class TestLogSpaceStep:
         for rows in (16, 16, 5, 1, 15):
             g = rng.normal(size=(rows, cb.dim))
             q = rng.normal(size=(rows, cb.dim))
-            targets = gallery_targets(cb, g, tau_g, kind, 16)
-            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(rows), q, 1.0, kind)
+            targets = gallery_targets(cb, g, tau_g, 1.0, kind, 16)
+            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(rows), q)
             ref_losses, ref_grad = reference_step(cb, g, q, tau_g, 1.0, kind)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
@@ -394,11 +418,11 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(37)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g = rng.normal(size=(37, cb.dim))
-        targets = gallery_targets(cb, g, tau_g, kind, 16)
+        targets = gallery_targets(cb, g, tau_g, 1.0, kind, 16)
         order = rng.permutation(37)
         for batch in np.split(order, [16, 32]):
             q = rng.normal(size=(len(batch), cb.dim))
-            losses, grad = ssp_loss_and_grad(cb, targets, batch, q, 1.0, kind)
+            losses, grad = ssp_loss_and_grad(cb, targets, batch, q)
             ref_losses, ref_grad = reference_step(cb, g[batch], q, tau_g, 1.0, kind)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
@@ -412,12 +436,12 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
-        targets = gallery_targets(cb, g, 0.1, kind, b)
+        targets = gallery_targets(cb, g, 0.1, 1.0, kind, b)
         rows = np.arange(b)
-        ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind)  # warm-up
+        ssp_loss_and_grad(cb, targets, rows, q)  # warm-up
         tracemalloc.start()
         try:
-            ssp_loss_and_grad(cb, targets, rows, q, 1.0, kind)
+            ssp_loss_and_grad(cb, targets, rows, q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,28 +453,25 @@ class TestLogSpaceStep:
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
         g, q = rng.normal(size=(b, cb.dim)), rng.normal(size=(b, cb.dim))
-        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, b)
+        targets = gallery_targets(cb, g, 0.1, 1.0, SIM_COSINE, b)
         rows = np.arange(b)
-        ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE)  # warm-up
+        ssp_loss_and_grad(cb, targets, rows, q)  # warm-up
         tracemalloc.start()
         try:
-            ssp_loss_and_grad(cb, targets, rows, q, 1.0, SIM_COSINE)
+            ssp_loss_and_grad(cb, targets, rows, q)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < b * m * k * 8 // 4
 
 
-def count_rescores(monkeypatch) -> list:
-    """Record each call of the cosine step's general path, which scores its gallery rows again."""
-    calls, rescore = [], sspq.loss._rescored_targets
-
-    def counting(codebook, targets, rows):
-        calls.append(len(rows))
-        return rescore(codebook, targets, rows)
-
-    monkeypatch.setattr(sspq.loss, "_rescored_targets", counting)
-    return calls
+def general_targets(monkeypatch, cb, g, tau_g, tau_q, batch_rows):
+    """Cosine ``gallery_targets`` of ``g`` that keep p_g itself, as a run below the limit does."""
+    with monkeypatch.context() as general:
+        general.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
+        targets = gallery_targets(cb, g, tau_g, tau_q, SIM_COSINE, batch_rows)
+    assert targets.expected.shape == (cb.m, len(g), cb.k) and not targets.direct
+    return targets
 
 
 class TestCosineExpectedCentroids:
@@ -462,21 +483,17 @@ class TestCosineExpectedCentroids:
         rng = np.random.default_rng(41)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g = rng.normal(size=(37, cb.dim))
-        targets = gallery_targets(cb, g, tau_g, SIM_COSINE, 16)
-        rescored = count_rescores(monkeypatch)
+        targets = gallery_targets(cb, g, tau_g, tau_q, SIM_COSINE, 16)
+        assert targets.expected.shape == (4, 37, 3) and targets.direct
+        general = general_targets(monkeypatch, cb, g, tau_g, tau_q, 16)
         for batch in np.split(rng.permutation(37), [16, 32, 36]):
             q = rng.normal(size=(len(batch), cb.dim))
-            losses, grad = ssp_loss_and_grad(cb, targets, batch, q, tau_q, SIM_COSINE)
-            assert rescored == []
+            losses, grad = ssp_loss_and_grad(cb, targets, batch, q)
             ref_losses, ref_grad = reference_step(cb, g[batch], q, tau_g, tau_q, SIM_COSINE)
             np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
             # The gradient grows as 1 / tau_q; 1e-12 of its largest coordinate.
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12 * np.abs(ref_grad).max())
-            with monkeypatch.context() as general:
-                general.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
-                gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, batch, q, tau_q, SIM_COSINE)
-            assert rescored == [len(batch)]
-            rescored.clear()
+            gen_losses, gen_grad = ssp_loss_and_grad(cb, general, batch, q)
             np.testing.assert_allclose(losses, gen_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, gen_grad, rtol=0, atol=1e-12 * np.abs(gen_grad).max())
 
@@ -484,59 +501,49 @@ class TestCosineExpectedCentroids:
         rng = np.random.default_rng(43)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g, q = rng.normal(size=(2, 8, cb.dim))
-        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 8)
         # |s| <= 1 + delta, so a row spans at most 2(1 + delta), and the least
         # exp(s / tau_q) over its sum is at least exp(-2(1 + delta) / tau_q) / K.
         limit = cosine_tau_q_limit(cb.k)
         assert limit == 2 * COSINE_BOUND / (1074 * np.log(2) - np.log(cb.k))
-        rescored = count_rescores(monkeypatch)
         for tau_q, general in ((limit * (1 + 1e-4), False), (limit, False), (limit * (1 - 1e-4), True)):
-            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
-            assert rescored == ([8] if general else [])
-            rescored.clear()
+            targets = gallery_targets(cb, g, 0.1, tau_q, SIM_COSINE, 8)
+            assert targets.expected.shape == (4, 8, 32 if general else 3) and targets.direct == (not general)
+            losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q)
             assert np.isfinite(losses).all() and np.isfinite(grad).all()
-            with monkeypatch.context() as forced:
-                forced.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
-                gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
-            rescored.clear()
+            forced = general_targets(monkeypatch, cb, g, 0.1, tau_q, 8)
+            gen_losses, gen_grad = ssp_loss_and_grad(cb, forced, np.arange(8), q)
             np.testing.assert_allclose(losses, gen_losses, rtol=1e-12, atol=0)
             np.testing.assert_allclose(grad, gen_grad, rtol=0, atol=1e-12 * np.abs(gen_grad).max())
 
     @pytest.mark.parametrize("tau_q", [1.0, 0.5])
-    def test_a_nan_query_row_takes_the_general_path(self, monkeypatch, tau_q):
-        # Above the limit, a NaN similarity makes its row sum of e NaN; at
-        # tau_q = 1, e overwrote s_q, which the general path scores again.
+    def test_a_nan_query_row_stays_in_its_row(self, tau_q):
+        # Above the limit, a NaN similarity makes its own row sum of e NaN
+        # and leaves the other rows as a step without that row scores them.
         rng = np.random.default_rng(47)
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g, q = rng.normal(size=(2, 8, cb.dim))
         q[3, 4] = np.nan
-        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 8)
-        rescored = count_rescores(monkeypatch)
-        losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
-        assert rescored == [8]
-        with monkeypatch.context() as forced:
-            forced.setattr(sspq.loss, "cosine_tau_q_limit", lambda k: np.inf)
-            gen_losses, gen_grad = ssp_loss_and_grad(cb, targets, np.arange(8), q, tau_q, SIM_COSINE)
-        np.testing.assert_array_equal(losses, gen_losses)
-        np.testing.assert_array_equal(grad, gen_grad)
+        targets = gallery_targets(cb, g, 0.1, tau_q, SIM_COSINE, 8)
+        losses, grad = ssp_loss_and_grad(cb, targets, np.arange(8), q)
         assert np.isnan(losses[3]) and np.isfinite(np.delete(losses, 3)).all()
+        assert np.isfinite(np.delete(grad, 3, axis=0)).all()
+        rest = np.delete(np.arange(8), 3)
+        rest_losses, rest_grad = ssp_loss_and_grad(cb, targets, rest, q[rest])
+        np.testing.assert_array_equal(np.delete(losses, 3), rest_losses)
+        np.testing.assert_allclose(np.delete(grad, 3, axis=0), rest_grad, rtol=0, atol=1e-12 * np.abs(rest_grad).max())
 
-    def test_a_lone_row_is_scored_again_as_the_run_scored_it(self, rng):
-        # The run scored blocks of 16, so a lone row is scored again in a
-        # block of two: a one-row matmul rounds differently.
+    def test_a_lone_row_reads_its_targets_as_the_run_scored_them(self, monkeypatch, rng):
+        # The run scored blocks of 16, so a lone row's p_g is that of a block
+        # of two: a one-row matmul rounds differently.
         cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
         g = rng.normal(size=(37, cb.dim))
-        targets = gallery_targets(cb, g, 0.1, SIM_COSINE, 16)
-        with np.errstate(over="ignore", invalid="ignore"):
-            lone = _rescored_targets(cb, targets, np.array([36])).copy()
-            pair = _rescored_targets(cb, targets, np.array([36, 5]))[:, :1].copy()
-        np.testing.assert_array_equal(lone, pair)
+        targets = general_targets(monkeypatch, cb, g, 0.1, 1.0, 16)
         p, _ = per_batch_gallery_side(cb, g[[36, 5]], 0.1, SIM_COSINE)
-        np.testing.assert_array_equal(lone, p[:, :1])
+        np.testing.assert_array_equal(targets.expected[:, [36]], p[:, :1])
         # Matching one-hot supports at a tiny tau keep their exact zeros.
         q = g[[36]].copy()
-        targets = gallery_targets(cb, g, 1e-300, SIM_COSINE, 16)
-        losses, grad = ssp_loss_and_grad(cb, targets, np.array([36]), q, 1e-300, SIM_COSINE)
+        targets = gallery_targets(cb, g, 1e-300, 1e-300, SIM_COSINE, 16)
+        losses, grad = ssp_loss_and_grad(cb, targets, np.array([36]), q)
         np.testing.assert_array_equal(losses, 0.0)
         np.testing.assert_array_equal(grad, 0.0)
 

@@ -103,6 +103,39 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     assert target_calls == [20]
 
 
+@pytest.mark.parametrize(
+    "kind, tau_q", [("cosine", 1.0), ("cosine", 1e-3), ("l2", 1.0)], ids=["cosine", "cosine-below-limit", "l2"]
+)
+def test_training_scores_one_similarity_per_step(monkeypatch, kind, tau_q):
+    # The gallery side is scored once per run, in blocks of a batch, and each
+    # step scores only its query rows: a step that scored its gallery rows
+    # again would time them inside perfbench's loss.ssp span.
+    import numpy as np
+
+    import sspq.loss
+    import sspq.trainer
+    from sspq.encoder import encoder_init, forward_matrix
+    from sspq.quantizer import ProductCodebook
+
+    calls, scored = [], sspq.loss._similarity
+
+    def counting(codebook, u, *args):
+        calls.append(u.shape[1])
+        return scored(codebook, u, *args)
+
+    monkeypatch.setattr(sspq.loss, "_similarity", counting)
+    raw = np.random.default_rng(0).normal(size=(20, 6))
+    gallery = forward_matrix(encoder_init(6, [12], 8, seed=1), raw)
+    # Nearly parallel centroids keep each cosine row within a span that
+    # tau_q = 1e-3 does not underflow to a zero query probability.
+    codebook = ProductCodebook(1.0 + 0.01 * np.random.default_rng(2).normal(size=(2, 4, 4)))
+    cfg = sspq.trainer.TrainConfig(epochs=2, batch_size=8, seed=3, tau_q=tau_q, similarity_kind=kind)
+    sspq.trainer.train_query_model(encoder_init(6, [10], 8, seed=4), gallery, raw, codebook, cfg)
+    # Three gallery blocks of 8 rows, the last ending at row 20, then the
+    # steps of two epochs.
+    assert calls == [8, 8, 8] + [8, 8, 4] * 2
+
+
 def test_library_calls_keep_the_benchmark_signatures():
     # perfbench calls these by the names and with the argument types below;
     # a break here would otherwise show only as failed benchmark operations.
