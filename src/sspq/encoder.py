@@ -82,9 +82,6 @@ class QueryEncoder:
     def output_dim(self) -> int:
         return self.layer_sizes[-1]
 
-    def copy(self) -> "QueryEncoder":
-        return QueryEncoder(self.layer_sizes, [p.copy() for p in self.params])
-
 
 def encoder_init(
     d_in: int,

@@ -91,8 +91,10 @@ def _similarity(
     Under cosine, ``aux`` is not touched, the unit subvectors are written to
     the first of the two (M, B, d*) arrays ``vec`` and the second is scratch,
     and (unit subvectors, (M, B) norms) is returned, a norm below
-    ``NORM_EPS`` as inf, so its unit subvector is 0. Under negative-Euclidean
-    ``aux`` is scratch, ``vec`` is not touched and None is returned. The
+    ``NORM_EPS`` as inf, so its unit subvector is 0. The matmul reads the
+    codebook's C-contiguous ``unit_columns()``, not a strided transpose.
+    Under negative-Euclidean ``aux`` is scratch, ``vec`` is not touched and
+    None is returned. The
     Euclidean distance is the root of the quantizer's squared-distance
     kernel, so it equals the root of the ADC table bit for bit.
     """
@@ -105,7 +107,7 @@ def _similarity(
         np.copyto(unit, u)
         np.copyto(spread, norms[:, :, None])
         unit /= spread
-        np.matmul(unit, codebook.unit_centroids().transpose(0, 2, 1), out=out)
+        np.matmul(unit, codebook.unit_columns(), out=out)
         return unit, norms
     subvector_sq_dists(codebook.stacked(), u, out, aux)
     np.sqrt(out, out=out)
@@ -259,7 +261,8 @@ def ssp_loss_and_grad(
     Returns:
         (losses, gradient): per-sample losses (B,), each the sum of its M
         per-subspace KL divergences, and the (B, d) exact derivative of
-        each sample's loss through the softmax and the similarity kernel.
+        each sample's loss through the softmax and the similarity kernel,
+        a new array for every B, which no later step overwrites.
 
     Raises:
         ZeroTargetProbabilityError: if the query distribution underflows to
@@ -308,7 +311,11 @@ def ssp_loss_and_grad(
             grad = _cosine_grad(grad, unit_norms, spread)
         else:
             grad = _neg_euclidean_grad(codebook, u_q, s_q, p_q, aux)
-    return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
+    # A new array: `grad` is a slot of the run's work arrays, which the
+    # next step overwrites.
+    grad_q = np.empty(q.shape)
+    np.copyto(subvectors(grad_q, m), grad)
+    return kl.sum(axis=0), grad_q
 
 
 def regression_loss_and_grad(

@@ -50,6 +50,11 @@ _CHUNK_ELEMENTS = 1 << 17
 # buffer and the block's rows of the result stay in cache while M lookups add up.
 _ADC_BLOCK_ELEMENTS = 1 << 15
 
+# Elements in the (subspaces, trials, n) candidate buffer of `_kmeans_pp_init`'s
+# screening: 256 KiB, so a block's matmul, minimum and sum stay in cache. A
+# block holds at least one subspace, whose buffer may be larger.
+_SEED_BLOCK_ELEMENTS = 1 << 15
+
 
 @dataclass
 class KMeansResult:
@@ -76,11 +81,18 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     candidate that minimizes the resulting potential; ties go to the earliest
     trial. A subspace whose potential is 0 picks a point with ``integers(n)``.
 
-    All candidates of a step, in every subspace, are scored at once: their
-    squared distances ``|x|^2 + |c|^2 - 2 x.c`` come from one
-    ``(M, trials, d*+2) x (M, d*+2, n)`` matmul. Each matmul potential carries
-    a forward-error bound in ``|x|^2``, ``|c|^2``, d* and n. Only the
-    candidates whose potential lies within the bounds of the best one contend;
+    The points are read from one C-contiguous copy of the stack, and the D^2
+    draws run subspace by subspace from Python floats and row views built
+    once per call. A step's candidates are then scored ``block`` =
+    max(1, ``_SEED_BLOCK_ELEMENTS`` // (trials n)) subspaces at a time through
+    one reused (block, trials, n) buffer, so it stays in cache: their squared
+    distances ``|x|^2 + |c|^2 - 2 x.c`` come from a
+    ``(block, trials, d*+2) x (block, d*+2, n)`` matmul, clipped at ``d2`` and
+    summed along each row in place. A subspace's matmul, minimum and row sums
+    are those of one call over the whole stack, so the block size moves no
+    bit. Each matmul potential carries a forward-error bound in ``|x|^2``,
+    ``|c|^2``, d* and n. Only the candidates whose potential lies within the
+    bounds of the best one contend;
     usually that is the best one alone. They are rescored exactly in trial
     order with strict ``<``: the potential of candidate c sums
     ``min(d2, ((x - c)**2).sum(axis=1))``, with the exact distance computed
@@ -91,6 +103,9 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     ``rng`` draws and the tie rule are bit for bit those of scoring every
     candidate exactly, one subspace at a time.
     """
+    # The stack is usually a strided view of (n, d) rows; its points are
+    # gathered every step, which is faster from one contiguous copy.
+    xs = np.ascontiguousarray(xs)
     m, n, dim = xs.shape
     trials = 2 + int(math.log2(k)) if k > 1 else 1
     rows = np.arange(m)
@@ -112,22 +127,25 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
     norm_coef, point_floor = _form_gap_bound(dim)
     sum_coef = 2.0 * np.finfo(np.float64).eps * n
     x_sq_total = x_sq.sum(axis=1)
+    x_sq_bound = x_sq * norm_coef  # each point's share of its distance bounds
 
     # Buffers of every step. `trial` also holds the cumulative potentials and
     # the distance bounds before it holds a contender's distances; `d2` and
     # `nxt` swap after each step.
+    block = max(1, _SEED_BLOCK_ELEMENTS // (trials * n))
     idx = np.zeros((m, trials), dtype=np.intp)
-    cand = np.empty((m, trials, n))
+    cand = np.empty((min(block, m), trials, n))
     potential = np.empty((m, trials))
     near, trial, nxt = np.empty((3, m, n))
+    cumulatives, picks = list(trial), list(idx)  # row views for the draws
 
     for i in range(1, k):
         totals = d2.sum(axis=1)
         live = ~(totals <= 0.0)
-        cumulative = np.cumsum(d2, axis=1, out=trial)
-        for j, rng in enumerate(rngs):
-            if live[j]:
-                idx[j] = np.searchsorted(cumulative[j], rng.random(trials) * totals[j], side="right")
+        np.cumsum(d2, axis=1, out=trial)
+        for j, (rng, total, alive) in enumerate(zip(rngs, totals.tolist(), live.tolist())):
+            if alive:
+                picks[j][:] = cumulatives[j].searchsorted(rng.random(trials) * total, side="right")
             else:
                 # Every point coincides with a chosen centroid; any pick works.
                 centroids[j, i] = xs[j, int(rng.integers(n))]
@@ -136,9 +154,12 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
         np.minimum(idx, n - 1, out=idx)
         np.multiply(xs[rows[:, None], idx], -2.0, out=lhs[:, :, :dim])
         lhs[:, :, dim] = x_sq[rows[:, None], idx]
-        np.matmul(lhs, rhs, out=cand)
-        np.minimum(cand, d2[:, None, :], out=cand)
-        np.add.reduce(cand, axis=2, out=potential)
+        for start in range(0, m, block):
+            part = slice(start, start + block)
+            scored = cand[: min(block, m - start)]
+            np.matmul(lhs[part], rhs[part], out=scored)
+            np.minimum(scored, d2[part, None, :], out=scored)
+            np.add.reduce(scored, axis=2, out=potential[part])
         bound = norm_coef * (x_sq_total[:, None] + n * lhs[:, :, dim])
         bound += sum_coef * np.abs(potential) + n * point_floor
         w = np.argmin(potential, axis=1)
@@ -159,8 +180,7 @@ def _kmeans_pp_init(xs: np.ndarray, k: int, rngs: list[np.random.Generator]) -> 
             # A point keeps d2 when its matmul distance to c exceeds d2 by more
             # than the distance's bound; NaN compares False and is rescored.
             np.matmul(lhs[rows, t, None], rhs, out=near[:, None])
-            np.multiply(x_sq, norm_coef, out=trial)
-            trial += norm_coef * x_sq[rows, c, None] + point_floor
+            np.add(x_sq_bound, norm_coef * x_sq[rows, c, None] + point_floor, out=trial)
             near -= trial
             rescore = ~(near >= d2)
             rescore[~has] = False
@@ -286,8 +306,11 @@ class ProductCodebook:
         norms = np.linalg.norm(cents, axis=2, keepdims=True)
         unit = cents / np.where(norms < NORM_EPS, np.inf, norms)
         unit.setflags(write=False)
+        columns = np.ascontiguousarray(unit.transpose(0, 2, 1))
+        columns.setflags(write=False)
         self._centroids = cents
         self._unit = unit
+        self._unit_columns = columns
 
     @property
     def m(self) -> int:
@@ -308,6 +331,10 @@ class ProductCodebook:
     def unit_centroids(self) -> np.ndarray:
         """All centroids scaled to unit norm, (M, K, d*) and read-only; a centroid of norm below ``NORM_EPS`` is 0."""
         return self._unit
+
+    def unit_columns(self) -> np.ndarray:
+        """``unit_centroids()`` as a C-contiguous, read-only (M, d*, K) array: a matmul's right operand."""
+        return self._unit_columns
 
 
 def train_product_codebook(

@@ -9,8 +9,9 @@ every other run), or the unit rows for the regression loss. Each mini-batch
 is then pushed through the encoder in one forward pass, scored row by row
 against its samples' rows of that gallery side with the configured loss in
 one call, and backpropagated in one backward pass. The parameter gradients,
-averaged over the mini-batch, feed an Adam update under a linear
-learning-rate decay to zero.
+averaged over the mini-batch and copied into one flat array, feed one Adam
+update of the flat parameter buffer under a linear learning-rate decay to
+zero.
 """
 
 from __future__ import annotations
@@ -75,30 +76,31 @@ class TrainConfig:
 
 
 def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    moments: list[tuple[np.ndarray, np.ndarray]],
+    params: np.ndarray,
+    grads: np.ndarray,
+    moments: tuple[np.ndarray, np.ndarray],
     t: int,
     lr_t: float,
     weight_decay: float,
 ) -> None:
     """Adam update number ``t`` (from 1) with bias correction, in place.
 
-    ``moments`` holds one (first, second) moment pair per parameter. Decoupled
-    weight decay shrinks the parameters by lr_t * weight_decay before the
-    Adam delta is applied. ``train_query_model`` builds the arguments, which
-    are not checked.
+    ``params``, ``grads`` and the (first, second) ``moments`` are flat
+    arrays of one length, so each element-wise operation runs once over
+    every parameter. Decoupled weight decay shrinks the parameters by
+    lr_t * weight_decay before the Adam delta is applied.
+    ``train_query_model`` builds the arguments, which are not checked.
     """
+    first, second = moments
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
-    for p, g, (m, v) in zip(params, grads, moments):
-        if weight_decay:
-            p -= lr_t * weight_decay * p
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    if weight_decay:
+        params -= lr_t * weight_decay * params
+    first *= ADAM_BETA1
+    first += (1.0 - ADAM_BETA1) * grads
+    second *= ADAM_BETA2
+    second += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= lr_t * (first / bc1) / (np.sqrt(second / bc2) + ADAM_EPS)
 
 
 def train_query_model(
@@ -113,8 +115,10 @@ def train_query_model(
     Each epoch shuffles the sample order with a generator seeded from
     cfg.seed, walks mini-batches, and averages the parameter gradients over
     each mini-batch before its Adam step; the learning rate
-    decays linearly to zero over all steps. The input encoder and the
-    gallery embeddings are never mutated.
+    decays linearly to zero over all steps. The trained copy's parameters
+    are views of one flat float64 buffer, and each step's gradients are
+    copied into one flat array, so one ``adam_step`` call a step updates
+    them all. The input encoder and the gallery embeddings are never mutated.
 
     Returns:
         (trained encoder, mean loss of each epoch).
@@ -143,8 +147,11 @@ def train_query_model(
     check_finite(raw, "a raw training input holds a NaN or an infinity")
     check_finite(gallery, "a gallery embedding holds a NaN or an infinity")
 
-    model = enc.copy()
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in model.params]
+    params = np.concatenate([p.ravel() for p in enc.params])
+    views = np.split(params, np.cumsum([p.size for p in enc.params])[:-1])
+    model = QueryEncoder(enc.layer_sizes, [v.reshape(p.shape) for v, p in zip(views, enc.params)])
+    grads = np.empty_like(params)
+    moments = (np.zeros_like(params), np.zeros_like(params))
     rng = np.random.default_rng(cfg.seed)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * steps_per_epoch
@@ -167,10 +174,11 @@ def train_query_model(
                 y, cache = encoder_forward(model, raw[batch])
                 losses, grad_y = loss_and_grad(batch, y)
                 loss_sum += float(losses.sum())
-                grads = encoder_backward(model, cache, grad_y / batch.shape[0])
+                layer_grads = encoder_backward(model, cache, grad_y / batch.shape[0])
+                np.concatenate([g.ravel() for g in layer_grads], out=grads)
                 lr_t = cfg.learning_rate * (1.0 - global_step / total_steps)
                 global_step += 1
-                adam_step(model.params, grads, moments, global_step, lr_t, cfg.weight_decay)
+                adam_step(params, grads, moments, global_step, lr_t, cfg.weight_decay)
         if not np.isfinite(loss_sum):
             raise NonFiniteInputError(f"training diverged: epoch {epoch + 1} has mean loss {loss_sum / n}")
         epoch_means.append(loss_sum / n)

@@ -8,13 +8,13 @@ k-means++ seeding, a per-dimension loop for nearest centroids, scalar
 per-subvector similarity kernels for the batched structure similarities, a
 running sum over every rank for average precision, and a probability-space KL
 divergence for the log-space SSP loss, the allocating expression forms of
-the encoder's forward pass and the mixture draws, and the ``csv`` module for
-the label sidecar. ``structure_similarity`` and
-``soften`` are the exception: checked (B, M, K) entry points to the loss's
-own similarity and softmax kernels, which no library code calls, kept so the
-tests can hold those kernels against the references here. ``ssp_step`` runs
-the loss on one batch of paired rows: the gallery targets of the batch, with
-work arrays of their own, then the step.
+the encoder's forward pass and the mixture draws, a loop over the parameter
+arrays for the flat Adam step, and the ``csv`` module for the label sidecar.
+``structure_similarity`` and ``soften`` are the exception: checked (B, M, K)
+entry points to the loss's own similarity and softmax kernels, which no
+library code calls, kept so the tests can hold those kernels against the
+references here. ``ssp_step`` runs the loss on one batch of paired rows: the
+gallery targets of the batch, with work arrays of their own, then the step.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from sspq.loss import (
     ssp_loss_and_grad,
 )
 from sspq.quantizer import adc_table, subvectors
+from sspq.trainer import ADAM_BETA1, ADAM_BETA2, ADAM_EPS
 
 
 def central_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -308,6 +309,20 @@ def expression_forward(enc, x: np.ndarray) -> np.ndarray:
             h = np.tanh(h)
     norms = np.linalg.norm(h, axis=1)
     return h / np.where(norms < 1e-12, 1.0, norms)[:, None]
+
+
+def per_array_adam_step(params, grads, moments, t: int, lr_t: float, weight_decay: float) -> None:
+    """Adam update ``t`` in place, one parameter array at a time, each with its own (first, second) moment pair."""
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
+    for p, g, (m, v) in zip(params, grads, moments):
+        if weight_decay:
+            p -= lr_t * weight_decay * p
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr_t * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def expression_mixture(num_classes: int, per_class: int, d_in: int, cluster_std: float, seed: int,

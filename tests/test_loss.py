@@ -431,6 +431,23 @@ class TestLogSpaceStep:
             np.testing.assert_array_equal(grad, fresh[1])
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_each_gradient_is_a_new_array(self, kind, batch):
+        # A caller may keep a step's gradient while the next step reuses the
+        # run's work arrays; a one-row batch must not hand out a view of them.
+        rng = np.random.default_rng(41)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g, q = rng.normal(size=(8, cb.dim)), rng.normal(size=(8, cb.dim))
+        targets = gallery_targets(cb, g, 0.1, 1.0, kind, 4)
+        rows = np.arange(batch)
+        _, grad = ssp_loss_and_grad(cb, targets, rows, q[rows])
+        kept = grad.copy()
+        ssp_loss_and_grad(cb, targets, rows + batch, q[rows + batch])
+        assert not np.shares_memory(grad, targets.work) and not np.shares_memory(grad, targets.vectors)
+        assert grad.shape == (batch, cb.dim)
+        np.testing.assert_array_equal(grad, kept)
+
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
     def test_step_allocates_less_than_one_batch_array(self, kind):
         b, m, k = 32, 8, 256
         rng = np.random.default_rng(5)
@@ -579,6 +596,9 @@ class TestDegenerateCosine:
         np.testing.assert_allclose(np.delete(norms.ravel(), 1), 1.0, rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
             unit[1, 1, 1] = 0.0
+        columns = ProductCodebook(cents).unit_columns()
+        assert columns.flags.c_contiguous and not columns.flags.writeable
+        assert columns.tobytes() == np.ascontiguousarray(unit.transpose(0, 2, 1)).tobytes()
 
 
 def reg_step(g: np.ndarray, q: np.ndarray):

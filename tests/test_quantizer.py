@@ -34,6 +34,7 @@ from sspq.errors import (
 from sspq.evaluation import average_precision, evaluate_pq
 from sspq.quantizer import (
     _CHUNK_ELEMENTS,
+    _SEED_BLOCK_ELEMENTS,
     ProductCodebook,
     _kmeans_pp_init,
     adc_scores,
@@ -209,6 +210,17 @@ class TestKMeansPPInit:
         xs = np.stack([x, np.broadcast_to(x[5], x.shape), x[::-1]])
         for seed in range(3):
             self.assert_matches_oracle(xs, 16, seed)
+
+    def test_stack_spanning_several_screening_blocks(self, rng):
+        # n = 512 and k = 256 score 32768 // (10 * 512) = 6 subspaces a block,
+        # so 13 make two full blocks and a ragged one; subspace 8, in the
+        # second block, is one point repeated, so its potential is 0 throughout.
+        # The stack is the strided view of (n, d) rows that kmeans_fit passes.
+        x = rng.normal(size=(512, 2))
+        assert _SEED_BLOCK_ELEMENTS // (10 * 512) == 6
+        rows = np.hstack([(1.0 + 0.25 * j) * np.roll(x, 37 * j, axis=0) for j in range(13)])
+        rows[:, 16:18] = x[5]
+        self.assert_matches_oracle(subvectors(rows, 13), 256, seed=4)
 
     def test_common_offset_forces_exact_recheck(self, rng):
         # |x|^2 ~ 1e12 against distances ~ 1e-6: the matmul potentials are

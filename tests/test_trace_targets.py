@@ -103,6 +103,33 @@ def test_training_calls_the_traced_loss_once_per_step(monkeypatch):
     assert target_calls == [20]
 
 
+def test_training_calls_the_traced_adam_step_once_per_step_on_flat_arrays(monkeypatch):
+    # perfbench's trainer.adam span wraps sspq.trainer.adam_step and counts
+    # its calls as trainer.steps; each call updates every parameter at once.
+    import numpy as np
+
+    import sspq.trainer
+    from sspq.encoder import encoder_init, forward_matrix
+    from sspq.quantizer import train_product_codebook
+
+    calls, traced = [], sspq.trainer.adam_step
+
+    def counting(params, grads, moments, *args, **kwargs):
+        calls.append([np.shape(a) for a in (params, grads, *moments)])
+        return traced(params, grads, moments, *args, **kwargs)
+
+    monkeypatch.setattr(sspq.trainer, "adam_step", counting)
+    raw = np.random.default_rng(0).normal(size=(20, 6))
+    gallery = forward_matrix(encoder_init(6, [12], 8, seed=1), raw)
+    codebook = train_product_codebook(gallery, m=2, k=4, seed=2)
+    enc = encoder_init(6, [10], 8, seed=4)
+    cfg = sspq.trainer.TrainConfig(epochs=2, batch_size=8, seed=3)
+    sspq.trainer.train_query_model(enc, gallery, raw, codebook, cfg)
+    count = sum(p.size for p in enc.params)
+    assert count == 10 * 6 + 10 + 8 * 10 + 8
+    assert calls == [[(count,)] * 4] * 6
+
+
 @pytest.mark.parametrize(
     "kind, tau_q", [("cosine", 1.0), ("cosine", 1e-3), ("l2", 1.0)], ids=["cosine", "cosine-below-limit", "l2"]
 )

@@ -5,7 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import central_diff_grad, grad_mismatch, soften, ssp_step, structure_similarity
+from oracles import (
+    central_diff_grad,
+    grad_mismatch,
+    per_array_adam_step,
+    soften,
+    ssp_step,
+    structure_similarity,
+)
 from sspq.encoder import QueryEncoder, encoder_backward, encoder_forward, encoder_init, forward_matrix
 from sspq.errors import BadConfigError, NonFiniteInputError, ShapeMismatchError
 from sspq.loss import SIM_COSINE, SIM_NEG_EUCLIDEAN
@@ -28,35 +35,45 @@ def small_problem(seed=0, n=48, d_in=6, d=8):
 
 
 def zero_moments(params):
-    return [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    return np.zeros_like(params), np.zeros_like(params)
 
 
 class TestAdamStep:
     def test_zero_grads_no_change(self):
-        params = [np.ones((2, 2)), np.ones(2)]
-        grads = [np.zeros((2, 2)), np.zeros(2)]
-        before = [p.copy() for p in params]
-        adam_step(params, grads, zero_moments(params), 1, lr_t=0.1, weight_decay=0.0)
-        for b, p in zip(before, params):
-            np.testing.assert_array_equal(b, p)
+        params = np.ones(6)  # a (2, 2) weight and a (2,) bias
+        before = params.copy()
+        adam_step(params, np.zeros(6), zero_moments(params), 1, lr_t=0.1, weight_decay=0.0)
+        np.testing.assert_array_equal(before, params)
 
     def test_first_step_magnitude_is_lr(self):
-        params = [np.array([1.0])]
-        adam_step(params, [np.array([5.0])], zero_moments(params), 1, lr_t=0.01, weight_decay=0.0)
-        assert abs(abs(params[0][0] - 1.0) - 0.01) < 1e-9
+        params = np.array([1.0])
+        adam_step(params, np.array([5.0]), zero_moments(params), 1, lr_t=0.01, weight_decay=0.0)
+        assert abs(abs(params[0] - 1.0) - 0.01) < 1e-9
 
     def test_deterministic_trajectory(self):
         rng = np.random.default_rng(0)
         grads_seq = [rng.normal(size=(3,)) for _ in range(10)]
 
         def run():
-            params = [np.zeros(3)]
+            params = np.zeros(3)
             moments = zero_moments(params)
             for t, g in enumerate(grads_seq, start=1):
-                adam_step(params, [g], moments, t, lr_t=0.05, weight_decay=1e-6)
-            return params[0].tobytes()
+                adam_step(params, g, moments, t, lr_t=0.05, weight_decay=1e-6)
+            return params.tobytes()
 
         assert run() == run()
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-2])
+    def test_flat_step_equals_a_step_per_parameter_array(self, weight_decay):
+        rng = np.random.default_rng(1)
+        arrays = [rng.normal(size=shape) for shape in ((4, 3), (4,), (2, 4), (2,))]
+        flat = np.concatenate([a.ravel() for a in arrays])
+        moments, ref_moments = zero_moments(flat), [zero_moments(a) for a in arrays]
+        for t in range(1, 8):
+            grads = [rng.normal(size=a.shape) for a in arrays]
+            adam_step(flat, np.concatenate([g.ravel() for g in grads]), moments, t, 0.05 / t, weight_decay)
+            per_array_adam_step(arrays, grads, ref_moments, t, 0.05 / t, weight_decay)
+            assert flat.tobytes() == b"".join(a.tobytes() for a in arrays)
 
 
 # sha256 of the trained parameter bytes on small_problem() under
