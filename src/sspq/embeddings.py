@@ -64,7 +64,7 @@ class EmbeddingMatrix:
         if self.normalized and data.shape[0] > 0:
             norms = np.linalg.norm(data, axis=1)
             worst = float(np.max(np.abs(norms - 1.0)))
-            if worst > 1e-6:
+            if not worst <= 1e-6:  # a NaN norm fails this too
                 raise InvariantError(
                     f"normalized flag set but a row norm deviates from 1.0 by {worst:.3g}"
                 )

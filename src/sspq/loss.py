@@ -7,21 +7,23 @@ they are computed subspace-major, (M, B, K), the layout of the per-subspace
 matmul. Both sides are softened with a temperature into distributions
 over K and matched with a per-subspace KL divergence. The gallery side is
 frozen, so ``gallery_targets`` scores it once per training run for every
-training row, allocates the run's work arrays and picks the form of its
-targets once, from the kernel, tau_q and K. The cosine kernel is one matmul
-of the unit subvectors against the codebook's unit centroids, a norm below
-``NORM_EPS`` giving 0. At a tau_q at or above a limit fixed by K, a cosine
-step exponentiates its bounded similarities without a shift, and since the
-kernel is linear in the unit centroids it reads the targets p_g only
-through each row's expected unit centroids c̄_g = p_g @ unit centroids,
-which the run keeps in place of p_g: n·M·d* floats, not n·M·K. Every other
-run keeps p_g, and its steps soften the query side in log space, shifting
-each row by its maximum. Analytic gradients with respect to the query
-embeddings are exact through the softmax and the chosen similarity kernel.
-A single embedding is a batch of one. ``gallery_targets`` rejects targets
-that are not finite; beyond that, neither it nor the two per-step losses
-check their arguments: ``TrainConfig`` and ``train_query_model`` check them
-once per run.
+training row, allocates the (M, b, K) work arrays that each step reuses and
+picks the form of its targets once, from the kernel, tau_q and K; a step
+allocates only its smaller (M, B, d*) arrays. The cosine kernel is one
+matmul of the unit subvectors against the codebook's unit centroids, a norm
+below ``NORM_EPS`` giving 0. At a tau_q at or above a limit fixed by K, a
+cosine step exponentiates its bounded similarities without a shift, and
+since the kernel is linear in the unit centroids it reads the targets p_g
+only through each row's expected unit centroids c̄_g = p_g @ unit
+centroids, which the run keeps in place of p_g: n·M·d* floats, not n·M·K.
+Every other run keeps p_g, and its steps soften the query side in log
+space, shifting each row by its maximum. Analytic gradients with respect to
+the query embeddings are exact through the softmax and the chosen
+similarity kernel.
+A single embedding is a batch of one. ``gallery_targets`` rejects gallery
+rows and targets that are not finite; beyond that, neither it nor the two
+per-step losses check their arguments: ``TrainConfig`` and
+``train_query_model`` check them once per run.
 """
 
 from __future__ import annotations
@@ -64,49 +66,38 @@ class GalleryTargets(NamedTuple):
     ``expected`` is the (M, n, d*) expected unit centroids c̄_g = p_g @ unit
     centroids of every row, and otherwise the (M, n, K) target
     distributions p_g. ``neg_entropy`` is their (M, n) sums over k of
-    p_g log p_g, with 0 log 0 := 0. ``work`` holds five (M, b, K) slots and
-    ``vectors`` three (M, b, d*) slots for steps of up to b rows. ``tau_q``
-    and ``kind`` are the query temperature and the kernel of every step.
+    p_g log p_g, with 0 log 0 := 0. ``work`` holds five (M, b, K) slots for
+    steps of up to b rows; a step allocates its smaller (M, B, d*) arrays.
+    ``tau_q`` and ``kind`` are the query temperature and the kernel of every
+    step.
     """
 
     expected: np.ndarray
     neg_entropy: np.ndarray
     work: np.ndarray
-    vectors: np.ndarray
     tau_q: float
     kind: str
     direct: bool
 
 
 def _similarity(
-    codebook: ProductCodebook,
-    u: np.ndarray,
-    kind: str,
-    out: np.ndarray,
-    aux: np.ndarray,
-    vec: tuple[np.ndarray, np.ndarray],
+    codebook: ProductCodebook, u: np.ndarray, kind: str, out: np.ndarray, aux: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Write the (M, B, K) similarities of (M, B, d*) subvectors ``u`` into ``out``.
 
-    Under cosine, ``aux`` is not touched, the unit subvectors are written to
-    the first of the two (M, B, d*) arrays ``vec`` and the second is scratch,
-    and (unit subvectors, (M, B) norms) is returned, a norm below
-    ``NORM_EPS`` as inf, so its unit subvector is 0. The matmul reads the
-    codebook's C-contiguous ``unit_columns()``, not a strided transpose.
-    Under negative-Euclidean ``aux`` is scratch, ``vec`` is not touched and
-    None is returned. The
-    Euclidean distance is the root of the quantizer's squared-distance
-    kernel, so it equals the root of the ADC table bit for bit.
+    Under cosine, ``aux`` is not touched and (unit subvectors, (M, B) norms)
+    is returned: the unit subvectors a new C-order array, a norm below
+    ``NORM_EPS`` as inf, so its unit subvector is 0. The matmul reads them
+    and the codebook's C-contiguous ``unit_columns()``, not a strided
+    operand. Under negative-Euclidean ``aux`` is scratch and None is
+    returned. The Euclidean distance is the root of the quantizer's
+    squared-distance kernel, so it equals the root of the ADC table bit for
+    bit.
     """
     if kind == SIM_COSINE:
-        unit, spread = vec
         norms = np.linalg.norm(u, axis=2)
         norms[norms < NORM_EPS] = np.inf
-        # A ufunc buffers a strided or broadcast operand, so the divide
-        # reads copies of both.
-        np.copyto(unit, u)
-        np.copyto(spread, norms[:, :, None])
-        unit /= spread
+        unit = np.divide(u, norms[:, :, None], order="C")
         np.matmul(unit, codebook.unit_columns(), out=out)
         return unit, norms
     subvector_sq_dists(codebook.stacked(), u, out, aux)
@@ -145,19 +136,16 @@ def _soften_into(
     return np.log(total)
 
 
-def _cosine_grad(grad: np.ndarray, unit_norms: tuple[np.ndarray, np.ndarray], spread: np.ndarray) -> np.ndarray:
+def _cosine_grad(grad: np.ndarray, unit_norms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Map g = dLoss/dS @ unit centroids (M, B, d*), in place in ``grad``, to dLoss/du = (g - û (û·g)) / |u|.
 
-    ``unit_norms`` is what cosine ``_similarity`` returned for u, and
-    ``spread`` is scratch of the shape of ``grad``. A degenerate subvector,
-    whose norm is inf, gets gradient 0: the kernel is flat there.
+    ``unit_norms`` is what cosine ``_similarity`` returned for u. A
+    degenerate subvector, whose norm is inf, gets gradient 0: the kernel is
+    flat there.
     """
     unit, norms = unit_norms
-    np.copyto(spread, np.einsum("mbd,mbd->mb", unit, grad)[:, :, None])
-    spread *= unit
-    grad -= spread
-    np.copyto(spread, norms[:, :, None])
-    grad /= spread
+    grad -= np.einsum("mbd,mbd->mb", unit, grad)[:, :, None] * unit
+    grad /= norms[:, :, None]
     return grad
 
 
@@ -207,17 +195,19 @@ def gallery_targets(
     every other run keeps p_g itself.
 
     Raises:
-        NonFiniteInputError: if a row's targets are not finite: the row
-            holds a NaN or an infinity, or, under negative-Euclidean, its
+        NonFiniteInputError: if a row of ``g`` holds a NaN or an infinity
+            (checked before scoring: at tau_g 0 the argmax of its NaN
+            similarities would give it centroid 0 as a finite target), or
+            if a row's targets are not finite: under negative-Euclidean, its
             distances to every centroid overflow.
     """
+    check_finite(g, "a gallery row's targets are not finite: the row holds a NaN or an infinity")
     m, n, k = codebook.m, g.shape[0], codebook.k
     b = min(batch_rows, n)
-    work, vectors = np.empty((5, m * b * k)), np.empty((3, b * g.shape[1]))
+    work = np.empty((5, m * b * k))
     t, aux, p = work[:3].reshape(3, m, b, k)
-    vec = vectors[:2].reshape(2, m, b, -1)
     direct = kind == SIM_COSINE and tau_q >= cosine_tau_q_limit(k)
-    expected = np.empty((m, n, vec.shape[3] if direct else k))
+    expected = np.empty((m, n, g.shape[1] // m if direct else k))
     neg_entropy = np.empty((m, n))
     # A tiny temperature may overflow the logits to -inf, and 0 * -inf is NaN.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,7 +216,7 @@ def gallery_targets(
             block = slice(start, start + b)
             if not direct:
                 p = expected[:, block]
-            _similarity(codebook, subvectors(g[block], m), kind, t, aux, vec)
+            _similarity(codebook, subvectors(g[block], m), kind, t, aux)
             lse = _soften_into(t, tau_g, t, p, aux)
             # log p_g = t - lse and sum_k p_g = 1
             np.subtract(_expectation(p, t), lse, out=neg_entropy[:, block])
@@ -234,8 +224,8 @@ def gallery_targets(
                 # A (1, K) @ (K, d*) product a row: a block's matmul would
                 # round a row by its place in the block.
                 np.matmul(p[:, :, None], codebook.unit_centroids()[:, None], out=expected[:, block, None])
-    check_finite(neg_entropy, "a gallery row's targets are not finite: a NaN or inf, or overflowing l2 distances")
-    return GalleryTargets(expected, neg_entropy, work, vectors, tau_q, kind, direct)
+    check_finite(neg_entropy, "a gallery row's targets are not finite: its distances overflow")
+    return GalleryTargets(expected, neg_entropy, work, tau_q, kind, direct)
 
 
 def ssp_loss_and_grad(
@@ -247,7 +237,7 @@ def ssp_loss_and_grad(
     batches of B or more rows, and fixes the query temperature tau_q and the
     similarity kernel; its rows ``rows`` (B in-range indices) pair with the
     rows of ``q`` and are constants, and its work arrays hold the step's
-    arrays. KL = sum p_g log p_g - sum p_g log p_q and dLoss/dS_q =
+    (M, B, K) arrays. KL = sum p_g log p_g - sum p_g log p_q and dLoss/dS_q =
     (p_q - p_g) / tau_q.
 
     If the targets hold c̄_g, the cosine similarities are bounded, so
@@ -262,7 +252,7 @@ def ssp_loss_and_grad(
         (losses, gradient): per-sample losses (B,), each the sum of its M
         per-subspace KL divergences, and the (B, d) exact derivative of
         each sample's loss through the softmax and the similarity kernel,
-        a new array for every B, which no later step overwrites.
+        allocated by the step, so no later step overwrites it.
 
     Raises:
         ZeroTargetProbabilityError: if the query distribution underflows to
@@ -272,23 +262,21 @@ def ssp_loss_and_grad(
     m, b, k = codebook.m, q.shape[0], codebook.k
     tau_q, kind = targets.tau_q, targets.kind
     s_q, aux, t_q, p_q, p_g = targets.work[:, : m * b * k].reshape(5, m, b, k)
-    unit_q, grad, spread = targets.vectors[:, : q.size].reshape(3, m, b, -1)
     u_q = subvectors(q, m)
     # A tiny temperature may overflow the logits to -inf, and -inf * 0 is
     # NaN; both happen only where a probability is 0.
     with np.errstate(over="ignore", invalid="ignore"):
-        unit_norms = _similarity(codebook, u_q, kind, s_q, aux, (unit_q, spread))
+        unit_norms = _similarity(codebook, u_q, kind, s_q, aux)
         if targets.direct:
             # e = exp(s_q / tau_q), unshifted; see the docstring.
             e = s_q if tau_q == 1.0 else np.divide(s_q, tau_q, out=p_q)
             np.exp(e, out=e)
             total = e.sum(axis=-1)
-            np.matmul(e, codebook.unit_centroids(), out=grad)
-            np.copyto(spread, total[:, :, None])
-            grad /= spread
-            np.take(targets.expected, rows, axis=1, out=spread, mode="clip")
-            kl = targets.neg_entropy[:, rows] - np.einsum("mbd,mbd->mb", unit_q, spread) / tau_q + np.log(total)
-            grad -= spread
+            grad = np.matmul(e, codebook.unit_centroids())
+            grad /= total[:, :, None]
+            c_g = np.take(targets.expected, rows, axis=1, mode="clip")
+            kl = targets.neg_entropy[:, rows] - np.einsum("mbd,mbd->mb", unit_norms[0], c_g) / tau_q + np.log(total)
+            grad -= c_g
             if tau_q != 1.0:
                 grad /= tau_q
         else:
@@ -306,16 +294,12 @@ def ssp_loss_and_grad(
             if tau_q != 1.0:
                 p_q /= tau_q  # dLoss/dS_q
             if kind == SIM_COSINE:
-                np.matmul(p_q, codebook.unit_centroids(), out=grad)
+                grad = np.matmul(p_q, codebook.unit_centroids())
         if kind == SIM_COSINE:
-            grad = _cosine_grad(grad, unit_norms, spread)
+            grad = _cosine_grad(grad, unit_norms)
         else:
             grad = _neg_euclidean_grad(codebook, u_q, s_q, p_q, aux)
-    # A new array: `grad` is a slot of the run's work arrays, which the
-    # next step overwrites.
-    grad_q = np.empty(q.shape)
-    np.copyto(subvectors(grad_q, m), grad)
-    return kl.sum(axis=0), grad_q
+    return kl.sum(axis=0), grad.transpose(1, 0, 2).reshape(q.shape)
 
 
 def regression_loss_and_grad(

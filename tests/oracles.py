@@ -192,8 +192,7 @@ def structure_similarity(codebook, x: np.ndarray, kind: str = SIM_COSINE) -> np.
     if x.ndim != 2 or x.shape[1] != codebook.dim:
         raise LengthMismatchError(f"embeddings have shape {x.shape}, codebook dim {codebook.dim}")
     out = np.empty((codebook.m, x.shape[0], codebook.k))
-    vec = np.empty((2, codebook.m, x.shape[0], codebook.dim // codebook.m))
-    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out), vec)
+    _similarity(codebook, subvectors(x, codebook.m), kind, out, np.empty_like(out))
     return out.transpose(1, 0, 2)
 
 

@@ -151,6 +151,15 @@ class TestEmbeddingMatrix:
         emb = EmbeddingMatrix(unit, normalized=True)
         assert emb.rows == 4 and emb.data.shape == (4, 3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_normalized_flag_rejects_a_non_finite_row(self, rng, bad):
+        # A NaN norm compares False with any bound, so the check must not read "deviation > bound".
+        unit = rng.normal(size=(4, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        unit[2, 1] = bad
+        with pytest.raises(InvariantError):
+            EmbeddingMatrix(unit, normalized=True)
+
     def test_data_is_read_only(self, rng):
         emb = EmbeddingMatrix(rng.normal(size=(2, 2)))
         with pytest.raises(ValueError):

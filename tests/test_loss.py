@@ -244,7 +244,7 @@ class TestSspLossAndGrad:
 def per_batch_gallery_side(cb, g, tau_g, kind):
     """(p_g, sum p_g log p_g) of a (B, d) batch as each training step once computed them: in arrays of B rows."""
     t, aux, p = np.empty((3, cb.m, len(g), cb.k))
-    _similarity(cb, subvectors(g, cb.m), kind, t, aux, np.empty((2, cb.m, len(g), cb.dim // cb.m)))
+    _similarity(cb, subvectors(g, cb.m), kind, t, aux)
     lse = _soften_into(t, tau_g, t, p, aux)
     return p, _expectation(p, t) - lse
 
@@ -263,8 +263,8 @@ class TestGalleryTargets:
         targets = gallery_targets(cb, g, tau_g, 1.0, kind, batch_size)
         expected, neg_entropy = targets.expected, targets.neg_entropy
         b = min(batch_size, n)
-        shapes = (expected.shape, neg_entropy.shape, targets.work.shape, targets.vectors.shape)
-        assert shapes == ((8, n, 8 if kind == SIM_COSINE else 256), (8, n), (5, 8 * b * 256), (3, b * 64))
+        shapes = (expected.shape, neg_entropy.shape, targets.work.shape)
+        assert shapes == ((8, n, 8 if kind == SIM_COSINE else 256), (8, n), (5, 8 * b * 256))
         p_g = expected
         if kind == SIM_COSINE:
             # Below the limit a cosine run keeps p_g itself.
@@ -318,6 +318,18 @@ class TestGalleryTargets:
         with pytest.raises(NonFiniteInputError, match="targets are not finite"):
             gallery_targets(cb, huge, 0.1, 1.0, SIM_COSINE, 32)
 
+    @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
+    @pytest.mark.parametrize("tau_q", [1.0, 1e-3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_a_non_finite_row_raises_at_tau_g_zero(self, kind, tau_q, bad):
+        # The hard argmax of a row of NaN similarities is centroid 0, a finite target.
+        rng = np.random.default_rng(13)
+        cb = ProductCodebook(rng.normal(size=(4, 16, 2)))
+        g = rng.normal(size=(40, cb.dim))
+        g[5, 0] = bad
+        with pytest.raises(NonFiniteInputError, match="targets are not finite"):
+            gallery_targets(cb, g, 0.0, tau_q, kind, 32)
+
     @pytest.mark.parametrize(
         "kind, tau_q",
         [(SIM_COSINE, 1.0), (SIM_COSINE, 1e-3), (SIM_NEG_EUCLIDEAN, 1.0)],
@@ -338,7 +350,7 @@ class TestGalleryTargets:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        outputs = (targets.expected, targets.neg_entropy, targets.work, targets.vectors)
+        outputs = (targets.expected, targets.neg_entropy, targets.work)
         assert peak - sum(a.nbytes for a in outputs) < b * m * k * 8
         assert targets.expected.shape == (m, n, 8 if targets.direct else k)
         if kind == SIM_COSINE and tau_q == 1.0:
@@ -443,9 +455,29 @@ class TestLogSpaceStep:
         _, grad = ssp_loss_and_grad(cb, targets, rows, q[rows])
         kept = grad.copy()
         ssp_loss_and_grad(cb, targets, rows + batch, q[rows + batch])
-        assert not np.shares_memory(grad, targets.work) and not np.shares_memory(grad, targets.vectors)
+        assert not np.shares_memory(grad, targets.work)
         assert grad.shape == (batch, cb.dim)
         np.testing.assert_array_equal(grad, kept)
+
+    @pytest.mark.parametrize("form", ["cosine", "cosine-p_g", "neg_euclidean"])
+    @pytest.mark.parametrize("tau_q", [1.0, 0.5])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_a_step_leaves_its_inputs_alone(self, monkeypatch, form, tau_q, batch):
+        # The step reads q through the strided subvector view and gathers the targets.
+        rng = np.random.default_rng(53)
+        cb = ProductCodebook(rng.normal(size=(4, 32, 3)))
+        g = rng.normal(size=(8, cb.dim))
+        if form == "cosine-p_g":
+            targets = general_targets(monkeypatch, cb, g, 0.1, tau_q, 5)
+        else:
+            kind = SIM_COSINE if form == "cosine" else SIM_NEG_EUCLIDEAN
+            targets = gallery_targets(cb, g, 0.1, tau_q, kind, 5)
+        assert targets.direct == (form == "cosine")
+        q = rng.normal(size=(batch, cb.dim))
+        inputs = (q, targets.expected, targets.neg_entropy)
+        before = [a.tobytes() for a in inputs]
+        ssp_loss_and_grad(cb, targets, rng.permutation(8)[:batch], q)
+        assert [a.tobytes() for a in inputs] == before
 
     @pytest.mark.parametrize("kind", [SIM_COSINE, SIM_NEG_EUCLIDEAN], ids=["cosine", "neg_euclidean"])
     def test_step_allocates_less_than_one_batch_array(self, kind):
@@ -465,7 +497,8 @@ class TestLogSpaceStep:
         assert peak < b * m * k * 8
 
     def test_cosine_step_allocates_less_than_a_quarter_batch_array(self):
-        # No (M, B, K) outer product of norms and no broadcast buffer of the softmax.
+        # Nothing of (M, B, K) size, such as an outer product of norms: the step's
+        # own arrays and their ufunc buffers are (M, B, d*) and (M, B).
         b, m, k = 32, 8, 256
         rng = np.random.default_rng(5)
         cb = ProductCodebook(rng.normal(size=(m, k, 8)))
